@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import assembly
-from .elements import default_degree, shape_functions
-from .maps import MeshSequenceMap
+from . import assembly, sampling
+from .elements import default_degree
 from .solver import (FlowProblem, FlowState, SolverConfig, run)
 from .spaces import DiscreteField, TaylorHoodSpace, interpolate
 
@@ -34,21 +33,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def _map_points(space, map_, t, degree=None):
-    """Quadrature points with weights and map samples, flattened."""
-    pts, wts = assembly.cell_quadrature_points(space, degree)
-    nc, nq, d = pts.shape
-    flat = pts.reshape(-1, d)
-    cells = np.repeat(np.arange(nc), nq) if isinstance(map_, MeshSequenceMap) \
-        else None
-    F, Finv, J, _ = map_.sample_fields(flat, t, cells=cells)
-    if isinstance(map_, MeshSequenceMap):
-        phys = map_.position(flat, t, cells=cells)
-    else:
-        phys = map_.position(flat, t)
-    return pts, wts.ravel(), F, Finv, J, phys
-
-
 def k_norm(field, map_, t, space=None, degree=None):
     """J-weighted L2 norm at time t of a DiscreteField or of a callable
     fn(X_ref) -> values (callables need an explicit space)."""
@@ -57,18 +41,18 @@ def k_norm(field, map_, t, space=None, degree=None):
         vals = assembly.velocity_at_points(space, field, degree) \
             if field.component == "velocity" else None
         if vals is None:
-            data = assembly._cell_data(space, degree or default_degree(space.dimension))
+            data = sampling.cell_data(space, degree or default_degree(space.dimension))
             pv = field.coefficients[space.mesh.cells]
-            vals = np.einsum("qb,cb->cq", data.pvals, pv)[..., None]
+            vals = (pv @ data.pvals.T)[..., None]
     else:
         if space is None:
             raise ValueError("k_norm of a callable needs the space argument")
         pts, _ = assembly.cell_quadrature_points(space, degree)
         vals = np.asarray(field(pts.reshape(-1, space.dimension)), dtype=float)
         vals = vals.reshape(pts.shape[0], pts.shape[1], -1)
-    _, wts, _, _, J, _ = _map_points(space, map_, t, degree)
-    nc, nq = vals.shape[:2]
-    sq = np.einsum("cqd,cqd->cq", vals, vals).ravel()
+    _, wts = assembly.cell_quadrature_points(space, degree)
+    J = sampling.map_samples(space, map_).jacobian(t, degree)
+    sq = np.einsum("cqd,cqd->cq", vals, vals)
     return float(np.sqrt(np.sum(wts * J * sq)))
 
 
@@ -78,9 +62,7 @@ def kinetic_energy(field, map_, t, degree=None):
 
 def _physical_gradients(space, field, Finv, degree=None):
     """grad u F^{-1} at quadrature points, (nc, nq, d, d)."""
-    G = assembly.velocity_gradients(space, field, degree)
-    nc, nq, d, _ = G.shape
-    return np.einsum("cqam,cqmd->cqad", G, Finv.reshape(nc, nq, d, d))
+    return assembly.velocity_gradients(space, field, degree) @ Finv
 
 
 @dataclass
@@ -135,21 +117,22 @@ class ErrorAccumulator:
     def update(self, state, record=None):
         space, map_ = self.space, self.map
         t = state.t
-        pts, wts, F, Finv, J, phys = _map_points(space, map_, t, self.degree)
-        nc, nq, d = pts.shape
+        cells = sampling.map_samples(space, map_).cells(t, self.degree)
+        _, wts = assembly.cell_quadrature_points(space, self.degree)
+        nc, nq, d = cells.position.shape
+        phys = cells.position.reshape(-1, d)
+        wJ = wts * cells.J
         uh = assembly.velocity_at_points(space, state.u, self.degree)
         ue = np.asarray(self.velocity(phys, t), dtype=float).reshape(nc, nq, d)
         err = ue - uh
-        sq = np.einsum("cqd,cqd->cq", err, err).ravel()
-        l2 = math.sqrt(float(np.sum(wts * J * sq)))
+        l2 = math.sqrt(float(np.sum(wJ * np.einsum("cqd,cqd->cq", err, err))))
 
-        Gh = _physical_gradients(space, state.u, Finv, self.degree)
+        Gh = _physical_gradients(space, state.u, cells.Finv, self.degree)
         Ge = np.asarray(self.velocity_gradient(phys, t),
                         dtype=float).reshape(nc, nq, d, d)
         Gerr = Ge - Gh
         D = 0.5 * (Gerr + np.swapaxes(Gerr, 2, 3))
-        dsq = np.einsum("cqab,cqab->cq", D, D).ravel()
-        rate = math.sqrt(float(np.sum(wts * J * dsq)))
+        rate = math.sqrt(float(np.sum(wJ * np.einsum("cqab,cqab->cq", D, D))))
 
         self.times.append(t)
         self.l2.append(l2)
@@ -203,22 +186,24 @@ def energy_balance_terms(state_prev, state, map_, nu, forcing=None,
     nkm = k_norm(state_prev.u, map_, state_prev.t, degree=degree)
     kinetic_rate = (nk ** 2 - nkm ** 2) / (2.0 * dt)
 
-    pts, wts, F, Finv, J, phys = _map_points(space, map_, state.t, degree)
-    nc, nq, d = pts.shape
-    Gh = _physical_gradients(space, state.u, Finv, degree)
+    cells = sampling.map_samples(space, map_).cells(state.t, degree)
+    _, wts = assembly.cell_quadrature_points(space, degree)
+    wJ = wts * cells.J
+    Gh = _physical_gradients(space, state.u, cells.Finv, degree)
     if stress == "symmetric":
         D = 0.5 * (Gh + np.swapaxes(Gh, 2, 3))
-        dsq = np.einsum("cqab,cqab->cq", D, D).ravel()
-        dissipation = 2.0 * nu * float(np.sum(wts * J * dsq))
+        dissipation = 2.0 * nu * float(np.sum(
+            wJ * np.einsum("cqab,cqab->cq", D, D)))
     else:
-        dsq = np.einsum("cqab,cqab->cq", Gh, Gh).ravel()
-        dissipation = nu * float(np.sum(wts * J * dsq))
+        dissipation = nu * float(np.sum(
+            wJ * np.einsum("cqab,cqab->cq", Gh, Gh)))
 
     if forcing is not None:
         uh = assembly.velocity_at_points(space, state.u, degree)
-        fv = np.asarray(forcing(phys, state.t), dtype=float).reshape(nc, nq, d)
-        power = float(np.sum(wts * J *
-                             np.einsum("cqd,cqd->cq", fv, uh).ravel()))
+        d = space.dimension
+        fv = np.asarray(forcing(cells.position.reshape(-1, d), state.t),
+                        dtype=float).reshape(uh.shape)
+        power = float(np.sum(wJ * np.einsum("cqd,cqd->cq", fv, uh)))
     else:
         power = 0.0
 
@@ -229,49 +214,26 @@ def energy_balance_terms(state_prev, state, map_, nu, forcing=None,
 
 def _boundary_work(space, map_, state, nu, stress, degree=None):
     """int_boundary (J sigma F^{-T} n) . xi_t ds with the discrete stress."""
-    mesh = space.mesh
-    d = space.dimension
-    degree = degree or default_degree(d)
-    fd = assembly._facet_data(space, degree + 2)
-    nfa, nqf = fd.points.shape[:2]
-    flat = fd.points.reshape(-1, d)
-    cells_rep = np.repeat(fd.cells, nqf)
-    cells = cells_rep if isinstance(map_, MeshSequenceMap) else None
-    F, Finv, J, xi_t = map_.sample_fields(flat, state.t, cells=cells)
-    Finv = Finv.reshape(nfa, nqf, d, d)
-    J = J.reshape(nfa, nqf)
-    xi_t = xi_t.reshape(nfa, nqf, d)
-    if np.max(np.abs(xi_t)) == 0.0:
+    facets = sampling.map_samples(space, map_).facets(state.t, degree)
+    if np.max(np.abs(facets.xi_t)) == 0.0:
         return 0.0
+    d = space.dimension
+    fd = sampling.facet_data(space, (degree or default_degree(d)) + 2)
 
-    # evaluate the discrete velocity gradient and pressure from the cell side
-    geo = assembly._geometry(space)
-    vbasis = shape_functions(2, d)
-    pbasis = shape_functions(1, d)
-    v0 = mesh.vertices[mesh.cells[fd.cells, 0]]             # (nfa, d)
-    loc = np.einsum("fde,fqe->fqd", geo.inv[fd.cells],
-                    flat.reshape(nfa, nqf, d) - v0[:, None, :])
-    bary = np.concatenate([(1.0 - loc.sum(axis=2))[..., None], loc], axis=2)
-    bflat = bary.reshape(-1, d + 1)
-    vals = vbasis.values(bflat).reshape(nfa, nqf, -1)
-    lgr = vbasis.gradients(bflat).reshape(nfa, nqf, -1, d)
-    pvals = pbasis.values(bflat).reshape(nfa, nqf, d + 1)
-
-    ucell = state.u.nodal()[space.cell_nodes[fd.cells]]     # (nfa, nb, d)
-    pcell = state.p.coefficients[mesh.cells[fd.cells]]      # (nfa, d+1)
-    grads = np.einsum("fqbm,fmd->fqbd", lgr, geo.inv[fd.cells])
-    G = np.einsum("fba,fqbm->fqam", ucell, grads)           # du_a/dx_m
-    Ghat = np.einsum("fqam,fqmd->fqad", G, Finv)
-    ph = np.einsum("fqp,fp->fq", pvals, pcell)
+    # the discrete velocity gradient and pressure from the cell side
+    ucell = state.u.nodal()[space.cell_nodes[fd.cells]]     # (nbf, nb, d)
+    pcell = state.p.coefficients[space.mesh.cells[fd.cells]]  # (nbf, d+1)
+    G = np.swapaxes(ucell, 1, 2)[:, None] @ fd.cell_grads   # du_a/dx_m
+    Ghat = G @ facets.Finv
+    ph = np.einsum("fqp,fp->fq", fd.cell_pvals, pcell)
     if stress == "symmetric":
         visc = nu * (Ghat + np.swapaxes(Ghat, 2, 3))
     else:
         visc = nu * Ghat
     sigma = visc - ph[..., None, None] * np.eye(d)
-    conormal = J[..., None] * np.einsum("fqmd,fm->fqd", Finv, fd.normals)
-    traction = np.einsum("fqad,fqd->fqa", sigma, conormal)
-    integrand = np.einsum("fqa,fqa->fq", traction, xi_t)
-    return float(np.einsum("q,f,fq->", fd.weights, fd.areas, integrand))
+    traction = (sigma @ facets.conormal[..., None])[..., 0]
+    return float(np.sum(fd.weights *
+                        np.einsum("fqa,fqa->fq", traction, facets.xi_t)))
 
 
 # ---------------------------------------------------------------------------

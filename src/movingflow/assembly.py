@@ -1,7 +1,7 @@
 """Assembly of the moving-domain flow forms into sparse blocks.
 
 All forms live on the fixed reference mesh; the domain motion enters through
-pointwise map data F, F^{-1}, J evaluated at quadrature points.  Per step the
+pointwise map data F^{-1}, J evaluated at quadrature points.  Per step the
 velocity block collects
 
 * the discrete time-derivative mass term (J-weighted at the previous level
@@ -17,20 +17,33 @@ velocity block collects
 
 and the pressure coupling B[q, psi] = int J q F^{-T} : grad psi.
 
-Assembly is single-threaded and vectorized over cells with a fixed reduction
-order, so results are bitwise deterministic.
+The map data come from the per-time-level sample of ``sampling``, which
+boundary conditions and diagnostics read too.
+
+Kernels.  Each form is one batched numpy expression over the whole
+(cell, quadrature point) stack: basis gradients are pulled back as
+``(lgrads @ inv) @ F^{-1}`` with the cell's inverse edge matrix ``inv``, and
+mass-type terms are ``(w J) @ (phi_i phi_j)``.  The standalone forms and
+``assemble_step`` call the same kernels; ``assemble_step`` runs the
+gradient kernels over blocks of cells to bound their temporaries.
+
+Scatter.  Local blocks are summed with ``np.bincount`` into a scalar
+node-by-node CSR pattern, built with its cell-to-entry index on the first
+assembly.  The velocity block is made of d x d blocks over that pattern,
+converted to CSR without the entries that sum to exactly zero (the
+off-diagonal ones when no term couples velocity components).  Assembly is
+single-threaded with a fixed reduction order, so results are deterministic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import default_degree, quadrature, shape_functions
-from .maps import MeshSequenceMap
+from .elements import default_degree
+from .sampling import cached, cell_data, facet_data, geometry, map_samples
 from .spaces import DiscreteField
 
 __all__ = [
@@ -68,125 +81,171 @@ class AssembledStep:
 
 
 # ---------------------------------------------------------------------------
-# cached geometry / quadrature tables
+# sparsity patterns and scatter
 # ---------------------------------------------------------------------------
 
 
-class _Geometry:
-    def __init__(self, space):
-        mesh = space.mesh
-        verts = mesh.vertices[mesh.cells]
-        edge = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)  # columns
-        self.det = np.abs(np.linalg.det(edge))
-        self.inv = np.linalg.inv(edge)           # local coords per ref coords
-        self.cell_diam = _cell_diameters(mesh)
-        self.volume_factor = self.det            # |det| times ref weights
+def _sum(index, local, size, width=1):
+    """Sum ``local`` into ``size`` slots of ``width`` adjacent entries;
+    ``index`` gives the slot of each run of ``width`` local values."""
+    if width > 1:
+        index = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
+    return np.bincount(index.ravel(), weights=local.ravel(),
+                       minlength=size * width)
 
 
-def _cell_diameters(mesh):
-    verts = mesh.vertices[mesh.cells]
-    n = verts.shape[1]
-    diam = np.zeros(len(verts))
-    for a in range(n):
-        for b in range(a + 1, n):
-            diam = np.maximum(diam, np.linalg.norm(verts[:, a] - verts[:, b], axis=1))
-    return diam
+class _Pattern:
+    """Sorted (row, column) keys of a CSR pattern over the cell blocks of
+    the ``rows`` and ``cols`` node tables, with each block entry's slot."""
+
+    def __init__(self, rows, cols, n_rows, n_cols):
+        self.n_rows, self.n_cols = n_rows, n_cols
+        self.keys, self.index = np.unique(
+            (rows[:, :, None] * n_cols + cols[:, None, :]).ravel(),
+            return_inverse=True)
+        self.indices = self.keys % n_cols
+        self.indptr = np.searchsorted(self.keys // n_cols,
+                                      np.arange(n_rows + 1))
+
+    def sum(self, local, width=1):
+        return _sum(self.index, local, len(self.keys), width)
+
+    def csr(self, blocks):
+        """The CSR matrix with (nnz, r, c) blocks on the pattern's entries."""
+        r, c = blocks.shape[1:]
+        return sp.bsr_matrix((blocks, self.indices, self.indptr), shape=(
+            self.n_rows * r, self.n_cols * c)).tocsr()
 
 
-def _geometry(space):
-    geo = getattr(space, "_assembly_geometry", None)
-    if geo is None:
-        geo = _Geometry(space)
-        space._assembly_geometry = geo
-    return geo
+def _patterns(space):
+    """The node-by-node pattern of the velocity block and the vertex-by-node
+    pattern of the pressure block, built on the first assembly."""
+    def build():
+        conn, n = space.cell_nodes, space.n_nodes
+        return (_Pattern(conn, conn, n, n),
+                _Pattern(space.mesh.cells, conn, space.n_pressure_dofs, n))
+    return cached(space, "patterns", build)
 
 
-class _CellData:
-    def __init__(self, space, degree):
-        d = space.dimension
-        self.rule = quadrature(d, degree)
-        vbasis = shape_functions(2, d)
-        pbasis = shape_functions(1, d)
-        self.vals = vbasis.values(self.rule.points)        # (nq, nb)
-        self.lgrads = vbasis.gradients(self.rule.points)   # (nq, nb, d)
-        self.pvals = pbasis.values(self.rule.points)       # (nq, d+1)
-        mesh = space.mesh
-        verts = mesh.vertices[mesh.cells]                  # (nc, d+1, d)
-        self.points = np.einsum("qv,cvd->cqd", self.rule.points, verts)
+def _velocity_matrix(space, scalar, coupling=None, boundary=None):
+    """Velocity block: ``scalar`` (nc, nb, nb) on every component alike,
+    plus the component-coupling blocks (nc, nb, nb, d, d) and the scalar
+    pattern data ``boundary`` of facet terms.  Entries that sum to exactly
+    zero are left out."""
+    pattern, d = _patterns(space)[0], space.dimension
+    data = pattern.sum(scalar)
+    if boundary is not None:
+        data += boundary
+    blocks = np.zeros((len(data), d, d)) if coupling is None else \
+        pattern.sum(coupling, d * d).reshape(-1, d, d)
+    blocks[:, np.arange(d), np.arange(d)] += data[:, None]
+    A = pattern.csr(blocks)
+    A.eliminate_zeros()
+    return A
 
 
-def _cell_data(space, degree):
-    cache = getattr(space, "_assembly_cells", None)
-    if cache is None:
-        cache = {}
-        space._assembly_cells = cache
-    if degree not in cache:
-        cache[degree] = _CellData(space, degree)
-    return cache[degree]
+def _pressure_matrix(space, local):
+    """Pressure-velocity CSR from (nc, d+1, nb, d) local blocks."""
+    pattern, d = _patterns(space)[1], space.dimension
+    return pattern.csr(pattern.sum(local, d).reshape(-1, 1, d))
 
 
-class _FacetData:
-    """Trace data on the boundary facets: quadrature, trace basis, geometry."""
-
-    def __init__(self, space, degree):
-        mesh = space.mesh
-        d = mesh.dimension
-        self.rule = quadrature(d - 1, degree)
-        trace = shape_functions(2, d - 1)
-        self.vals = trace.values(self.rule.points)          # (nqf, nfb)
-        fverts = mesh.vertices[mesh.boundary_facets]        # (nbf, d, d)
-        self.points = np.einsum("qv,fvd->fqd", self.rule.points, fverts)
-        self.areas = mesh.boundary_facet_areas()
-        self.normals = mesh.boundary_facet_normals()
-        # normalized weights: rule weights sum to 1/(d-1)!
-        self.weights = self.rule.weights * math.factorial(d - 1)
-        self.nodes = space.facet_nodes                      # (nbf, nfb)
-        self.cells = space.mesh.boundary_cells
+# ---------------------------------------------------------------------------
+# batched kernels over the (cell, quadrature point) stack
+# ---------------------------------------------------------------------------
 
 
-def _facet_data(space, degree):
-    cache = getattr(space, "_assembly_facets", None)
-    if cache is None:
-        cache = {}
-        space._assembly_facets = cache
-    if degree not in cache:
-        cache[degree] = _FacetData(space, degree)
-    return cache[degree]
+def _mass_local(data, weight):
+    """sum_q weight phi_i phi_j per cell, (nc, nb, nb)."""
+    nb = data.vals.shape[1]
+    return (weight @ data.outer).reshape(-1, nb, nb)
 
 
-def _map_cells(space, nq):
-    """Cell index per flattened quadrature point (mesh-backed maps only)."""
-    return np.repeat(np.arange(space.mesh.n_cells), nq)
+def _ghat(data, inv, Finv):
+    """Pulled-back basis gradients grad phi F^{-1}, (nc, nq, nb, d).  This
+    order of the products keeps the exact zeros of the coupling blocks, and
+    so the sparsity of A, that the order lgrads @ (inv F^{-1}) turns into
+    roundoff."""
+    return (data.lgrads @ inv[:, None]) @ Finv
 
 
-def _sample_map(space, map_, t, data, need_velocity=False):
-    nc, nq = data.points.shape[:2]
-    flat = data.points.reshape(-1, space.dimension)
-    cells = _map_cells(space, nq) if isinstance(map_, MeshSequenceMap) else None
-    F, Finv, J, xi_t = map_.sample_fields(flat, t, cells=cells)
-    d = space.dimension
-    out = (F.reshape(nc, nq, d, d), Finv.reshape(nc, nq, d, d),
-           J.reshape(nc, nq))
-    if need_velocity:
-        return out + (xi_t.reshape(nc, nq, d),)
-    return out
+def _convection_local(data, ghat, J, W, wc):
+    """C[c, i, j] = sum_q W (z . grad phi_j) phi_i with z = J F^{-1} w,
+    where z . grad phi = J (ghat . w)."""
+    wq = data.vals @ wc                                  # (nc, nq, d)
+    ddir = J[..., None] * (ghat @ wq[..., None])[..., 0]   # (nc, nq, nb)
+    return data.vals.T @ (W[..., None] * ddir)
 
 
-def _scalar_csr(space, local):
-    """Scatter (nc, nb, nb) local blocks into a scalar node-by-node CSR."""
-    conn = space.cell_nodes
-    nb = conn.shape[1]
-    rows = np.repeat(conn, nb, axis=1).ravel()
-    cols = np.tile(conn, (1, nb)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(space.n_nodes, space.n_nodes))
-    return mat.tocsr()
+def _eddy_viscosity(ghat, wc, diam, nu, smagorinsky):
+    """nu, or nu + (C_s h)^2 sqrt(2 D:D) with D the pulled-back rate of
+    the lagged field, (nc, nq)."""
+    if smagorinsky is None:
+        return nu
+    cs = float(smagorinsky)
+    if cs <= 0:
+        raise ValueError("eddy-viscosity constant must be positive")
+    Gw = np.swapaxes(wc, 1, 2)[:, None] @ ghat           # (nc, nq, d, d)
+    Dw = 0.5 * (Gw + np.swapaxes(Gw, 2, 3))
+    rate = np.sqrt(2.0 * np.einsum("cqab,cqab->cq", Dw, Dw))
+    return nu + (cs * diam[:, None]) ** 2 * rate
 
 
-def _vector_expand(space, scalar_csr):
-    """Expand a scalar node matrix to the interleaved velocity dof layout."""
-    return sp.kron(scalar_csr, sp.eye(space.dimension, format="csr"),
-                   format="csr")
+def _viscous_local(ghat, kappa, stress):
+    """Viscous blocks with the pointwise coefficient kappa = W J nu: the
+    scalar kappa ghat_i . ghat_j, (nc, nb, nb), and for the symmetric form
+    the coupling [c, i, j, a, b] = sum_q kappa (ghat_i)_b (ghat_j)_a."""
+    if stress not in ("symmetric", "full-gradient"):
+        raise ValueError(f"unknown stress form {stress!r}")
+    nc, nq, nb, d = ghat.shape
+    H = ghat.reshape(nc, nq, nb * d)
+    X = ((np.swapaxes(H, 1, 2) * kappa[:, None, :]) @ H).reshape(
+        nc, nb, d, nb, d)
+    scalar = np.einsum("cieje->cij", X)
+    if stress == "full-gradient":
+        return scalar, None
+    return scalar, X.transpose(0, 1, 3, 4, 2)
+
+
+def _divergence_local(data, ghat, wj):
+    """B[c, p, j, e] = sum_q wj q_p (ghat_j)_e with wj = W J,
+    (nc, d+1, nb, d)."""
+    nc, nq, nb, d = ghat.shape
+    return (data.pvals.T @ (wj[..., None] * ghat.reshape(nc, nq, nb * d))
+            ).reshape(nc, -1, nb, d)
+
+
+def _by_cells(kernel, *arrays, size=256):
+    """``kernel`` over blocks of ``size`` cells of the per-cell arrays, its
+    outputs joined: bounds the (cell, q, basis, d) temporaries."""
+    parts = [kernel(*(a[i:i + size] for a in arrays))
+             for i in range(0, len(arrays[0]), size)]
+    return [None if p[0] is None else np.concatenate(p) for p in zip(*parts)]
+
+
+def _temam_boundary(space, map_, t, w, degree):
+    """0.5 (z.n) phi_i phi_j over neumann facets as scalar pattern data,
+    or None without neumann facets."""
+    sel = _neumann_facets(space)
+    if sel.size == 0:
+        return None
+    fd = facet_data(space, degree + 2)
+    facets = map_samples(space, map_).facets(t, degree)
+    nodes = fd.nodes[sel]
+    zn = np.einsum("fqd,fqd->fq", fd.vals @ _nodal(w)[nodes],
+                   facets.conormal[sel])
+    nfb = nodes.shape[1]
+    local = ((0.5 * fd.weights[sel] * zn) @ np.einsum(
+        "qi,qj->qij", fd.vals, fd.vals).reshape(len(fd.vals), -1))
+    pattern = _patterns(space)[0]
+    keys = np.repeat(nodes, nfb, axis=1) * pattern.n_cols + np.tile(nodes, nfb)
+    return _sum(np.searchsorted(pattern.keys, keys), local, len(pattern.keys))
+
+
+def _neumann_facets(space, patch=None):
+    return np.flatnonzero([lbl.kind == "neumann" and
+                           (patch is None or lbl.patch == patch)
+                           for lbl in space.mesh.boundary_labels])
 
 
 # ---------------------------------------------------------------------------
@@ -196,32 +255,20 @@ def _vector_expand(space, scalar_csr):
 
 def weighted_mass_matrix(space, weights, degree=None):
     """Velocity mass matrix with a per-quadrature-point weight (nc, nq)."""
-    degree = degree or default_degree(space.dimension)
-    data = _cell_data(space, degree)
-    geo = _geometry(space)
-    nc, nq = data.points.shape[:2]
-    nb = data.vals.shape[1]
-    local = np.zeros((nc, nb, nb))
-    for q in range(nq):
-        coeff = data.rule.weights[q] * geo.det * weights[:, q]
-        local += coeff[:, None, None] * np.outer(data.vals[q], data.vals[q])
-    return _vector_expand(space, _scalar_csr(space, local))
+    data = cell_data(space, degree or default_degree(space.dimension))
+    return _velocity_matrix(space, _mass_local(data, data.weights * weights))
 
 
 def mass_matrix(space, map_, t, degree=None):
     """J(t)-weighted velocity mass matrix (the step-norm Gram matrix)."""
-    degree = degree or default_degree(space.dimension)
-    data = _cell_data(space, degree)
-    _, _, J = _sample_map(space, map_, t, data)
+    J = map_samples(space, map_).jacobian(t, degree)
     return weighted_mass_matrix(space, J, degree)
 
 
 def rate_mass_matrix(space, map_, t_k, t_prev, dt, degree=None):
     """Mass matrix weighted with the backward difference (J_k - J_{k-1})/dt."""
-    degree = degree or default_degree(space.dimension)
-    data = _cell_data(space, degree)
-    _, _, Jk = _sample_map(space, map_, t_k, data)
-    _, _, Jp = _sample_map(space, map_, t_prev, data)
+    samples = map_samples(space, map_)
+    Jk, Jp = samples.jacobian(t_k, degree), samples.jacobian(t_prev, degree)
     return weighted_mass_matrix(space, (Jk - Jp) / dt, degree)
 
 
@@ -234,144 +281,57 @@ def convection_matrices(space, map_, t, w, degree=None, temam_boundary=True):
     0.5 (z.n) phi_i phi_j on outflow (neumann) facets.
     """
     degree = degree or default_degree(space.dimension)
-    data = _cell_data(space, degree)
-    geo = _geometry(space)
-    nc, nq = data.points.shape[:2]
-    nb = data.vals.shape[1]
-    wc = _nodal(w)[space.cell_nodes]                     # (nc, nb, d)
-    _, Finv, J = _sample_map(space, map_, t, data)
-
-    C_loc = np.zeros((nc, nb, nb))
-    T_loc = np.zeros((nc, nb, nb))
-    for q in range(nq):
-        grads = np.einsum("bm,cmd->cbd", data.lgrads[q], geo.inv)
-        wq = np.einsum("b,cbd->cd", data.vals[q], wc)
-        z = J[:, q, None] * np.einsum("cmd,cd->cm", Finv[:, q], wq)
-        ddir = np.einsum("cbd,cd->cb", grads, z)         # z . grad phi
-        coeff = data.rule.weights[q] * geo.det
-        Cq = coeff[:, None, None] * (data.vals[q][None, :, None] *
-                                     ddir[:, None, :])
-        C_loc += Cq
-        T_loc -= 0.5 * (Cq + np.swapaxes(Cq, 1, 2))
-    C = _vector_expand(space, _scalar_csr(space, C_loc))
-    T = _vector_expand(space, _scalar_csr(space, T_loc))
-    if temam_boundary:
-        Tb = _temam_boundary_scalar(space, map_, t, w, degree)
-        if Tb is not None:
-            T = T + _vector_expand(space, Tb)
-    return C, T
-
-
-def _temam_boundary_scalar(space, map_, t, w, degree):
-    """0.5 (z.n) phi_i phi_j over neumann facets, scalar node pattern."""
-    mesh = space.mesh
-    sel = np.flatnonzero([lbl.kind == "neumann" for lbl in mesh.boundary_labels])
-    if sel.size == 0:
-        return None
-    fd = _facet_data(space, degree + 2)
-    pts = fd.points[sel]
-    nfa, nqf = pts.shape[:2]
-    flat = pts.reshape(-1, space.dimension)
-    cells = np.repeat(fd.cells[sel], nqf) if isinstance(map_, MeshSequenceMap) else None
-    F, Finv, J, _ = map_.sample_fields(flat, t, cells=cells)
-    Finv = Finv.reshape(nfa, nqf, space.dimension, space.dimension)
-    J = J.reshape(nfa, nqf)
-    nodes = fd.nodes[sel]
-    wvals = _nodal(w)[nodes]                             # (nfa, nfb, d)
-    nfb = nodes.shape[1]
-    local = np.zeros((nfa, nfb, nfb))
-    normals = fd.normals[sel]
-    for q in range(nqf):
-        wq = np.einsum("b,fbd->fd", fd.vals[q], wvals)
-        z = J[:, q, None] * np.einsum("fmd,fd->fm", Finv[:, q], wq)
-        zn = np.einsum("fm,fm->f", z, normals)
-        coeff = 0.5 * fd.weights[q] * fd.areas[sel] * zn
-        local += coeff[:, None, None] * np.outer(fd.vals[q], fd.vals[q])
-    rows = np.repeat(nodes, nfb, axis=1).ravel()
-    cols = np.tile(nodes, (1, nfb)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(space.n_nodes, space.n_nodes)).tocsr()
+    data = cell_data(space, degree)
+    cells = map_samples(space, map_).cells(t, degree)
+    C = _convection_local(data, _ghat(data, geometry(space).inv, cells.Finv),
+                          cells.J, data.weights, _nodal(w)[space.cell_nodes])
+    T = -0.5 * (C + np.swapaxes(C, 1, 2))
+    Tb = _temam_boundary(space, map_, t, w, degree) if temam_boundary else None
+    return _velocity_matrix(space, C), _velocity_matrix(space, T, boundary=Tb)
 
 
 def viscous_matrix(space, map_, t, nu, stress="symmetric", degree=None,
                    smagorinsky=None, w=None):
     """Viscous velocity block; see the module docstring for the two forms."""
     degree = degree or default_degree(space.dimension)
-    step = assemble_step(space, map_, t_k=t, t_prev=t, dt=1.0,
-                         w=_zero_velocity(space) if w is None else w,
-                         u_prev=_zero_velocity(space), nu=nu,
-                         stress=stress, temam=False, smagorinsky=smagorinsky,
-                         quadrature_degree=degree,
-                         _only_viscous=True)
-    return step.A
+    data = cell_data(space, degree)
+    cells = map_samples(space, map_).cells(t, degree)
+    geo = geometry(space)
+    ghat = _ghat(data, geo.inv, cells.Finv)
+    wc = _nodal(DiscreteField(space, "velocity") if w is None else w)[
+        space.cell_nodes]
+    nuq = _eddy_viscosity(ghat, wc, geo.cell_diam, nu, smagorinsky)
+    return _velocity_matrix(space, *_viscous_local(
+        ghat, data.weights * cells.J * nuq, stress))
 
 
 def divergence_matrix(space, map_, t, degree=None):
     """Pressure-velocity block B[q, (j,c)] = int J q (grad_phys phi_j)_c."""
     degree = degree or default_degree(space.dimension)
-    data = _cell_data(space, degree)
-    geo = _geometry(space)
-    nc, nq = data.points.shape[:2]
-    nb = data.vals.shape[1]
-    d = space.dimension
-    _, Finv, J = _sample_map(space, map_, t, data)
-    npl = d + 1
-    local = np.zeros((nc, npl, nb, d))
-    for q in range(nq):
-        grads = np.einsum("bm,cmd->cbd", data.lgrads[q], geo.inv)
-        ghat = np.einsum("cbm,cmd->cbd", grads, Finv[:, q])
-        coeff = data.rule.weights[q] * geo.det * J[:, q]
-        local += coeff[:, None, None, None] * (data.pvals[q][None, :, None, None] *
-                                               ghat[:, None, :, :])
-    prows = np.repeat(space.mesh.cells, nb * d, axis=1).ravel()
-    cols_nodes = np.repeat(space.cell_nodes[:, None, :], npl, axis=1)
-    cols = (cols_nodes[..., None] * d + np.arange(d)).ravel()
-    B = sp.coo_matrix((local.ravel(), (prows, cols)),
-                      shape=(space.n_pressure_dofs, space.n_velocity_dofs))
-    return B.tocsr()
+    data = cell_data(space, degree)
+    cells = map_samples(space, map_).cells(t, degree)
+    return _pressure_matrix(space, _divergence_local(
+        data, _ghat(data, geometry(space).inv, cells.Finv),
+        data.weights * cells.J))
 
 
 def forcing_vector(space, map_, t, forcing, degree=None):
     """(J f, psi) with f given in physical coordinates: f(xhat, t) -> (n, d)."""
     degree = degree or default_degree(space.dimension)
-    data = _cell_data(space, degree)
-    geo = _geometry(space)
-    nc, nq = data.points.shape[:2]
-    d = space.dimension
-    flat = data.points.reshape(-1, d)
-    cells = _map_cells(space, nq) if isinstance(map_, MeshSequenceMap) else None
-    _, _, J, _ = map_.sample_fields(flat, t, cells=cells)
-    if isinstance(map_, MeshSequenceMap):
-        phys = map_.position(flat, t, cells=cells)
-    else:
-        phys = map_.position(flat, t)
-    fvals = np.asarray(forcing(phys, t), dtype=float).reshape(nc, nq, d)
-    J = J.reshape(nc, nq)
-    local = np.zeros((nc, data.vals.shape[1], d))
-    for q in range(nq):
-        coeff = data.rule.weights[q] * geo.det * J[:, q]
-        local += coeff[:, None, None] * (data.vals[q][None, :, None] *
-                                         fvals[:, q, None, :])
-    rhs = np.zeros(space.n_velocity_dofs)
-    np.add.at(rhs, (space.cell_nodes[..., None] * d +
-                    np.arange(d)).ravel(), local.ravel())
-    return rhs
+    data = cell_data(space, degree)
+    cells = map_samples(space, map_).cells(t, degree)
+    fvals = np.asarray(forcing(cells.position.reshape(-1, space.dimension), t),
+                       dtype=float).reshape(cells.position.shape)
+    local = data.vals.T @ ((data.weights * cells.J)[..., None] * fvals)
+    return _sum(space.cell_nodes, local, space.n_nodes, space.dimension)
 
 
 def pressure_gauge_vector(space, map_, t, degree=None):
     """e_i = int J q_i, the physical-volume weights of the pressure basis."""
-    degree = degree or default_degree(space.dimension)
-    data = _cell_data(space, degree)
-    geo = _geometry(space)
-    nc, nq = data.points.shape[:2]
-    _, _, J = _sample_map(space, map_, t, data)
-    local = np.zeros((nc, space.dimension + 1))
-    for q in range(nq):
-        coeff = data.rule.weights[q] * geo.det * J[:, q]
-        local += coeff[:, None] * data.pvals[q][None, :]
-    e = np.zeros(space.n_pressure_dofs)
-    np.add.at(e, space.mesh.cells.ravel(), local.ravel())
-    return e
+    data = cell_data(space, degree or default_degree(space.dimension))
+    J = map_samples(space, map_).jacobian(t, degree)
+    return _sum(space.mesh.cells, (data.weights * J) @ data.pvals,
+                space.n_pressure_dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +346,11 @@ def boundary_area(space):
 def piola_boundary_flux(space, map_, t, values, degree=None):
     """Surface integral of the transformed normal flux of a nodal velocity
     field: int_boundary (J F^{-T} n) . v_h ds over all boundary facets."""
-    degree = degree or default_degree(space.dimension)
-    fd = _facet_data(space, degree + 2)
-    nodal = _nodal_values(space, values)
-    nfa, nqf = fd.points.shape[:2]
-    flat = fd.points.reshape(-1, space.dimension)
-    cells = np.repeat(fd.cells, nqf) if isinstance(map_, MeshSequenceMap) else None
-    _, Finv, J, _ = map_.sample_fields(flat, t, cells=cells)
-    Finv = Finv.reshape(nfa, nqf, space.dimension, space.dimension)
-    J = J.reshape(nfa, nqf)
-    vfacet = nodal[fd.nodes]                              # (nfa, nfb, d)
-    total = 0.0
-    for q in range(nqf):
-        vq = np.einsum("b,fbd->fd", fd.vals[q], vfacet)
-        conormal = J[:, q, None] * np.einsum("fmd,fm->fd", Finv[:, q], fd.normals)
-        total += np.sum(fd.weights[q] * fd.areas *
-                        np.einsum("fd,fd->f", conormal, vq))
-    return float(total)
+    fd = facet_data(space, (degree or default_degree(space.dimension)) + 2)
+    facets = map_samples(space, map_).facets(t, degree)
+    vq = fd.vals @ _nodal_values(space, values)[fd.nodes]   # (nbf, nqf, d)
+    return float(np.sum(fd.weights *
+                        np.einsum("fqd,fqd->fq", facets.conormal, vq)))
 
 
 def boundary_flux_correction(space, map_, t, boundary_values, degree=None):
@@ -428,6 +376,11 @@ def boundary_normal_field(space):
     return acc
 
 
+# ---------------------------------------------------------------------------
+# nodal fields and their values at the cell quadrature points
+# ---------------------------------------------------------------------------
+
+
 def _nodal(values):
     if isinstance(values, DiscreteField):
         return values.nodal()
@@ -442,47 +395,26 @@ def _nodal_values(space, values):
     return nodal
 
 
-def _zero_velocity(space):
-    return DiscreteField(space, "velocity")
-
-
-# ---------------------------------------------------------------------------
-# field evaluation helpers
-# ---------------------------------------------------------------------------
-
-
 def cell_quadrature_points(space, degree=None):
     """Reference coordinates of the cell quadrature points, (nc, nq, d),
     plus the combined weights |det| * w_q, (nc, nq)."""
-    degree = degree or default_degree(space.dimension)
-    data = _cell_data(space, degree)
-    geo = _geometry(space)
-    weights = geo.det[:, None] * data.rule.weights[None, :]
-    return data.points, weights
+    data = cell_data(space, degree or default_degree(space.dimension))
+    return data.points, data.weights
 
 
 def velocity_at_points(space, field, degree=None):
     """Velocity field values at the cell quadrature points, (nc, nq, d)."""
-    degree = degree or default_degree(space.dimension)
-    data = _cell_data(space, degree)
-    vc = _nodal(field)[space.cell_nodes]
-    return np.einsum("qb,cbd->cqd", data.vals, vc)
+    data = cell_data(space, degree or default_degree(space.dimension))
+    return data.vals @ _nodal(field)[space.cell_nodes]
 
 
 def velocity_gradients(space, field, degree=None):
     """Reference-domain gradients (du_a/dx_b) at quadrature points,
     (nc, nq, d, d)."""
-    degree = degree or default_degree(space.dimension)
-    data = _cell_data(space, degree)
-    geo = _geometry(space)
+    data = cell_data(space, degree or default_degree(space.dimension))
     vc = _nodal(field)[space.cell_nodes]
-    nc, nq = data.points.shape[:2]
-    d = space.dimension
-    out = np.empty((nc, nq, d, d))
-    for q in range(nq):
-        grads = np.einsum("bm,cmd->cbd", data.lgrads[q], geo.inv)
-        out[:, q] = np.einsum("cba,cbm->cam", vc, grads)
-    return out
+    return (np.swapaxes(vc, 1, 2)[:, None] @ data.lgrads) @ \
+        geometry(space).inv[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +425,7 @@ def velocity_gradients(space, field, degree=None):
 def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
                   forcing=None, neumann_data=None, *, stress="symmetric",
                   temam=True, smagorinsky=None, quadrature_degree=None,
-                  scheme="backward-euler", u_prev2=None, t_prev2=None,
-                  _only_viscous=False):
+                  scheme="backward-euler", u_prev2=None, t_prev2=None):
     """Assemble the sparse blocks of one implicit time step.
 
     ``w`` is the advection field u^{k-1} - I_h(xi_t^k); ``neumann_data`` maps
@@ -502,153 +433,70 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
     int J g . psi over the facets of that patch (g may be None for a
     homogeneous outflow condition).
     """
-    if stress not in ("symmetric", "full-gradient"):
-        raise ValueError(f"unknown stress form {stress!r}")
     if space.dimension != map_.dimension:
         raise ValueError("space and map dimensions differ")
-    d = space.dimension
-    degree = quadrature_degree or default_degree(d)
-    data = _cell_data(space, degree)
-    geo = _geometry(space)
-    nc, nq = data.points.shape[:2]
-    nb = data.vals.shape[1]
-
-    F, Finv, Jk = _sample_map(space, map_, t_k, data)
-    _, _, Jprev = _sample_map(space, map_, t_prev, data)
-    bdf2 = scheme == "bdf2"
-    if bdf2:
+    degree = quadrature_degree or default_degree(space.dimension)
+    data = cell_data(space, degree)
+    samples = map_samples(space, map_)
+    cells = samples.cells(t_k, degree)
+    Jk, Jprev = cells.J, samples.jacobian(t_prev, degree)
+    if scheme == "bdf2":
         if u_prev2 is None or t_prev2 is None:
             raise ValueError("bdf2 needs the two previous states")
-        _, _, Jprev2 = _sample_map(space, map_, t_prev2, data)
+        Jprev2 = samples.jacobian(t_prev2, degree)
         Jdot = (3.0 * Jk - 4.0 * Jprev + Jprev2) / (2.0 * dt)
         Jtime = Jk               # weight of the discrete time derivative
         alpha = 1.5
+        combo = (2.0 * _nodal(u_prev) - 0.5 * _nodal(u_prev2)) / dt
     else:
         Jdot = (Jk - Jprev) / dt
         Jtime = Jprev
         alpha = 1.0
+        combo = _nodal(u_prev) / dt
 
-    wc = _nodal(w)[space.cell_nodes]
+    def gradient_terms(inv, Finv, J, W, wc, diam):
+        ghat = _ghat(data, inv, Finv)
+        kappa = W * J * _eddy_viscosity(ghat, wc, diam, nu, smagorinsky)
+        return (_convection_local(data, ghat, J, W, wc),
+                *_viscous_local(ghat, kappa, stress),
+                _divergence_local(data, ghat, W * J))
+    geo, W = geometry(space), data.weights
+    C, visc, coupling, Bloc = _by_cells(
+        gradient_terms, geo.inv, cells.Finv, Jk, W,
+        _nodal(w)[space.cell_nodes], geo.cell_diam)
+    scalar = _mass_local(data, W * (Jtime * (alpha / dt) + 0.5 * Jdot)) + visc
+    scalar += 0.5 * (C - np.swapaxes(C, 1, 2)) if temam else C   # C + T
+    Tb = _temam_boundary(space, map_, t_k, w, degree) if temam else None
+    A = _velocity_matrix(space, scalar, coupling, Tb)
+    B = _pressure_matrix(space, Bloc)
 
-    Mtime = np.zeros((nc, nb, nb))      # J-weighted mass for the time term
-    Sother = np.zeros((nc, nb, nb))     # 0.5 Jdot + C + T + scalar viscous
-    # cross[c, i, j, a, b]: test component a, trial component b coupling of
-    # the symmetric-stress form, nu J (ghat_i)_b (ghat_j)_a
-    cross = np.zeros((nc, nb, nb, d, d)) if stress == "symmetric" else None
-    npl = d + 1
-    Bloc = np.zeros((nc, npl, nb, d))
+    rhs = _sum(space.cell_nodes, _mass_local(data, W * Jtime) @
+               combo[space.cell_nodes], space.n_nodes, space.dimension)
+    if forcing is not None:
+        rhs += forcing_vector(space, map_, t_k, forcing, degree)
+    if neumann_data is not None:
+        rhs += _neumann_vector(space, map_, t_k, neumann_data, degree)
 
-    cs = None
-    if smagorinsky is not None:
-        cs = float(smagorinsky)
-        if cs <= 0:
-            raise ValueError("eddy-viscosity constant must be positive")
-
-    for q in range(nq):
-        base = data.rule.weights[q] * geo.det
-        grads = np.einsum("bm,cmd->cbd", data.lgrads[q], geo.inv)
-        ghat = np.einsum("cbm,cmd->cbd", grads, Finv[:, q])
-
-        if not _only_viscous:
-            Mtime += (base * Jtime[:, q])[:, None, None] * \
-                np.outer(data.vals[q], data.vals[q])
-            Sother += (0.5 * base * Jdot[:, q])[:, None, None] * \
-                np.outer(data.vals[q], data.vals[q])
-
-            wq = np.einsum("b,cbd->cd", data.vals[q], wc)
-            z = Jk[:, q, None] * np.einsum("cmd,cd->cm", Finv[:, q], wq)
-            ddir = np.einsum("cbd,cd->cb", grads, z)
-            Cq = base[:, None, None] * (data.vals[q][None, :, None] *
-                                        ddir[:, None, :])
-            Sother += Cq
-            if temam:
-                Sother -= 0.5 * (Cq + np.swapaxes(Cq, 1, 2))
-
-            # pressure coupling
-            coeffJ = base * Jk[:, q]
-            Bloc += coeffJ[:, None, None, None] * \
-                (data.pvals[q][None, :, None, None] * ghat[:, None, :, :])
-
-        # viscosity coefficient, possibly eddy-augmented from the lagged field
-        if cs is None:
-            nuq = np.full(nc, nu)
-        else:
-            Gw = np.einsum("cba,cbm->cam", wc, grads)
-            Gw = np.einsum("cam,cmd->cad", Gw, Finv[:, q])
-            Dw = 0.5 * (Gw + np.swapaxes(Gw, 1, 2))
-            rate = np.sqrt(2.0 * np.einsum("cab,cab->c", Dw, Dw))
-            nuq = nu + (cs * geo.cell_diam) ** 2 * rate
-        coeff = base * Jk[:, q] * nuq
-        gdot = np.einsum("cbd,ced->cbe", ghat, ghat)
-        Sother += coeff[:, None, None] * gdot
-        if stress == "symmetric":
-            cross += np.einsum("c,cib,cja->cijab", coeff, ghat, ghat)
-
-    scalar = Sother if _only_viscous else Mtime * (alpha / dt) + Sother
-    A = _vector_expand(space, _scalar_csr(space, scalar))
-    if stress == "symmetric":
-        for a in range(d):
-            for b in range(d):
-                Eab = sp.coo_matrix(([1.0], ([a], [b])), shape=(d, d))
-                A = A + sp.kron(_scalar_csr(space, cross[:, :, :, a, b]), Eab,
-                                format="csr")
-
-    if not _only_viscous and temam:
-        Tb = _temam_boundary_scalar(space, map_, t_k, w, degree)
-        if Tb is not None:
-            A = A + _vector_expand(space, Tb)
-
-    prows = np.repeat(space.mesh.cells, nb * d, axis=1).ravel()
-    cols_nodes = np.repeat(space.cell_nodes[:, None, :], npl, axis=1)
-    pcols = (cols_nodes[..., None] * d + np.arange(d)).ravel()
-    B = sp.coo_matrix((Bloc.ravel(), (prows, pcols)),
-                      shape=(space.n_pressure_dofs, space.n_velocity_dofs)).tocsr()
-
-    rhs = np.zeros(space.n_velocity_dofs)
-    if not _only_viscous:
-        Mtime_s = _scalar_csr(space, Mtime)
-        if bdf2:
-            combo = (2.0 * _nodal(u_prev) - 0.5 * _nodal(u_prev2)) / dt
-        else:
-            combo = _nodal(u_prev) / dt
-        rhs += (Mtime_s @ combo).ravel()
-        if forcing is not None:
-            rhs += forcing_vector(space, map_, t_k, forcing, degree)
-        if neumann_data is not None:
-            rhs += _neumann_vector(space, map_, t_k, neumann_data, degree)
-
-    return AssembledStep(A=A.tocsr(), B=B, rhs_u=rhs,
+    return AssembledStep(A=A, B=B, rhs_u=rhs,
                          constraint_rhs=np.zeros(space.n_pressure_dofs),
                          t=t_k, dt=dt)
 
 
 def _neumann_vector(space, map_, t, neumann_data, degree):
-    """int J g . psi over neumann facets, per-patch traction densities."""
-    mesh = space.mesh
+    """int J g . psi over neumann facets, per-patch traction densities; each
+    traction is evaluated once over all quadrature points of its patch."""
     d = space.dimension
     rhs = np.zeros(space.n_velocity_dofs)
-    fd = _facet_data(space, degree + 2)
+    fd = facet_data(space, degree + 2)
     for patch, g in neumann_data.items():
-        sel = np.flatnonzero([lbl.kind == "neumann" and lbl.patch == patch
-                              for lbl in mesh.boundary_labels])
+        sel = _neumann_facets(space, patch)
         if sel.size == 0 or g is None:
             continue
-        pts = fd.points[sel]
-        nfa, nqf = pts.shape[:2]
-        flat = pts.reshape(-1, d)
-        cells = np.repeat(fd.cells[sel], nqf) \
-            if isinstance(map_, MeshSequenceMap) else None
-        _, _, J, _ = map_.sample_fields(flat, t, cells=cells)
-        J = J.reshape(nfa, nqf)
-        normals = fd.normals[sel]
-        nodes = fd.nodes[sel]
-        nfb = nodes.shape[1]
-        local = np.zeros((nfa, nfb, d))
-        for q in range(nqf):
-            gq = np.asarray(g(pts[:, q, :], t, normals), dtype=float)
-            coeff = fd.weights[q] * fd.areas[sel] * J[:, q]
-            local += coeff[:, None, None] * (fd.vals[q][None, :, None] *
-                                             gq[:, None, :])
-        np.add.at(rhs, (nodes[..., None] * d + np.arange(d)).ravel(),
-                  local.ravel())
+        facets = map_samples(space, map_).facets(t, degree)
+        nqf = fd.points.shape[1]
+        normals = np.repeat(fd.normals[sel], nqf, axis=0)
+        gq = np.asarray(g(fd.points[sel].reshape(-1, d), t, normals),
+                        dtype=float).reshape(len(sel), nqf, d)
+        local = fd.vals.T @ ((fd.weights[sel] * facets.J[sel])[..., None] * gq)
+        rhs += _sum(fd.nodes[sel], local, space.n_nodes, d)
     return rhs

@@ -8,7 +8,11 @@ construction and every evaluation method is pure, so instances are safe to
 share across threads.
 
 Evaluation methods are vectorized: ``points`` is an ``(n, d)`` array and the
-results have leading dimension ``n``.
+results have leading dimension ``n``.  ``sample_fields`` computes ``J`` and
+``F^{-1}`` from closed-form 2x2 and cofactor 3x3 formulas and checks
+``J > 0`` at every point before it divides by ``J``.  The solver does not
+call it point set by point set: ``sampling.map_samples`` samples each time
+level once per point set of a space and shares the result.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ __all__ = [
     "IdentityMap", "AxisScalingMap", "TubeShrinkMap", "ExpressionMap",
     "MeshSequenceMap", "parse_map_expressions", "evaluate_map",
     "piola_residual", "validate_assumptions", "load_mesh_sequence",
-    "DEFAULT_THRESHOLDS",
+    "DEFAULT_THRESHOLDS", "det_adjugate",
 ]
 
 # (c_J, C_F, eps): lower bound on J, upper bound on the Frobenius norms of
@@ -104,19 +108,41 @@ class SpaceTimeMap:
         """Return (F, F_inv, J, xi_t) arrays at the given points."""
         points = _as_points(points, self.dimension)
         F = self.gradient(points, t, cells=cells)
-        J = np.linalg.det(F)
-        if check and np.any(J <= 0.0):
-            i = int(np.argmin(J))
+        J, adj = det_adjugate(F)
+        if check and not np.all(J > 0.0):
+            i = int(np.flatnonzero(~(J > 0.0))[0])
             raise SingularMappingError(
                 f"mapping gradient singular (J={J[i]:.3g} <= 0) at point "
                 f"{points[i].tolist()} and time {t:g}")
-        F_inv = np.linalg.inv(F)
+        F_inv = adj / J[:, None, None]
         xi_t = self.velocity(points, t, cells=cells)
         return F, F_inv, J, xi_t
 
     def jacobian(self, points, t, cells=None):
         points = _as_points(points, self.dimension)
-        return np.linalg.det(self.gradient(points, t, cells=cells))
+        return det_adjugate(self.gradient(points, t, cells=cells))[0]
+
+
+def det_adjugate(F):
+    """Determinants and adjugates of a stack of 2x2 or 3x3 matrices, from
+    closed-form cofactor formulas; F^{-1} = adj / det where det != 0."""
+    F = np.asarray(F, dtype=float)
+    d = F.shape[-1]
+    if d == 2:
+        a, b = F[..., 0, 0], F[..., 0, 1]
+        c, e = F[..., 1, 0], F[..., 1, 1]
+        adj = np.stack([np.stack([e, -b], -1), np.stack([-c, a], -1)], -2)
+        return a * e - b * c, adj
+    if d == 3:
+        # the rows of the cofactor matrix are cross products of the other
+        # two rows of F; the adjugate is its transpose
+        r0, r1, r2 = F[..., 0, :], F[..., 1, :], F[..., 2, :]
+        cof = np.stack([np.cross(r1, r2), np.cross(r2, r0),
+                        np.cross(r0, r1)], -2)
+        det = np.einsum("...j,...j->...", r0, cof[..., 0, :])
+        return det, np.swapaxes(cof, -1, -2)
+    raise ValueError(f"closed-form inverse needs 2x2 or 3x3 matrices, got "
+                     f"{d}x{d}")
 
 
 class IdentityMap(SpaceTimeMap):

@@ -1,0 +1,239 @@
+"""The point sets of a space and the map sampled on them, once per time level.
+
+A space carries three fixed point sets: the cell quadrature points, the
+boundary-facet quadrature points and the velocity nodes.  Their tables
+(quadrature rules, basis values, cell geometry) depend on the mesh alone and
+are built on first use, per space and degree.
+
+``map_samples(space, map_)`` returns the store through which assembly,
+boundary conditions and diagnostics read the map.  For one time level it
+calls ``SpaceTimeMap.sample_fields`` once on the cell points and once on the
+facet points of a degree, and evaluates the domain velocity once at the
+velocity nodes.  Lifetime: only the newest level is kept whole; J at the
+cell points is kept for the last three levels, which the backward
+differences of J need.  F itself is not kept.  The arrays are read-only.
+
+The tables, the map samples and the sparsity patterns of ``assembly`` hang
+on the space in one cache; ``solver.run`` releases it when it returns, so a
+state kept after the run does not keep them alive.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .elements import default_degree, quadrature, shape_functions
+from .maps import MeshSequenceMap
+
+__all__ = ["CellSample", "FacetSample", "MapSamples", "map_samples",
+           "release", "cell_data", "facet_data", "geometry"]
+
+
+def cached(space, key, build):
+    """The value of ``key`` in the space's cache, built on first use."""
+    cache = space.__dict__.setdefault("_cache", {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def release(space):
+    """Drop everything cached on the space: tables, samples, patterns."""
+    space.__dict__.pop("_cache", None)
+
+
+# ---------------------------------------------------------------------------
+# fixed tables of the point sets
+# ---------------------------------------------------------------------------
+
+
+class _Geometry:
+    def __init__(self, space):
+        mesh = space.mesh
+        verts = mesh.vertices[mesh.cells]
+        edge = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)  # columns
+        self.det = np.abs(np.linalg.det(edge))
+        self.inv = np.linalg.inv(edge)           # local coords per ref coords
+        n = verts.shape[1]
+        self.cell_diam = np.max([np.linalg.norm(verts[:, a] - verts[:, b],
+                                                axis=1)
+                                 for a in range(n) for b in range(a + 1, n)],
+                                axis=0)
+
+
+def geometry(space):
+    return cached(space, "geometry", lambda: _Geometry(space))
+
+
+class _CellData:
+    def __init__(self, space, degree):
+        d = space.dimension
+        self.rule = quadrature(d, degree)
+        vbasis = shape_functions(2, d)
+        self.vals = vbasis.values(self.rule.points)        # (nq, nb)
+        self.lgrads = vbasis.gradients(self.rule.points)   # (nq, nb, d)
+        self.pvals = shape_functions(1, d).values(self.rule.points)
+        self.outer = np.einsum("qi,qj->qij", self.vals,
+                               self.vals).reshape(len(self.vals), -1)
+        mesh = space.mesh
+        verts = mesh.vertices[mesh.cells]                  # (nc, d+1, d)
+        self.points = np.einsum("qv,cvd->cqd", self.rule.points, verts)
+        self.weights = geometry(space).det[:, None] * self.rule.weights
+
+
+def cell_data(space, degree):
+    return cached(space, ("cells", degree), lambda: _CellData(space, degree))
+
+
+class _FacetData:
+    """Trace data on the boundary facets: quadrature, trace basis, geometry,
+    and the cell basis evaluated at the facet points from the cell side."""
+
+    def __init__(self, space, degree):
+        mesh = space.mesh
+        d = mesh.dimension
+        self.rule = quadrature(d - 1, degree)
+        self.vals = shape_functions(2, d - 1).values(self.rule.points)
+        fverts = mesh.vertices[mesh.boundary_facets]        # (nbf, d, d)
+        self.points = np.einsum("qv,fvd->fqd", self.rule.points, fverts)
+        self.normals = mesh.boundary_facet_normals()
+        # rule weights sum to 1/(d-1)!; times the facet area per point
+        self.weights = (mesh.boundary_facet_areas()[:, None] *
+                        self.rule.weights * math.factorial(d - 1))
+        self.nodes = space.facet_nodes                      # (nbf, nfb)
+        self.cells = mesh.boundary_cells
+        nbf, nqf = self.points.shape[:2]
+        inv = geometry(space).inv[self.cells]
+        v0 = mesh.vertices[mesh.cells[self.cells, 0]]
+        loc = np.einsum("fde,fqe->fqd", inv, self.points - v0[:, None, :])
+        bary = np.concatenate([1.0 - loc.sum(axis=2, keepdims=True), loc],
+                              axis=2).reshape(-1, d + 1)
+        self.cell_pvals = shape_functions(1, d).values(bary).reshape(
+            nbf, nqf, d + 1)
+        self.cell_grads = (shape_functions(2, d).gradients(bary).reshape(
+            nbf, nqf, -1, d) @ inv[:, None])
+
+
+def facet_data(space, degree):
+    return cached(space, ("facets", degree),
+                  lambda: _FacetData(space, degree))
+
+
+# ---------------------------------------------------------------------------
+# per-time-level map samples
+# ---------------------------------------------------------------------------
+
+
+def _readonly(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@dataclass(frozen=True)
+class CellSample:
+    """Map data at the cell quadrature points, (nc, nq, ...)."""
+
+    J: np.ndarray
+    Finv: np.ndarray
+    position: np.ndarray
+
+
+@dataclass(frozen=True)
+class FacetSample:
+    """Map data at the boundary-facet quadrature points, (nbf, nqf, ...);
+    ``conormal`` is J F^{-T} n."""
+
+    J: np.ndarray
+    Finv: np.ndarray
+    conormal: np.ndarray
+    xi_t: np.ndarray
+
+
+class MapSamples:
+    """The data of one map on one space, sampled once per time level.
+
+    ``cells(t, degree)`` and ``facets(t, degree)`` (the facet rule of
+    degree + 2) each call ``sample_fields`` once per level; ``wall(t)``
+    evaluates xi_t once per level at the velocity nodes.  Only the newest
+    level is kept; ``jacobian`` serves J at the cell points of the last
+    ``LEVELS`` levels, and samples an older level without replacing the
+    newest.
+    """
+
+    LEVELS = 3
+
+    def __init__(self, space, map_):
+        self.space = space
+        self.map = map_
+        self._t = None
+        self._newest = {}
+        self._jacobians = {}
+
+    def _get(self, t, key, build):
+        if t != self._t:
+            self._t, self._newest = t, {}
+        if key not in self._newest:
+            self._newest[key] = build()
+        return self._newest[key]
+
+    def _sample(self, points, cells, t):
+        d = self.space.dimension
+        shape = points.shape[:2]
+        cells = np.repeat(cells, shape[1]) \
+            if isinstance(self.map, MeshSequenceMap) else None
+        flat = points.reshape(-1, d)
+        _, Finv, J, xi_t = self.map.sample_fields(flat, t, cells=cells)
+        return flat, cells, Finv.reshape(shape + (d, d)), J.reshape(shape), \
+            xi_t.reshape(shape + (d,))
+
+    def _cells(self, t, degree):
+        data = cell_data(self.space, degree)
+        flat, cells, Finv, J, _ = self._sample(
+            data.points, np.arange(self.space.mesh.n_cells), t)
+        if isinstance(self.map, MeshSequenceMap):
+            position = self.map.position(flat, t, cells=cells)
+        else:
+            position = self.map.position(flat, t)
+        J, Finv, position = _readonly(J, Finv,
+                                      position.reshape(data.points.shape))
+        levels = self._jacobians.setdefault(degree, {})
+        levels[t] = J
+        while len(levels) > self.LEVELS:   # drop the level farthest from t
+            del levels[max(levels, key=lambda s: abs(s - t))]
+        return CellSample(J, Finv, position)
+
+    def cells(self, t, degree=None):
+        degree = degree or default_degree(self.space.dimension)
+        return self._get(t, ("cells", degree), lambda: self._cells(t, degree))
+
+    def jacobian(self, t, degree=None):
+        degree = degree or default_degree(self.space.dimension)
+        J = self._jacobians.get(degree, {}).get(t)
+        return self._cells(t, degree).J if J is None else J
+
+    def facets(self, t, degree=None):
+        degree = degree or default_degree(self.space.dimension)
+        fd = facet_data(self.space, degree + 2)
+
+        def build():
+            _, _, Finv, J, xi_t = self._sample(fd.points, fd.cells, t)
+            conormal = J[..., None] * np.einsum("fqmd,fm->fqd", Finv,
+                                                fd.normals)
+            return FacetSample(*_readonly(J, Finv, conormal, xi_t))
+        return self._get(t, ("facets", degree), build)
+
+    def wall(self, t):
+        return self._get(t, "wall", lambda: _readonly(
+            self.map.velocity(self.space.velocity_nodes, t))[0])
+
+
+def map_samples(space, map_):
+    """The sample store of ``map_`` on ``space``; another map replaces it."""
+    store = cached(space, "samples", lambda: MapSamples(space, map_))
+    if store.map is not map_:
+        store = space._cache["samples"] = MapSamples(space, map_)
+    return store

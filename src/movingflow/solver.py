@@ -25,8 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import assembly
-from .maps import MeshSequenceMap
+from . import assembly, sampling
+from .maps import MeshSequenceMap, SingularMappingError
 from .spaces import DiscreteField
 
 __all__ = [
@@ -40,9 +40,10 @@ log = logging.getLogger(__name__)
 
 
 class SolverError(RuntimeError):
-    def __init__(self, message, residuals=None):
+    def __init__(self, message, residuals=None, step=None):
         super().__init__(message)
         self.residuals = list(residuals or [])
+        self.step = step
 
 
 class CallbackError(RuntimeError):
@@ -165,7 +166,7 @@ def map_velocity_at_nodes(space, map_, t, dt=None):
         edges = space.mesh.edges
         mid = 0.5 * (vert[edges[:, 0]] + vert[edges[:, 1]])
         return np.vstack([vert, mid])
-    return map_.velocity(space.velocity_nodes, t)
+    return sampling.map_samples(space, map_).wall(t)
 
 
 def _boundary_values(bcs, space, map_, t, dt):
@@ -409,18 +410,26 @@ def _solve_iterative(system, space, map_, t, nu, tolerance):
         return out
 
     M = spla.LinearOperator((n, n), matvec=precondition)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    options = dict(M=M, restart=200, maxiter=50, callback=count,
+                   callback_type="pr_norm")
     try:
-        x, info = spla.gmres(system.matrix, system.rhs, M=M, rtol=tolerance,
-                             restart=200, maxiter=50)
+        x, info = spla.gmres(system.matrix, system.rhs, rtol=tolerance,
+                             **options)
     except TypeError:   # older scipy uses tol=
-        x, info = spla.gmres(system.matrix, system.rhs, M=M, tol=tolerance,
-                             restart=200, maxiter=50)
+        x, info = spla.gmres(system.matrix, system.rhs, tol=tolerance,
+                             **options)
     scale = max(float(np.linalg.norm(system.rhs)), 1e-300)
     res = float(np.linalg.norm(system.rhs - system.matrix @ x)) / scale
     if info != 0 or not np.isfinite(res) or res > 10 * tolerance:
         raise SolverError(f"krylov solve failed (info={info}, residual={res:g})",
                           [res])
-    return x, {"iterations": max(info, 1) if info else -1, "residual": res,
+    return x, {"iterations": iterations, "residual": res,
                "residual_history": [res]}
 
 
@@ -429,29 +438,33 @@ def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
 
     ``linear_cache`` (a dict threaded between calls) lets the direct solver
     reuse its factorization across steps; the Krylov correction keeps the
-    solution at the configured tolerance regardless.
+    solution at the configured tolerance regardless.  A map with J <= 0 at
+    any quadrature point of the step raises a SolverError with the step
+    index.
     """
     space, map_ = problem.space, problem.map
     t_k = float(state.t + dt)
-    if map_.jacobian(space.mesh.vertices[:1], t_k)[0] <= 0.0:
-        raise SolverError(f"map validation failed at t={t_k:g}")
-
-    wall = map_velocity_at_nodes(space, map_, t_k, dt)
-    w = DiscreteField(space, "velocity",
-                      (state.u.nodal() - wall).ravel())
-
+    k = state.k + 1
     bdf2 = config.scheme == "bdf2" and state_prev2 is not None
-    step = assembly.assemble_step(
-        space, map_, t_k, state.t, dt, w, state.u, problem.nu,
-        forcing=problem.forcing, neumann_data=problem.bcs.neumann_tractions(),
-        stress=config.stress, temam=config.temam,
-        smagorinsky=config.smagorinsky,
-        quadrature_degree=config.quadrature_degree,
-        scheme="bdf2" if bdf2 else "backward-euler",
-        u_prev2=state_prev2.u if bdf2 else None,
-        t_prev2=state_prev2.t if bdf2 else None)
-
-    system = apply_boundary_conditions(step, problem.bcs, space, map_, t_k, dt)
+    try:
+        wall = map_velocity_at_nodes(space, map_, t_k, dt)
+        w = DiscreteField(space, "velocity",
+                          (state.u.nodal() - wall).ravel())
+        step = assembly.assemble_step(
+            space, map_, t_k, state.t, dt, w, state.u, problem.nu,
+            forcing=problem.forcing,
+            neumann_data=problem.bcs.neumann_tractions(),
+            stress=config.stress, temam=config.temam,
+            smagorinsky=config.smagorinsky,
+            quadrature_degree=config.quadrature_degree,
+            scheme="bdf2" if bdf2 else "backward-euler",
+            u_prev2=state_prev2.u if bdf2 else None,
+            t_prev2=state_prev2.t if bdf2 else None)
+        system = apply_boundary_conditions(step, problem.bcs, space, map_,
+                                           t_k, dt)
+    except SingularMappingError as exc:
+        raise SolverError(f"map validation failed at step {k} "
+                          f"(t={t_k:g}): {exc}", step=k) from exc
     if config.linear_solver == "direct":
         x, info = _solve_direct(system, config.tolerance, cache=linear_cache)
     else:
@@ -459,7 +472,7 @@ def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
                                    config.tolerance)
     ucoef, pcoef = system.split(x)
 
-    new = FlowState(k=state.k + 1, t=t_k,
+    new = FlowState(k=k, t=t_k,
                     u=DiscreteField(space, "velocity", ucoef),
                     p=DiscreteField(space, "pressure", pcoef))
     div_res = float(np.linalg.norm(step.B @ ucoef - step.constraint_rhs))
@@ -481,6 +494,8 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False,
 
     dt must divide T - t0 within roundoff.  Callbacks are invoked after each
     accepted step with (state, record); failures abort with the step index.
+    What the run cached on the space (tables, map samples, sparsity
+    patterns) is released when it returns.
     """
     span = float(T - initial.t)
     if dt <= 0:
@@ -495,31 +510,35 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False,
     states = [initial] if store_states else None
     state, prev = initial, None
     cache = {}
-    for _ in range(N):
-        state_prev = state
-        state, info = advance(state, problem, config, dt, state_prev2=prev,
-                              linear_cache=cache)
-        prev = state_prev if config.scheme == "bdf2" else None
+    try:
+        for _ in range(N):
+            state_prev = state
+            state, info = advance(state, problem, config, dt,
+                                  state_prev2=prev, linear_cache=cache)
+            prev = state_prev if config.scheme == "bdf2" else None
 
-        norm_k = k_norm(state.u, problem.map, state.t)
-        record = {
-            "step": state.k, "time": state.t,
-            "velocity_norm_k": norm_k,
-            "kinetic_energy": 0.5 * norm_k ** 2,
-            "divergence_residual": info["divergence_residual"],
-            "linear_iterations": info["iterations"],
-            "linear_residual": info["residual"],
-        }
-        if record_energy:
-            record.update(energy_balance_terms(
-                state_prev, state, problem.map, problem.nu, problem.forcing,
-                stress=config.stress).as_dict())
-        diagnostics.append(record)
-        if store_states:
-            states.append(state)
-        for cb in callbacks:
-            try:
-                cb(state, record)
-            except Exception as exc:
-                raise CallbackError(state.k, exc) from exc
+            norm_k = k_norm(state.u, problem.map, state.t)
+            record = {
+                "step": state.k, "time": state.t,
+                "velocity_norm_k": norm_k,
+                "kinetic_energy": 0.5 * norm_k ** 2,
+                "divergence_residual": info["divergence_residual"],
+                "linear_iterations": info["iterations"],
+                "linear_residual": info["residual"],
+            }
+            if record_energy:
+                record.update(energy_balance_terms(
+                    state_prev, state, problem.map, problem.nu,
+                    problem.forcing, stress=config.stress).as_dict())
+            diagnostics.append(record)
+            if store_states:
+                states.append(state)
+            for cb in callbacks:
+                try:
+                    cb(state, record)
+                except Exception as exc:
+                    raise CallbackError(state.k, exc) from exc
+    finally:
+        # the caches hang on the space, which callers keep alive
+        sampling.release(problem.space)
     return RunResult(final=state, diagnostics=diagnostics, states=states)

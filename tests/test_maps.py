@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from movingflow.expressions import ExpressionError
 from movingflow.maps import (AxisScalingMap, IdentityMap, MeshSequenceMap,
                              SingularMappingError, TubeShrinkMap,
-                             evaluate_map, load_mesh_sequence,
+                             det_adjugate, evaluate_map, load_mesh_sequence,
                              parse_map_expressions, piola_residual,
                              validate_assumptions)
 from movingflow.meshing import generate_box
@@ -165,6 +167,31 @@ def test_degenerate_map_raises():
         validate_assumptions(m, mesh, [0.0])
     with pytest.raises(SingularMappingError):
         evaluate_map(m, (0.5, 0.5), 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_closed_form_inverse_matches_linalg(dim):
+    # U diag(s) V^T with singular values in [0.5, 2]: condition <= 4
+    rng = np.random.default_rng(20 + dim)
+    U, _ = np.linalg.qr(rng.standard_normal((500, dim, dim)))
+    V, _ = np.linalg.qr(rng.standard_normal((500, dim, dim)))
+    s = rng.uniform(0.5, 2.0, (500, 1, dim))
+    F = (U * s) @ np.swapaxes(V, 1, 2)
+    J, adj = det_adjugate(F)
+    assert np.max(np.abs(J - np.linalg.det(F)) / np.abs(J)) < 1e-13
+    inv = np.linalg.inv(F)
+    err = np.linalg.norm(adj / J[:, None, None] - inv, axis=(1, 2))
+    assert np.max(err / np.linalg.norm(inv, axis=(1, 2))) < 1e-13
+
+
+@pytest.mark.parametrize("t", [1.0, 1.5])
+def test_nonpositive_J_raises_without_warnings(t):
+    m = parse_map_expressions("x1*(1-t); x2", 2)            # J = 1 - t
+    X = np.random.default_rng(5).uniform(0.1, 0.9, (20, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMappingError):
+            m.sample_fields(X, t)
 
 
 # --- mesh-sequence maps -----------------------------------------------------

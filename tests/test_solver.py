@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from movingflow import assembly
+from movingflow import assembly, sampling
 from movingflow.analysis import k_norm
 from movingflow.maps import AxisScalingMap, IdentityMap, MeshSequenceMap, TubeShrinkMap
 from movingflow.meshing import NOSLIP, dirichlet, generate_box, generate_tube, neumann
@@ -92,6 +92,7 @@ def test_poiseuille_iterative_solver():
     new, info = advance(state, prob, cfg, 0.1)
     assert np.abs(new.u.coefficients - u0.coefficients).max() <= \
         10 * cfg.tolerance * np.abs(u0.coefficients).max()
+    assert info["iterations"] >= 1
 
 
 # --- boundary conditions -------------------------------------------------------
@@ -345,6 +346,20 @@ def test_map_validation_failure_raises():
         advance(state, prob, SolverConfig(), dt=0.1)
 
 
+def test_singular_map_away_from_first_vertex_raises_with_step():
+    # J = 1 - 2 t x1 stays 1 at the origin, the first vertex, but turns
+    # negative near x1 = 1 once t > 0.5: every quadrature point is checked
+    from movingflow.maps import parse_map_expressions
+    from movingflow.solver import SolverError
+    space = TaylorHoodSpace(generate_box(2, (2, 2)))
+    fold = parse_map_expressions("x1*(1-t*x1); x2", 2)
+    prob = FlowProblem(space=space, map=fold, nu=1.0,
+                       bcs=BoundaryConditionSet({NOSLIP: NoslipBC()}))
+    with pytest.raises(SolverError) as info:
+        run(make_state(space), prob, SolverConfig(), 0.6, 0.2)
+    assert info.value.step == 3
+
+
 # --- mesh-sequence equivalence -----------------------------------------------------
 
 
@@ -389,3 +404,71 @@ def test_solver_config_validation():
         SolverConfig(scheme="leapfrog")
     assert SolverConfig().tolerance == 1e-10
     assert SolverConfig(linear_solver="iterative").tolerance == 1e-8
+
+
+# --- per-time-level map samples -------------------------------------------------
+
+
+def _count_sample_fields(monkeypatch):
+    from movingflow.maps import SpaceTimeMap
+    calls = []
+    original = SpaceTimeMap.sample_fields
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpaceTimeMap, "sample_fields", counted)
+    return calls
+
+
+def _steady_step_calls(monkeypatch, case, mesh, dt):
+    """sample_fields calls in each step after the first of a 3-step run,
+    with the error accumulator as a callback."""
+    from movingflow.analysis import ErrorAccumulator
+    space = TaylorHoodSpace(mesh)
+    prob = FlowProblem(space=space, map=case.map, nu=case.nu,
+                       bcs=case.boundary_conditions(), forcing=case.forcing)
+    errors = ErrorAccumulator(space, case.map, case.velocity,
+                              case.velocity_gradient, dt, case.nu)
+    calls = _count_sample_fields(monkeypatch)
+    seen = []
+    run(make_state(space), prob, SolverConfig(stress=case.stress), 3 * dt,
+        dt, callbacks=[errors.update, lambda s, r: seen.append(len(calls))])
+    assert "_cache" not in vars(space)
+    return np.diff(seen)
+
+
+def test_steady_steps_sample_the_map_at_most_three_times_2d(monkeypatch):
+    from movingflow.benchmarks import manufactured_2d
+    case = manufactured_2d()
+    per_step = _steady_step_calls(monkeypatch, case, case.mesh_for_level(1),
+                                  0.01)
+    assert len(per_step) == 2 and per_step.max() <= 3
+
+
+def test_steady_steps_sample_the_map_at_most_three_times_3d(monkeypatch):
+    # the tube's outlet traction callback samples the map itself
+    from movingflow.benchmarks import tube_benchmark
+    radius = lambda y: np.exp((y + 4.0) / 8.0)
+    mesh = generate_tube(3, 2, radius, (-4.0, 4.0),
+                         labels={"inlet": dirichlet(1)})
+    assert mesh.has_neumann_boundary()
+    per_step = _steady_step_calls(monkeypatch, tube_benchmark(), mesh, 0.02)
+    assert len(per_step) == 2 and per_step.max() <= 3
+
+
+def test_map_samples_are_read_only_and_dropped_by_run():
+    mesh = generate_box(2, (2, 2))
+    prob = all_noslip_problem(mesh, map_=AxisScalingMap(
+        [lambda t: 1 + 0.1 * t, lambda t: 1.0],
+        [lambda t: 0.1, lambda t: 0.0]))
+    samples = sampling.map_samples(prob.space, prob.map)
+    cells, facets = samples.cells(0.1), samples.facets(0.1)
+    for array in (cells.J, cells.Finv, cells.position, facets.J,
+                  facets.Finv, facets.conormal, facets.xi_t,
+                  samples.wall(0.1), samples.jacobian(0.0)):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+    run(make_state(prob.space), prob, SolverConfig(), 0.2, 0.1)
+    assert "_cache" not in vars(prob.space)
