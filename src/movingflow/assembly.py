@@ -61,13 +61,12 @@ class AssembledStep:
     """One time step of the discrete system.
 
     A is the velocity-velocity block, B the pressure-velocity divergence
-    block; the saddle system reads  A u - B^T p = rhs_u,  B u = constraint_rhs.
+    block; the saddle system reads  A u - B^T p = rhs_u,  B u = 0.
     """
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     rhs_u: np.ndarray
-    constraint_rhs: np.ndarray
     t: float
     dt: float
 
@@ -477,9 +476,7 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
     if neumann_data is not None:
         rhs += _neumann_vector(space, map_, t_k, neumann_data, degree)
 
-    return AssembledStep(A=A, B=B, rhs_u=rhs,
-                         constraint_rhs=np.zeros(space.n_pressure_dofs),
-                         t=t_k, dt=dt)
+    return AssembledStep(A=A, B=B, rhs_u=rhs, t=t_k, dt=dt)
 
 
 def _neumann_vector(space, map_, t, neumann_data, degree):

@@ -41,9 +41,6 @@ def _build_parser():
     p_run = sub.add_parser("run", help="time-step a configured problem")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--output", help="override the output directory")
-    p_run.add_argument("--deterministic", action="store_true",
-                       help="fixed reduction order and seeds (the default "
-                            "pipeline is already deterministic)")
 
     p_conv = sub.add_parser("converge", help="benchmark convergence study")
     p_conv.add_argument("--config")
@@ -51,7 +48,6 @@ def _build_parser():
     p_conv.add_argument("--levels", type=int)
     p_conv.add_argument("--pairing", choices=["dt-h2", "dt-h"])
     p_conv.add_argument("--output", help="output directory for the CSV")
-    p_conv.add_argument("--deterministic", action="store_true")
 
     p_val = sub.add_parser("validate-map", help="map regularity report")
     p_val.add_argument("--config", required=True)
@@ -162,9 +158,7 @@ def _run_benchmark(cfg, args):
     bench = dict(cfg.benchmark)
     ns = argparse.Namespace(case=bench["case"], levels=bench["levels"],
                             pairing=bench["pairing"], config=None,
-                            output=args.output or cfg.output["directory"],
-                            deterministic=getattr(args, "deterministic",
-                                                  False))
+                            output=args.output or cfg.output["directory"])
     return _cmd_converge(ns)
 
 

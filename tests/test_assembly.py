@@ -93,7 +93,6 @@ def test_block_dimensions(box2d):
     assert step.A.shape == (space.n_velocity_dofs, space.n_velocity_dofs)
     assert step.B.shape == (space.n_pressure_dofs, space.n_velocity_dofs)
     assert step.rhs_u.shape == (space.n_velocity_dofs,)
-    assert step.constraint_rhs.shape == (space.n_pressure_dofs,)
 
 
 def test_triplets_canonical(box2d):

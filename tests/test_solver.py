@@ -3,7 +3,8 @@ import pytest
 
 from movingflow import assembly, sampling
 from movingflow.analysis import k_norm
-from movingflow.maps import AxisScalingMap, IdentityMap, MeshSequenceMap, TubeShrinkMap
+from movingflow.maps import (AxisScalingMap, IdentityMap, MeshSequenceMap,
+                            TubeShrinkMap, parse_map_expressions)
 from movingflow.meshing import NOSLIP, dirichlet, generate_box, generate_tube, neumann
 from movingflow.solver import (BoundaryConditionSet, DirichletBC, FlowProblem,
                                FlowState, NeumannBC, NoslipBC, SolverConfig,
@@ -472,3 +473,136 @@ def test_map_samples_are_read_only_and_dropped_by_run():
             array[(0,) * array.ndim] = 1.0
     run(make_state(prob.space), prob, SolverConfig(), 0.2, 0.1)
     assert "_cache" not in vars(prob.space)
+
+
+# --- pressure gauge and the fixed saddle pattern ---------------------------------
+
+
+def _capture_systems(monkeypatch):
+    """(step, system) of every apply_boundary_conditions call in advance."""
+    from movingflow import solver
+    seen = []
+    original = solver.apply_boundary_conditions
+
+    def capture(step, *args, **kwargs):
+        system = original(step, *args, **kwargs)
+        seen.append((step, system))
+        return system
+
+    monkeypatch.setattr(solver, "apply_boundary_conditions", capture)
+    return seen
+
+
+def _bordered_solution(step, system):
+    """Dense solve of the bordered gauge system [[A, -B^T, 0], [B, 0, e],
+    [0, e^T, 0]], with the constrained velocity dofs eliminated."""
+    n_u, n_p = system.n_u, system.n_p
+    free = (~system.mask).astype(float)
+    B = step.B.toarray() * free
+    K = np.zeros((n_u + n_p + 1,) * 2)
+    K[:n_u, :n_u] = step.A.toarray() * np.outer(free, free) + \
+        np.diag(1.0 - free)
+    K[:n_u, n_u:-1] = -B.T
+    K[n_u:-1, :n_u] = B
+    K[n_u:-1, -1] = K[-1, n_u:-1] = system.gauge_vector
+    rhs = np.concatenate([system.rhs[:n_u], -(step.B @ system.bc_values),
+                          [0.0]])
+    x = np.linalg.solve(K, rhs)
+    return x[:n_u], x[n_u:-1]
+
+
+def _moving_box_problem(expressions, nu=0.2):
+    map_ = parse_map_expressions(expressions, 2)
+    prob = all_noslip_problem(generate_box(2, (3, 3)), nu=nu, map_=map_)
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(prob.space.n_velocity_dofs)
+    coeffs[prob.space.constrained_dof_mask()] = 0.0
+    return prob, make_state(prob.space, u=DiscreteField(prob.space,
+                                                        "velocity", coeffs))
+
+
+@pytest.mark.parametrize("linear_solver", ["direct", "iterative"])
+def test_pin_and_shift_matches_bordered_gauge_system(monkeypatch,
+                                                     linear_solver):
+    # a quadratic map: the quadrature keeps B^T 1 = 0 on the free dofs
+    prob, state = _moving_box_problem(
+        "x1 + 0.2*t*x1*x2; x2*(1 + 0.3*t) + 0.1*t*x1*x1")
+    seen = _capture_systems(monkeypatch)
+    cfg = SolverConfig(linear_solver=linear_solver, tolerance=1e-12)
+    new, info = advance(state, prob, cfg, 0.05)
+    step, system = seen[0]
+    assert system.pin is not None
+    u_ref, p_ref = _bordered_solution(step, system)
+    u, p = new.u.coefficients, new.p.coefficients
+    assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+    assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+    e = system.gauge_vector
+    assert abs(e @ p) <= 1e-12 * np.linalg.norm(e) * np.linalg.norm(p)
+    # every continuity row holds, the pinned one included
+    bound = 10 * cfg.tolerance * abs(step.B).max() * np.abs(u).max()
+    assert np.abs(step.B @ u).max() <= bound
+    assert abs((step.B @ u)[system.pin]) <= bound
+    assert info["residual"] <= cfg.tolerance
+
+
+def test_gauge_defect_shows_in_the_linear_residual(caplog):
+    # with sin in the map the quadrature leaves B^T 1 != 0 on this coarse
+    # mesh; the unpinned residual reports it instead of hiding it
+    import logging
+    prob, state = _moving_box_problem(
+        "x1 + 0.1*t*sin(3*x1*x2); x2*(1 + 0.3*t) + 0.05*t*x1*x1")
+    with caplog.at_level(logging.WARNING, logger="movingflow.solver"):
+        _, info = advance(state, prob, SolverConfig(), 0.05)
+    assert info["residual_history"][-1] <= SolverConfig().tolerance
+    assert info["residual"] > SolverConfig().tolerance
+    assert any("gauge" in rec.message for rec in caplog.records)
+
+
+def test_saddle_pattern_fixed_over_steps(monkeypatch):
+    from movingflow.benchmarks import manufactured_2d
+    case = manufactured_2d()
+    space = TaylorHoodSpace(case.mesh_for_level(1))
+    prob = FlowProblem(space=space, map=case.map, nu=case.nu,
+                       bcs=case.boundary_conditions(), forcing=case.forcing)
+    seen = _capture_systems(monkeypatch)
+    result = run(make_state(space), prob, SolverConfig(stress=case.stress),
+                 0.03, 0.01, record_energy=False)
+    matrices = [system.matrix for _, system in seen]
+    assert len(matrices) == 3
+    for K in matrices[1:]:
+        assert np.array_equal(K.indptr, matrices[0].indptr)
+        assert np.array_equal(K.indices, matrices[0].indices)
+    events = [rec["solver_event"] for rec in result.diagnostics]
+    assert events[0] == "fresh"
+    assert set(events[1:]) <= {"reuse", "refactor"}
+
+
+def test_saddle_matrix_keeps_every_structural_entry_of_B():
+    radius = lambda y: np.exp((y + 4.0) / 8.0)
+    mesh = generate_tube(3, 2, radius, (-4.0, 4.0),
+                         labels={"inlet": dirichlet(1), "outlet": neumann(0)})
+    space = TaylorHoodSpace(mesh)
+    tube = TubeShrinkMap()
+    bcs = BoundaryConditionSet({
+        NOSLIP: NoslipBC(),
+        dirichlet(1): DirichletBC(lambda X, t: tube.velocity(X, t)),
+        neumann(0): NeumannBC(None),
+    })
+    zero = DiscreteField(space, "velocity")
+    step = assembly.assemble_step(space, tube, 0.1, 0.05, 0.05, zero, zero,
+                                  1.0)
+    system = apply_boundary_conditions(step, bcs, space, tube, 0.1, 0.05)
+    assert system.pin is None
+    B = step.B.tocoo()
+    at_free = ~system.mask[B.col]
+    q, j, values = B.row[at_free], B.col[at_free], B.data[at_free]
+    assert np.any(values == 0.0)          # the entries scipy would drop
+    K = system.matrix.tocoo()
+    n, n_u = K.shape[0], system.n_u
+    keys = K.row.astype(np.int64) * n + K.col
+    order = np.argsort(keys)
+    for rows, cols, sign in ((n_u + q, j, 1.0), (j, n_u + q, -1.0)):
+        want = rows.astype(np.int64) * n + cols
+        pos = np.searchsorted(keys, want, sorter=order)
+        assert np.array_equal(keys[order[pos]], want)
+        assert np.array_equal(K.data[order[pos]], sign * values)
