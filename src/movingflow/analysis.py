@@ -38,9 +38,10 @@ def k_norm(field, map_, t, space=None, degree=None):
     fn(X_ref) -> values (callables need an explicit space)."""
     if isinstance(field, DiscreteField):
         space = field.space
-        vals = assembly.velocity_at_points(space, field, degree) \
-            if field.component == "velocity" else None
-        if vals is None:
+        if field.component == "velocity":
+            vals = sampling.map_samples(space, map_).field(
+                t, field, degree).values
+        else:
             data = sampling.cell_data(space, degree or default_degree(space.dimension))
             pv = field.coefficients[space.mesh.cells]
             vals = (pv @ data.pvals.T)[..., None]
@@ -58,11 +59,6 @@ def k_norm(field, map_, t, space=None, degree=None):
 
 def kinetic_energy(field, map_, t, degree=None):
     return 0.5 * k_norm(field, map_, t, degree=degree) ** 2
-
-
-def _physical_gradients(space, field, Finv, degree=None):
-    """grad u F^{-1} at quadrature points, (nc, nq, d, d)."""
-    return assembly.velocity_gradients(space, field, degree) @ Finv
 
 
 @dataclass
@@ -117,20 +113,20 @@ class ErrorAccumulator:
     def update(self, state, record=None):
         space, map_ = self.space, self.map
         t = state.t
-        cells = sampling.map_samples(space, map_).cells(t, self.degree)
+        samples = sampling.map_samples(space, map_)
+        cells = samples.cells(t, self.degree)
+        uh = samples.field(t, state.u, self.degree)
         _, wts = assembly.cell_quadrature_points(space, self.degree)
         nc, nq, d = cells.position.shape
         phys = cells.position.reshape(-1, d)
         wJ = wts * cells.J
-        uh = assembly.velocity_at_points(space, state.u, self.degree)
         ue = np.asarray(self.velocity(phys, t), dtype=float).reshape(nc, nq, d)
-        err = ue - uh
+        err = ue - uh.values
         l2 = math.sqrt(float(np.sum(wJ * np.einsum("cqd,cqd->cq", err, err))))
 
-        Gh = _physical_gradients(space, state.u, cells.Finv, self.degree)
         Ge = np.asarray(self.velocity_gradient(phys, t),
                         dtype=float).reshape(nc, nq, d, d)
-        Gerr = Ge - Gh
+        Gerr = Ge - uh.gradients
         D = 0.5 * (Gerr + np.swapaxes(Gerr, 2, 3))
         rate = math.sqrt(float(np.sum(wJ * np.einsum("cqab,cqab->cq", D, D))))
 
@@ -179,17 +175,25 @@ class EnergyBalance:
 
 
 def energy_balance_terms(state_prev, state, map_, nu, forcing=None,
-                         stress="symmetric", degree=None):
+                         stress="symmetric", degree=None, norms=(None, None)):
+    """The energy-balance terms of the step from ``state_prev`` to
+    ``state``.  ``norms`` may carry ||u^{k-1}||_{k-1} and ||u^k||_k where
+    the caller has them; a None entry is computed."""
     space = state.u.space
     dt = state.t - state_prev.t
-    nk = k_norm(state.u, map_, state.t, degree=degree)
-    nkm = k_norm(state_prev.u, map_, state_prev.t, degree=degree)
+    nkm, nk = norms
+    if nk is None:
+        nk = k_norm(state.u, map_, state.t, degree=degree)
+    if nkm is None:
+        nkm = k_norm(state_prev.u, map_, state_prev.t, degree=degree)
     kinetic_rate = (nk ** 2 - nkm ** 2) / (2.0 * dt)
 
-    cells = sampling.map_samples(space, map_).cells(state.t, degree)
+    samples = sampling.map_samples(space, map_)
+    cells = samples.cells(state.t, degree)
+    uh = samples.field(state.t, state.u, degree)
     _, wts = assembly.cell_quadrature_points(space, degree)
     wJ = wts * cells.J
-    Gh = _physical_gradients(space, state.u, cells.Finv, degree)
+    Gh = uh.gradients
     if stress == "symmetric":
         D = 0.5 * (Gh + np.swapaxes(Gh, 2, 3))
         dissipation = 2.0 * nu * float(np.sum(
@@ -199,11 +203,8 @@ def energy_balance_terms(state_prev, state, map_, nu, forcing=None,
             wJ * np.einsum("cqab,cqab->cq", Gh, Gh)))
 
     if forcing is not None:
-        uh = assembly.velocity_at_points(space, state.u, degree)
-        d = space.dimension
-        fv = np.asarray(forcing(cells.position.reshape(-1, d), state.t),
-                        dtype=float).reshape(uh.shape)
-        power = float(np.sum(wJ * np.einsum("cqd,cqd->cq", fv, uh)))
+        fv = samples.forcing(state.t, forcing, degree)
+        power = float(np.sum(wJ * np.einsum("cqd,cqd->cq", fv, uh.values)))
     else:
         power = 0.0
 

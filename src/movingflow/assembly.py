@@ -242,9 +242,10 @@ def _temam_boundary(space, map_, t, w, degree):
 
 
 def _neumann_facets(space, patch=None):
-    return np.flatnonzero([lbl.kind == "neumann" and
-                           (patch is None or lbl.patch == patch)
-                           for lbl in space.mesh.boundary_labels])
+    """The neumann facets (of one patch), cached on the space."""
+    return cached(space, ("neumann_facets", patch), lambda: np.flatnonzero(
+        [lbl.kind == "neumann" and (patch is None or lbl.patch == patch)
+         for lbl in space.mesh.boundary_labels]))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +319,9 @@ def forcing_vector(space, map_, t, forcing, degree=None):
     """(J f, psi) with f given in physical coordinates: f(xhat, t) -> (n, d)."""
     degree = degree or default_degree(space.dimension)
     data = cell_data(space, degree)
-    cells = map_samples(space, map_).cells(t, degree)
-    fvals = np.asarray(forcing(cells.position.reshape(-1, space.dimension), t),
-                       dtype=float).reshape(cells.position.shape)
+    samples = map_samples(space, map_)
+    cells = samples.cells(t, degree)
+    fvals = samples.forcing(t, forcing, degree)
     local = data.vals.T @ ((data.weights * cells.J)[..., None] * fvals)
     return _sum(space.cell_nodes, local, space.n_nodes, space.dimension)
 
@@ -362,17 +363,21 @@ def boundary_flux_correction(space, map_, t, boundary_values, degree=None):
 
 def boundary_normal_field(space):
     """Outward unit normal per boundary node, facet normals averaged with
-    area weights; zero at interior nodes."""
-    mesh = space.mesh
-    normals = mesh.boundary_facet_normals()
-    areas = mesh.boundary_facet_areas()
-    acc = np.zeros((space.n_nodes, space.dimension))
-    for nodes, n, a in zip(space.facet_nodes, normals, areas):
-        acc[nodes] += a * n
-    norm = np.linalg.norm(acc, axis=1)
-    nz = norm > 0
-    acc[nz] /= norm[nz, None]
-    return acc
+    area weights; zero at interior nodes.  Cached on the space, read-only."""
+    def build():
+        mesh = space.mesh
+        weighted = (mesh.boundary_facet_areas()[:, None] *
+                    mesh.boundary_facet_normals())
+        nodes = space.facet_nodes
+        acc = np.zeros((space.n_nodes, space.dimension))
+        # unbuffered, in facet order: each node sums as a facet loop would
+        np.add.at(acc, nodes.ravel(), np.repeat(weighted, nodes.shape[1], 0))
+        norm = np.linalg.norm(acc, axis=1)
+        nz = norm > 0
+        acc[nz] /= norm[nz, None]
+        acc.flags.writeable = False
+        return acc
+    return cached(space, "boundary_normal_field", build)
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,8 @@ class MeshQuality:
     edge_count: int
 
 
-def _facet_key(facet):
-    return tuple(sorted(int(v) for v in facet))
+def _key(row):
+    return tuple(int(v) for v in row)
 
 
 def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
@@ -186,36 +186,41 @@ def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
     cells = cells.copy()
     cells[flip, -2], cells[flip, -1] = cells[flip, -1], cells[flip, -2].copy()
 
-    # facet -> adjacent cells
+    # facet -> adjacent cells: one unique pass over the sorted vertex rows
+    # of every cell facet (facet i leaves out local vertex i), followed by
+    # those of the labeled facets
     nloc = d + 1
-    facet_cells = {}
-    for c, conn in enumerate(cells):
-        for i in range(nloc):
-            key = _facet_key(np.delete(conn, i))
-            facet_cells.setdefault(key, []).append(c)
-    for key, owners in facet_cells.items():
-        if len(owners) > 2:
-            raise ValueError(f"non-manifold facet {key}: shared by {len(owners)} cells")
-
-    true_boundary = {k for k, owners in facet_cells.items() if len(owners) == 1}
-
+    local = [[j for j in range(nloc) if j != i] for i in range(nloc)]
+    faces = np.sort(cells[:, local], axis=2).reshape(-1, d)
     boundary_facets = np.asarray(boundary_facets, dtype=np.int64).reshape(-1, d)
+    keys, first, inverse = np.unique(
+        np.concatenate([faces, np.sort(boundary_facets, axis=1)]), axis=0,
+        return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    counts = np.bincount(inverse[:len(faces)], minlength=len(keys))
+    shared = np.flatnonzero(counts > 2)
+    if shared.size:
+        bad = shared[np.argmin(first[shared])]     # the first one met
+        raise ValueError(f"non-manifold facet {_key(keys[bad])}: shared by "
+                         f"{counts[bad]} cells")
+
     if len(boundary_facets) != len(boundary_labels):
         raise ValueError("one label per boundary facet required")
-    seen = set()
-    owners = np.empty(len(boundary_facets), dtype=np.int64)
-    for i, facet in enumerate(boundary_facets):
-        key = _facet_key(facet)
-        if key not in facet_cells:
-            raise ValueError(f"dangling boundary facet {key}: not a face of any cell")
-        if key not in true_boundary:
-            raise ValueError(f"facet {key} is interior, cannot carry a boundary label")
-        owners[i] = facet_cells[key][0]
-        seen.add(key)
-    missing = true_boundary - seen
-    if missing:
-        raise ValueError(f"{len(missing)} boundary facets carry no label "
-                         f"(e.g. {sorted(missing)[0]})")
+    slot = inverse[len(faces):]
+    wrong = np.flatnonzero(counts[slot] != 1)
+    if wrong.size:
+        key = _key(keys[slot[wrong[0]]])
+        if counts[slot[wrong[0]]] == 0:
+            raise ValueError(f"dangling boundary facet {key}: not a face of "
+                             "any cell")
+        raise ValueError(f"facet {key} is interior, cannot carry a boundary "
+                         "label")
+    owners = first[slot] // nloc
+    missing = counts == 1
+    missing[slot] = False
+    if missing.any():
+        raise ValueError(f"{int(missing.sum())} boundary facets carry no "
+                         f"label (e.g. {_key(keys[np.argmax(missing)])})")
 
     # edges: unique sorted vertex pairs, lexicographic order
     locals_ = _local_edges(d)

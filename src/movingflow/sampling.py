@@ -9,9 +9,12 @@ are built on first use, per space and degree.
 boundary conditions and diagnostics read the map.  For one time level it
 calls ``SpaceTimeMap.sample_fields`` once on the cell points and once on the
 facet points of a degree, and evaluates the domain velocity once at the
-velocity nodes.  Lifetime: only the newest level is kept whole; J at the
-cell points is kept for the last three levels, which the backward
-differences of J need.  F itself is not kept.  The arrays are read-only.
+velocity nodes.  Next to the map sample it keeps the level's forcing at the
+cell points and the level's solved velocity there (values and grad u
+F^{-1}), each evaluated once for every reader.  Lifetime: only the newest
+level is kept whole; J at the cell points is kept for the last three
+levels, which the backward differences of J need.  F itself is not kept.
+The arrays are read-only.
 
 The tables, the map samples and the sparsity patterns of ``assembly`` hang
 on the space in one cache; ``solver.run`` releases it when it returns, so a
@@ -28,8 +31,8 @@ import numpy as np
 from .elements import default_degree, quadrature, shape_functions
 from .maps import MeshSequenceMap
 
-__all__ = ["CellSample", "FacetSample", "MapSamples", "map_samples",
-           "release", "cell_data", "facet_data", "geometry"]
+__all__ = ["CellSample", "FacetSample", "FieldSample", "MapSamples",
+           "map_samples", "release", "cell_data", "facet_data", "geometry"]
 
 
 def cached(space, key, build):
@@ -153,6 +156,39 @@ class FacetSample:
     xi_t: np.ndarray
 
 
+class FieldSample:
+    """A velocity field at the cell points of level t: ``values``,
+    (nc, nq, d), and ``gradients`` grad u F^{-1}, (nc, nq, d, d), each
+    evaluated on first use."""
+
+    def __init__(self, samples, field, t, degree):
+        self._samples = samples
+        self.coefficients = field.coefficients
+        self.t = t
+        self.degree = degree
+        self._values = self._gradients = None
+
+    def _nodal(self):
+        return self.coefficients.reshape(-1, self._samples.space.dimension)
+
+    @property
+    def values(self):
+        if self._values is None:
+            from . import assembly
+            self._values, = _readonly(assembly.velocity_at_points(
+                self._samples.space, self._nodal(), self.degree))
+        return self._values
+
+    @property
+    def gradients(self):
+        if self._gradients is None:
+            from . import assembly
+            Finv = self._samples.cells(self.t, self.degree).Finv
+            self._gradients, = _readonly(assembly.velocity_gradients(
+                self._samples.space, self._nodal(), self.degree) @ Finv)
+        return self._gradients
+
+
 class MapSamples:
     """The data of one map on one space, sampled once per time level.
 
@@ -161,7 +197,8 @@ class MapSamples:
     evaluates xi_t once per level at the velocity nodes.  Only the newest
     level is kept; ``jacobian`` serves J at the cell points of the last
     ``LEVELS`` levels, and samples an older level without replacing the
-    newest.
+    newest.  ``forcing`` and ``field`` evaluate a forcing and a velocity
+    field at the cell points, kept for the newest level.
     """
 
     LEVELS = 3
@@ -229,6 +266,36 @@ class MapSamples:
     def wall(self, t):
         return self._get(t, "wall", lambda: _readonly(
             self.map.velocity(self.space.velocity_nodes, t))[0])
+
+    def forcing(self, t, forcing, degree=None):
+        """``forcing(x, t)`` at the physical cell points of level t,
+        (nc, nq, d); evaluated once per level and forcing callable."""
+        degree = degree or default_degree(self.space.dimension)
+        position = self.cells(t, degree).position
+        kept = self._newest.get(("forcing", degree))
+        if kept is None or kept[0] is not forcing:
+            values = np.asarray(forcing(position.reshape(
+                -1, self.space.dimension), t), dtype=float)
+            kept = self._newest[("forcing", degree)] = (
+                forcing, *_readonly(values.reshape(position.shape)))
+        return kept[1]
+
+    def field(self, t, field, degree=None):
+        """The velocity field ``field`` at the cell points of level t.
+
+        The sample is kept, for one field at a time, only when t is the
+        newest level and the field's coefficients are read-only, as a
+        solved state's are: a mutable array could change under it.
+        Otherwise every call evaluates afresh.
+        """
+        degree = degree or default_degree(self.space.dimension)
+        if t != self._t or field.coefficients.flags.writeable:
+            return FieldSample(self, field, t, degree)
+        kept = self._newest.get(("field", degree))
+        if kept is None or kept.coefficients is not field.coefficients:
+            kept = self._newest[("field", degree)] = FieldSample(
+                self, field, t, degree)
+        return kept
 
 
 def map_samples(space, map_):

@@ -316,17 +316,28 @@ def _solve_direct(system, tolerance, cache=None):
     * ``fresh``: no factor yet; factor this step's matrix, solve and refine
       once;
     * ``reuse``: the cached factor of an earlier step preconditions a short
-      restarted GMRES, which controls the true residual;
+      restarted GMRES, which controls the true residual.  It starts from
+      the extrapolation 2 x^{k-1} - x^{k-2} of the last two solutions that
+      ``cache`` holds (from x^{k-1} when it holds one);
     * ``refactor``: that recurrence stalled; proceed as in ``fresh``.
+
+    A matrix of another shape than the cached factor's drops the factor and
+    the solution history.
     """
     K, b = system.matrix, system.rhs
     cache = {} if cache is None else cache
-    lu = cache.get("lu") if cache.get("shape") == K.shape else None
+    if cache.get("shape") != K.shape:
+        cache.clear()
+    lu, history = cache.get("lu"), cache.get("history", [])
     event = "fresh"
     if lu is not None:
+        x0 = history[-1] if history else None
+        if len(history) == 2:
+            x0 = 2.0 * history[1] - history[0]
         x, residuals = _solve_with_stale_factor(
-            K, lu, b, tolerance, target=min(tolerance * 1e-2, 1e-11))
+            K, lu, b, tolerance, target=min(tolerance * 1e-2, 1e-11), x0=x0)
         event = "refactor" if x is None else "reuse"
+        iterations = len(residuals) - 1
     if event != "reuse":
         lu = cache["lu"] = spla.splu(K)
         cache["shape"] = K.shape
@@ -336,31 +347,48 @@ def _solve_direct(system, tolerance, cache=None):
         x = x + lu.solve(r)
         residuals = [float(np.linalg.norm(r)) / scale,
                      float(np.linalg.norm(b - K @ x)) / scale]
-    return x, {"iterations": len(residuals), "residual_history": residuals,
+        iterations = len(residuals)
+    cache["history"] = [*history[-1:], x]
+    return x, {"iterations": iterations, "residual_history": residuals,
                "solver_event": event}
 
 
-def _solve_with_stale_factor(M, lu, b, tol, target, max_krylov=12, cycles=4):
-    """Solve M x = b with the factor ``lu`` of an earlier step's matrix.
+def _solve_with_stale_factor(M, lu, b, tol, target, x0=None, max_krylov=12,
+                             cycles=4):
+    """Solve M x = b from ``x0`` (or zero) with the factor ``lu`` of an
+    earlier step's matrix.
 
     The matrices differ only by the drift of the map coefficients between
     the steps, so M lu^{-1} is close to the identity and each restarted,
-    right-preconditioned GMRES cycle needs few steps.  Cycles aim for
-    ``target`` (< tol); a stall above ``tol`` returns (None, residuals).
+    right-preconditioned GMRES cycle needs few steps.  The preconditioned
+    vectors z_j = lu^{-1} v_j are kept, as in flexible GMRES, so a cycle
+    makes one LU solve per Krylov vector and updates x with them.  The
+    residuals are relative to |b|: the one at ``x0``, which returns x0
+    without a solve when it meets ``target``, then one per cycle.  Cycles
+    aim for ``target`` (< tol); a stall above ``tol`` returns (None,
+    residuals).
     """
     scale = float(np.linalg.norm(b))
     if scale == 0.0:
         return np.zeros_like(b), [0.0]
-    x, r, residuals = np.zeros_like(b), b.copy(), []
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x, r = x0, b - M @ x0
+    residuals = [float(np.linalg.norm(r)) / scale]
     for _ in range(cycles):
+        if residuals[-1] <= target:
+            return x, residuals
         beta = float(np.linalg.norm(r))
         V = np.empty((max_krylov + 1, len(b)))
+        Z = np.empty((max_krylov, len(b)))
         H = np.zeros((max_krylov + 1, max_krylov))
         e1 = np.zeros(max_krylov + 1)
         e1[0] = beta
         V[0] = r / beta
         for j in range(max_krylov):
-            w = M @ lu.solve(V[j])
+            Z[j] = lu.solve(V[j])
+            w = M @ Z[j]
             for i in range(j + 1):          # modified Gram-Schmidt
                 H[i, j] = w @ V[i]
                 w -= H[i, j] * V[i]
@@ -373,12 +401,10 @@ def _solve_with_stale_factor(M, lu, b, tol, target, max_krylov=12, cycles=4):
             if H[j + 1, j] <= 1e-300 or est <= 0.3 * target * scale:
                 break
             V[j + 1] = w / H[j + 1, j]
-        x = x + lu.solve(V[:j + 1].T @ y)
+        x = x + Z[:j + 1].T @ y
         r = b - M @ x
         residuals.append(float(np.linalg.norm(r)) / scale)
-        if residuals[-1] <= target:
-            return x, residuals
-        if len(residuals) >= 2 and residuals[-1] > 0.5 * residuals[-2]:
+        if len(residuals) >= 3 and residuals[-1] > 0.5 * residuals[-2]:
             break   # stagnated: accept if already below the tolerance
     return (x, residuals) if residuals[-1] <= tol else (None, residuals)
 
@@ -464,6 +490,8 @@ def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
                           f"residual above {limit:g}",
                           info["residual_history"], step=k)
     ucoef, pcoef = system.split(x)
+    # read-only, so the level's evaluations of the state cannot go stale
+    ucoef.flags.writeable = pcoef.flags.writeable = False
     info = dict(info, residual=system.residual(ucoef, pcoef))
     if not info["residual"] <= limit:
         log.warning("step %d: the residual %.3g without the pin exceeds "
@@ -506,9 +534,10 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False,
     states = [initial] if store_states else None
     state, prev = initial, None
     cache = {}
+    norm_k = None      # ||u^{k-1}||_{k-1}, carried into the energy terms
     try:
         for _ in range(N):
-            state_prev = state
+            state_prev, norm_prev = state, norm_k
             state, info = advance(state, problem, config, dt,
                                   state_prev2=prev, linear_cache=cache)
             prev = state_prev if config.scheme == "bdf2" else None
@@ -527,7 +556,8 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False,
             if record_energy:
                 record.update(energy_balance_terms(
                     state_prev, state, problem.map, problem.nu,
-                    problem.forcing, stress=config.stress).as_dict())
+                    problem.forcing, stress=config.stress,
+                    norms=(norm_prev, norm_k)).as_dict())
             diagnostics.append(record)
             if store_states:
                 states.append(state)

@@ -55,7 +55,6 @@ class TaylorHoodSpace:
         self.n_local = self.cell_nodes.shape[1]
 
         self._classify_boundary()
-        self._facet_nodes()
 
     # -- boundary classification ---------------------------------------------
 
@@ -78,10 +77,10 @@ class TaylorHoodSpace:
             nodes += [mesh.n_vertices + edge_index[p] for p in pairs]
             return nodes
 
-        self._facet_node_ids = []
+        facet_nodes = []
         for facet, label in zip(mesh.boundary_facets, mesh.boundary_labels):
             ids = facet_node_ids(facet)
-            self._facet_node_ids.append(ids)
+            facet_nodes.append(ids)
             r = _PRECEDENCE[label.kind]
             p = -1 if label.patch is None else label.patch
             for n in ids:
@@ -99,12 +98,9 @@ class TaylorHoodSpace:
                     patch[n] = keep
         self.node_kind = kind
         self.node_patch = patch
-        self._facet_node_ids = np.asarray(self._facet_node_ids, dtype=np.int64)
-
-    def _facet_nodes(self):
-        """(nbf, n_facet_nodes) velocity node ids per boundary facet, ordered
-        facet vertices first, then facet midedge nodes (3D)."""
-        self.facet_nodes = self._facet_node_ids
+        # (nbf, n_facet_nodes) velocity node ids per boundary facet: facet
+        # vertices first, then facet midedge nodes (3D)
+        self.facet_nodes = np.asarray(facet_nodes, dtype=np.int64)
 
     # -- dof helpers -----------------------------------------------------------
 

@@ -65,6 +65,7 @@ def random_perturbed_box(rng, dim):
 # --- criterion 1: manufactured convergence ------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_1_manufactured_convergence(manufactured_study):
     table = manufactured_study
     print("\n" + str(table))
@@ -78,6 +79,7 @@ def test_criterion_1_manufactured_convergence(manufactured_study):
 # --- criterion 2: tube benchmark rates -----------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_2_tube_rates(tube_study):
     table = tube_study
     print("\n" + str(table))
@@ -268,6 +270,7 @@ def test_criterion_8_tube_transcription():
 # --- criterion 9: divergence residuals during the benchmark runs -----------------------
 
 
+@pytest.mark.slow
 def test_criterion_9_divergence_residuals(manufactured_study, tube_study):
     tol = SolverConfig().tolerance
     worst = 0.0

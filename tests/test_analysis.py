@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from movingflow import sampling
 from movingflow.analysis import (ConvergenceTable, ErrorAccumulator,
                                  energy_balance_terms, energy_error, k_norm)
+from movingflow.elements import default_degree
 from movingflow.maps import IdentityMap, TubeShrinkMap
 from movingflow.meshing import NOSLIP, dirichlet, generate_box, neumann
 from movingflow.solver import (BoundaryConditionSet, DirichletBC, FlowProblem,
@@ -235,3 +237,95 @@ def test_boundary_work_closed_form_on_stretching_square():
     bal = energy_balance_terms(s0, s1, map_, nu=nu, stress="symmetric")
     expected = -p_const + 2 * nu * a / (1 + t)
     assert abs(bal.boundary_work - expected) < 1e-12
+
+
+# --- one evaluation of each solved state for every diagnostic -------------------
+
+
+def _shared_evaluation_run(monkeypatch):
+    """Three steps of manufactured_2d L1 with the error accumulator and the
+    energy terms, counting gradient evaluations per step and forcing calls
+    per level."""
+    from movingflow import assembly
+    from movingflow.benchmarks import manufactured_2d
+    case = manufactured_2d()
+    space = TaylorHoodSpace(case.mesh_for_level(1))
+    forcing_points = []
+
+    def forcing(X, t):
+        forcing_points.append((t, len(X)))
+        return case.forcing(X, t)
+
+    problem = FlowProblem(space=space, map=case.map, nu=case.nu,
+                          bcs=case.boundary_conditions(), forcing=forcing)
+    dt = 0.01
+    acc = ErrorAccumulator(space, case.map, case.velocity,
+                           case.velocity_gradient, dt, case.nu)
+    gradients = []
+    original = assembly.velocity_gradients
+
+    def counted_gradients(*args, **kwargs):
+        gradients.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "velocity_gradients", counted_gradients)
+    per_step = []
+    u0 = interpolate(space, "velocity",
+                     lambda X: case.velocity(case.map.position(X, 0.0), 0.0))
+    initial = FlowState(0, 0.0, u0, DiscreteField(space, "pressure"))
+    result = run(initial, problem, SolverConfig(stress=case.stress), 3 * dt,
+                 dt, callbacks=[acc.update, lambda s, r: per_step.append(
+                     len(gradients))], store_states=True,
+                 record_energy=True)
+    return case, space, result, acc, np.diff([0] + per_step), forcing_points
+
+
+def test_each_solved_state_is_evaluated_once_per_step(monkeypatch):
+    case, space, result, _, gradients, forcing = _shared_evaluation_run(
+        monkeypatch)
+    assert list(gradients) == [1, 1, 1]
+    n_points = sampling.cell_data(space, default_degree(2)).points[..., 0].size
+    assert forcing == [(dt, n_points) for dt in (0.01, 0.02, 0.03)]
+    for state in result.states[1:]:
+        for field_ in (state.u, state.p):
+            assert not field_.coefficients.flags.writeable
+
+
+def test_shared_evaluations_match_each_reader_evaluating_itself(monkeypatch):
+    case, space, result, acc, _, _ = _shared_evaluation_run(monkeypatch)
+    # writeable copies are never kept: each reader evaluates them afresh
+    states = [FlowState(s.k, s.t, s.u.copy(), s.p.copy())
+              for s in result.states]
+    fresh = ErrorAccumulator(space, case.map, case.velocity,
+                             case.velocity_gradient, 0.01, case.nu)
+    for prev, state, record in zip(states, states[1:], result.diagnostics):
+        assert record["velocity_norm_k"] == k_norm(state.u, case.map,
+                                                   state.t)
+        terms = energy_balance_terms(prev, state, case.map, case.nu,
+                                     case.forcing, stress=case.stress)
+        assert terms.as_dict() == {key: record[key]
+                                   for key in terms.as_dict()}
+        fresh.update(state)
+    assert (fresh.l2, fresh.rate) == (acc.l2, acc.rate)
+
+
+def test_state_evaluation_is_dropped_with_its_level():
+    import weakref
+    from movingflow.benchmarks import manufactured_2d
+    case = manufactured_2d()
+    space = TaylorHoodSpace(case.mesh_for_level(1))
+    samples = sampling.map_samples(space, case.map)
+    u = interpolate(space, "velocity", lambda X: np.sin(X))
+    u.coefficients.flags.writeable = False
+    samples.cells(0.1)
+    kept = samples.field(0.1, u)
+    assert samples.field(0.1, u) is kept
+    refs = [weakref.ref(kept.values), weakref.ref(kept.gradients)]
+    del kept
+    samples.cells(0.2)                     # the next level is sampled
+    assert all(ref() is None for ref in refs)
+    # a writeable field, or an older level, is evaluated afresh every time
+    assert samples.field(0.1, u) is not samples.field(0.1, u)
+    v = u.copy()
+    assert samples.field(0.2, v) is not samples.field(0.2, v)
+    assert samples.field(0.2, u) is samples.field(0.2, u)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,52 @@ def test_meshes_are_immutable():
     mesh = generate_box(2, (2, 2))
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 7.0
+
+
+def _facet_owners(cells):
+    """Brute-force facet -> owning cells, one cell facet at a time, in the
+    order the cells and their facets are met."""
+    owners = {}
+    for c, conn in enumerate(cells):
+        for i in range(len(conn)):
+            key = tuple(sorted(int(v) for v in np.delete(conn, i)))
+            owners.setdefault(key, []).append(c)
+    return owners
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_box(3, (2, 3, 2)),
+    lambda: generate_tube(3, 2, lambda y: 1.0 + 0.1 * y, (0.0, 2.0)),
+    lambda: generate_box(2, (3, 2), labels={"xmax": neumann(0)}),
+], ids=["box-3d", "tube", "box-2d"])
+def test_connectivity_matches_brute_force(make):
+    mesh = make()
+    owners = _facet_owners(mesh.cells)
+    labeled = [tuple(sorted(map(int, f))) for f in mesh.boundary_facets]
+    assert set(labeled) == {k for k, o in owners.items() if len(o) == 1}
+    assert np.array_equal(mesh.boundary_cells,
+                          [owners[k][0] for k in labeled])
+
+    facets, labels = list(mesh.boundary_facets), list(mesh.boundary_labels)
+    args = (mesh.vertices, mesh.cells)
+    interior = next(k for k, o in owners.items() if len(o) == 2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"facet {interior} is interior, cannot carry a boundary label")):
+        build_connectivity(*args, facets + [interior[::-1]], labels + [NOSLIP])
+    d = mesh.dimension
+    dangling = tuple(range(d - 1)) + (mesh.n_vertices - 1,)
+    assert dangling not in owners
+    with pytest.raises(ValueError, match=re.escape(
+            f"dangling boundary facet {dangling}: not a face of any cell")):
+        build_connectivity(*args, facets + [dangling], labels + [NOSLIP])
+    dropped = sorted(labeled[1:3])[0]
+    with pytest.raises(ValueError, match=re.escape(
+            f"2 boundary facets carry no label (e.g. {dropped})")):
+        build_connectivity(*args, facets[:1] + facets[3:],
+                           labels[:1] + labels[3:])
+    # a repeated cell: its interior facets get three owners
+    cells = np.vstack([mesh.cells, mesh.cells[4]])
+    shared = next(k for k, o in _facet_owners(cells).items() if len(o) > 2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"non-manifold facet {shared}: shared by 3 cells")):
+        build_connectivity(mesh.vertices, cells, facets, labels)

@@ -606,3 +606,139 @@ def test_saddle_matrix_keeps_every_structural_entry_of_B():
         pos = np.searchsorted(keys, want, sorter=order)
         assert np.array_equal(keys[order[pos]], want)
         assert np.array_equal(K.data[order[pos]], sign * values)
+
+
+# --- the reuse solve: flexible GMRES with a warm start ------------------------
+
+
+class _CountingLU:
+    """Stands in for a cached factor and counts its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+class _CountingMatrix:
+    def __init__(self, M):
+        self.M = M
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.M @ x
+
+
+def _drifted_pair(n=60, drift=0.05, seed=3):
+    """A sparse nonsymmetric matrix, the factor of a drifted copy of it and
+    a right-hand side."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    rng = np.random.default_rng(seed)
+    M = (sp.random(n, n, density=0.1, random_state=rng) +
+         sp.diags(4.0 + rng.random(n))).tocsc()
+    stale = (M + drift * sp.random(n, n, density=0.1, random_state=rng)
+             ).tocsc()
+    return M, spla.splu(stale), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("drift", [0.05, 2.0])
+def test_reuse_cycle_solves_once_per_krylov_vector(drift):
+    from movingflow.solver import _solve_with_stale_factor
+    M, lu, b = _drifted_pair(drift=drift)
+    M, lu = _CountingMatrix(M), _CountingLU(lu)
+    x, residuals = _solve_with_stale_factor(M, lu, b, 1e-10, 1e-12,
+                                            max_krylov=4)
+    cycles = len(residuals) - 1
+    assert cycles >= 1 and lu.solves >= cycles
+    # a product per Krylov vector plus one true residual per cycle
+    assert lu.solves == M.products - cycles
+    if x is not None:
+        assert np.linalg.norm(b - M.M @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_reuse_from_an_exact_start_makes_no_solve():
+    import scipy.sparse.linalg as spla
+    from movingflow.solver import _solve_with_stale_factor
+    M, lu, b = _drifted_pair()
+    lu = _CountingLU(lu)
+    exact = spla.spsolve(M, b)
+    x, residuals = _solve_with_stale_factor(M, lu, b, 1e-10, 1e-12,
+                                            x0=exact)
+    assert lu.solves == 0 and x is exact
+    assert len(residuals) == 1 and residuals[0] <= 1e-12
+
+
+def _counted_steps(monkeypatch, cold):
+    """Four steps of manufactured_2d L1 from its exact initial state through
+    one linear cache, with the solution history dropped before every step
+    when ``cold``; the final state and each step's event and LU solves."""
+    from movingflow import solver
+    from movingflow.benchmarks import manufactured_2d
+    case = manufactured_2d()
+    space = TaylorHoodSpace(case.mesh_for_level(1))
+    prob = FlowProblem(space=space, map=case.map, nu=case.nu,
+                       bcs=case.boundary_conditions(), forcing=case.forcing)
+    factors = []
+    original = solver.spla.splu
+
+    def counted_splu(K):
+        factors.append(_CountingLU(original(K)))
+        return factors[-1]
+
+    monkeypatch.setattr(solver.spla, "splu", counted_splu)
+    def at_start(fn):
+        return lambda X: fn(case.map.position(X, 0.0), 0.0)
+
+    state = make_state(space, interpolate(space, "velocity",
+                                          at_start(case.velocity)),
+                       interpolate(space, "pressure", at_start(case.pressure)))
+    cfg, cache, steps = SolverConfig(stress=case.stress), {}, []
+    for _ in range(4):
+        if cold:
+            cache.pop("history", None)
+        before = sum(f.solves for f in factors)
+        state, info = advance(state, prob, cfg, 0.01, linear_cache=cache)
+        steps.append((info["solver_event"],
+                      sum(f.solves for f in factors) - before))
+    sampling.release(space)
+    return state, steps
+
+
+def test_warm_start_matches_cold_start_with_fewer_solves(monkeypatch):
+    warm, warm_steps = _counted_steps(monkeypatch, cold=False)
+    cold, cold_steps = _counted_steps(monkeypatch, cold=True)
+    for a, b in ((warm.u, cold.u), (warm.p, cold.p)):
+        assert np.linalg.norm(a.coefficients - b.coefficients) <= \
+            1e-10 * np.linalg.norm(b.coefficients)
+    assert [e for e, _ in warm_steps] == [e for e, _ in cold_steps] == \
+        ["fresh"] + ["reuse"] * 3
+    for (_, w), (_, c) in zip(warm_steps[1:], cold_steps[1:]):
+        assert w < c
+
+
+def test_solution_history_dropped_when_the_shape_changes():
+    from movingflow.solver import _solve_direct
+
+    def system(divisions):
+        prob = all_noslip_problem(generate_box(2, divisions))
+        zero = DiscreteField(prob.space, "velocity")
+        step = assembly.assemble_step(prob.space, prob.map, 0.1, 0.0, 0.1,
+                                      zero, zero, 1.0, forcing=lambda X, t:
+                                      np.stack([X[:, 1], -X[:, 0]], axis=1))
+        return apply_boundary_conditions(step, prob.bcs, prob.space,
+                                         prob.map, 0.1, 0.1)
+
+    small, large = system((2, 2)), system((3, 3))
+    cache = {}
+    for _ in range(2):
+        _solve_direct(small, 1e-10, cache)
+    assert [len(x) for x in cache["history"]] == [small.matrix.shape[0]] * 2
+    x, info = _solve_direct(large, 1e-10, cache)
+    assert info["solver_event"] == "fresh"
+    assert len(cache["history"]) == 1 and cache["history"][0] is x
+    assert info["residual_history"][-1] <= 1e-10
