@@ -12,7 +12,8 @@ from .analysis import (ConvergenceTable, EnergyErrorReport, ErrorAccumulator,
                        k_norm, kinetic_energy)
 from .assembly import (AssembledStep, assemble_step, boundary_flux_correction,
                        convection_matrices, divergence_matrix, mass_matrix,
-                       piola_boundary_flux, rate_mass_matrix, viscous_matrix)
+                       piola_boundary_flux, rate_mass_matrix,
+                       smagorinsky_viscosity, viscous_matrix)
 from .benchmarks import (BenchmarkCase, benchmark_case, manufactured_2d,
                          tube_benchmark, verify_benchmark_fields)
 from .elements import QuadratureRule, ShapeFunctions, quadrature, shape_functions
@@ -27,8 +28,7 @@ from .meshing import (NOSLIP, BoundaryLabel, MeshQuality, SimplicialMesh,
                       generate_tube, mesh_quality, neumann, refine_uniform)
 from .solver import (BoundaryConditionSet, DirichletBC, FlowProblem,
                      FlowState, NeumannBC, NoslipBC, RunResult, SolverConfig,
-                     SolverError, advance, apply_boundary_conditions, run,
-                     smagorinsky_viscosity)
+                     SolverError, advance, apply_boundary_conditions, run)
 from .spaces import DiscreteField, TaylorHoodSpace, interpolate
 
 __version__ = "0.1.0"

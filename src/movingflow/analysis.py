@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -320,11 +320,8 @@ def convergence_study(case, levels, pairing="dt-h2", config=None,
         steps = int(round(case.T / dt))
         dt = case.T / steps
         space = TaylorHoodSpace(mesh)
-        cfg = SolverConfig(linear_solver=config.linear_solver,
-                           tolerance=config.tolerance, scheme=config.scheme,
-                           smagorinsky=config.smagorinsky, stress=case.stress,
-                           temam=config.temam,
-                           quadrature_degree=config.quadrature_degree or degree)
+        cfg = replace(config, stress=case.stress,
+                      quadrature_degree=config.quadrature_degree or degree)
         problem = FlowProblem(space=space, map=case.map, nu=case.nu,
                               bcs=case.boundary_conditions(),
                               forcing=case.forcing)

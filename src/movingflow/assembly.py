@@ -52,7 +52,7 @@ __all__ = [
     "divergence_matrix", "forcing_vector", "pressure_gauge_vector",
     "piola_boundary_flux", "boundary_area", "boundary_flux_correction",
     "boundary_normal_field", "velocity_at_points", "velocity_gradients",
-    "cell_quadrature_points",
+    "cell_quadrature_points", "smagorinsky_viscosity",
 ]
 
 
@@ -176,9 +176,17 @@ def _convection_local(data, ghat, J, W, wc):
     return data.vals.T @ (W[..., None] * ddir)
 
 
+def smagorinsky_viscosity(D, h_T, nu, C_s=0.2):
+    """Eddy viscosity nu + (C_s h_T)^2 sqrt(2 D:D) for a symmetric rate
+    tensor D (batched over leading axes)."""
+    D = np.asarray(D, dtype=float)
+    rate = np.sqrt(2.0 * np.einsum("...ab,...ab->...", D, D))
+    return nu + (C_s * np.asarray(h_T)) ** 2 * rate
+
+
 def _eddy_viscosity(ghat, wc, diam, nu, smagorinsky):
-    """nu, or nu + (C_s h)^2 sqrt(2 D:D) with D the pulled-back rate of
-    the lagged field, (nc, nq)."""
+    """nu, or the Smagorinsky viscosity of D, the pulled-back rate of the
+    lagged field, (nc, nq)."""
     if smagorinsky is None:
         return nu
     cs = float(smagorinsky)
@@ -186,8 +194,7 @@ def _eddy_viscosity(ghat, wc, diam, nu, smagorinsky):
         raise ValueError("eddy-viscosity constant must be positive")
     Gw = np.swapaxes(wc, 1, 2)[:, None] @ ghat           # (nc, nq, d, d)
     Dw = 0.5 * (Gw + np.swapaxes(Gw, 2, 3))
-    rate = np.sqrt(2.0 * np.einsum("cqab,cqab->cq", Dw, Dw))
-    return nu + (cs * diam[:, None]) ** 2 * rate
+    return smagorinsky_viscosity(Dw, diam[:, None], nu, cs)
 
 
 def _viscous_local(ghat, kappa, stress):

@@ -238,7 +238,7 @@ def _cmd_info(args):
     print(f"time     : dt={cfg.time['dt']}, T={cfg.time['T']} "
           f"({cfg.n_steps} steps, {cfg.time['scheme']})")
     print(f"bcs      : {', '.join(sorted(cfg.bcs))}")
-    print(f"solver   : {cfg.solver['type']}")
+    print(f"solver   : tolerance {cfg.solver['tolerance']:g}")
     if cfg.benchmark:
         print(f"benchmark: {cfg.benchmark['case']} "
               f"({cfg.benchmark['levels']} levels, {cfg.benchmark['pairing']})")

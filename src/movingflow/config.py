@@ -166,14 +166,16 @@ def validate_config(data, base_dir="."):
     }
 
     solver = _optional(data, "solver", {}, dict, "(root)")
+    # configs of earlier versions may still name the one solver there is
     stype = _optional(solver, "type", "direct", str, "solver")
-    if stype not in ("direct", "iterative"):
-        raise ConfigError("solver.type", f"unknown solver type {stype!r}")
-    tol = _optional(solver, "tolerance", None, (int, float), "solver")
-    if tol is not None and tol <= 0:
+    if stype != "direct":
+        raise ConfigError("solver.type", f"unknown solver type {stype!r} "
+                          "(the only one is 'direct')")
+    tol = _optional(solver, "tolerance", SolverConfig.tolerance, (int, float),
+                    "solver")
+    if tol <= 0:
         raise ConfigError("solver.tolerance", "must be positive")
     out["solver"] = {
-        "type": stype,
         "tolerance": tol,
         "temam": _optional(solver, "temam", True, bool, "solver"),
         "quadrature_degree": _optional(solver, "quadrature_degree", None,
@@ -440,7 +442,6 @@ def build_forcing(cfg, mesh):
 def build_solver_config(cfg):
     smag = cfg.physics.get("smagorinsky")
     return SolverConfig(
-        linear_solver=cfg.solver["type"],
         tolerance=cfg.solver["tolerance"],
         scheme=cfg.time["scheme"],
         smagorinsky=None if smag is None else smag["cs"],

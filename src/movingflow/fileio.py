@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sampling
 from .meshing import BoundaryLabel
 from .spaces import DiscreteField
 
@@ -200,18 +201,13 @@ def _needs_cells(map_):
 
 
 def _vertex_q_criterion(u, map_, t):
-    """Q at the vertices from volume-averaged cell-center gradients."""
-    from . import assembly
+    """Q at the vertices from volume-averaged cell-center gradients, read
+    from the map sample of level t (degree-2 cell points)."""
     space = u.space
     mesh = space.mesh
     d = mesh.dimension
-    G = assembly.velocity_gradients(space, u, degree=2)
-    pts, wts = assembly.cell_quadrature_points(space, degree=2)
-    nc, nq = pts.shape[:2]
-    flat = pts.reshape(-1, d)
-    cells = np.repeat(np.arange(nc), nq) if _needs_cells(map_) else None
-    _, Finv, _, _ = map_.sample_fields(flat, t, cells=cells)
-    Ghat = np.einsum("cqam,cqmd->cqad", G, Finv.reshape(nc, nq, d, d))
+    Ghat = sampling.map_samples(space, map_).field(t, u, 2).gradients
+    wts = sampling.cell_data(space, 2).weights
     Gcell = np.einsum("cq,cqad->cad", wts / wts.sum(axis=1, keepdims=True), Ghat)
     S = 0.5 * (Gcell + np.swapaxes(Gcell, 1, 2))
     W = 0.5 * (Gcell - np.swapaxes(Gcell, 1, 2))

@@ -3,8 +3,8 @@
 Each implicit step assembles the linearized system (the advection field is
 the previous velocity minus the interpolated domain velocity), applies the
 boundary conditions by symmetric elimination and solves the sparse
-saddle-point system, whose pattern is fixed per space, with a reused direct
-factorization (default) or a preconditioned Krylov method.
+saddle-point system, whose pattern is fixed per space, with a direct
+factorization that later steps reuse as a Krylov preconditioner.
 
 Wall data on no-slip boundaries is the interpolated domain velocity; for
 mesh-sequence maps it is the backward difference quotient of the stored
@@ -33,7 +33,7 @@ __all__ = [
     "FlowState", "FlowProblem", "SolverConfig", "SolverError",
     "NoslipBC", "DirichletBC", "NeumannBC", "BoundaryConditionSet",
     "ConstrainedSystem", "apply_boundary_conditions", "advance", "run",
-    "RunResult", "smagorinsky_viscosity", "map_velocity_at_nodes",
+    "RunResult", "map_velocity_at_nodes",
 ]
 
 log = logging.getLogger(__name__)
@@ -122,8 +122,7 @@ class FlowProblem:
 
 @dataclass
 class SolverConfig:
-    linear_solver: str = "direct"            # 'direct' | 'iterative'
-    tolerance: float = None
+    tolerance: float = 1e-10
     scheme: str = "backward-euler"           # 'backward-euler' | 'bdf2'
     smagorinsky: float = None                # eddy constant C_s, or None
     stress: str = "symmetric"                # 'symmetric' | 'full-gradient'
@@ -131,24 +130,12 @@ class SolverConfig:
     quadrature_degree: int = None
 
     def __post_init__(self):
-        if self.linear_solver not in ("direct", "iterative"):
-            raise ValueError(f"unknown linear solver {self.linear_solver!r}")
         if self.scheme not in ("backward-euler", "bdf2"):
             raise ValueError(f"unknown time scheme {self.scheme!r}")
-        if self.tolerance is None:
-            self.tolerance = 1e-10 if self.linear_solver == "direct" else 1e-8
         if self.tolerance <= 0:
             raise ValueError("solver tolerance must be positive")
         if self.smagorinsky is not None and self.smagorinsky <= 0:
             raise ValueError("eddy-viscosity constant must be positive")
-
-
-def smagorinsky_viscosity(D, h_T, nu, C_s=0.2):
-    """Eddy viscosity nu + (C_s h_T)^2 sqrt(2 D:D) for a symmetric rate
-    tensor D (batched over leading axes)."""
-    D = np.asarray(D, dtype=float)
-    rate = np.sqrt(2.0 * np.einsum("...ab,...ab->...", D, D))
-    return nu + (C_s * np.asarray(h_T)) ** 2 * rate
 
 
 def map_velocity_at_nodes(space, map_, t, dt=None):
@@ -409,52 +396,14 @@ def _solve_with_stale_factor(M, lu, b, tol, target, x0=None, max_krylov=12,
     return (x, residuals) if residuals[-1] <= tol else (None, residuals)
 
 
-def _solve_iterative(system, space, map_, t, nu, tolerance):
-    """GMRES with a block upper-triangular preconditioner: exact velocity
-    factor and the nu-scaled pressure mass as the Schur approximation (one
-    at the pin, whose row is the identity)."""
-    n_u, n = system.n_u, system.matrix.shape[0]
-    Alu = spla.splu(system.matrix[:n_u, :n_u].tocsc())
-    mp = assembly.pressure_gauge_vector(space, map_, t)   # lumped J-mass
-    sdiag = np.maximum(mp, 1e-300) / max(nu, 1e-300)
-    if system.pin is not None:
-        sdiag[system.pin] = -1.0
-    BT = system.matrix[:n_u, n_u:]
-
-    def precondition(r):
-        out = np.empty_like(r)
-        p = -r[n_u:] / sdiag
-        out[n_u:] = p
-        out[:n_u] = Alu.solve(r[:n_u] - BT @ p)
-        return out
-
-    M = spla.LinearOperator((n, n), matvec=precondition)
-    residuals = []   # one preconditioned residual norm per iteration
-    options = dict(M=M, restart=200, maxiter=50, callback=residuals.append,
-                   callback_type="pr_norm")
-    try:
-        x, info = spla.gmres(system.matrix, system.rhs, rtol=tolerance,
-                             **options)
-    except TypeError:   # older scipy uses tol=
-        x, info = spla.gmres(system.matrix, system.rhs, tol=tolerance,
-                             **options)
-    if info != 0:
-        raise SolverError(f"krylov solve failed (info={info})")
-    res = float(np.linalg.norm(system.rhs - system.matrix @ x)) / max(
-        float(np.linalg.norm(system.rhs)), 1e-300)
-    return x, {"iterations": len(residuals), "residual_history": [res],
-               "solver_event": "iterative"}
-
-
 def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
     """One implicit step from ``state`` to time ``state.t + dt``.
 
-    ``linear_cache`` (a dict threaded between calls) lets the direct solver
-    reuse its factorization across steps.  A map with J <= 0 at any
-    quadrature point of the step, or a solve that misses the tolerance (ten
-    times it for the iterative solver), raises a SolverError with the step
-    index.  ``info["residual"]`` is that of the system without the pin; a
-    warning reports it when above the same bound.
+    ``linear_cache`` (a dict threaded between calls) lets the solve reuse
+    its factorization across steps.  A map with J <= 0 at any quadrature
+    point of the step, or a solve that misses ``config.tolerance``, raises a
+    SolverError with the step index.  ``info["residual"]`` is that of the
+    system without the pin; a warning reports it when above the tolerance.
     """
     space, map_ = problem.space, problem.map
     t_k = float(state.t + dt)
@@ -479,24 +428,20 @@ def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
     except SingularMappingError as exc:
         raise SolverError(f"map validation failed at step {k} "
                           f"(t={t_k:g}): {exc}", step=k) from exc
-    if config.linear_solver == "direct":
-        x, info = _solve_direct(system, config.tolerance, cache=linear_cache)
-    else:
-        x, info = _solve_iterative(system, space, map_, t_k, problem.nu,
-                                   config.tolerance)
-    limit = config.tolerance * (1 if config.linear_solver == "direct" else 10)
-    if not info["residual_history"][-1] <= limit:
+    tol = config.tolerance
+    x, info = _solve_direct(system, tol, cache=linear_cache)
+    if not info["residual_history"][-1] <= tol:
         raise SolverError(f"{info['solver_event']} solve at step {k} left a "
-                          f"residual above {limit:g}",
+                          f"residual above {tol:g}",
                           info["residual_history"], step=k)
     ucoef, pcoef = system.split(x)
     # read-only, so the level's evaluations of the state cannot go stale
     ucoef.flags.writeable = pcoef.flags.writeable = False
     info = dict(info, residual=system.residual(ucoef, pcoef))
-    if not info["residual"] <= limit:
+    if not info["residual"] <= tol:
         log.warning("step %d: the residual %.3g without the pin exceeds "
                     "%g: the gauge does not hold exactly (B^T 1 != 0 on "
-                    "the free velocity dofs)", k, info["residual"], limit)
+                    "the free velocity dofs)", k, info["residual"], tol)
 
     new = FlowState(k=k, t=t_k,
                     u=DiscreteField(space, "velocity", ucoef),

@@ -1,9 +1,9 @@
 """Taylor-Hood velocity/pressure spaces on a simplicial mesh.
 
-Shipped degree is m = 1: continuous piecewise-quadratic velocity (vertex and
-midedge nodes, d components, interleaved dof order ``node * d + component``)
-with continuous piecewise-linear pressure at the vertices.  The constructor
-accepts the degree argument for interface stability but rejects m != 1.
+The pair is the lowest-order one (m = 1): continuous piecewise-quadratic
+velocity (vertex and midedge nodes, d components, interleaved dof order
+``node * d + component``) with continuous piecewise-linear pressure at the
+vertices.
 
 Velocity nodes are classified against the labeled boundary facets with
 precedence noslip > dirichlet > neumann; conflicts are logged.
@@ -32,12 +32,8 @@ _KIND_CODE = {"noslip": NOSLIP_NODE, "dirichlet": DIRICHLET_NODE,
 class TaylorHoodSpace:
     """Quadratic velocity / linear pressure dof layout over a mesh."""
 
-    def __init__(self, mesh, degree=1):
-        if degree != 1:
-            raise NotImplementedError(
-                "only degree m=1 (quadratic/linear) spaces are implemented")
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.degree = degree
         d = mesh.dimension
         self.dimension = d
 

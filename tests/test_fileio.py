@@ -4,7 +4,7 @@ import pytest
 from movingflow.fileio import (CheckpointError, GmshError, read_checkpoint,
                                read_gmsh, write_checkpoint,
                                write_diagnostics_csv, write_vtk)
-from movingflow.maps import IdentityMap, TubeShrinkMap
+from movingflow.maps import AxisScalingMap, IdentityMap, TubeShrinkMap
 from movingflow.meshing import build_connectivity, generate_box, generate_tube
 from movingflow.solver import FlowState
 from movingflow.spaces import DiscreteField, TaylorHoodSpace, interpolate
@@ -146,12 +146,28 @@ def test_vtk_q_criterion_rigid_rotation(tmp_path):
                     lambda X: np.stack([-(X[:, 1] - 0.5), X[:, 0] - 0.5],
                                        axis=1))
     path = tmp_path / "rot.vtk"
-    write_vtk(path, mesh, IdentityMap(2), 0.0, u=u, q_criterion=True)
-    text = path.read_text().split("q_criterion double 1")[1]
-    values = [float(v) for v in text.split("LOOKUP_TABLE default")[1].split()
-              if v not in ("SCALARS", "pressure")][:mesh.n_vertices]
-    q = np.asarray(values)
+
+    def q_written(map_, t, u):
+        write_vtk(path, mesh, map_, t, u=u, q_criterion=True)
+        text = path.read_text().split("q_criterion double 1")[1]
+        values = text.split("LOOKUP_TABLE default")[1].split()
+        values = [float(v) for v in values if v not in ("SCALARS", "pressure")]
+        return np.asarray(values[:mesh.n_vertices])
+
+    q = q_written(IdentityMap(2), 0.0, u)
     assert np.all(q > 0.9)      # pure rotation: Q = 0.5 ||W||^2 = 1
+    # the same rotation in the physical domain of a moving map: the
+    # reference gradient is pulled back through F^{-1} = diag(1/s_i)
+    map_ = AxisScalingMap([lambda t: 1.0 + t, lambda t: 1.0 + 0.5 * t],
+                          [lambda t: 1.0, lambda t: 0.5])
+    t = 0.4
+
+    def rotation(X):
+        x = map_.position(X, t)
+        return np.stack([-(x[:, 1] - 0.6), x[:, 0] - 0.7], axis=1)
+
+    q = q_written(map_, t, interpolate(space, "velocity", rotation))
+    assert np.abs(q - 1.0).max() < 1e-12
 
 
 def test_checkpoint_roundtrip(tmp_path):

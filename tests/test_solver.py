@@ -3,14 +3,14 @@ import pytest
 
 from movingflow import assembly, sampling
 from movingflow.analysis import k_norm
+from movingflow.assembly import smagorinsky_viscosity
 from movingflow.maps import (AxisScalingMap, IdentityMap, MeshSequenceMap,
                             TubeShrinkMap, parse_map_expressions)
 from movingflow.meshing import NOSLIP, dirichlet, generate_box, generate_tube, neumann
 from movingflow.solver import (BoundaryConditionSet, DirichletBC, FlowProblem,
                                FlowState, NeumannBC, NoslipBC, SolverConfig,
                                advance, apply_boundary_conditions,
-                               map_velocity_at_nodes, run,
-                               smagorinsky_viscosity)
+                               map_velocity_at_nodes, run)
 from movingflow.spaces import DiscreteField, TaylorHoodSpace, interpolate
 
 
@@ -84,16 +84,6 @@ def test_poiseuille_residual_and_fixed_point():
         10 * tol * np.abs(u0.coefficients).max()
     assert info["divergence_residual"] <= \
         10 * tol * np.linalg.norm(new.u.coefficients)
-
-
-def test_poiseuille_iterative_solver():
-    prob, u0, p0 = poiseuille_setup()
-    cfg = SolverConfig(stress="full-gradient", linear_solver="iterative")
-    state = FlowState(0, 0.0, u0, p0)
-    new, info = advance(state, prob, cfg, 0.1)
-    assert np.abs(new.u.coefficients - u0.coefficients).max() <= \
-        10 * cfg.tolerance * np.abs(u0.coefficients).max()
-    assert info["iterations"] >= 1
 
 
 # --- boundary conditions -------------------------------------------------------
@@ -400,11 +390,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(smagorinsky=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(linear_solver="magic")
-    with pytest.raises(ValueError):
         SolverConfig(scheme="leapfrog")
     assert SolverConfig().tolerance == 1e-10
-    assert SolverConfig(linear_solver="iterative").tolerance == 1e-8
 
 
 # --- per-time-level map samples -------------------------------------------------
@@ -521,14 +508,12 @@ def _moving_box_problem(expressions, nu=0.2):
                                                         "velocity", coeffs))
 
 
-@pytest.mark.parametrize("linear_solver", ["direct", "iterative"])
-def test_pin_and_shift_matches_bordered_gauge_system(monkeypatch,
-                                                     linear_solver):
+def test_pin_and_shift_matches_bordered_gauge_system(monkeypatch):
     # a quadratic map: the quadrature keeps B^T 1 = 0 on the free dofs
     prob, state = _moving_box_problem(
         "x1 + 0.2*t*x1*x2; x2*(1 + 0.3*t) + 0.1*t*x1*x1")
     seen = _capture_systems(monkeypatch)
-    cfg = SolverConfig(linear_solver=linear_solver, tolerance=1e-12)
+    cfg = SolverConfig(tolerance=1e-12)
     new, info = advance(state, prob, cfg, 0.05)
     step, system = seen[0]
     assert system.pin is not None

@@ -15,12 +15,6 @@ def test_dof_counts():
     assert space.n_pressure_dofs == mesh.n_vertices
 
 
-def test_only_degree_one_supported():
-    mesh = generate_box(2, (1, 1))
-    with pytest.raises(NotImplementedError):
-        TaylorHoodSpace(mesh, degree=2)
-
-
 def test_boundary_classification_geometry():
     labels = {"xmin": dirichlet(0), "xmax": neumann(0)}
     mesh = generate_box(2, (3, 3), labels=labels)
