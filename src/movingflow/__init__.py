@@ -8,8 +8,7 @@ semi-implicit (implicit step, lagged advection field).
 """
 
 from .analysis import (ConvergenceTable, EnergyErrorReport, ErrorAccumulator,
-                       convergence_study, energy_balance_terms, energy_error,
-                       k_norm, kinetic_energy)
+                       convergence_study, energy_balance_terms, k_norm)
 from .assembly import (AssembledStep, assemble_step, boundary_flux_correction,
                        convection_matrices, divergence_matrix, mass_matrix,
                        piola_boundary_flux, rate_mass_matrix,

@@ -19,46 +19,38 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import assembly, sampling
-from .elements import default_degree
+from . import sampling
 from .solver import (FlowProblem, FlowState, SolverConfig, run)
 from .spaces import DiscreteField, TaylorHoodSpace, interpolate
 
 __all__ = [
-    "k_norm", "EnergyErrorReport", "ErrorAccumulator", "energy_error",
-    "EnergyBalance", "energy_balance_terms", "ConvergenceTable",
-    "convergence_study", "kinetic_energy",
+    "k_norm", "EnergyErrorReport", "ErrorAccumulator", "EnergyBalance",
+    "energy_balance_terms", "ConvergenceTable", "convergence_study",
 ]
 
 log = logging.getLogger(__name__)
 
 
-def k_norm(field, map_, t, space=None, degree=None):
+def k_norm(field, map_, t, space=None):
     """J-weighted L2 norm at time t of a DiscreteField or of a callable
     fn(X_ref) -> values (callables need an explicit space)."""
     if isinstance(field, DiscreteField):
         space = field.space
         if field.component == "velocity":
-            vals = sampling.map_samples(space, map_).field(
-                t, field, degree).values
+            vals = sampling.map_samples(space, map_).field(t, field).values
         else:
-            data = sampling.cell_data(space, degree or default_degree(space.dimension))
             pv = field.coefficients[space.mesh.cells]
-            vals = (pv @ data.pvals.T)[..., None]
+            vals = (pv @ sampling.cell_data(space).pvals.T)[..., None]
+    elif space is None:
+        raise ValueError("k_norm of a callable needs the space argument")
     else:
-        if space is None:
-            raise ValueError("k_norm of a callable needs the space argument")
-        pts, _ = assembly.cell_quadrature_points(space, degree)
+        pts = sampling.cell_data(space).points
         vals = np.asarray(field(pts.reshape(-1, space.dimension)), dtype=float)
         vals = vals.reshape(pts.shape[0], pts.shape[1], -1)
-    _, wts = assembly.cell_quadrature_points(space, degree)
-    J = sampling.map_samples(space, map_).jacobian(t, degree)
+    wts = sampling.cell_data(space).weights
+    J = sampling.map_samples(space, map_).jacobian(t)
     sq = np.einsum("cqd,cqd->cq", vals, vals)
     return float(np.sqrt(np.sum(wts * J * sq)))
-
-
-def kinetic_energy(field, map_, t, degree=None):
-    return 0.5 * k_norm(field, map_, t, degree=degree) ** 2
 
 
 @dataclass
@@ -97,15 +89,13 @@ class ErrorAccumulator:
     mapped quadrature points; pass it as a run callback via ``update``.
     """
 
-    def __init__(self, space, map_, velocity, velocity_gradient, dt, nu,
-                 degree=None):
+    def __init__(self, space, map_, velocity, velocity_gradient, dt, nu):
         self.space = space
         self.map = map_
         self.velocity = velocity
         self.velocity_gradient = velocity_gradient
         self.dt = dt
         self.nu = nu
-        self.degree = degree
         self.times = []
         self.l2 = []
         self.rate = []
@@ -114,12 +104,11 @@ class ErrorAccumulator:
         space, map_ = self.space, self.map
         t = state.t
         samples = sampling.map_samples(space, map_)
-        cells = samples.cells(t, self.degree)
-        uh = samples.field(t, state.u, self.degree)
-        _, wts = assembly.cell_quadrature_points(space, self.degree)
+        cells = samples.cells(t)
+        uh = samples.field(t, state.u)
         nc, nq, d = cells.position.shape
         phys = cells.position.reshape(-1, d)
-        wJ = wts * cells.J
+        wJ = sampling.cell_data(space).weights * cells.J
         ue = np.asarray(self.velocity(phys, t), dtype=float).reshape(nc, nq, d)
         err = ue - uh.values
         l2 = math.sqrt(float(np.sum(wJ * np.einsum("cqd,cqd->cq", err, err))))
@@ -139,15 +128,6 @@ class ErrorAccumulator:
                                  l2_errors=np.asarray(self.l2),
                                  rate_errors=np.asarray(self.rate),
                                  dt=self.dt, nu=self.nu)
-
-
-def energy_error(states, case, space, dt, degree=None):
-    """Trajectory error report for a list of states (step 1..N)."""
-    acc = ErrorAccumulator(space, case.map, case.velocity,
-                           case.velocity_gradient, dt, case.nu, degree)
-    for state in states:
-        acc.update(state)
-    return acc.report()
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +155,7 @@ class EnergyBalance:
 
 
 def energy_balance_terms(state_prev, state, map_, nu, forcing=None,
-                         stress="symmetric", degree=None, norms=(None, None)):
+                         stress="symmetric", norms=(None, None)):
     """The energy-balance terms of the step from ``state_prev`` to
     ``state``.  ``norms`` may carry ||u^{k-1}||_{k-1} and ||u^k||_k where
     the caller has them; a None entry is computed."""
@@ -183,16 +163,14 @@ def energy_balance_terms(state_prev, state, map_, nu, forcing=None,
     dt = state.t - state_prev.t
     nkm, nk = norms
     if nk is None:
-        nk = k_norm(state.u, map_, state.t, degree=degree)
+        nk = k_norm(state.u, map_, state.t)
     if nkm is None:
-        nkm = k_norm(state_prev.u, map_, state_prev.t, degree=degree)
+        nkm = k_norm(state_prev.u, map_, state_prev.t)
     kinetic_rate = (nk ** 2 - nkm ** 2) / (2.0 * dt)
 
     samples = sampling.map_samples(space, map_)
-    cells = samples.cells(state.t, degree)
-    uh = samples.field(state.t, state.u, degree)
-    _, wts = assembly.cell_quadrature_points(space, degree)
-    wJ = wts * cells.J
+    uh = samples.field(state.t, state.u)
+    wJ = sampling.cell_data(space).weights * samples.cells(state.t).J
     Gh = uh.gradients
     if stress == "symmetric":
         D = 0.5 * (Gh + np.swapaxes(Gh, 2, 3))
@@ -203,23 +181,23 @@ def energy_balance_terms(state_prev, state, map_, nu, forcing=None,
             wJ * np.einsum("cqab,cqab->cq", Gh, Gh)))
 
     if forcing is not None:
-        fv = samples.forcing(state.t, forcing, degree)
+        fv = samples.forcing(state.t, forcing)
         power = float(np.sum(wJ * np.einsum("cqd,cqd->cq", fv, uh.values)))
     else:
         power = 0.0
 
-    work = _boundary_work(space, map_, state, nu, stress, degree)
+    work = _boundary_work(space, map_, state, nu, stress)
     return EnergyBalance(kinetic_rate=kinetic_rate, dissipation=dissipation,
                          boundary_work=work, forcing_power=power)
 
 
-def _boundary_work(space, map_, state, nu, stress, degree=None):
+def _boundary_work(space, map_, state, nu, stress):
     """int_boundary (J sigma F^{-T} n) . xi_t ds with the discrete stress."""
-    facets = sampling.map_samples(space, map_).facets(state.t, degree)
+    facets = sampling.map_samples(space, map_).facets(state.t)
     if np.max(np.abs(facets.xi_t)) == 0.0:
         return 0.0
     d = space.dimension
-    fd = sampling.facet_data(space, (degree or default_degree(d)) + 2)
+    fd = sampling.facet_data(space)
 
     # the discrete velocity gradient and pressure from the cell side
     ucell = state.u.nodal()[space.cell_nodes[fd.cells]]     # (nbf, nb, d)
@@ -297,8 +275,8 @@ class ConvergenceTable:
         return "\n".join(lines)
 
 
-def convergence_study(case, levels, pairing="dt-h2", config=None,
-                      degree=None, progress=None):
+def convergence_study(case, levels, pairing="dt-h2", config=None, *,
+                      progress=None):
     """Run ``case`` on its mesh-level sequence and tabulate energy errors.
 
     The time step scales from the case's base step with the nominal mesh
@@ -320,8 +298,7 @@ def convergence_study(case, levels, pairing="dt-h2", config=None,
         steps = int(round(case.T / dt))
         dt = case.T / steps
         space = TaylorHoodSpace(mesh)
-        cfg = replace(config, stress=case.stress,
-                      quadrature_degree=config.quadrature_degree or degree)
+        cfg = replace(config, stress=case.stress)
         problem = FlowProblem(space=space, map=case.map, nu=case.nu,
                               bcs=case.boundary_conditions(),
                               forcing=case.forcing)
@@ -331,7 +308,7 @@ def convergence_study(case, levels, pairing="dt-h2", config=None,
                          lambda X: case.pressure(_compose(case.map, X, 0.0), 0.0))
         initial = FlowState(k=0, t=0.0, u=u0, p=p0)
         acc = ErrorAccumulator(space, case.map, case.velocity,
-                               case.velocity_gradient, dt, case.nu, degree)
+                               case.velocity_gradient, dt, case.nu)
         result = run(initial, problem, cfg, case.T, dt,
                      callbacks=[acc.update], record_energy=False)
         report = acc.report()

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import default_degree
 from .sampling import cached, cell_data, facet_data, geometry, map_samples
 from .spaces import DiscreteField
 
@@ -229,14 +228,14 @@ def _by_cells(kernel, *arrays, size=256):
     return [None if p[0] is None else np.concatenate(p) for p in zip(*parts)]
 
 
-def _temam_boundary(space, map_, t, w, degree):
+def _temam_boundary(space, map_, t, w):
     """0.5 (z.n) phi_i phi_j over neumann facets as scalar pattern data,
     or None without neumann facets."""
     sel = _neumann_facets(space)
     if sel.size == 0:
         return None
-    fd = facet_data(space, degree + 2)
-    facets = map_samples(space, map_).facets(t, degree)
+    fd = facet_data(space)
+    facets = map_samples(space, map_).facets(t)
     nodes = fd.nodes[sel]
     zn = np.einsum("fqd,fqd->fq", fd.vals @ _nodal(w)[nodes],
                    facets.conormal[sel])
@@ -260,26 +259,25 @@ def _neumann_facets(space, patch=None):
 # ---------------------------------------------------------------------------
 
 
-def weighted_mass_matrix(space, weights, degree=None):
+def weighted_mass_matrix(space, weights):
     """Velocity mass matrix with a per-quadrature-point weight (nc, nq)."""
-    data = cell_data(space, degree or default_degree(space.dimension))
+    data = cell_data(space)
     return _velocity_matrix(space, _mass_local(data, data.weights * weights))
 
 
-def mass_matrix(space, map_, t, degree=None):
+def mass_matrix(space, map_, t):
     """J(t)-weighted velocity mass matrix (the step-norm Gram matrix)."""
-    J = map_samples(space, map_).jacobian(t, degree)
-    return weighted_mass_matrix(space, J, degree)
+    return weighted_mass_matrix(space, map_samples(space, map_).jacobian(t))
 
 
-def rate_mass_matrix(space, map_, t_k, t_prev, dt, degree=None):
+def rate_mass_matrix(space, map_, t_k, t_prev, dt):
     """Mass matrix weighted with the backward difference (J_k - J_{k-1})/dt."""
     samples = map_samples(space, map_)
-    Jk, Jp = samples.jacobian(t_k, degree), samples.jacobian(t_prev, degree)
-    return weighted_mass_matrix(space, (Jk - Jp) / dt, degree)
+    Jk, Jp = samples.jacobian(t_k), samples.jacobian(t_prev)
+    return weighted_mass_matrix(space, (Jk - Jp) / dt)
 
 
-def convection_matrices(space, map_, t, w, degree=None, temam_boundary=True):
+def convection_matrices(space, map_, t, w, *, temam_boundary=True):
     """Convection block C and skew-symmetrizing block T for advection w.
 
     C[(i,a),(j,b)] = delta_ab int (z . grad phi_j) phi_i with z = J F^{-1} w;
@@ -287,22 +285,20 @@ def convection_matrices(space, map_, t, w, degree=None, temam_boundary=True):
     (z.grad phi_i) phi_j] plus, when ``temam_boundary``, the surface term
     0.5 (z.n) phi_i phi_j on outflow (neumann) facets.
     """
-    degree = degree or default_degree(space.dimension)
-    data = cell_data(space, degree)
-    cells = map_samples(space, map_).cells(t, degree)
+    data = cell_data(space)
+    cells = map_samples(space, map_).cells(t)
     C = _convection_local(data, _ghat(data, geometry(space).inv, cells.Finv),
                           cells.J, data.weights, _nodal(w)[space.cell_nodes])
     T = -0.5 * (C + np.swapaxes(C, 1, 2))
-    Tb = _temam_boundary(space, map_, t, w, degree) if temam_boundary else None
+    Tb = _temam_boundary(space, map_, t, w) if temam_boundary else None
     return _velocity_matrix(space, C), _velocity_matrix(space, T, boundary=Tb)
 
 
-def viscous_matrix(space, map_, t, nu, stress="symmetric", degree=None,
+def viscous_matrix(space, map_, t, nu, stress="symmetric", *,
                    smagorinsky=None, w=None):
     """Viscous velocity block; see the module docstring for the two forms."""
-    degree = degree or default_degree(space.dimension)
-    data = cell_data(space, degree)
-    cells = map_samples(space, map_).cells(t, degree)
+    data = cell_data(space)
+    cells = map_samples(space, map_).cells(t)
     geo = geometry(space)
     ghat = _ghat(data, geo.inv, cells.Finv)
     wc = _nodal(DiscreteField(space, "velocity") if w is None else w)[
@@ -312,31 +308,29 @@ def viscous_matrix(space, map_, t, nu, stress="symmetric", degree=None,
         ghat, data.weights * cells.J * nuq, stress))
 
 
-def divergence_matrix(space, map_, t, degree=None):
+def divergence_matrix(space, map_, t):
     """Pressure-velocity block B[q, (j,c)] = int J q (grad_phys phi_j)_c."""
-    degree = degree or default_degree(space.dimension)
-    data = cell_data(space, degree)
-    cells = map_samples(space, map_).cells(t, degree)
+    data = cell_data(space)
+    cells = map_samples(space, map_).cells(t)
     return _pressure_matrix(space, _divergence_local(
         data, _ghat(data, geometry(space).inv, cells.Finv),
         data.weights * cells.J))
 
 
-def forcing_vector(space, map_, t, forcing, degree=None):
+def forcing_vector(space, map_, t, forcing):
     """(J f, psi) with f given in physical coordinates: f(xhat, t) -> (n, d)."""
-    degree = degree or default_degree(space.dimension)
-    data = cell_data(space, degree)
+    data = cell_data(space)
     samples = map_samples(space, map_)
-    cells = samples.cells(t, degree)
-    fvals = samples.forcing(t, forcing, degree)
+    cells = samples.cells(t)
+    fvals = samples.forcing(t, forcing)
     local = data.vals.T @ ((data.weights * cells.J)[..., None] * fvals)
     return _sum(space.cell_nodes, local, space.n_nodes, space.dimension)
 
 
-def pressure_gauge_vector(space, map_, t, degree=None):
+def pressure_gauge_vector(space, map_, t):
     """e_i = int J q_i, the physical-volume weights of the pressure basis."""
-    data = cell_data(space, degree or default_degree(space.dimension))
-    J = map_samples(space, map_).jacobian(t, degree)
+    data = cell_data(space)
+    J = map_samples(space, map_).jacobian(t)
     return _sum(space.mesh.cells, (data.weights * J) @ data.pvals,
                 space.n_pressure_dofs)
 
@@ -350,21 +344,21 @@ def boundary_area(space):
     return float(space.mesh.boundary_facet_areas().sum())
 
 
-def piola_boundary_flux(space, map_, t, values, degree=None):
+def piola_boundary_flux(space, map_, t, values):
     """Surface integral of the transformed normal flux of a nodal velocity
     field: int_boundary (J F^{-T} n) . v_h ds over all boundary facets."""
-    fd = facet_data(space, (degree or default_degree(space.dimension)) + 2)
-    facets = map_samples(space, map_).facets(t, degree)
+    fd = facet_data(space)
+    facets = map_samples(space, map_).facets(t)
     vq = fd.vals @ _nodal_values(space, values)[fd.nodes]   # (nbf, nqf, d)
     return float(np.sum(fd.weights *
                         np.einsum("fqd,fqd->fq", facets.conormal, vq)))
 
 
-def boundary_flux_correction(space, map_, t, boundary_values, degree=None):
+def boundary_flux_correction(space, map_, t, boundary_values):
     """Flux of the interpolated boundary data divided by the boundary area:
     the constant whose subtraction along the outward normal field restores
     discrete compatibility of the data when no outflow boundary exists."""
-    flux = piola_boundary_flux(space, map_, t, boundary_values, degree)
+    flux = piola_boundary_flux(space, map_, t, boundary_values)
     return flux / boundary_area(space)
 
 
@@ -406,25 +400,23 @@ def _nodal_values(space, values):
     return nodal
 
 
-def cell_quadrature_points(space, degree=None):
+def cell_quadrature_points(space):
     """Reference coordinates of the cell quadrature points, (nc, nq, d),
     plus the combined weights |det| * w_q, (nc, nq)."""
-    data = cell_data(space, degree or default_degree(space.dimension))
+    data = cell_data(space)
     return data.points, data.weights
 
 
-def velocity_at_points(space, field, degree=None):
+def velocity_at_points(space, field):
     """Velocity field values at the cell quadrature points, (nc, nq, d)."""
-    data = cell_data(space, degree or default_degree(space.dimension))
-    return data.vals @ _nodal(field)[space.cell_nodes]
+    return cell_data(space).vals @ _nodal(field)[space.cell_nodes]
 
 
-def velocity_gradients(space, field, degree=None):
+def velocity_gradients(space, field):
     """Reference-domain gradients (du_a/dx_b) at quadrature points,
     (nc, nq, d, d)."""
-    data = cell_data(space, degree or default_degree(space.dimension))
     vc = _nodal(field)[space.cell_nodes]
-    return (np.swapaxes(vc, 1, 2)[:, None] @ data.lgrads) @ \
+    return (np.swapaxes(vc, 1, 2)[:, None] @ cell_data(space).lgrads) @ \
         geometry(space).inv[:, None]
 
 
@@ -435,8 +427,8 @@ def velocity_gradients(space, field, degree=None):
 
 def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
                   forcing=None, neumann_data=None, *, stress="symmetric",
-                  temam=True, smagorinsky=None, quadrature_degree=None,
-                  scheme="backward-euler", u_prev2=None, t_prev2=None):
+                  temam=True, smagorinsky=None, scheme="backward-euler",
+                  u_prev2=None, t_prev2=None):
     """Assemble the sparse blocks of one implicit time step.
 
     ``w`` is the advection field u^{k-1} - I_h(xi_t^k); ``neumann_data`` maps
@@ -446,15 +438,14 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
     """
     if space.dimension != map_.dimension:
         raise ValueError("space and map dimensions differ")
-    degree = quadrature_degree or default_degree(space.dimension)
-    data = cell_data(space, degree)
+    data = cell_data(space)
     samples = map_samples(space, map_)
-    cells = samples.cells(t_k, degree)
-    Jk, Jprev = cells.J, samples.jacobian(t_prev, degree)
+    cells = samples.cells(t_k)
+    Jk, Jprev = cells.J, samples.jacobian(t_prev)
     if scheme == "bdf2":
         if u_prev2 is None or t_prev2 is None:
             raise ValueError("bdf2 needs the two previous states")
-        Jprev2 = samples.jacobian(t_prev2, degree)
+        Jprev2 = samples.jacobian(t_prev2)
         Jdot = (3.0 * Jk - 4.0 * Jprev + Jprev2) / (2.0 * dt)
         Jtime = Jk               # weight of the discrete time derivative
         alpha = 1.5
@@ -477,31 +468,31 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
         _nodal(w)[space.cell_nodes], geo.cell_diam)
     scalar = _mass_local(data, W * (Jtime * (alpha / dt) + 0.5 * Jdot)) + visc
     scalar += 0.5 * (C - np.swapaxes(C, 1, 2)) if temam else C   # C + T
-    Tb = _temam_boundary(space, map_, t_k, w, degree) if temam else None
+    Tb = _temam_boundary(space, map_, t_k, w) if temam else None
     A = _velocity_matrix(space, scalar, coupling, Tb)
     B = _pressure_matrix(space, Bloc)
 
     rhs = _sum(space.cell_nodes, _mass_local(data, W * Jtime) @
                combo[space.cell_nodes], space.n_nodes, space.dimension)
     if forcing is not None:
-        rhs += forcing_vector(space, map_, t_k, forcing, degree)
+        rhs += forcing_vector(space, map_, t_k, forcing)
     if neumann_data is not None:
-        rhs += _neumann_vector(space, map_, t_k, neumann_data, degree)
+        rhs += _neumann_vector(space, map_, t_k, neumann_data)
 
     return AssembledStep(A=A, B=B, rhs_u=rhs, t=t_k, dt=dt)
 
 
-def _neumann_vector(space, map_, t, neumann_data, degree):
+def _neumann_vector(space, map_, t, neumann_data):
     """int J g . psi over neumann facets, per-patch traction densities; each
     traction is evaluated once over all quadrature points of its patch."""
     d = space.dimension
     rhs = np.zeros(space.n_velocity_dofs)
-    fd = facet_data(space, degree + 2)
+    fd = facet_data(space)
     for patch, g in neumann_data.items():
         sel = _neumann_facets(space, patch)
         if sel.size == 0 or g is None:
             continue
-        facets = map_samples(space, map_).facets(t, degree)
+        facets = map_samples(space, map_).facets(t)
         nqf = fd.points.shape[1]
         normals = np.repeat(fd.normals[sel], nqf, axis=0)
         gq = np.asarray(g(fd.points[sel].reshape(-1, d), t, normals),

@@ -166,6 +166,9 @@ def validate_config(data, base_dir="."):
     }
 
     solver = _optional(data, "solver", {}, dict, "(root)")
+    unknown = sorted(set(solver) - {"type", "tolerance", "temam"})
+    if unknown:
+        raise ConfigError(f"solver.{unknown[0]}", "unknown field")
     # configs of earlier versions may still name the one solver there is
     stype = _optional(solver, "type", "direct", str, "solver")
     if stype != "direct":
@@ -178,8 +181,6 @@ def validate_config(data, base_dir="."):
     out["solver"] = {
         "tolerance": tol,
         "temam": _optional(solver, "temam", True, bool, "solver"),
-        "quadrature_degree": _optional(solver, "quadrature_degree", None,
-                                       int, "solver"),
     }
 
     bench = _optional(data, "benchmark", None, dict, "(root)")
@@ -446,5 +447,4 @@ def build_solver_config(cfg):
         scheme=cfg.time["scheme"],
         smagorinsky=None if smag is None else smag["cs"],
         stress=cfg.physics["stress"],
-        temam=cfg.solver["temam"],
-        quadrature_degree=cfg.solver["quadrature_degree"])
+        temam=cfg.solver["temam"])

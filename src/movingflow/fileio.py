@@ -201,13 +201,14 @@ def _needs_cells(map_):
 
 
 def _vertex_q_criterion(u, map_, t):
-    """Q at the vertices from volume-averaged cell-center gradients, read
-    from the map sample of level t (degree-2 cell points)."""
+    """Q at the vertices from volume-averaged cell gradients: the level's
+    grad u F^{-1} at the cell quadrature points, which a run has already
+    evaluated for its energy diagnostics."""
     space = u.space
     mesh = space.mesh
     d = mesh.dimension
-    Ghat = sampling.map_samples(space, map_).field(t, u, 2).gradients
-    wts = sampling.cell_data(space, 2).weights
+    Ghat = sampling.map_samples(space, map_).field(t, u).gradients
+    wts = sampling.cell_data(space).weights
     Gcell = np.einsum("cq,cqad->cad", wts / wts.sum(axis=1, keepdims=True), Ghat)
     S = 0.5 * (Gcell + np.swapaxes(Gcell, 1, 2))
     W = 0.5 * (Gcell - np.swapaxes(Gcell, 1, 2))

@@ -1,15 +1,16 @@
 """The point sets of a space and the map sampled on them, once per time level.
 
 A space carries three fixed point sets: the cell quadrature points, the
-boundary-facet quadrature points and the velocity nodes.  Their tables
-(quadrature rules, basis values, cell geometry) depend on the mesh alone and
-are built on first use, per space and degree.
+boundary-facet quadrature points and the velocity nodes.  Each has one rule
+per space: cells are exact to ``default_degree(d)``, boundary facets to two
+degrees more.  Their tables (quadrature rules, basis values, cell geometry)
+depend on the mesh alone and are built on first use.
 
 ``map_samples(space, map_)`` returns the store through which assembly,
 boundary conditions and diagnostics read the map.  For one time level it
 calls ``SpaceTimeMap.sample_fields`` once on the cell points and once on the
-facet points of a degree, and evaluates the domain velocity once at the
-velocity nodes.  Next to the map sample it keeps the level's forcing at the
+facet points, and evaluates the domain velocity once at the velocity
+nodes.  Next to the map sample it keeps the level's forcing at the
 cell points and the level's solved velocity there (values and grad u
 F^{-1}), each evaluated once for every reader.  Lifetime: only the newest
 level is kept whole; J at the cell points is kept for the last three
@@ -72,9 +73,9 @@ def geometry(space):
 
 
 class _CellData:
-    def __init__(self, space, degree):
+    def __init__(self, space):
         d = space.dimension
-        self.rule = quadrature(d, degree)
+        self.rule = quadrature(d, default_degree(d))
         vbasis = shape_functions(2, d)
         self.vals = vbasis.values(self.rule.points)        # (nq, nb)
         self.lgrads = vbasis.gradients(self.rule.points)   # (nq, nb, d)
@@ -87,18 +88,18 @@ class _CellData:
         self.weights = geometry(space).det[:, None] * self.rule.weights
 
 
-def cell_data(space, degree):
-    return cached(space, ("cells", degree), lambda: _CellData(space, degree))
+def cell_data(space):
+    return cached(space, "cells", lambda: _CellData(space))
 
 
 class _FacetData:
     """Trace data on the boundary facets: quadrature, trace basis, geometry,
     and the cell basis evaluated at the facet points from the cell side."""
 
-    def __init__(self, space, degree):
+    def __init__(self, space):
         mesh = space.mesh
         d = mesh.dimension
-        self.rule = quadrature(d - 1, degree)
+        self.rule = quadrature(d - 1, default_degree(d) + 2)
         self.vals = shape_functions(2, d - 1).values(self.rule.points)
         fverts = mesh.vertices[mesh.boundary_facets]        # (nbf, d, d)
         self.points = np.einsum("qv,fvd->fqd", self.rule.points, fverts)
@@ -120,9 +121,8 @@ class _FacetData:
             nbf, nqf, -1, d) @ inv[:, None])
 
 
-def facet_data(space, degree):
-    return cached(space, ("facets", degree),
-                  lambda: _FacetData(space, degree))
+def facet_data(space):
+    return cached(space, "facets", lambda: _FacetData(space))
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +161,10 @@ class FieldSample:
     (nc, nq, d), and ``gradients`` grad u F^{-1}, (nc, nq, d, d), each
     evaluated on first use."""
 
-    def __init__(self, samples, field, t, degree):
+    def __init__(self, samples, field, t):
         self._samples = samples
         self.coefficients = field.coefficients
         self.t = t
-        self.degree = degree
         self._values = self._gradients = None
 
     def _nodal(self):
@@ -176,29 +175,29 @@ class FieldSample:
         if self._values is None:
             from . import assembly
             self._values, = _readonly(assembly.velocity_at_points(
-                self._samples.space, self._nodal(), self.degree))
+                self._samples.space, self._nodal()))
         return self._values
 
     @property
     def gradients(self):
         if self._gradients is None:
             from . import assembly
-            Finv = self._samples.cells(self.t, self.degree).Finv
+            Finv = self._samples.cells(self.t).Finv
             self._gradients, = _readonly(assembly.velocity_gradients(
-                self._samples.space, self._nodal(), self.degree) @ Finv)
+                self._samples.space, self._nodal()) @ Finv)
         return self._gradients
 
 
 class MapSamples:
     """The data of one map on one space, sampled once per time level.
 
-    ``cells(t, degree)`` and ``facets(t, degree)`` (the facet rule of
-    degree + 2) each call ``sample_fields`` once per level; ``wall(t)``
-    evaluates xi_t once per level at the velocity nodes.  Only the newest
-    level is kept; ``jacobian`` serves J at the cell points of the last
-    ``LEVELS`` levels, and samples an older level without replacing the
-    newest.  ``forcing`` and ``field`` evaluate a forcing and a velocity
-    field at the cell points, kept for the newest level.
+    ``cells(t)`` and ``facets(t)`` each call ``sample_fields`` once per
+    level; ``wall(t)`` evaluates xi_t once per level at the velocity
+    nodes.  Only the newest level is kept; ``jacobian`` serves J at the
+    cell points of the last ``LEVELS`` levels, and samples an older level
+    without replacing the newest.  ``forcing`` and ``field`` evaluate a
+    forcing and a velocity field at the cell points, kept for the newest
+    level.
     """
 
     LEVELS = 3
@@ -208,7 +207,7 @@ class MapSamples:
         self.map = map_
         self._t = None
         self._newest = {}
-        self._jacobians = {}
+        self._jacobians = {}       # {t: J at the cell points}
 
     def _get(self, t, key, build):
         if t != self._t:
@@ -227,8 +226,8 @@ class MapSamples:
         return flat, cells, Finv.reshape(shape + (d, d)), J.reshape(shape), \
             xi_t.reshape(shape + (d,))
 
-    def _cells(self, t, degree):
-        data = cell_data(self.space, degree)
+    def _cells(self, t):
+        data = cell_data(self.space)
         flat, cells, Finv, J, _ = self._sample(
             data.points, np.arange(self.space.mesh.n_cells), t)
         if isinstance(self.map, MeshSequenceMap):
@@ -237,50 +236,46 @@ class MapSamples:
             position = self.map.position(flat, t)
         J, Finv, position = _readonly(J, Finv,
                                       position.reshape(data.points.shape))
-        levels = self._jacobians.setdefault(degree, {})
+        levels = self._jacobians
         levels[t] = J
         while len(levels) > self.LEVELS:   # drop the level farthest from t
             del levels[max(levels, key=lambda s: abs(s - t))]
         return CellSample(J, Finv, position)
 
-    def cells(self, t, degree=None):
-        degree = degree or default_degree(self.space.dimension)
-        return self._get(t, ("cells", degree), lambda: self._cells(t, degree))
+    def cells(self, t):
+        return self._get(t, "cells", lambda: self._cells(t))
 
-    def jacobian(self, t, degree=None):
-        degree = degree or default_degree(self.space.dimension)
-        J = self._jacobians.get(degree, {}).get(t)
-        return self._cells(t, degree).J if J is None else J
+    def jacobian(self, t):
+        J = self._jacobians.get(t)
+        return self._cells(t).J if J is None else J
 
-    def facets(self, t, degree=None):
-        degree = degree or default_degree(self.space.dimension)
-        fd = facet_data(self.space, degree + 2)
+    def facets(self, t):
+        fd = facet_data(self.space)
 
         def build():
             _, _, Finv, J, xi_t = self._sample(fd.points, fd.cells, t)
             conormal = J[..., None] * np.einsum("fqmd,fm->fqd", Finv,
                                                 fd.normals)
             return FacetSample(*_readonly(J, Finv, conormal, xi_t))
-        return self._get(t, ("facets", degree), build)
+        return self._get(t, "facets", build)
 
     def wall(self, t):
         return self._get(t, "wall", lambda: _readonly(
             self.map.velocity(self.space.velocity_nodes, t))[0])
 
-    def forcing(self, t, forcing, degree=None):
+    def forcing(self, t, forcing):
         """``forcing(x, t)`` at the physical cell points of level t,
         (nc, nq, d); evaluated once per level and forcing callable."""
-        degree = degree or default_degree(self.space.dimension)
-        position = self.cells(t, degree).position
-        kept = self._newest.get(("forcing", degree))
+        position = self.cells(t).position
+        kept = self._newest.get("forcing")
         if kept is None or kept[0] is not forcing:
             values = np.asarray(forcing(position.reshape(
                 -1, self.space.dimension), t), dtype=float)
-            kept = self._newest[("forcing", degree)] = (
+            kept = self._newest["forcing"] = (
                 forcing, *_readonly(values.reshape(position.shape)))
         return kept[1]
 
-    def field(self, t, field, degree=None):
+    def field(self, t, field):
         """The velocity field ``field`` at the cell points of level t.
 
         The sample is kept, for one field at a time, only when t is the
@@ -288,13 +283,11 @@ class MapSamples:
         solved state's are: a mutable array could change under it.
         Otherwise every call evaluates afresh.
         """
-        degree = degree or default_degree(self.space.dimension)
         if t != self._t or field.coefficients.flags.writeable:
-            return FieldSample(self, field, t, degree)
-        kept = self._newest.get(("field", degree))
+            return FieldSample(self, field, t)
+        kept = self._newest.get("field")
         if kept is None or kept.coefficients is not field.coefficients:
-            kept = self._newest[("field", degree)] = FieldSample(
-                self, field, t, degree)
+            kept = self._newest["field"] = FieldSample(self, field, t)
         return kept
 
 

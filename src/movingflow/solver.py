@@ -127,7 +127,6 @@ class SolverConfig:
     smagorinsky: float = None                # eddy constant C_s, or None
     stress: str = "symmetric"                # 'symmetric' | 'full-gradient'
     temam: bool = True
-    quadrature_degree: int = None
 
     def __post_init__(self):
         if self.scheme not in ("backward-euler", "bdf2"):
@@ -419,7 +418,6 @@ def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
             neumann_data=problem.bcs.neumann_tractions(),
             stress=config.stress, temam=config.temam,
             smagorinsky=config.smagorinsky,
-            quadrature_degree=config.quadrature_degree,
             scheme="bdf2" if bdf2 else "backward-euler",
             u_prev2=state_prev2.u if bdf2 else None,
             t_prev2=state_prev2.t if bdf2 else None)

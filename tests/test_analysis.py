@@ -3,8 +3,7 @@ import pytest
 
 from movingflow import sampling
 from movingflow.analysis import (ConvergenceTable, ErrorAccumulator,
-                                 energy_balance_terms, energy_error, k_norm)
-from movingflow.elements import default_degree
+                                 energy_balance_terms, k_norm)
 from movingflow.maps import IdentityMap, TubeShrinkMap
 from movingflow.meshing import NOSLIP, dirichlet, generate_box, neumann
 from movingflow.solver import (BoundaryConditionSet, DirichletBC, FlowProblem,
@@ -284,7 +283,7 @@ def test_each_solved_state_is_evaluated_once_per_step(monkeypatch):
     case, space, result, _, gradients, forcing = _shared_evaluation_run(
         monkeypatch)
     assert list(gradients) == [1, 1, 1]
-    n_points = sampling.cell_data(space, default_degree(2)).points[..., 0].size
+    n_points = sampling.cell_data(space).points[..., 0].size
     assert forcing == [(dt, n_points) for dt in (0.01, 0.02, 0.03)]
     for state in result.states[1:]:
         for field_ in (state.u, state.p):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import naive_fem
-from movingflow import assembly
+from movingflow import assembly, sampling
+from movingflow.elements import default_degree
 from movingflow.maps import (AxisScalingMap, IdentityMap, TubeShrinkMap,
                              parse_map_expressions)
 from movingflow.meshing import (generate_box, generate_tube, neumann,
@@ -31,21 +32,21 @@ def box3d():
 
 def test_mass_matches_naive(two_triangles):
     space = two_triangles
-    M = assembly.mass_matrix(space, IdentityMap(2), 0.0, 6).toarray()
+    M = assembly.mass_matrix(space, IdentityMap(2), 0.0).toarray()
     assert np.abs(M - naive_fem.mass(space, 6)).max() < 1e-12
 
 
 @pytest.mark.parametrize("stress", ["symmetric", "full-gradient"])
 def test_viscous_matches_naive(two_triangles, stress):
     space = two_triangles
-    V = assembly.viscous_matrix(space, IdentityMap(2), 0.0, 1.3, stress,
-                                6).toarray()
+    V = assembly.viscous_matrix(space, IdentityMap(2), 0.0, 1.3,
+                                stress).toarray()
     assert np.abs(V - naive_fem.viscous(space, 1.3, stress, 6)).max() < 1e-12
 
 
 def test_divergence_matches_naive(two_triangles):
     space = two_triangles
-    B = assembly.divergence_matrix(space, IdentityMap(2), 0.0, 6).toarray()
+    B = assembly.divergence_matrix(space, IdentityMap(2), 0.0).toarray()
     assert np.abs(B - naive_fem.divergence(space, 6)).max() < 1e-12
 
 
@@ -56,7 +57,7 @@ def test_convection_matches_naive(two_triangles):
     C_ref, T_ref = naive_fem.convection(space, wn, 6)
     C, T = assembly.convection_matrices(
         space, IdentityMap(2), 0.0,
-        DiscreteField(space, "velocity", wn.ravel()), 6)
+        DiscreteField(space, "velocity", wn.ravel()))
     assert np.abs(C.toarray() - C_ref).max() < 1e-12
     assert np.abs(T.toarray() - T_ref).max() < 1e-12
 
@@ -66,7 +67,7 @@ def test_step_composition_identity_map(two_triangles):
     zero = DiscreteField(space, "velocity")
     step = assembly.assemble_step(space, IdentityMap(2), 0.1, 0.0, 0.1,
                                   zero, zero, 1.3, stress="symmetric",
-                                  temam=False, quadrature_degree=6)
+                                  temam=False)
     expected = naive_fem.mass(space, 6) / 0.1 + \
         naive_fem.viscous(space, 1.3, "symmetric", 6)
     assert np.abs(step.A.toarray() - expected).max() < 1e-10
@@ -188,7 +189,7 @@ def test_temam_boundary_term_on_outflow_facets():
     assert abs(quad_form - surface) < 1e-11 * (1 + abs(quad_form))
 
 
-def test_quadrature_over_integration_stable():
+def test_quadrature_over_integration_stable(monkeypatch):
     # raising the degree by 2 leaves entries unchanged for maps whose
     # gradient data is polynomial (here constant in space)
     for space, map_ in (
@@ -203,11 +204,16 @@ def test_quadrature_over_integration_stable():
                           rng.standard_normal(space.n_velocity_dofs))
         u_prev = DiscreteField(space, "velocity",
                                rng.standard_normal(space.n_velocity_dofs))
-        base = assembly.default_degree(space.dimension)
-        steps = [assembly.assemble_step(space, map_, 0.1, 0.05, 0.05, w,
-                                        u_prev, 0.7, stress="symmetric",
-                                        quadrature_degree=deg)
-                 for deg in (base, base + 2)]
+        base = default_degree(space.dimension)
+        steps, rules = [], []
+        for deg in (base, base + 2):       # the one rule choice, raised
+            sampling.release(space)
+            monkeypatch.setattr(sampling, "default_degree", lambda d: deg)
+            steps.append(assembly.assemble_step(space, map_, 0.1, 0.05, 0.05,
+                                                w, u_prev, 0.7,
+                                                stress="symmetric"))
+            rules.append(sampling.cell_data(space).rule.exactness)
+        assert rules == [base, base + 2]
         a0, a1 = steps[0].A.toarray(), steps[1].A.toarray()
         scale = np.abs(a0).max()
         assert np.abs(a1 - a0).max() <= 1e-10 * scale

@@ -75,14 +75,18 @@ def test_bc_type_label_mismatch(tmp_path):
 
 def test_solver_block(tmp_path, capsys):
     path = minimal_config(tmp_path, solver={"type": "direct"})
-    assert load_config(path).solver == {
-        "tolerance": 1e-10, "temam": True, "quadrature_degree": None}
+    assert load_config(path).solver == {"tolerance": 1e-10, "temam": True}
     assert cli(["info", "--config", str(path)]) == 0
     assert "solver   : tolerance 1e-10" in capsys.readouterr().out
     path = minimal_config(tmp_path, solver={"type": "gmres"})
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert err.value.field_path == "solver.type"
+    # a key the solver block does not read fails instead of being ignored
+    path = minimal_config(tmp_path, solver={"quadrature_degree": 8})
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.field_path == "solver.quadrature_degree"
 
 
 def test_config_round_trip(tmp_path):

@@ -170,6 +170,41 @@ def test_vtk_q_criterion_rigid_rotation(tmp_path):
     assert np.abs(q - 1.0).max() < 1e-12
 
 
+def test_vtk_q_criterion_in_a_run_samples_no_map(tmp_path, monkeypatch):
+    # in a run callback, Q reads the level's grad u F^{-1} and the cell
+    # weights that the step and its diagnostics already hold
+    from movingflow.benchmarks import manufactured_2d
+    from movingflow.maps import SpaceTimeMap
+    from movingflow.solver import FlowProblem, SolverConfig, run
+    case = manufactured_2d()
+    mesh = case.mesh_for_level(1)
+    space = TaylorHoodSpace(mesh)
+    problem = FlowProblem(space=space, map=case.map, nu=case.nu,
+                          bcs=case.boundary_conditions(),
+                          forcing=case.forcing)
+    calls = []
+    original = SpaceTimeMap.sample_fields
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpaceTimeMap, "sample_fields", counted)
+    per_write = []
+
+    def write_frame(state, record):
+        before = len(calls)
+        write_vtk(tmp_path / f"state_{state.k}.vtk", mesh, case.map, state.t,
+                  u=state.u, p=state.p, q_criterion=True)
+        per_write.append(len(calls) - before)
+
+    initial = FlowState(0, 0.0, DiscreteField(space, "velocity"),
+                        DiscreteField(space, "pressure"))
+    run(initial, problem, SolverConfig(stress=case.stress), 0.03, 0.01,
+        callbacks=[write_frame])
+    assert calls and per_write == [0, 0, 0]
+
+
 def test_checkpoint_roundtrip(tmp_path):
     mesh = generate_box(2, (2, 2))
     space = TaylorHoodSpace(mesh)
