@@ -229,7 +229,7 @@ def _cmd_mesh_gen(args):
 
 
 def _cmd_info(args):
-    from .meshing import mesh_quality
+    from .sampling import rules
     cfg = _load(args)
     print(f"mesh     : {cfg.mesh['kind']} ({cfg.mesh['dimension']}D)")
     print(f"map      : {cfg.map['kind']}")
@@ -239,6 +239,9 @@ def _cmd_info(args):
           f"({cfg.n_steps} steps, {cfg.time['scheme']})")
     print(f"bcs      : {', '.join(sorted(cfg.bcs))}")
     print(f"solver   : tolerance {cfg.solver['tolerance']:g}")
+    cell, facet = rules(cfg.mesh["dimension"])
+    print(f"quadrature: cell {cell.n_points} points (degree {cell.exactness}), "
+          f"facet {facet.n_points} points (degree {facet.exactness})")
     if cfg.benchmark:
         print(f"benchmark: {cfg.benchmark['case']} "
               f"({cfg.benchmark['levels']} levels, {cfg.benchmark['pairing']})")

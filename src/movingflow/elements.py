@@ -1,14 +1,18 @@
 """Lagrange bases on the reference simplex and simplex quadrature.
 
-Quadrature rules are conical-product Gauss-Jacobi rules, positive by
-construction and exact for any requested total polynomial degree, with small
-tabulated rules for the lowest degrees.  Points are stored in barycentric
-coordinates; weights sum to the reference simplex measure 1/d!.
+The rules at the three exactnesses the spaces use are symmetric tables,
+``SYMMETRIC_RULES``, derived and checked by ``tools/derive_quadrature.py``:
+cells to degree 6 in 2D (12 points) and 5 in 3D (14 points), boundary
+triangles of 3D meshes to degree 7 (12 points).  Every other simplex
+rule is a conical-product Gauss-Jacobi rule, and segments use Gauss-Legendre;
+both are exact for any requested total degree.  Every rule has positive
+weights and interior points.  Points are stored in barycentric coordinates;
+weights sum to the reference simplex measure 1/d!.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,7 +20,8 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 __all__ = ["ShapeFunctions", "QuadratureRule", "shape_functions", "quadrature",
-           "default_degree", "LOCAL_EDGES"]
+           "default_degree", "orbit", "orbit_rule", "LOCAL_EDGES",
+           "SYMMETRIC_RULES"]
 
 # local cell edges by local vertex pairs; fixes the midedge node order
 LOCAL_EDGES = {
@@ -148,6 +153,58 @@ def _conical_rule(d, degree):
     return pts, Wt.ravel()
 
 
+# (dimension, exactness) -> orbits of (kind, free coordinates, weight of
+# each point); written by tools/derive_quadrature.py, see ``orbit``
+SYMMETRIC_RULES = {
+    (2, 6): (
+        ("s21", (0.06308901449150223,), 0.02542245318510341),
+        ("s21", (0.24928674517091043,), 0.058393137863189684),
+        ("s111", (0.053145049844816945, 0.3103524510337844), 0.041425537809186785),
+    ),
+    (2, 7): (
+        ("c111", (0.03432430294509715, 0.3047265008681672), 0.028775042784981587),
+        ("c111", (0.05522545665692661, 0.6232720494910916), 0.043881408714446055),
+        ("c111", (0.06238226509440212, 0.8700998678316818), 0.026517028157436253),
+        ("c111", (0.20644149867001643, 0.2777161669763918), 0.06749318700980278),
+    ),
+    (3, 5): (
+        ("s31", (0.09273525031089122,), 0.012248840519393659),
+        ("s31", (0.3108859192633006,), 0.018781320953002643),
+        ("s22", (0.04550370412564965,), 0.007091003462846911),
+    ),
+}
+
+# generator of each orbit kind from its free coordinates; the digits give
+# the multiplicities of its barycentric coordinates
+_GENERATORS = {
+    "s21": lambda a: (a, a, 1.0 - 2.0 * a),
+    "s111": lambda a, b: (a, b, 1.0 - a - b),
+    "c111": lambda a, b: (a, b, 1.0 - a - b),
+    "s31": lambda a: (a, a, a, 1.0 - 3.0 * a),
+    "s22": lambda a: (a, a, 0.5 - a, 0.5 - a),
+}
+
+
+def orbit(kind, coords):
+    """Barycentric points of one orbit: the distinct permutations of the
+    kind's generator (``s`` kinds) or its cyclic shifts (``c`` kinds)."""
+    g = _GENERATORS[kind](*coords)
+    if kind[0] == "c":
+        return [g[i:] + g[:i] for i in range(len(g))]
+    return list(dict.fromkeys(itertools.permutations(g)))
+
+
+def orbit_rule(orbits):
+    """Points and weights of a rule given by its orbits ``(kind, coords,
+    weight)``, in the precision of the coordinates."""
+    pts, w = [], []
+    for kind, coords, weight in orbits:
+        points = orbit(kind, coords)
+        pts += points
+        w += [weight] * len(points)
+    return np.array(pts), np.array(w)
+
+
 @lru_cache(maxsize=None)
 def quadrature(dimension, exactness):
     """Positive-weight rule on the reference simplex, exact for all
@@ -160,23 +217,8 @@ def quadrature(dimension, exactness):
     if dimension == 1:
         x, w = _gauss01(max(1, (exactness + 2) // 2))
         pts = np.stack([1.0 - x, x], axis=1)
-        return QuadratureRule(points=pts, weights=w, exactness=exactness)
-    if exactness == 1:
-        d = dimension
-        pts = np.full((1, d + 1), 1.0 / (d + 1))
-        return QuadratureRule(points=pts, weights=np.array([1.0 / math.factorial(d)]),
-                              exactness=1)
-    if exactness == 2:
-        d = dimension
-        # symmetric interior rule: permutations of (a, b, .., b)
-        if d == 2:
-            a, b = 2.0 / 3.0, 1.0 / 6.0
-        else:
-            a = 0.5854101966249685
-            b = 0.1381966011250105
-        pts = np.full((d + 1, d + 1), b)
-        np.fill_diagonal(pts, a)
-        w = np.full(d + 1, 1.0 / math.factorial(d) / (d + 1))
-        return QuadratureRule(points=pts, weights=w, exactness=2)
-    pts, w = _conical_rule(dimension, exactness)
+    elif (dimension, exactness) in SYMMETRIC_RULES:
+        pts, w = orbit_rule(SYMMETRIC_RULES[dimension, exactness])
+    else:
+        pts, w = _conical_rule(dimension, exactness)
     return QuadratureRule(points=pts, weights=w, exactness=exactness)

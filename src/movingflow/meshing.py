@@ -158,6 +158,18 @@ def _key(row):
     return tuple(int(v) for v in row)
 
 
+def _unique_rows(rows):
+    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)``
+    for integer rows, through one stable lexsort of the columns."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], order[new], inverse
+
+
 def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
     """Assemble a validated SimplicialMesh from raw arrays.
 
@@ -186,17 +198,15 @@ def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
     cells = cells.copy()
     cells[flip, -2], cells[flip, -1] = cells[flip, -1], cells[flip, -2].copy()
 
-    # facet -> adjacent cells: one unique pass over the sorted vertex rows
+    # facet -> adjacent cells: one sort of the sorted vertex rows
     # of every cell facet (facet i leaves out local vertex i), followed by
     # those of the labeled facets
     nloc = d + 1
     local = [[j for j in range(nloc) if j != i] for i in range(nloc)]
     faces = np.sort(cells[:, local], axis=2).reshape(-1, d)
     boundary_facets = np.asarray(boundary_facets, dtype=np.int64).reshape(-1, d)
-    keys, first, inverse = np.unique(
-        np.concatenate([faces, np.sort(boundary_facets, axis=1)]), axis=0,
-        return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    keys, first, inverse = _unique_rows(
+        np.concatenate([faces, np.sort(boundary_facets, axis=1)]))
     counts = np.bincount(inverse[:len(faces)], minlength=len(keys))
     shared = np.flatnonzero(counts > 2)
     if shared.size:
@@ -225,8 +235,8 @@ def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
     # edges: unique sorted vertex pairs, lexicographic order
     locals_ = _local_edges(d)
     pairs = np.sort(cells[:, locals_].reshape(-1, 2), axis=1)
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    cell_edges = inverse.reshape(len(cells), len(locals_)).astype(np.int64)
+    edges, _, inverse = _unique_rows(pairs)
+    cell_edges = inverse.reshape(len(cells), len(locals_))
 
     return SimplicialMesh(
         dimension=d, vertices=vertices, cells=cells,

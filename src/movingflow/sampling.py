@@ -2,8 +2,8 @@
 
 A space carries three fixed point sets: the cell quadrature points, the
 boundary-facet quadrature points and the velocity nodes.  Each has one rule
-per space: cells are exact to ``default_degree(d)``, boundary facets to two
-degrees more.  Their tables (quadrature rules, basis values, cell geometry)
+per space, chosen by ``rules``: cells are exact to ``default_degree(d)``,
+boundary facets to two degrees more.  Their tables (quadrature rules, basis values, cell geometry)
 depend on the mesh alone and are built on first use.
 
 ``map_samples(space, map_)`` returns the store through which assembly,
@@ -33,7 +33,8 @@ from .elements import default_degree, quadrature, shape_functions
 from .maps import MeshSequenceMap
 
 __all__ = ["CellSample", "FacetSample", "FieldSample", "MapSamples",
-           "map_samples", "release", "cell_data", "facet_data", "geometry"]
+           "map_samples", "release", "rules", "cell_data", "facet_data",
+           "geometry"]
 
 
 def cached(space, key, build):
@@ -72,10 +73,18 @@ def geometry(space):
     return cached(space, "geometry", lambda: _Geometry(space))
 
 
+def rules(dimension):
+    """The cell rule and the boundary-facet rule of every space of the
+    dimension: the one place a rule is chosen."""
+    degree = default_degree(dimension)
+    return (quadrature(dimension, degree),
+            quadrature(dimension - 1, degree + 2))
+
+
 class _CellData:
     def __init__(self, space):
         d = space.dimension
-        self.rule = quadrature(d, default_degree(d))
+        self.rule = rules(d)[0]
         vbasis = shape_functions(2, d)
         self.vals = vbasis.values(self.rule.points)        # (nq, nb)
         self.lgrads = vbasis.gradients(self.rule.points)   # (nq, nb, d)
@@ -99,7 +108,7 @@ class _FacetData:
     def __init__(self, space):
         mesh = space.mesh
         d = mesh.dimension
-        self.rule = quadrature(d - 1, default_degree(d) + 2)
+        self.rule = rules(d)[1]
         self.vals = shape_functions(2, d - 1).values(self.rule.points)
         fverts = mesh.vertices[mesh.boundary_facets]        # (nbf, d, d)
         self.points = np.einsum("qv,fvd->fqd", self.rule.points, fverts)

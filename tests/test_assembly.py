@@ -189,6 +189,15 @@ def test_temam_boundary_term_on_outflow_facets():
     assert abs(quad_form - surface) < 1e-11 * (1 + abs(quad_form))
 
 
+def test_space_rules_are_the_symmetric_tables():
+    # cell / boundary-facet points: 12 / 5 in 2D, 14 / 12 in 3D
+    for d, counts in ((2, (12, 5)), (3, (14, 12))):
+        space = TaylorHoodSpace(generate_box(d, (1,) * d))
+        assert (sampling.cell_data(space).rule.n_points,
+                sampling.facet_data(space).rule.n_points) == counts
+        assert [rule.n_points for rule in sampling.rules(d)] == list(counts)
+
+
 def test_quadrature_over_integration_stable(monkeypatch):
     # raising the degree by 2 leaves entries unchanged for maps whose
     # gradient data is polynomial (here constant in space)

@@ -156,6 +156,8 @@ def test_cli_info_and_validate(tmp_path, capsys):
     assert cli(["info", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "box (2D)" in out
+    assert ("quadrature: cell 12 points (degree 6), "
+            "facet 5 points (degree 8)") in out
     assert cli(["validate-map", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "passed" in out
@@ -170,6 +172,9 @@ def test_cli_validate_map_tube(tmp_path, capsys):
         map={"kind": "tube-shrink"},
         time={"dt": 0.04, "T": 0.2},
         bcs={"noslip": {"type": "noslip"}, "neumann:0": {"type": "neumann"}})
+    assert cli(["info", "--config", str(path)]) == 0
+    assert ("quadrature: cell 14 points (degree 5), "
+            "facet 12 points (degree 7)") in capsys.readouterr().out
     assert cli(["validate-map", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "min J              : 0.95" in out

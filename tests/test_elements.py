@@ -1,10 +1,14 @@
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from movingflow.elements import quadrature, shape_functions
+from movingflow.elements import SYMMETRIC_RULES, quadrature, shape_functions
+
+DERIVE = Path(__file__).resolve().parents[1] / "tools" / "derive_quadrature.py"
 
 
 def exact_monomial(powers, d):
@@ -39,6 +43,51 @@ def test_quadrature_examples():
     tri4 = quadrature(2, 4)
     vals = tri4.points[:, 1] ** 2 * tri4.points[:, 2] ** 2
     assert abs(tri4.weights @ vals - 1.0 / 180.0) < 1e-15      # int x1^2 x2^2
+
+
+def _derive_tool():
+    spec = importlib.util.spec_from_file_location("derive_quadrature", DERIVE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("d, exactness, n_points, group", [
+    (2, 6, 12, list(itertools.permutations(range(3)))),            # S3
+    (2, 7, 12, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),                 # C3
+    (3, 5, 14, list(itertools.permutations(range(4)))),            # S4
+])
+def test_symmetric_rules(d, exactness, n_points, group):
+    assert (d, exactness) in SYMMETRIC_RULES
+    rule = quadrature(d, exactness)
+    assert rule.n_points == n_points
+    assert np.all((rule.points > 0) & (rule.points < 1))
+    assert np.all(rule.weights > 0)
+    assert np.allclose(rule.points.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    # each symmetry maps every point to a point of equal weight
+    for perm in group:
+        moved = rule.points[:, perm]
+        dist = np.abs(moved[:, None, :] - rule.points[None, :, :]).max(axis=2)
+        match = dist.argmin(axis=1)
+        assert np.all(dist.min(axis=1) < 1e-15)
+        assert sorted(match) == list(range(n_points))
+        assert np.array_equal(rule.weights[match], rule.weights)
+
+
+def test_symmetric_rules_agree_with_their_derivation():
+    tool = _derive_tool()
+    assert tool.check() == []
+
+
+def test_derivation_check_sees_a_changed_constant(monkeypatch):
+    tool = _derive_tool()
+    (kind, coords, weight), *rest = SYMMETRIC_RULES[3, 5]
+    changed = dict(SYMMETRIC_RULES)
+    changed[3, 5] = ((kind, (coords[0] + 1e-13,), weight), *rest)
+    monkeypatch.setattr(tool, "SYMMETRIC_RULES", changed)
+    failures = tool.check()
+    assert failures and all(f.startswith("(3, 5): ") for f in failures)
+    assert any("under polishing" in f for f in failures)
 
 
 def test_quadrature_unsupported_degree():
