@@ -20,8 +20,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 __all__ = ["ShapeFunctions", "QuadratureRule", "shape_functions", "quadrature",
-           "default_degree", "orbit", "orbit_rule", "LOCAL_EDGES",
-           "SYMMETRIC_RULES"]
+           "default_degree", "LOCAL_EDGES"]
 
 # local cell edges by local vertex pairs; fixes the midedge node order
 LOCAL_EDGES = {

@@ -3,8 +3,8 @@
 A space carries three fixed point sets: the cell quadrature points, the
 boundary-facet quadrature points and the velocity nodes.  Each has one rule
 per space, chosen by ``rules``: cells are exact to ``default_degree(d)``,
-boundary facets to two degrees more.  Their tables (quadrature rules, basis values, cell geometry)
-depend on the mesh alone and are built on first use.
+boundary facets to two degrees more.  Their tables (quadrature rules, basis
+values, cell geometry) depend on the mesh alone and are built on first use.
 
 ``map_samples(space, map_)`` returns the store through which assembly,
 boundary conditions and diagnostics read the map.  For one time level it

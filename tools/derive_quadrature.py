@@ -17,7 +17,7 @@ smallest weight, as the ``SYMMETRIC_RULES`` table to paste into
 ``elements.py``.  ``--check`` polishes each committed rule by Newton
 iteration from its committed values and fails unless the two agree to 1e-15.
 
-    python tools/derive_quadrature.py [--starts N] [--seed S]
+    python tools/derive_quadrature.py
     python tools/derive_quadrature.py --check
 """
 
@@ -46,6 +46,8 @@ STRUCTURE = {
     (3, 5): ("s31", "s31", "s22"),
 }
 TOLERANCE = 1e-15
+STARTS = 20  # random starts per rule
+SEED = 0
 
 
 def _n_coords(kind):
@@ -221,9 +223,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="check the committed rules instead of deriving")
-    parser.add_argument("--starts", type=int, default=20,
-                        help="random starts per rule (default 20)")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.check:
         failures = check()
@@ -231,12 +230,12 @@ def main(argv=None):
             print(failure, file=sys.stderr)
         print("committed rules: " + ("FAILED" if failures else "ok"))
         return 1 if failures else 0
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(SEED)
     rules = {}
     for key, kinds in STRUCTURE.items():
-        solutions = derive(key, args.starts, rng)
+        solutions = derive(key, STARTS, rng)
         if not solutions:
-            print(f"{key}: no valid rule from {args.starts} starts",
+            print(f"{key}: no valid rule from {STARTS} starts",
                   file=sys.stderr)
             return 1
         for x in solutions:
