@@ -68,6 +68,7 @@ class AssembledStep:
     rhs_u: np.ndarray
     t: float
     dt: float
+    time_coefficient: float     # alpha/dt: u^k's weight in the time derivative
 
     def triplets(self, block="A"):
         """Canonical COO triplets: duplicates summed, sorted row-major."""
@@ -479,7 +480,8 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
     if neumann_data is not None:
         rhs += _neumann_vector(space, map_, t_k, neumann_data)
 
-    return AssembledStep(A=A, B=B, rhs_u=rhs, t=t_k, dt=dt)
+    return AssembledStep(A=A, B=B, rhs_u=rhs, t=t_k, dt=dt,
+                         time_coefficient=alpha / dt)
 
 
 def _neumann_vector(space, map_, t, neumann_data):

@@ -238,7 +238,8 @@ def _cmd_info(args):
     print(f"time     : dt={cfg.time['dt']}, T={cfg.time['T']} "
           f"({cfg.n_steps} steps, {cfg.time['scheme']})")
     print(f"bcs      : {', '.join(sorted(cfg.bcs))}")
-    print(f"solver   : tolerance {cfg.solver['tolerance']:g}")
+    print(f"solver   : tolerance {cfg.solver['tolerance']:g}, linear solve: "
+          "float32 SuperLU factor, float64 FGMRES")
     cell, facet = rules(cfg.mesh["dimension"])
     print(f"quadrature: cell {cell.n_points} points (degree {cell.exactness}), "
           f"facet {facet.n_points} points (degree {facet.exactness})")

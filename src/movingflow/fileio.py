@@ -148,6 +148,13 @@ def _fmt(x):
     return f"{x:.16g}"
 
 
+def _rows(values, spec="%.16g"):
+    """The rows of a 2D array as one block of text lines, each value in
+    ``spec`` and joined by a space, made by one % operation."""
+    line = " ".join([spec] * values.shape[1])
+    return "\n".join([line] * len(values)) % tuple(values.ravel().tolist())
+
+
 def write_vtk(path, mesh, map_, t, u=None, p=None, q_criterion=False):
     """Write a legacy ASCII VTK unstructured grid at the deformed positions.
 
@@ -158,18 +165,17 @@ def write_vtk(path, mesh, map_, t, u=None, p=None, q_criterion=False):
     d = mesh.dimension
     pos = map_.position(mesh.vertices, t) if not _needs_cells(map_) \
         else map_.node_positions(t)
+    pad = np.zeros((mesh.n_vertices, 3 - d))
     lines = ["# vtk DataFile Version 3.0",
              f"movingflow t={_fmt(t)}",
              "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.n_vertices} double"]
-    for x in pos:
-        row = list(x) + [0.0] * (3 - d)
-        lines.append(" ".join(_fmt(v) for v in row))
+    lines.append(_rows(np.hstack([pos, pad])))
     nc = mesh.n_cells
     lines.append(f"CELLS {nc} {nc * (d + 2)}")
-    for conn in mesh.cells:
-        lines.append(" ".join([str(d + 1)] + [str(v) for v in conn]))
+    lines.append(_rows(np.hstack([np.full((nc, 1), d + 1), mesh.cells]),
+                       "%d"))
     lines.append(f"CELL_TYPES {nc}")
     ctype = "5" if d == 2 else "10"
     lines.extend([ctype] * nc)
@@ -178,19 +184,16 @@ def write_vtk(path, mesh, map_, t, u=None, p=None, q_criterion=False):
         lines.append(f"POINT_DATA {mesh.n_vertices}")
     if u is not None:
         lines.append("VECTORS velocity double")
-        nodal = u.nodal()[:mesh.n_vertices]
-        for x in nodal:
-            row = list(x) + [0.0] * (3 - d)
-            lines.append(" ".join(_fmt(v) for v in row))
+        lines.append(_rows(np.hstack([u.nodal()[:mesh.n_vertices], pad])))
         if q_criterion:
             q = _vertex_q_criterion(u, map_, t)
             lines.append("SCALARS q_criterion double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in q)
+            lines.append(_rows(q[:, None]))
     if p is not None:
         lines.append("SCALARS pressure double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in p.coefficients)
+        lines.append(_rows(p.coefficients[:, None]))
     Path(path).write_text("\n".join(lines) + "\n")
     return Path(path)
 
@@ -267,8 +270,9 @@ def read_checkpoint(path, space):
 # ---------------------------------------------------------------------------
 
 DIAGNOSTIC_COLUMNS = ("step", "time", "kinetic_energy", "divergence_residual",
-                      "linear_iterations", "linear_residual", "kinetic_rate",
-                      "dissipation", "boundary_work", "forcing_power")
+                      "linear_iterations", "linear_residual", "solver_event",
+                      "kinetic_rate", "dissipation", "boundary_work",
+                      "forcing_power")
 
 
 def write_diagnostics_csv(path, records):
@@ -279,6 +283,7 @@ def write_diagnostics_csv(path, records):
             for col in DIAGNOSTIC_COLUMNS:
                 v = rec.get(col)
                 row.append("" if v is None else
-                           (str(v) if isinstance(v, int) else _fmt(float(v))))
+                           str(v) if isinstance(v, (int, str)) else
+                           _fmt(float(v)))
             fh.write(",".join(row) + "\n")
     return Path(path)

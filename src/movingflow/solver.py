@@ -3,8 +3,9 @@
 Each implicit step assembles the linearized system (the advection field is
 the previous velocity minus the interpolated domain velocity), applies the
 boundary conditions by symmetric elimination and solves the sparse
-saddle-point system, whose pattern is fixed per space, with a direct
-factorization that later steps reuse as a Krylov preconditioner.
+saddle-point system, whose pattern is fixed per space, by a float64
+flexible GMRES preconditioned with a float32 sparse LU factor.  Later steps
+with the same time-derivative coefficient reuse that factor.
 
 Wall data on no-slip boundaries is the interpolated domain velocity; for
 mesh-sequence maps it is the backward difference quotient of the stored
@@ -227,6 +228,7 @@ class ConstrainedSystem:
     B: sp.csr_matrix               # the step's divergence block
     pin: int = None                # pressure dof set to 0 (gauge case)
     gauge_vector: np.ndarray = None
+    time_coefficient: float = None  # alpha/dt of the step
 
     @property
     def A(self):
@@ -292,50 +294,64 @@ def apply_boundary_conditions(step, bcs, space, map_, t, dt=None):
     return ConstrainedSystem(
         matrix=layout.matrix(A, B), rhs=np.concatenate([rhs_u, h]),
         n_u=space.n_velocity_dofs, n_p=space.n_pressure_dofs, bc_values=ub,
-        mask=mask, B=B, pin=layout.pin, gauge_vector=e)
+        mask=mask, B=B, pin=layout.pin, gauge_vector=e,
+        time_coefficient=step.time_coefficient)
+
+
+class _SinglePrecisionFactor:
+    """SuperLU factor of a float32 copy of a saddle matrix.
+
+    ``solve`` takes and returns float64 vectors; the casts to and from
+    float32 happen here and nowhere else.  An entry that float32 cannot
+    hold, or a non-finite one, raises a SolverError instead of becoming inf.
+    """
+
+    def __init__(self, K):
+        if not np.all(np.abs(K.data) <= np.finfo(np.float32).max):
+            raise SolverError("the saddle matrix has an entry outside the "
+                              "float32 range or a non-finite one")
+        self.lu = spla.splu(K.astype(np.float32))
+
+    def solve(self, v):
+        return self.lu.solve(v.astype(np.float32)).astype(np.float64)
 
 
 def _solve_direct(system, tolerance, cache=None):
-    """Direct solve with factorization reuse, in one of three ways, named
-    by ``info["solver_event"]``:
-
-    * ``fresh``: no factor yet; factor this step's matrix, solve and refine
-      once;
-    * ``reuse``: the cached factor of an earlier step preconditions a short
-      restarted GMRES, which controls the true residual.  It starts from
-      the extrapolation 2 x^{k-1} - x^{k-2} of the last two solutions that
-      ``cache`` holds (from x^{k-1} when it holds one);
-    * ``refactor``: that recurrence stalled; proceed as in ``fresh``.
-
-    A matrix of another shape than the cached factor's drops the factor and
-    the solution history.
+    """Solve the saddle system by the float64 flexible GMRES of
+    ``_solve_with_stale_factor`` with a float32 factor, from the
+    extrapolation 2 x^{k-1} - x^{k-2} of the solutions in ``cache``
+    (x^{k-1} if it holds one, zero if none).  ``info["solver_event"]`` names
+    the factor: ``fresh`` (none yet) and ``refactor`` (the cached one
+    stalled or was made for another alpha/dt) factor this step's matrix,
+    ``reuse`` keeps the cached one.  ``info["iterations"]`` counts GMRES
+    cycles.  Another shape drops the factor and the history; x is None when
+    the step's own factor misses ``tolerance``.
     """
     K, b = system.matrix, system.rhs
     cache = {} if cache is None else cache
     if cache.get("shape") != K.shape:
         cache.clear()
-    lu, history = cache.get("lu"), cache.get("history", [])
-    event = "fresh"
-    if lu is not None:
-        x0 = history[-1] if history else None
-        if len(history) == 2:
-            x0 = 2.0 * history[1] - history[0]
-        x, residuals = _solve_with_stale_factor(
-            K, lu, b, tolerance, target=min(tolerance * 1e-2, 1e-11), x0=x0)
+    history = cache.get("history", [])
+    x0 = 2.0 * history[1] - history[0] if len(history) == 2 else \
+        history[-1] if history else None
+    target = min(tolerance * 1e-2, 1e-11)
+    event, x, cycles = "fresh", None, 0
+    if "lu" in cache:
+        if cache["coefficient"] == system.time_coefficient:
+            x, residuals = _solve_with_stale_factor(K, cache["lu"], b,
+                                                    tolerance, target, x0=x0)
+            cycles = len(residuals) - 1
         event = "refactor" if x is None else "reuse"
-        iterations = len(residuals) - 1
-    if event != "reuse":
-        lu = cache["lu"] = spla.splu(K)
-        cache["shape"] = K.shape
-        scale = max(float(np.linalg.norm(b)), 1e-300)
-        x = lu.solve(b)
-        r = b - K @ x
-        x = x + lu.solve(r)
-        residuals = [float(np.linalg.norm(r)) / scale,
-                     float(np.linalg.norm(b - K @ x)) / scale]
-        iterations = len(residuals)
-    cache["history"] = [*history[-1:], x]
-    return x, {"iterations": iterations, "residual_history": residuals,
+    if x is None:
+        cache.pop("lu", None)    # two factors alive at once raise the peak RSS
+        cache.update(lu=_SinglePrecisionFactor(K), shape=K.shape,
+                     coefficient=system.time_coefficient)
+        x, residuals = _solve_with_stale_factor(K, cache["lu"], b, tolerance,
+                                                target, x0=x0)
+        cycles += len(residuals) - 1
+    if x is not None:
+        cache["history"] = [*history[-1:], x]
+    return x, {"iterations": cycles, "residual_history": residuals,
                "solver_event": event}
 
 
@@ -427,7 +443,10 @@ def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
         raise SolverError(f"map validation failed at step {k} "
                           f"(t={t_k:g}): {exc}", step=k) from exc
     tol = config.tolerance
-    x, info = _solve_direct(system, tol, cache=linear_cache)
+    try:
+        x, info = _solve_direct(system, tol, cache=linear_cache)
+    except SolverError as exc:
+        raise SolverError(f"step {k}: {exc}", step=k) from exc
     if not info["residual_history"][-1] <= tol:
         raise SolverError(f"{info['solver_event']} solve at step {k} left a "
                           f"residual above {tol:g}",

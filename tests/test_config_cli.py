@@ -77,7 +77,8 @@ def test_solver_block(tmp_path, capsys):
     path = minimal_config(tmp_path, solver={"type": "direct"})
     assert load_config(path).solver == {"tolerance": 1e-10, "temam": True}
     assert cli(["info", "--config", str(path)]) == 0
-    assert "solver   : tolerance 1e-10" in capsys.readouterr().out
+    assert ("solver   : tolerance 1e-10, linear solve: float32 SuperLU "
+            "factor, float64 FGMRES") in capsys.readouterr().out
     path = minimal_config(tmp_path, solver={"type": "gmres"})
     with pytest.raises(ConfigError) as err:
         load_config(path)

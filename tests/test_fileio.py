@@ -139,6 +139,62 @@ def test_vtk_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _wide_values(rng, n):
+    """Values spanning 1e-300 to 1e300 in magnitude and the special ones."""
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.8e308,
+               1.0, 0.1, 123456789.0]
+    wide = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+    return np.concatenate([special, wide])[rng.permutation(n + len(special))]
+
+
+def _per_value_vtk(mesh, map_, t, u, p, q):
+    """The legacy VTK text with every value formatted on its own."""
+    fmt = lambda x: f"{x:.16g}"
+    d, nc = mesh.dimension, mesh.n_cells
+    lines = ["# vtk DataFile Version 3.0", f"movingflow t={fmt(t)}", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_vertices} double"]
+    pad = [0.0] * (3 - d)
+    for x in map_.position(mesh.vertices, t):
+        lines.append(" ".join(fmt(v) for v in list(x) + pad))
+    lines.append(f"CELLS {nc} {nc * (d + 2)}")
+    for conn in mesh.cells:
+        lines.append(" ".join([str(d + 1)] + [str(v) for v in conn]))
+    lines += [f"CELL_TYPES {nc}"] + ["5" if d == 2 else "10"] * nc
+    lines += [f"POINT_DATA {mesh.n_vertices}", "VECTORS velocity double"]
+    for x in u.nodal()[:mesh.n_vertices]:
+        lines.append(" ".join(fmt(v) for v in list(x) + pad))
+    lines += ["SCALARS q_criterion double 1", "LOOKUP_TABLE default"]
+    lines += [fmt(v) for v in q]
+    lines += ["SCALARS pressure double 1", "LOOKUP_TABLE default"]
+    lines += [fmt(v) for v in p.coefficients]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_vtk_blocks_match_per_value_formatting(tmp_path, monkeypatch,
+                                               dimension):
+    from movingflow import fileio
+    rng = np.random.default_rng(dimension)
+    if dimension == 2:
+        mesh, map_ = generate_box(2, (5, 4)), IdentityMap(2)
+    else:           # 3D: no padding column
+        mesh = generate_tube(3, 2, lambda y: np.exp((y + 4) / 8), (-4.0, 4.0))
+        map_ = TubeShrinkMap()
+    space = TaylorHoodSpace(mesh)
+    u = DiscreteField(space, "velocity",
+                      _wide_values(rng, space.n_velocity_dofs - 11))
+    p = DiscreteField(space, "pressure",
+                      _wide_values(rng, space.n_pressure_dofs - 11))
+    q = _wide_values(rng, mesh.n_vertices - 11)
+    monkeypatch.setattr(fileio, "_vertex_q_criterion", lambda u, m, t: q)
+    path = write_vtk(tmp_path / "wide.vtk", mesh, map_, 0.3, u=u, p=p,
+                     q_criterion=True)
+    assert path.read_text() == _per_value_vtk(mesh, map_, 0.3, u, p, q)
+    rows = _wide_values(rng, 20000)[:19998].reshape(-1, 3)
+    assert fileio._rows(rows).split("\n") == \
+        [" ".join(f"{v:.16g}" for v in row) for row in rows]
+
+
 def test_vtk_q_criterion_rigid_rotation(tmp_path):
     mesh = generate_box(2, (3, 3))
     space = TaylorHoodSpace(mesh)
@@ -241,11 +297,13 @@ def test_checkpoint_rejects_mismatched_space(tmp_path):
 def test_diagnostics_csv(tmp_path):
     records = [{"step": 1, "time": 0.1, "kinetic_energy": 2.0,
                 "divergence_residual": 1e-13, "linear_iterations": 2,
-                "linear_residual": 1e-15, "kinetic_rate": -0.5,
-                "dissipation": 0.4, "boundary_work": 0.0,
-                "forcing_power": 0.1}]
+                "linear_residual": 1e-15, "solver_event": "refactor",
+                "kinetic_rate": -0.5, "dissipation": 0.4,
+                "boundary_work": 0.0, "forcing_power": 0.1}]
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(path, records)
     lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("step,time,kinetic_energy,divergence_residual")
-    assert lines[1].split(",")[0] == "1"
+    assert lines[0] == ("step,time,kinetic_energy,divergence_residual,"
+                        "linear_iterations,linear_residual,solver_event,"
+                        "kinetic_rate,dissipation,boundary_work,forcing_power")
+    assert lines[1] == "1,0.1,2,1e-13,2,1e-15,refactor,-0.5,0.4,0,0.1"

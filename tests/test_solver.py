@@ -658,17 +658,21 @@ def test_reuse_from_an_exact_start_makes_no_solve():
     assert len(residuals) == 1 and residuals[0] <= 1e-12
 
 
-def _counted_steps(monkeypatch, cold):
+def _counted_steps(monkeypatch, cold, scheme="backward-euler", stale=False,
+                   factors=None):
     """Four steps of manufactured_2d L1 from its exact initial state through
     one linear cache, with the solution history dropped before every step
-    when ``cold``; the final state and each step's event and LU solves."""
+    when ``cold``; the final state and each step's event and LU solves.
+    With ``stale`` the cached factor is marked as made for the BDF2
+    coefficient 1.5/dt, so that BDF2 steps reuse it.  ``factors`` collects
+    the factors made."""
     from movingflow import solver
     from movingflow.benchmarks import manufactured_2d
     case = manufactured_2d()
     space = TaylorHoodSpace(case.mesh_for_level(1))
     prob = FlowProblem(space=space, map=case.map, nu=case.nu,
                        bcs=case.boundary_conditions(), forcing=case.forcing)
-    factors = []
+    factors = [] if factors is None else factors
     original = solver.spla.splu
 
     def counted_splu(K):
@@ -682,12 +686,17 @@ def _counted_steps(monkeypatch, cold):
     state = make_state(space, interpolate(space, "velocity",
                                           at_start(case.velocity)),
                        interpolate(space, "pressure", at_start(case.pressure)))
-    cfg, cache, steps = SolverConfig(stress=case.stress), {}, []
+    cfg = SolverConfig(stress=case.stress, scheme=scheme)
+    cache, steps, prev = {}, [], None
     for _ in range(4):
         if cold:
             cache.pop("history", None)
+        if stale and "lu" in cache:
+            cache["coefficient"] = 1.5 / 0.01
         before = sum(f.solves for f in factors)
-        state, info = advance(state, prob, cfg, 0.01, linear_cache=cache)
+        new, info = advance(state, prob, cfg, 0.01, state_prev2=prev,
+                            linear_cache=cache)
+        state, prev = new, state
         steps.append((info["solver_event"],
                       sum(f.solves for f in factors) - before))
     sampling.release(space)
@@ -707,6 +716,7 @@ def test_warm_start_matches_cold_start_with_fewer_solves(monkeypatch):
 
 
 def test_solution_history_dropped_when_the_shape_changes():
+    from dataclasses import replace
     from movingflow.solver import _solve_direct
 
     def system(divisions):
@@ -723,7 +733,96 @@ def test_solution_history_dropped_when_the_shape_changes():
     for _ in range(2):
         _solve_direct(small, 1e-10, cache)
     assert [len(x) for x in cache["history"]] == [small.matrix.shape[0]] * 2
+    # another time coefficient makes a new factor and keeps the history
+    _, info = _solve_direct(replace(small, time_coefficient=15.0), 1e-10,
+                            cache)
+    assert info["solver_event"] == "refactor"
+    assert len(cache["history"]) == 2 and cache["coefficient"] == 15.0
+    assert info["residual_history"][0] <= 1e-10
     x, info = _solve_direct(large, 1e-10, cache)
     assert info["solver_event"] == "fresh"
     assert len(cache["history"]) == 1 and cache["history"][0] is x
     assert info["residual_history"][-1] <= 1e-10
+
+
+def test_bdf2_steps_refactor_for_their_own_time_coefficient(monkeypatch):
+    # step 1 of a bdf2 run is backward Euler (alpha/dt = 1/dt), the later
+    # steps have 1.5/dt: step 2 makes their factor and steps 3-4 reuse it
+    factors = []
+    own, own_steps = _counted_steps(monkeypatch, cold=False, scheme="bdf2",
+                                    factors=factors)
+    assert [e for e, _ in own_steps] == \
+        ["fresh", "refactor", "reuse", "reuse"]
+    assert len(factors) == 2
+    stale, stale_steps = _counted_steps(monkeypatch, cold=False,
+                                        scheme="bdf2", stale=True)
+    assert [e for e, _ in stale_steps] == ["fresh"] + ["reuse"] * 3
+    for (_, o), (_, s) in zip(own_steps[2:], stale_steps[2:]):
+        assert o < s
+    for a, b in ((own.u, stale.u), (own.p, stale.p)):
+        assert np.linalg.norm(a.coefficients - b.coefficients) <= \
+            1e-10 * np.linalg.norm(b.coefficients)
+
+
+# --- the single-precision factor ------------------------------------------------
+
+
+def _tube_problem():
+    radius = lambda y: np.exp((y + 4.0) / 8.0)
+    mesh = generate_tube(3, 2, radius, (-4.0, 4.0),
+                         labels={"inlet": dirichlet(1), "outlet": neumann(0)})
+    tube = TubeShrinkMap()
+    return FlowProblem(space=TaylorHoodSpace(mesh), map=tube, nu=0.04,
+                       bcs=BoundaryConditionSet({
+                           NOSLIP: NoslipBC(),
+                           dirichlet(1): DirichletBC(tube.velocity),
+                           neumann(0): NeumannBC(None)}))
+
+
+def _manufactured_problem():
+    from movingflow.benchmarks import manufactured_2d
+    case = manufactured_2d()
+    space = TaylorHoodSpace(case.mesh_for_level(1))
+    return FlowProblem(space=space, map=case.map, nu=case.nu,
+                       bcs=case.boundary_conditions(), forcing=case.forcing)
+
+
+@pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem])
+def test_fresh_float32_factor_meets_the_tolerance_in_one_cycle(problem):
+    prob = problem()
+    cfg = SolverConfig(stress="full-gradient")
+    state, info = advance(make_state(prob.space), prob, cfg, 0.02,
+                          linear_cache={})
+    assert info["solver_event"] == "fresh" and info["iterations"] == 1
+    assert len(info["residual_history"]) == 2
+    assert info["residual_history"][-1] <= cfg.tolerance
+    assert info["residual"] <= cfg.tolerance
+    sampling.release(prob.space)
+
+
+def test_a_fresh_factor_that_cannot_precondition_raises_with_the_step(
+        monkeypatch):
+    import scipy.sparse as sp
+    from movingflow import solver
+    from movingflow.solver import SolverError
+    original = solver.spla.splu
+    monkeypatch.setattr(solver.spla, "splu", lambda K: original(
+        sp.identity(K.shape[0], dtype=K.dtype, format="csc")))
+    prob = _manufactured_problem()
+    state = FlowState(4, 0.04, DiscreteField(prob.space, "velocity"),
+                      DiscreteField(prob.space, "pressure"))
+    with pytest.raises(SolverError, match="fresh solve at step 5") as err:
+        advance(state, prob, SolverConfig(), 0.01)
+    assert err.value.step == 5
+    assert err.value.residuals[-1] > SolverConfig().tolerance
+
+
+@pytest.mark.parametrize("nu", [1e39, np.nan])
+def test_entries_float32_cannot_hold_raise_instead_of_casting(nu):
+    from movingflow.solver import SolverError
+    prob = all_noslip_problem(generate_box(2, (2, 2)), nu=nu)
+    state = FlowState(2, 0.2, DiscreteField(prob.space, "velocity"),
+                      DiscreteField(prob.space, "pressure"))
+    with pytest.raises(SolverError, match="float32 range") as err:
+        advance(state, prob, SolverConfig(), 0.1)
+    assert err.value.step == 3
