@@ -9,10 +9,9 @@ semi-implicit (implicit step, lagged advection field).
 
 from .analysis import (ConvergenceTable, EnergyErrorReport, ErrorAccumulator,
                        convergence_study, energy_balance_terms, k_norm)
-from .assembly import (AssembledStep, assemble_step, boundary_flux_correction,
-                       convection_matrices, divergence_matrix, mass_matrix,
-                       piola_boundary_flux, rate_mass_matrix,
-                       smagorinsky_viscosity, viscous_matrix)
+from .assembly import (AssembledStep, assemble_step, convection_matrices,
+                       divergence_matrix, mass_matrix, piola_boundary_flux,
+                       rate_mass_matrix, smagorinsky_viscosity, viscous_matrix)
 from .benchmarks import (BenchmarkCase, benchmark_case, manufactured_2d,
                          tube_benchmark, verify_benchmark_fields)
 from .elements import QuadratureRule, ShapeFunctions, quadrature, shape_functions

@@ -49,9 +49,8 @@ __all__ = [
     "AssembledStep", "assemble_step", "weighted_mass_matrix", "mass_matrix",
     "rate_mass_matrix", "convection_matrices", "viscous_matrix",
     "divergence_matrix", "forcing_vector", "pressure_gauge_vector",
-    "piola_boundary_flux", "boundary_area", "boundary_flux_correction",
-    "boundary_normal_field", "velocity_at_points", "velocity_gradients",
-    "cell_quadrature_points", "smagorinsky_viscosity",
+    "piola_boundary_flux", "boundary_normal_field", "velocity_at_points",
+    "velocity_gradients", "cell_quadrature_points", "smagorinsky_viscosity",
 ]
 
 
@@ -278,21 +277,21 @@ def rate_mass_matrix(space, map_, t_k, t_prev, dt):
     return weighted_mass_matrix(space, (Jk - Jp) / dt)
 
 
-def convection_matrices(space, map_, t, w, *, temam_boundary=True):
+def convection_matrices(space, map_, t, w):
     """Convection block C and skew-symmetrizing block T for advection w.
 
     C[(i,a),(j,b)] = delta_ab int (z . grad phi_j) phi_i with z = J F^{-1} w;
     T is the by-parts divergence term -0.5[(z.grad phi_j) phi_i +
-    (z.grad phi_i) phi_j] plus, when ``temam_boundary``, the surface term
-    0.5 (z.n) phi_i phi_j on outflow (neumann) facets.
+    (z.grad phi_i) phi_j] plus the surface term 0.5 (z.n) phi_i phi_j on
+    outflow (neumann) facets.
     """
     data = cell_data(space)
     cells = map_samples(space, map_).cells(t)
     C = _convection_local(data, _ghat(data, geometry(space).inv, cells.Finv),
                           cells.J, data.weights, _nodal(w)[space.cell_nodes])
     T = -0.5 * (C + np.swapaxes(C, 1, 2))
-    Tb = _temam_boundary(space, map_, t, w) if temam_boundary else None
-    return _velocity_matrix(space, C), _velocity_matrix(space, T, boundary=Tb)
+    return _velocity_matrix(space, C), _velocity_matrix(
+        space, T, boundary=_temam_boundary(space, map_, t, w))
 
 
 def viscous_matrix(space, map_, t, nu, stress="symmetric", *,
@@ -341,10 +340,6 @@ def pressure_gauge_vector(space, map_, t):
 # ---------------------------------------------------------------------------
 
 
-def boundary_area(space):
-    return float(space.mesh.boundary_facet_areas().sum())
-
-
 def piola_boundary_flux(space, map_, t, values):
     """Surface integral of the transformed normal flux of a nodal velocity
     field: int_boundary (J F^{-T} n) . v_h ds over all boundary facets."""
@@ -353,14 +348,6 @@ def piola_boundary_flux(space, map_, t, values):
     vq = fd.vals @ _nodal_values(space, values)[fd.nodes]   # (nbf, nqf, d)
     return float(np.sum(fd.weights *
                         np.einsum("fqd,fqd->fq", facets.conormal, vq)))
-
-
-def boundary_flux_correction(space, map_, t, boundary_values):
-    """Flux of the interpolated boundary data divided by the boundary area:
-    the constant whose subtraction along the outward normal field restores
-    discrete compatibility of the data when no outflow boundary exists."""
-    flux = piola_boundary_flux(space, map_, t, boundary_values)
-    return flux / boundary_area(space)
 
 
 def boundary_normal_field(space):
@@ -428,7 +415,7 @@ def velocity_gradients(space, field):
 
 def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
                   forcing=None, neumann_data=None, *, stress="symmetric",
-                  temam=True, smagorinsky=None, scheme="backward-euler",
+                  smagorinsky=None, scheme="backward-euler",
                   u_prev2=None, t_prev2=None):
     """Assemble the sparse blocks of one implicit time step.
 
@@ -468,9 +455,9 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
         gradient_terms, geo.inv, cells.Finv, Jk, W,
         _nodal(w)[space.cell_nodes], geo.cell_diam)
     scalar = _mass_local(data, W * (Jtime * (alpha / dt) + 0.5 * Jdot)) + visc
-    scalar += 0.5 * (C - np.swapaxes(C, 1, 2)) if temam else C   # C + T
-    Tb = _temam_boundary(space, map_, t_k, w) if temam else None
-    A = _velocity_matrix(space, scalar, coupling, Tb)
+    scalar += 0.5 * (C - np.swapaxes(C, 1, 2))                   # C + T
+    A = _velocity_matrix(space, scalar, coupling,
+                         _temam_boundary(space, map_, t_k, w))
     B = _pressure_matrix(space, Bloc)
 
     rhs = _sum(space.cell_nodes, _mass_local(data, W * Jtime) @

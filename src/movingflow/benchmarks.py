@@ -1,10 +1,11 @@
 """Built-in verification cases with closed-form exact solutions.
 
 Each case carries the exact velocity, velocity gradient, pressure and
-forcing in physical coordinates, twice: as vectorized numpy closures (used
-by the solver and error norms) and as expression strings (used by the
-independent strong-form residual check in :func:`verify_benchmark_fields`,
-which differentiates the parsed expression trees exactly).
+forcing in physical coordinates once, as vectorized numpy closures.  The
+runs, error norms and boundary data call them, and the strong-form residual
+check :func:`verify_benchmark_fields` differentiates the same closures by
+complex step, so it checks the code the runs execute.  The closures accept
+complex points and per-point time arrays for that purpose.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import parse_expression
 from .maps import AxisScalingMap, TubeShrinkMap
 from .meshing import dirichlet, generate_box, generate_tube, refine_uniform
 from .solver import BoundaryConditionSet, DirichletBC, NeumannBC, NoslipBC
@@ -39,15 +39,12 @@ class BenchmarkCase:
     _mesh_factory: object
     _nominal_h: object
     _bc_factory: object
-    velocity_exprs: tuple
-    pressure_expr: str
-    forcing_exprs: tuple
     _reference_sampler: object
     _mesh_cache: dict = field(default_factory=dict)
 
     def mesh_for_level(self, level):
         if level not in self._mesh_cache:
-            self._mesh_cache[level] = self._mesh_factory(level, self._mesh_cache)
+            self._mesh_cache[level] = self._mesh_factory(self, level)
         return self._mesh_cache[level]
 
     def nominal_h(self, level):
@@ -90,7 +87,7 @@ def _tube_fields(nu):
 
     def velocity_gradient(X, t):
         x1, y, x3, E, q, r2 = parts(X, t)
-        G = np.empty((len(X), 3, 3))
+        G = np.empty((len(X), 3, 3), dtype=X.dtype)
         G[:, 0, 0] = -2.0 * E * q * (3.0 * x1 ** 2 + x3 ** 2)
         G[:, 0, 1] = 0.5 * E * q * x1 * r2
         G[:, 0, 2] = -4.0 * E * q * x1 * x3
@@ -118,25 +115,6 @@ def _tube_fields(nu):
     return velocity, velocity_gradient, pressure, forcing
 
 
-def _tube_exprs(nu):
-    E = "exp(-(x2+4)/4)"
-    q = "(4-t)^2"
-    r2 = "(x1^2+x3^2)"
-    vel = (
-        f"-2*{E}*{r2}*x1/{q}",
-        f"8/(4-t) - 32*{E}*{r2}/{q}",
-        f"-2*{E}*{r2}*x3/{q}",
-    )
-    pres = (f"(512*{nu}*{E} - 8*x2 + 32 - 512*{nu}*exp(-2))/{q}")
-    radial = f"({nu}*{E}*(16 + {r2}/8)/{q} - 4*exp(-(x2+4)/2)*{r2}^2/{q}^2)"
-    forc = (
-        f"{radial}*x1",
-        f"2*{nu}*{E}*{r2}/{q} - 128*exp(-(x2+4)/2)*{r2}^2/{q}^2",
-        f"{radial}*x3",
-    )
-    return vel, pres, forc
-
-
 def tube_benchmark():
     """Shrinking axisymmetric tube with a known analytic solution.
 
@@ -150,9 +128,8 @@ def tube_benchmark():
     nu = _TUBE_NU
     map_ = TubeShrinkMap()
     velocity, velocity_gradient, pressure, forcing = _tube_fields(nu)
-    vexprs, pexpr, fexprs = _tube_exprs(nu)
 
-    def mesh_factory(level, cache):
+    def mesh_factory(case, level):
         if level not in _TUBE_LEVELS:
             raise ValueError(f"tube case defines levels {sorted(_TUBE_LEVELS)}")
         na, nr = _TUBE_LEVELS[level]
@@ -191,8 +168,7 @@ def tube_benchmark():
         velocity_gradient=velocity_gradient, pressure=pressure,
         forcing=forcing, _mesh_factory=mesh_factory,
         _nominal_h=lambda level: 2.0 ** (-(level - 1) / 2.0),
-        _bc_factory=bc_factory, velocity_exprs=vexprs, pressure_expr=pexpr,
-        forcing_exprs=fexprs, _reference_sampler=sampler)
+        _bc_factory=bc_factory, _reference_sampler=sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +192,7 @@ def _manufactured_fields(nu):
     def velocity_gradient(X, t):
         x, y = X[:, 0], X[:, 1]
         c = np.cos(t)
-        G = np.empty((len(X), 2, 2))
+        G = np.empty((len(X), 2, 2), dtype=X.dtype)
         G[:, 0, 0] = pi ** 2 * np.cos(pi * x) * np.cos(pi * y) * c
         G[:, 0, 1] = -pi ** 2 * np.sin(pi * x) * np.sin(pi * y) * c
         G[:, 1, 0] = pi ** 2 * np.sin(pi * x) * np.sin(pi * y) * c
@@ -244,24 +220,6 @@ def _manufactured_fields(nu):
     return velocity, velocity_gradient, pressure, forcing
 
 
-def _manufactured_exprs(nu):
-    vel = (
-        "pi*sin(pi*x1)*cos(pi*x2)*cos(t)",
-        "-pi*cos(pi*x1)*sin(pi*x2)*cos(t)",
-    )
-    pres = ("cos(pi*x1)*cos(pi*x2)*cos(t)"
-            " - sin(pi*(1+0.1*t))*sin(pi/(1+0.1*t))*cos(t)/pi^2")
-    forc = (
-        f"-pi*sin(pi*x1)*cos(pi*x2)*sin(t) + pi^3/2*cos(t)^2*sin(2*pi*x1)"
-        f" + 2*{nu}*pi^3*sin(pi*x1)*cos(pi*x2)*cos(t)"
-        f" - pi*sin(pi*x1)*cos(pi*x2)*cos(t)",
-        f"pi*cos(pi*x1)*sin(pi*x2)*sin(t) + pi^3/2*cos(t)^2*sin(2*pi*x2)"
-        f" - 2*{nu}*pi^3*cos(pi*x1)*sin(pi*x2)*cos(t)"
-        f" - pi*cos(pi*x1)*sin(pi*x2)*cos(t)",
-    )
-    return vel, pres, forc
-
-
 def manufactured_2d():
     """Stream-function solution on an area-preserving stretching square.
 
@@ -277,14 +235,13 @@ def manufactured_2d():
         scales=[lambda t: 1.0 + _ALPHA * t, lambda t: 1.0 / (1.0 + _ALPHA * t)],
         rates=[lambda t: _ALPHA, lambda t: -_ALPHA / (1.0 + _ALPHA * t) ** 2])
     velocity, velocity_gradient, pressure, forcing = _manufactured_fields(nu)
-    vexprs, pexpr, fexprs = _manufactured_exprs(nu)
 
-    def mesh_factory(level, cache):
+    def mesh_factory(case, level):
         if level == 1:
             faces = ("xmin", "xmax", "ymin", "ymax")
             return generate_box(2, (8, 8),
                                 labels={f: dirichlet(0) for f in faces})
-        return refine_uniform(cache_get(cache, level - 1, mesh_factory))
+        return refine_uniform(case.mesh_for_level(level - 1))
 
     def bc_factory():
         def data(X_ref, t):
@@ -301,14 +258,7 @@ def manufactured_2d():
         velocity_gradient=velocity_gradient, pressure=pressure,
         forcing=forcing, _mesh_factory=mesh_factory,
         _nominal_h=lambda level: 2.0 ** (-(level - 1)),
-        _bc_factory=bc_factory, velocity_exprs=vexprs, pressure_expr=pexpr,
-        forcing_exprs=fexprs, _reference_sampler=sampler)
-
-
-def cache_get(cache, level, factory):
-    if level not in cache:
-        cache[level] = factory(level, cache)
-    return cache[level]
+        _bc_factory=bc_factory, _reference_sampler=sampler)
 
 
 _CASES = {"tube": tube_benchmark, "manufactured-2d": manufactured_2d}
@@ -328,72 +278,58 @@ def benchmark_case(name):
 
 
 def verify_benchmark_fields(case, n_samples=100, seed=20240, times=None):
-    """Check the transcribed exact fields against the strong equations.
+    """Check the case's exact fields against the strong equations.
 
-    The case's expression strings are parsed and differentiated exactly on
-    the tree; the pointwise momentum residual, the velocity divergence, and
-    the mismatch between expressions and the numpy closures are returned
-    (all should sit at roundoff level for a correct transcription).
+    The derivatives come from the case's own closures by complex step:
+    ``u_t`` from ``velocity``, the Laplacian (and ``grad div u`` for the
+    symmetric stress) from ``velocity_gradient`` and ``grad p`` from
+    ``pressure``.  Returned are the pointwise momentum residual against
+    ``forcing``, the divergence (the trace of ``velocity_gradient``) and the
+    mismatch between ``velocity_gradient`` and the complex-step derivative
+    of ``velocity``; all sit at roundoff level for a correct transcription.
     """
     rng = np.random.default_rng(seed)
     d = case.dimension
-    names = tuple(f"x{i + 1}" for i in range(d)) + ("t",)
-    u = [parse_expression(e, names) for e in case.velocity_exprs]
-    p = parse_expression(case.pressure_expr, names)
-    f = [parse_expression(e, names) for e in case.forcing_exprs]
-    xs = [f"x{i + 1}" for i in range(d)]
-    du_t = [ui.derivative("t") for ui in u]
-    du = [[ui.derivative(x) for x in xs] for ui in u]
-    d2u = [[[dij.derivative(x) for x in xs] for dij in row] for row in du]
-    dp = [p.derivative(x) for x in xs]
-
     ref = case.sample_reference_points(rng, n_samples)
     ts = rng.uniform(0.0, case.T, n_samples) if times is None \
         else np.resize(np.asarray(times, dtype=float), n_samples)
     phys = np.vstack([case.map.position(ref[i:i + 1], ts[i])
                       for i in range(n_samples)])
 
-    env_all = {name: phys[:, i] for i, name in enumerate(xs)}
-    env_all["t"] = ts
-
-    def ev(expr):
-        return np.broadcast_to(np.asarray(expr(**env_all), dtype=float),
-                               (n_samples,))
-
-    uv = np.stack([ev(ui) for ui in u], axis=1)
-    G = np.array([[ev(du[i][j]) for j in range(d)] for i in range(d)])
-    G = np.moveaxis(G, -1, 0)                      # (n, d, d): du_i/dx_j
-    lap = np.stack([sum(ev(d2u[i][j][j]) for j in range(d))
-                    for i in range(d)], axis=1)
-    gradp = np.stack([ev(dpi) for dpi in dp], axis=1)
-    fv = np.stack([ev(fi) for fi in f], axis=1)
-    ut = np.stack([ev(di) for di in du_t], axis=1)
-
-    conv = np.einsum("nij,nj->ni", G, uv)
-    visc = lap.copy()
+    u = case.velocity(phys, ts)
+    G = case.velocity_gradient(phys, ts)           # (n, d, d): du_a/dx_b
+    ut = _complex_step(case.velocity, phys, ts)
+    dG = [_complex_step(case.velocity_gradient, phys, ts, j) for j in range(d)]
+    gradp = np.stack([_complex_step(case.pressure, phys, ts, j)
+                      for j in range(d)], axis=1)
+    visc = np.stack([sum(dG[j][:, a, j] for j in range(d))
+                     for a in range(d)], axis=1)
     if case.stress == "symmetric":
-        # add grad(div u): d/dx_i sum_j du_j/dx_j
-        for i in range(d):
-            visc[:, i] += sum(ev(d2u[j][j][i]) for j in range(d))
-    residual = ut + conv + gradp - case.nu * visc - fv
-    divergence = np.einsum("nii->n", G)
-
-    mism = 0.0
-    for i in range(n_samples):
-        Xi = phys[i:i + 1]
-        ti = ts[i]
-        mism = max(mism, float(np.max(np.abs(case.velocity(Xi, ti) - uv[i]))))
-        mism = max(mism, float(np.max(np.abs(case.velocity_gradient(Xi, ti) - G[i]))))
-        mism = max(mism, float(np.max(np.abs(case.forcing(Xi, ti) - fv[i]))))
-        mism = max(mism, float(abs(case.pressure(Xi, ti)[0] - ev_point(p, Xi, ti, xs))))
+        # add grad(div u): d/dx_a sum_j du_j/dx_j
+        visc += np.stack([np.einsum("njj->n", dG[a]) for a in range(d)],
+                         axis=1)
+    conv = np.einsum("nab,nb->na", G, u)
+    residual = ut + conv + gradp - case.nu * visc - case.forcing(phys, ts)
+    mism = max(float(np.max(np.abs(
+        G[:, :, j] - _complex_step(case.velocity, phys, ts, j))))
+        for j in range(d))
     return {
         "max_momentum_residual": float(np.max(np.abs(residual))),
-        "max_divergence": float(np.max(np.abs(divergence))),
+        "max_divergence": float(np.max(np.abs(np.einsum("nii->n", G)))),
         "max_field_mismatch": mism,
     }
 
 
-def ev_point(expr, X, t, xs):
-    env = {name: X[0, i] for i, name in enumerate(xs)}
-    env["t"] = t
-    return float(expr(**env))
+_STEP = 1e-30
+
+
+def _complex_step(fn, X, t, j=None):
+    """Derivative of ``fn(X, t)`` along x_j, or along t when ``j`` is None,
+    from one complex-step evaluation Im fn(x + ih e_j) / h: no difference is
+    taken, so it is exact to roundoff (Squire & Trapp 1998)."""
+    Z = X.astype(complex)
+    if j is None:
+        t = t + 1j * _STEP
+    else:
+        Z[:, j] += 1j * _STEP
+    return fn(Z, t).imag / _STEP

@@ -10,13 +10,10 @@ input fails with the offending field path.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError, evaluate, parse_expression
 from .maps import (AxisScalingMap, IdentityMap, TubeShrinkMap,
                    load_mesh_sequence, parse_map_expressions)
 from .meshing import BoundaryLabel, build_connectivity, generate_box, generate_tube
@@ -170,18 +167,19 @@ def validate_config(data, base_dir="."):
     if unknown:
         raise ConfigError(f"solver.{unknown[0]}", "unknown field")
     # configs of earlier versions may still name the one solver there is
+    # and the one (skew-symmetric) convection form
     stype = _optional(solver, "type", "direct", str, "solver")
     if stype != "direct":
         raise ConfigError("solver.type", f"unknown solver type {stype!r} "
                           "(the only one is 'direct')")
+    if not _optional(solver, "temam", True, bool, "solver"):
+        raise ConfigError("solver.temam", "the skew-symmetric convection "
+                          "form is the only one")
     tol = _optional(solver, "tolerance", SolverConfig.tolerance, (int, float),
                     "solver")
     if tol <= 0:
         raise ConfigError("solver.tolerance", "must be positive")
-    out["solver"] = {
-        "tolerance": tol,
-        "temam": _optional(solver, "temam", True, bool, "solver"),
-    }
+    out["solver"] = {"tolerance": tol}
 
     bench = _optional(data, "benchmark", None, dict, "(root)")
     if bench is not None:
@@ -402,15 +400,7 @@ def build_map(cfg, mesh):
 def _vector_expression_fn(exprs, dim):
     names = tuple(f"x{i + 1}" for i in range(dim)) + ("t",)
     parsed = [parse_expression(e, names) for e in exprs]
-
-    def fn(X, t):
-        env = {f"x{i + 1}": X[:, i] for i in range(dim)}
-        env["t"] = t
-        cols = [np.broadcast_to(np.asarray(p(**env), dtype=float), (len(X),))
-                for p in parsed]
-        return np.stack(cols, axis=1)
-
-    return fn
+    return lambda X, t: evaluate(parsed, X, t)
 
 
 def build_boundary_conditions(cfg, mesh):
@@ -446,5 +436,4 @@ def build_solver_config(cfg):
         tolerance=cfg.solver["tolerance"],
         scheme=cfg.time["scheme"],
         smagorinsky=None if smag is None else smag["cs"],
-        stress=cfg.physics["stress"],
-        temam=cfg.solver["temam"])
+        stress=cfg.physics["stress"])

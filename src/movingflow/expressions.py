@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Expression", "ExpressionError", "parse_expression"]
+__all__ = ["Expression", "ExpressionError", "parse_expression", "evaluate"]
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -427,3 +427,13 @@ def parse_expression(source, variables=("x1", "x2", "x3", "t")):
     """Parse ``source`` into an Expression over the given variable names."""
     root = _Parser(source, set(variables)).parse()
     return Expression(root, source, variables)
+
+
+def evaluate(expressions, X, t):
+    """Values of expressions over x1..xd (the columns of ``X``) and ``t``,
+    as an (n, k) array: one column per expression, constants broadcast."""
+    env = {f"x{i + 1}": X[:, i] for i in range(X.shape[1])}
+    env["t"] = t
+    n = len(X)
+    return np.stack([np.broadcast_to(np.asarray(e(**env), dtype=float), (n,))
+                     for e in expressions], axis=1)

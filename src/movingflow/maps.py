@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError, evaluate, parse_expression
 
 __all__ = [
     "SpaceTimeMap", "MappingSample", "MapValidationReport", "SingularMappingError",
@@ -245,42 +245,21 @@ class ExpressionMap(SpaceTimeMap):
     def __init__(self, expressions):
         self.expressions = tuple(expressions)
         self.dimension = len(self.expressions)
-        names = [f"x{i + 1}" for i in range(self.dimension)]
-        self._names = names
-        self._grad = [[e.derivative(n) for n in names] for e in self.expressions]
+        d = self.dimension
+        # row-major dxi_i/dx_j, reshaped to F after evaluation
+        self._grad = [e.derivative(f"x{j + 1}") for e in self.expressions
+                      for j in range(d)]
         self._rate = [e.derivative("t") for e in self.expressions]
 
-    @property
-    def sources(self):
-        return tuple(e.source for e in self.expressions)
-
-    def _env(self, points, t):
-        pts = _as_points(points, self.dimension)
-        env = {n: pts[:, i] for i, n in enumerate(self._names)}
-        env["t"] = t
-        return pts, env
-
-    def _eval(self, expr, env, n):
-        return np.broadcast_to(np.asarray(expr(**env), dtype=float), (n,))
-
     def position(self, points, t):
-        pts, env = self._env(points, t)
-        n = pts.shape[0]
-        return np.stack([self._eval(e, env, n) for e in self.expressions], axis=1)
+        return evaluate(self.expressions, _as_points(points, self.dimension), t)
 
     def gradient(self, points, t, cells=None):
-        pts, env = self._env(points, t)
-        n = pts.shape[0]
-        F = np.empty((n, self.dimension, self.dimension))
-        for i, row in enumerate(self._grad):
-            for j, d in enumerate(row):
-                F[:, i, j] = self._eval(d, env, n)
-        return F
+        d = self.dimension
+        return evaluate(self._grad, _as_points(points, d), t).reshape(-1, d, d)
 
     def velocity(self, points, t, cells=None):
-        pts, env = self._env(points, t)
-        n = pts.shape[0]
-        return np.stack([self._eval(r, env, n) for r in self._rate], axis=1)
+        return evaluate(self._rate, _as_points(points, self.dimension), t)
 
 
 def parse_map_expressions(source, dimension):
@@ -301,7 +280,8 @@ class MeshSequenceMap(SpaceTimeMap):
     The gradient F is the piecewise-constant gradient of the piecewise-linear
     nodal displacement per cell; the velocity is the slope of the current
     frame interval (equivalently, the backward difference quotient of the
-    frame positions).
+    frame positions).  Points are evaluated in the cell given for each
+    (``cells``); the map does no point location.
     """
 
     kind = "mesh-sequence"
@@ -349,28 +329,16 @@ class MeshSequenceMap(SpaceTimeMap):
 
     # -- field evaluation -----------------------------------------------------
 
-    def locate_cells(self, points):
-        """Brute-force point location in the reference mesh."""
-        pts = _as_points(points, self.dimension)
-        verts = self.mesh.vertices
-        cells = self.mesh.cells
-        out = np.full(pts.shape[0], -1, dtype=int)
-        for i, p in enumerate(pts):
-            rel = p - verts[cells[:, 0]]
-            edge = verts[cells[:, 1:]] - verts[cells[:, 0]][:, None, :]
-            lam = np.linalg.solve(np.swapaxes(edge, 1, 2), rel[..., None])[..., 0]
-            ok = (lam >= -1e-12).all(axis=1) & (lam.sum(axis=1) <= 1.0 + 1e-12)
-            hit = np.flatnonzero(ok)
-            if hit.size == 0:
-                raise ValueError(f"point {p.tolist()} is outside the reference mesh")
-            out[i] = hit[0]
-        return out
+    @staticmethod
+    def _cells(cells):
+        if cells is None:
+            raise ValueError("a mesh-sequence map is evaluated per cell: "
+                             "pass the cell index of each point")
+        return np.asarray(cells, dtype=int)
 
     def _nodal_field_at(self, nodal, points, cells):
         pts = _as_points(points, self.dimension)
-        if cells is None:
-            cells = self.locate_cells(pts)
-        cells = np.asarray(cells, dtype=int)
+        cells = self._cells(cells)
         verts = self.mesh.vertices
         conn = self.mesh.cells[cells]
         rel = pts - verts[conn[:, 0]]
@@ -386,10 +354,7 @@ class MeshSequenceMap(SpaceTimeMap):
         return self._nodal_field_at(self.node_velocities(t), points, cells)
 
     def gradient(self, points, t, cells=None):
-        pts = _as_points(points, self.dimension)
-        if cells is None:
-            cells = self.locate_cells(pts)
-        cells = np.asarray(cells, dtype=int)
+        cells = self._cells(cells)
         pos = self.node_positions(t)
         conn = self.mesh.cells[cells]
         # F = sum_v pos_v (grad lambda_v)^T, constant per cell
@@ -478,10 +443,11 @@ def validate_assumptions(map_, mesh, times, thresholds=DEFAULT_THRESHOLDS):
     pts = np.vstack([mesh.vertices, bary])
     cells = None
     if isinstance(map_, MeshSequenceMap):
-        # vertices get an arbitrary incident cell; barycenters their own cell
+        # vertices get an incident cell (F is constant per cell and every
+        # cell is sampled at its barycenter, so any one gives the same
+        # report); barycenters their own cell
         vcell = np.zeros(len(mesh.vertices), dtype=int)
-        for c, conn in enumerate(mesh.cells):
-            vcell[conn] = c
+        vcell[mesh.cells] = np.arange(len(mesh.cells))[:, None]
         cells = np.concatenate([vcell, np.arange(len(mesh.cells))])
 
     eye = np.eye(map_.dimension)

@@ -137,9 +137,6 @@ class SimplicialMesh:
         normal[flip] *= -1.0
         return normal
 
-    def labels_present(self):
-        return sorted({str(lbl) for lbl in self.boundary_labels})
-
     def has_neumann_boundary(self):
         return any(lbl.kind == "neumann" for lbl in self.boundary_labels)
 

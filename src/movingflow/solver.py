@@ -127,7 +127,6 @@ class SolverConfig:
     scheme: str = "backward-euler"           # 'backward-euler' | 'bdf2'
     smagorinsky: float = None                # eddy constant C_s, or None
     stress: str = "symmetric"                # 'symmetric' | 'full-gradient'
-    temam: bool = True
 
     def __post_init__(self):
         if self.scheme not in ("backward-euler", "bdf2"):
@@ -432,7 +431,7 @@ def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
             space, map_, t_k, state.t, dt, w, state.u, problem.nu,
             forcing=problem.forcing,
             neumann_data=problem.bcs.neumann_tractions(),
-            stress=config.stress, temam=config.temam,
+            stress=config.stress,
             smagorinsky=config.smagorinsky,
             scheme="bdf2" if bdf2 else "backward-euler",
             u_prev2=state_prev2.u if bdf2 else None,

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import LOCAL_EDGES, shape_functions
-
 __all__ = ["TaylorHoodSpace", "DiscreteField", "interpolate",
            "INTERIOR", "NOSLIP_NODE", "DIRICHLET_NODE", "NEUMANN_NODE"]
 
@@ -110,19 +108,10 @@ class TaylorHoodSpace:
         return np.flatnonzero((self.node_kind == NOSLIP_NODE) |
                               (self.node_kind == DIRICHLET_NODE))
 
-    def boundary_nodes(self):
-        return np.flatnonzero(self.node_kind != INTERIOR)
-
     def constrained_dof_mask(self):
         mask = np.zeros(self.n_velocity_dofs, dtype=bool)
         mask[self.velocity_dofs_of_nodes(self.constrained_nodes())] = True
         return mask
-
-    def velocity_basis(self):
-        return shape_functions(2, self.dimension)
-
-    def pressure_basis(self):
-        return shape_functions(1, self.dimension)
 
 
 @dataclass

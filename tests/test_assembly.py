@@ -6,8 +6,8 @@ from movingflow import assembly, sampling
 from movingflow.elements import default_degree
 from movingflow.maps import (AxisScalingMap, IdentityMap, TubeShrinkMap,
                              parse_map_expressions)
-from movingflow.meshing import (generate_box, generate_tube, neumann,
-                                reference_simplex_mesh)
+from movingflow.meshing import (dirichlet, generate_box, generate_tube,
+                                neumann, reference_simplex_mesh)
 from movingflow.spaces import DiscreteField, TaylorHoodSpace, interpolate
 
 
@@ -66,8 +66,7 @@ def test_step_composition_identity_map(two_triangles):
     space = two_triangles
     zero = DiscreteField(space, "velocity")
     step = assembly.assemble_step(space, IdentityMap(2), 0.1, 0.0, 0.1,
-                                  zero, zero, 1.3, stress="symmetric",
-                                  temam=False)
+                                  zero, zero, 1.3, stress="symmetric")
     expected = naive_fem.mass(space, 6) / 0.1 + \
         naive_fem.viscous(space, 1.3, "symmetric", 6)
     assert np.abs(step.A.toarray() - expected).max() < 1e-10
@@ -78,8 +77,7 @@ def test_step_interior_block_is_spd(two_triangles):
     space = two_triangles
     zero = DiscreteField(space, "velocity")
     step = assembly.assemble_step(space, IdentityMap(2), 0.1, 0.0, 0.1,
-                                  zero, zero, 1.0, stress="symmetric",
-                                  temam=False)
+                                  zero, zero, 1.0, stress="symmetric")
     interior = ~space.constrained_dof_mask()
     A = step.A.toarray()[np.ix_(interior, interior)]
     assert np.abs(A - A.T).max() < 1e-12
@@ -174,18 +172,23 @@ def test_skew_symmetry_boundary_vanishing(dim):
 
 
 def test_temam_boundary_term_on_outflow_facets():
-    # with an outflow boundary, v^T (C+T) v equals the retained surface term
-    mesh = generate_box(2, (2, 2), labels={"xmax": neumann(0)})
-    space = TaylorHoodSpace(mesh)
+    # with an outflow boundary, v^T (C+T) v equals the retained surface term;
+    # the same box with xmax labelled dirichlet has the same cells and dofs
+    # and no neumann facets, so its T lacks exactly that term
     rng = np.random.default_rng(4)
-    w = DiscreteField(space, "velocity",
-                      rng.standard_normal(space.n_velocity_dofs))
-    C, T = assembly.convection_matrices(space, IdentityMap(2), 0.0, w)
-    v = rng.standard_normal(space.n_velocity_dofs)
+    blocks = []
+    for label in (neumann(0), dirichlet(1)):
+        space = TaylorHoodSpace(generate_box(2, (2, 2),
+                                             labels={"xmax": label}))
+        if not blocks:
+            w = rng.standard_normal(space.n_velocity_dofs)
+            v = rng.standard_normal(space.n_velocity_dofs)
+        blocks.append(assembly.convection_matrices(
+            space, IdentityMap(2), 0.0, DiscreteField(space, "velocity", w)))
+    (C, T), (_, T0) = blocks
     quad_form = v @ ((C + T) @ v)
-    C0, T0 = assembly.convection_matrices(space, IdentityMap(2), 0.0, w,
-                                          temam_boundary=False)
     surface = v @ ((T - T0) @ v)
+    assert abs(surface) > 1e-3
     assert abs(quad_form - surface) < 1e-11 * (1 + abs(quad_form))
 
 
@@ -239,8 +242,6 @@ def test_flux_of_constant_field_closed_boundary():
                         lambda X: np.tile([0.3, -0.7, 1.1], (len(X), 1)))
     flux = assembly.piola_boundary_flux(space, IdentityMap(3), 0.0, const)
     assert abs(flux) < 1e-12
-    c = assembly.boundary_flux_correction(space, IdentityMap(3), 0.0, const)
-    assert abs(c) < 1e-12
 
 
 def test_flux_of_position_field_unit_cube():
@@ -248,8 +249,6 @@ def test_flux_of_position_field_unit_cube():
     position = interpolate(space, "velocity", lambda X: X)
     flux = assembly.piola_boundary_flux(space, IdentityMap(3), 0.0, position)
     assert abs(flux - 3.0) < 1e-12          # divergence theorem: div x = 3
-    c = assembly.boundary_flux_correction(space, IdentityMap(3), 0.0, position)
-    assert abs(c - 0.5) < 1e-12             # boundary area 6
 
 
 def test_wall_velocity_flux_equals_volume_rate():
@@ -267,10 +266,10 @@ def test_wall_velocity_flux_equals_volume_rate():
 
 
 def test_compatible_data_correction_decays_under_refinement():
-    # for data with vanishing continuous flux, the measured constant is pure
+    # for data with vanishing continuous flux, the measured flux is pure
     # interpolation defect and decays at order m+2 = 3 under refinement
     from movingflow.benchmarks import manufactured_2d
-    from movingflow.meshing import dirichlet, mesh_quality, refine_uniform
+    from movingflow.meshing import mesh_quality, refine_uniform
 
     case = manufactured_2d()
     t = 0.2
@@ -281,7 +280,7 @@ def test_compatible_data_correction_decays_under_refinement():
         space = TaylorHoodSpace(mesh)
         data = interpolate(space, "velocity",
                            lambda X: case.velocity(case.map.position(X, t), t))
-        values.append(abs(assembly.boundary_flux_correction(
+        values.append(abs(assembly.piola_boundary_flux(
             space, case.map, t, data)))
         hs.append(mesh_quality(mesh).h_max)
         mesh = refine_uniform(mesh)

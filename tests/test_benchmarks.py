@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,26 @@ def test_tube_momentum_residual(tube):
     out = verify_benchmark_fields(tube, n_samples=100, seed=11)
     assert out["max_momentum_residual"] <= 1e-8
     assert out["max_field_mismatch"] <= 1e-10
+
+
+def test_oracle_catches_perturbed_fields(tube):
+    # a transcription error of relative size 1e-6 to 1e-4 in one closure
+    # reads at least ten times the bounds of test_tube_momentum_residual
+    def gradient(X, t):
+        G = tube.velocity_gradient(X, t)
+        G[:, 0, 1] *= 1.0 + 1e-4
+        return G
+
+    for fields, key, bound in (
+            ({"forcing": lambda X, t: tube.forcing(X, t) + 1e-6},
+             "max_momentum_residual", 1e-8),
+            ({"velocity_gradient": gradient}, "max_momentum_residual", 1e-8),
+            ({"velocity_gradient": gradient}, "max_field_mismatch", 1e-10),
+            ({"pressure": lambda X, t: tube.pressure(X, t) + 1e-6 * X[:, 1]},
+             "max_momentum_residual", 1e-8)):
+        out = verify_benchmark_fields(dataclasses.replace(tube, **fields),
+                                      n_samples=100, seed=11)
+        assert out[key] > 10.0 * bound, (sorted(fields), key, out[key])
 
 
 def test_tube_pressure_vanishes_at_outlet(tube):

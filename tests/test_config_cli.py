@@ -74,8 +74,8 @@ def test_bc_type_label_mismatch(tmp_path):
 
 
 def test_solver_block(tmp_path, capsys):
-    path = minimal_config(tmp_path, solver={"type": "direct"})
-    assert load_config(path).solver == {"tolerance": 1e-10, "temam": True}
+    path = minimal_config(tmp_path, solver={"type": "direct", "temam": True})
+    assert load_config(path).solver == {"tolerance": 1e-10}
     assert cli(["info", "--config", str(path)]) == 0
     assert ("solver   : tolerance 1e-10, linear solve: float32 SuperLU "
             "factor, float64 FGMRES") in capsys.readouterr().out
@@ -83,6 +83,11 @@ def test_solver_block(tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert err.value.field_path == "solver.type"
+    # the skew-symmetric convection form is the only one
+    path = minimal_config(tmp_path, solver={"temam": False})
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.field_path == "solver.temam"
     # a key the solver block does not read fails instead of being ignored
     path = minimal_config(tmp_path, solver={"quadrature_degree": 8})
     with pytest.raises(ConfigError) as err:

@@ -228,9 +228,39 @@ def test_mesh_sequence_gradient_and_velocity():
     # nodal velocities are the frame-interval slope, here 0.5 x / -0.25 y
     V = m.velocity(bary, t, cells=cells)
     assert np.allclose(V, bary * np.array([0.5, -0.25]), atol=1e-13)
-    # point location agrees with explicit cell indices
-    V2 = m.velocity(bary, t)
-    assert np.allclose(V2, V, atol=1e-13)
+    # the map does no point location: every evaluation names its cells
+    for evaluate in (m.position, m.velocity, m.gradient):
+        with pytest.raises(ValueError, match="per cell"):
+            evaluate(bary, t)
+
+
+def test_mesh_sequence_run_output_and_validation_name_their_cells(tmp_path):
+    # a bdf2 run with energy diagnostics, the q-criterion VTK and the
+    # regularity check all pass cells or read the frames' nodal values
+    from movingflow.fileio import write_vtk
+    from movingflow.solver import (BoundaryConditionSet, FlowProblem,
+                                   FlowState, NoslipBC, SolverConfig, run)
+    from movingflow.meshing import NOSLIP
+    from movingflow.spaces import DiscreteField, TaylorHoodSpace, interpolate
+
+    mesh = generate_box(2, (4, 4))
+    m = _affine_sequence(mesh, np.array([0.0, 0.05, 0.1]))
+    space = TaylorHoodSpace(mesh)
+    prob = FlowProblem(space=space, map=m, nu=0.5,
+                       bcs=BoundaryConditionSet({NOSLIP: NoslipBC()}))
+    u0 = interpolate(space, "velocity", lambda X: np.stack(
+        [np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1])] * 2, axis=1))
+    u0.coefficients[space.constrained_dof_mask()] = 0.0
+    result = run(FlowState(0, 0.0, u0, DiscreteField(space, "pressure")),
+                 prob, SolverConfig(scheme="bdf2"), T=0.1, dt=0.025)
+    assert len(result.diagnostics) == 4
+    assert all(np.isfinite(r["dissipation"]) for r in result.diagnostics)
+    path = write_vtk(tmp_path / "s.vtk", mesh, m, 0.1, u=result.final.u,
+                     p=result.final.p, q_criterion=True)
+    assert "SCALARS q_criterion" in path.read_text()
+    report = validate_assumptions(m, mesh, [0.0, 0.07, 0.1])
+    assert report.passed and report.min_J == 1.0
+    assert abs(report.max_I_minus_F - np.hypot(0.05, 0.025)) < 1e-12
 
 
 def test_load_mesh_sequence_roundtrip(tmp_path):

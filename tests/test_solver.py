@@ -131,7 +131,7 @@ def test_symmetric_elimination_preserves_symmetry():
     tube = TubeShrinkMap()
     zero = DiscreteField(space, "velocity")
     step = assembly.assemble_step(space, tube, 0.1, 0.05, 0.05, zero, zero,
-                                  1.0, stress="symmetric", temam=False)
+                                  1.0, stress="symmetric")
     bcs = BoundaryConditionSet({NOSLIP: NoslipBC()})
     system = apply_boundary_conditions(step, bcs, space, tube, 0.1, 0.05)
     A = system.A
@@ -192,33 +192,6 @@ def test_energy_monotonic_3d_spot_check():
     norms = [k_norm(DiscreteField(space, "velocity", coeffs), prob.map, 0.0)]
     norms += [r["velocity_norm_k"] for r in result.diagnostics]
     assert np.all(np.diff(norms) <= 1e-12)
-
-
-# --- temam consistency ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("advection", ["constant", "rotation", "quadratic"])
-def test_temam_on_off_agree_for_solenoidal_advection(advection):
-    mesh = generate_box(2, (3, 3))
-    space = TaylorHoodSpace(mesh)
-    prob = all_noslip_problem(mesh, nu=0.3)
-    if advection == "constant":
-        fn = lambda X: np.tile([0.7, -0.4], (len(X), 1))
-    elif advection == "rotation":
-        fn = lambda X: np.stack([-(X[:, 1] - 0.5), X[:, 0] - 0.5], axis=1)
-    else:   # quadratic stream function -> pointwise divergence free
-        fn = lambda X: np.stack([X[:, 0] ** 2 - 2 * X[:, 0] * X[:, 1],
-                                 X[:, 1] ** 2 - 2 * X[:, 0] * X[:, 1]], axis=1)
-    w = interpolate(space, "velocity", fn)
-    state = make_state(space, u=w)
-    outs = []
-    for temam in (True, False):
-        cfg = SolverConfig(temam=temam)
-        new, _ = advance(state, prob, cfg, 0.05)
-        outs.append(new.u.coefficients)
-    # a constant advection projects to zero velocity, so scale by the data
-    scale = max(np.abs(outs[0]).max(), np.abs(w.coefficients).max())
-    assert np.abs(outs[0] - outs[1]).max() <= 10 * SolverConfig().tolerance * scale
 
 
 # --- BDF2 -----------------------------------------------------------------------
