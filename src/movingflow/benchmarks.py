@@ -327,6 +327,7 @@ def _complex_step(fn, X, t, j=None):
     """Derivative of ``fn(X, t)`` along x_j, or along t when ``j`` is None,
     from one complex-step evaluation Im fn(x + ih e_j) / h: no difference is
     taken, so it is exact to roundoff (Squire & Trapp 1998)."""
+    # complex points for the t step too: the closures allocate like X
     Z = X.astype(complex)
     if j is None:
         t = t + 1j * _STEP
