@@ -4,8 +4,9 @@ Each implicit step assembles the linearized system (the advection field is
 the previous velocity minus the interpolated domain velocity), applies the
 boundary conditions by symmetric elimination and solves the sparse
 saddle-point system, whose pattern is fixed per space, by a float64
-flexible GMRES preconditioned with a float32 sparse LU factor.  Later steps
-with the same time-derivative coefficient reuse that factor.
+flexible GMRES preconditioned with a float32 sparse LU factor, made in a
+nested-dissection order of the reference mesh.  Later steps with the same
+time-derivative coefficient reuse that factor.
 
 Wall data on no-slip boundaries is the interpolated domain velocity; for
 mesh-sequence maps it is the backward difference quotient of the stored
@@ -171,6 +172,50 @@ def _boundary_values(bcs, space, map_, t, dt):
     return values
 
 
+_DISSECTION_LEAF = 64     # node sets up to this size are not bisected further
+
+
+def _nested_dissection(space):
+    """A fill-reducing order of the saddle dofs, from the reference mesh.
+
+    The velocity nodes of a cell are all joined.  A node set is split at
+    the median of its widest coordinate; the right-hand nodes that touch a
+    left-hand node are its separator, numbered after both halves, which are
+    split again.  Each block lists its nodes' velocity dofs, then the
+    pressure dofs of its vertices (a pressure dof couples to the nodes its
+    vertex does).  Constrained dofs are isolated unit rows, so where they
+    fall does not matter.
+    """
+    cells, n, X = space.cell_nodes, space.n_nodes, space.velocity_nodes
+    m = cells.shape[1]
+    graph = sp.csr_matrix((np.ones(cells.size * m),
+                           (np.repeat(cells, m, axis=1).ravel(),
+                            np.tile(cells, m).ravel())), shape=(n, n))
+    in_left, blocks = np.zeros(n), []
+
+    def dissect(nodes):
+        if len(nodes) <= _DISSECTION_LEAF:
+            blocks.append(nodes)
+            return
+        x = X[nodes, np.argmax(np.ptp(X[nodes], axis=0))]
+        at_left = x < np.median(x)
+        if not at_left.any():      # over half the nodes share the lowest x
+            at_left = x == x.min()
+        left, right = nodes[at_left], nodes[~at_left]
+        in_left[left] = 1.0
+        cut = graph[right] @ in_left > 0
+        in_left[left] = 0.0
+        dissect(left)
+        dissect(right[~cut])
+        blocks.append(right[cut])
+
+    dissect(np.arange(n))
+    d, n_u = space.dimension, space.n_velocity_dofs
+    return np.concatenate([np.concatenate([
+        (b[:, None] * d + np.arange(d)).ravel(),
+        n_u + b[b < space.n_pressure_dofs]]) for b in blocks])
+
+
 class _SaddleLayout:
     """The CSC pattern of a space's constrained saddle matrix.
 
@@ -181,6 +226,7 @@ class _SaddleLayout:
     the pin: its continuity row and -B^T column are left out and its
     diagonal is one.  ``gather`` gives, per entry, its position in
     ``[A.data, B.data, -B.data, 1.0]``: a step fills the matrix with it.
+    ``order`` is the nested-dissection order its factors use.
     """
 
     def __init__(self, space, A, B):
@@ -209,6 +255,7 @@ class _SaddleLayout:
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(
             cols, minlength=n_u + n_p))]).astype(np.int32)
         self.key = (A.indptr, A.indices, B.indptr, B.indices)
+        self.order = _nested_dissection(space)
 
     def matrix(self, A, B):
         data = np.concatenate([A.data, B.data, -B.data, [1.0]])[self.gather]
@@ -225,6 +272,7 @@ class ConstrainedSystem:
     bc_values: np.ndarray          # full-length velocity vector of BC data
     mask: np.ndarray               # constrained velocity dofs
     B: sp.csr_matrix               # the step's divergence block
+    order: np.ndarray              # fill-reducing order of the saddle dofs
     pin: int = None                # pressure dof set to 0 (gauge case)
     gauge_vector: np.ndarray = None
     time_coefficient: float = None  # alpha/dt of the step
@@ -293,26 +341,37 @@ def apply_boundary_conditions(step, bcs, space, map_, t, dt=None):
     return ConstrainedSystem(
         matrix=layout.matrix(A, B), rhs=np.concatenate([rhs_u, h]),
         n_u=space.n_velocity_dofs, n_p=space.n_pressure_dofs, bc_values=ub,
-        mask=mask, B=B, pin=layout.pin, gauge_vector=e,
+        mask=mask, B=B, order=layout.order, pin=layout.pin, gauge_vector=e,
         time_coefficient=step.time_coefficient)
 
 
 class _SinglePrecisionFactor:
-    """SuperLU factor of a float32 copy of a saddle matrix.
+    """SuperLU factor of a float32 copy of a saddle matrix, in the
+    fill-reducing ``order`` of its rows and columns.
 
-    ``solve`` takes and returns float64 vectors; the casts to and from
-    float32 happen here and nowhere else.  An entry that float32 cannot
-    hold, or a non-finite one, raises a SolverError instead of becoming inf.
+    ``solve`` takes and returns float64 vectors in the matrix's own order;
+    the permutations and the casts to and from float32 happen here and
+    nowhere else.  SuperLU keeps the given order (``NATURAL``) and, in
+    symmetric mode, prefers diagonal pivots down to 0.01 of the largest
+    entry of their column, so the zero pressure diagonal is pivoted on only
+    after its block's velocity dofs have filled it.  An entry that float32
+    cannot hold, or a non-finite one, raises a SolverError instead of
+    becoming inf.
     """
 
-    def __init__(self, K):
+    def __init__(self, K, order):
         if not np.all(np.abs(K.data) <= np.finfo(np.float32).max):
             raise SolverError("the saddle matrix has an entry outside the "
                               "float32 range or a non-finite one")
-        self.lu = spla.splu(K.astype(np.float32))
+        self.order = order
+        Kp = K.astype(np.float32)[order][:, order].tocsc()
+        self.lu = spla.splu(Kp, permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                            options={"SymmetricMode": True})
 
     def solve(self, v):
-        return self.lu.solve(v.astype(np.float32)).astype(np.float64)
+        x = np.empty_like(v)
+        x[self.order] = self.lu.solve(v[self.order].astype(np.float32))
+        return x
 
 
 def _solve_direct(system, tolerance, cache=None):
@@ -343,7 +402,7 @@ def _solve_direct(system, tolerance, cache=None):
         event = "refactor" if x is None else "reuse"
     if x is None:
         cache.pop("lu", None)    # two factors alive at once raise the peak RSS
-        cache.update(lu=_SinglePrecisionFactor(K), shape=K.shape,
+        cache.update(lu=_SinglePrecisionFactor(K, system.order), shape=K.shape,
                      coefficient=system.time_coefficient)
         x, residuals = _solve_with_stale_factor(K, cache["lu"], b, tolerance,
                                                 target, x0=x0)

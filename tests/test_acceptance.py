@@ -1,11 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run as  pytest tests/test_acceptance.py -v -s  to see the per-criterion
-lines and the convergence tables.  The two convergence studies are computed
-once per session and shared by the criteria that consume them.
+The per-criterion lines print in every run; run as
+pytest tests/test_acceptance.py -v -s  to see the convergence tables too.
+The two convergence studies are computed once per session and shared by the
+criteria that consume them.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -29,12 +28,14 @@ REFERENCE_DTS = (0.04, 0.02, 0.01)
 REFERENCE_NS = (5, 10, 20)
 
 
-def ok(criterion, text):
-    line = f"ACCEPTANCE {criterion}: PASS ({text})"
-    print("\n" + line)
-    # make the criterion lines visible even under pytest's output capture
-    if sys.__stdout__ is not None and sys.stdout is not sys.__stdout__:
-        print(line, file=sys.__stdout__)
+@pytest.fixture
+def ok(capsys):
+    """``ok(criterion, text)`` prints a criterion's PASS line past pytest's
+    output capture, so that every run's log shows the criterion values."""
+    def report(criterion, text):
+        with capsys.disabled():
+            print(f"\nACCEPTANCE {criterion}: PASS ({text})")
+    return report
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +67,7 @@ def random_perturbed_box(rng, dim):
 
 
 @pytest.mark.slow
-def test_criterion_1_manufactured_convergence(manufactured_study):
+def test_criterion_1_manufactured_convergence(manufactured_study, ok):
     table = manufactured_study
     print("\n" + str(table))
     assert table.rows[0]["element_count"] == 128          # 8x8 box, 2 per quad
@@ -80,7 +81,7 @@ def test_criterion_1_manufactured_convergence(manufactured_study):
 
 
 @pytest.mark.slow
-def test_criterion_2_tube_rates(tube_study):
+def test_criterion_2_tube_rates(tube_study, ok):
     table = tube_study
     print("\n" + str(table))
     dts = [row["time_step"] for row in table.rows]
@@ -98,7 +99,7 @@ def test_criterion_2_tube_rates(tube_study):
 # --- criterion 3: skew-symmetry cancellation -------------------------------------
 
 
-def test_criterion_3_skew_symmetry():
+def test_criterion_3_skew_symmetry(ok):
     rng = np.random.default_rng(2024)
     checked = 0
     for dim in (2, 3):
@@ -128,7 +129,7 @@ def test_criterion_3_skew_symmetry():
 # --- criterion 4: discrete time-derivative identity -------------------------------
 
 
-def test_criterion_4_mass_term_identity():
+def test_criterion_4_mass_term_identity(ok):
     rng = np.random.default_rng(7)
     mesh = generate_box(3, (2, 2, 2))
     space = TaylorHoodSpace(mesh)
@@ -155,7 +156,7 @@ def test_criterion_4_mass_term_identity():
 # --- criterion 5: energy monotonicity ---------------------------------------------
 
 
-def test_criterion_5_energy_monotonic():
+def test_criterion_5_energy_monotonic(ok):
     mesh = generate_box(2, (4, 4))
     space = TaylorHoodSpace(mesh)
     prob = FlowProblem(space=space, map=IdentityMap(2), nu=0.02,
@@ -179,7 +180,7 @@ def test_criterion_5_energy_monotonic():
 # --- criterion 6: transformed-volume divergence identity ----------------------------
 
 
-def test_criterion_6_piola_identity():
+def test_criterion_6_piola_identity(ok):
     rng = np.random.default_rng(31)
     catalog = {
         "identity-2d": (IdentityMap(2), lambda: rng.uniform(0.1, 0.9, 2)),
@@ -218,7 +219,7 @@ def test_criterion_6_piola_identity():
 # --- criterion 7: fixed points -------------------------------------------------------
 
 
-def test_criterion_7_fixed_points():
+def test_criterion_7_fixed_points(ok):
     # rest state
     mesh = generate_box(2, (4, 4))
     space = TaylorHoodSpace(mesh)
@@ -259,7 +260,7 @@ def test_criterion_7_fixed_points():
 # --- criterion 8: exact-solution transcription ----------------------------------------
 
 
-def test_criterion_8_tube_transcription():
+def test_criterion_8_tube_transcription(ok):
     out = verify_benchmark_fields(tube_benchmark(), n_samples=100, seed=512)
     assert out["max_momentum_residual"] <= 1e-8
     assert out["max_divergence"] <= 1e-10
@@ -271,7 +272,8 @@ def test_criterion_8_tube_transcription():
 
 
 @pytest.mark.slow
-def test_criterion_9_divergence_residuals(manufactured_study, tube_study):
+def test_criterion_9_divergence_residuals(manufactured_study, tube_study,
+                                          ok):
     tol = SolverConfig().tolerance
     worst = 0.0
     for table in (manufactured_study, tube_study):
@@ -288,7 +290,7 @@ def test_criterion_9_divergence_residuals(manufactured_study, tube_study):
 # --- stored-frame pathway ----------------------------------------------------------------
 
 
-def test_mesh_sequence_pathway_matches_analytic():
+def test_mesh_sequence_pathway_matches_analytic(ok):
     mesh = generate_box(2, (4, 4))
     space = TaylorHoodSpace(mesh)
     scales = [lambda t: 1.0 + 0.5 * t, lambda t: 1.0 - 0.25 * t]

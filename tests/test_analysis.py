@@ -5,10 +5,8 @@ from movingflow import sampling
 from movingflow.analysis import (ConvergenceTable, ErrorAccumulator,
                                  energy_balance_terms, k_norm)
 from movingflow.maps import IdentityMap, TubeShrinkMap
-from movingflow.meshing import NOSLIP, dirichlet, generate_box, neumann
-from movingflow.solver import (BoundaryConditionSet, DirichletBC, FlowProblem,
-                               FlowState, NeumannBC, NoslipBC, SolverConfig,
-                               run)
+from movingflow.meshing import dirichlet, generate_box, neumann
+from movingflow.solver import FlowProblem, FlowState, SolverConfig, run
 from movingflow.spaces import DiscreteField, TaylorHoodSpace, interpolate
 
 

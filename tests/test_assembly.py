@@ -4,8 +4,7 @@ import pytest
 import naive_fem
 from movingflow import assembly, sampling
 from movingflow.elements import default_degree
-from movingflow.maps import (AxisScalingMap, IdentityMap, TubeShrinkMap,
-                             parse_map_expressions)
+from movingflow.maps import AxisScalingMap, IdentityMap, TubeShrinkMap
 from movingflow.meshing import (dirichlet, generate_box, generate_tube,
                                 neumann, reference_simplex_mesh)
 from movingflow.spaces import DiscreteField, TaylorHoodSpace, interpolate

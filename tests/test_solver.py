@@ -648,8 +648,8 @@ def _counted_steps(monkeypatch, cold, scheme="backward-euler", stale=False,
     factors = [] if factors is None else factors
     original = solver.spla.splu
 
-    def counted_splu(K):
-        factors.append(_CountingLU(original(K)))
+    def counted_splu(K, **options):
+        factors.append(_CountingLU(original(K, **options)))
         return factors[-1]
 
     monkeypatch.setattr(solver.spla, "splu", counted_splu)
@@ -760,6 +760,45 @@ def _manufactured_problem():
                        bcs=case.boundary_conditions(), forcing=case.forcing)
 
 
+def _first_system(prob, stress="full-gradient", dt=0.02):
+    """The first step's blocks and constrained system from rest."""
+    zero = DiscreteField(prob.space, "velocity")
+    step = assembly.assemble_step(
+        prob.space, prob.map, dt, 0.0, dt, zero, zero, prob.nu,
+        forcing=prob.forcing, neumann_data=prob.bcs.neumann_tractions(),
+        stress=stress)
+    return step, apply_boundary_conditions(step, prob.bcs, prob.space,
+                                           prob.map, dt, dt)
+
+
+@pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem])
+def test_dissection_order_is_one_permutation_of_the_saddle_dofs(problem):
+    from movingflow.solver import _SaddleLayout
+    prob = problem()
+    step, system = _first_system(prob)
+    assert np.array_equal(np.sort(system.order),
+                          np.arange(system.n_u + system.n_p))
+    again = _SaddleLayout(prob.space, step.A, step.B)
+    assert np.array_equal(again.order, system.order)
+    sampling.release(prob.space)
+
+
+def test_dissection_order_cuts_the_tube_factor_fill():
+    import scipy.sparse.linalg as spla
+    from movingflow.benchmarks import tube_benchmark
+    from movingflow.solver import _SinglePrecisionFactor
+    case = tube_benchmark()
+    prob = FlowProblem(space=TaylorHoodSpace(case.mesh_for_level(1)),
+                       map=case.map, nu=case.nu,
+                       bcs=case.boundary_conditions(), forcing=case.forcing)
+    _, system = _first_system(prob, stress=case.stress)
+    K = system.matrix
+    default_nnz = spla.splu(K.astype(np.float32)).nnz
+    assert _SinglePrecisionFactor(K, system.order).lu.nnz <= \
+        0.75 * default_nnz
+    sampling.release(prob.space)
+
+
 @pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem])
 def test_fresh_float32_factor_meets_the_tolerance_in_one_cycle(problem):
     prob = problem()
@@ -779,8 +818,8 @@ def test_a_fresh_factor_that_cannot_precondition_raises_with_the_step(
     from movingflow import solver
     from movingflow.solver import SolverError
     original = solver.spla.splu
-    monkeypatch.setattr(solver.spla, "splu", lambda K: original(
-        sp.identity(K.shape[0], dtype=K.dtype, format="csc")))
+    monkeypatch.setattr(solver.spla, "splu", lambda K, **options: original(
+        sp.identity(K.shape[0], dtype=K.dtype, format="csc"), **options))
     prob = _manufactured_problem()
     state = FlowState(4, 0.04, DiscreteField(prob.space, "velocity"),
                       DiscreteField(prob.space, "pressure"))
