@@ -21,18 +21,22 @@ The map data come from the per-time-level sample of ``sampling``, which
 boundary conditions and diagnostics read too.
 
 Kernels.  Each form is one batched numpy expression over the whole
-(cell, quadrature point) stack: basis gradients are pulled back as
-``(lgrads @ inv) @ F^{-1}`` with the cell's inverse edge matrix ``inv``, and
+(cell, quadrature point) stack.  The gradient forms read the level's
+pulled-back basis gradients ``ghat`` = grad phi F^{-1} from the sample, and
 mass-type terms are ``(w J) @ (phi_i phi_j)``.  The standalone forms and
 ``assemble_step`` call the same kernels; ``assemble_step`` runs the
 gradient kernels over blocks of cells to bound their temporaries.
 
-Scatter.  Local blocks are summed with ``np.bincount`` into a scalar
-node-by-node CSR pattern, built with its cell-to-entry index on the first
-assembly.  The velocity block is made of d x d blocks over that pattern,
-converted to CSR without the entries that sum to exactly zero (the
-off-diagonal ones when no term couples velocity components).  Assembly is
-single-threaded with a fixed reduction order, so results are deterministic.
+Scatter.  The blocks have fixed patterns on the reference mesh, built once
+per space: the node pairs of the cell blocks, each cell block entry's pair,
+and the CSR expansions to velocity components (int32 ``indptr`` and
+``indices``) with each entry's slot in the summed data.  A form sums its
+local blocks over the node pairs with one ``np.bincount`` and gathers the
+sums into the CSR data.  The velocity block holds the d diagonal entries
+of each node pair when no term couples the velocity components and full
+d x d blocks for the symmetric stress; B holds (1, d) blocks.  Entries
+that sum to exactly zero stay in the pattern.  Assembly is single-threaded
+with a fixed reduction order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ __all__ = [
     "rate_mass_matrix", "convection_matrices", "viscous_matrix",
     "divergence_matrix", "forcing_vector", "pressure_gauge_vector",
     "piola_boundary_flux", "boundary_normal_field", "velocity_at_points",
-    "velocity_gradients", "cell_quadrature_points", "smagorinsky_viscosity",
+    "cell_quadrature_points", "smagorinsky_viscosity",
 ]
 
 
@@ -92,60 +96,131 @@ def _sum(index, local, size, width=1):
                        minlength=size * width)
 
 
-class _Pattern:
-    """Sorted (row, column) keys of a CSR pattern over the cell blocks of
-    the ``rows`` and ``cols`` node tables, with each block entry's slot."""
+def _frozen(index):
+    """An index array as read-only int32; the matrices of a pattern share
+    its arrays."""
+    index = index.astype(np.int32, copy=False)
+    index.flags.writeable = False
+    return index
 
-    def __init__(self, rows, cols, n_rows, n_cols):
-        self.n_rows, self.n_cols = n_rows, n_cols
-        self.keys, self.index = np.unique(
+
+class _CSR:
+    """A fixed CSR pattern, with each entry's ``slot`` in the summed data
+    (None where the summed data is in CSR order already)."""
+
+    def __init__(self, indptr, indices, slot, shape):
+        self.indptr, self.indices = _frozen(indptr), _frozen(indices)
+        self.slot = None if slot is None else _frozen(slot)
+        self.shape = shape
+
+    def matrix(self, summed):
+        data = summed.ravel()
+        if self.slot is not None:
+            data = data[self.slot]
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+
+class _Pattern:
+    """The sorted (row, column) node pairs of the cell blocks of the
+    ``rows`` and ``cols`` node tables, each block entry's pair, and the CSR
+    patterns of the pairs expanded to d velocity components."""
+
+    def __init__(self, rows, cols, n_rows, n_cols, d):
+        self.n_rows, self.n_cols, self.d = n_rows, n_cols, d
+        keys, index = np.unique(
             (rows[:, :, None] * n_cols + cols[:, None, :]).ravel(),
             return_inverse=True)
-        self.indices = self.keys % n_cols
-        self.indptr = np.searchsorted(self.keys // n_cols,
-                                      np.arange(n_rows + 1))
+        self.n_pairs = len(keys)
+        self.pair_cols = _frozen(keys % n_cols)
+        self.pair_ptr = _frozen(np.searchsorted(keys // n_cols,
+                                                np.arange(n_rows + 1)))
+        self._index = {1: _frozen(index.ravel())}   # per run width
+        self._csr = {}
+
+    def pairs(self, rows, cols):
+        """The pair of each (row, col) entry, which must be in the pattern."""
+        keys = np.repeat(np.arange(self.n_rows), np.diff(self.pair_ptr)) * \
+            self.n_cols + self.pair_cols
+        return _frozen(np.searchsorted(keys,
+                                       (rows * self.n_cols + cols).ravel()))
 
     def sum(self, local, width=1):
-        return _sum(self.index, local, len(self.keys), width)
+        """Sums per pair of the cell block entries' runs of ``width``
+        adjacent local values, (pairs * width,)."""
+        index = self._index.get(width)
+        if index is None:
+            index = self._index[width] = _frozen((
+                self._index[1][:, None] * width +
+                np.arange(width, dtype=np.int32)).ravel())
+        return np.bincount(index, weights=local.ravel(),
+                           minlength=self.n_pairs * width)
 
-    def csr(self, blocks):
-        """The CSR matrix with (nnz, r, c) blocks on the pattern's entries."""
-        r, c = blocks.shape[1:]
-        return sp.bsr_matrix((blocks, self.indices, self.indptr), shape=(
-            self.n_rows * r, self.n_cols * c)).tocsr()
+    def csr(self, r, diagonal=False):
+        """The CSR pattern with an (r, d) block per pair: rows (i, a) for
+        a < r, columns (j, b) for b < d.  With ``diagonal`` it holds only
+        the b = a entries of (d, d) blocks, whose slot is their pair;
+        otherwise an entry's slot is its place in the (pairs, r, d) sums."""
+        key = (r, diagonal)
+        if key not in self._csr:
+            # int32 throughout, in place where it can be: this runs with
+            # the first assembly, and its temporaries set the peak memory
+            d = self.d
+            per = 1 if diagonal else d           # entries of a pair a row
+            lengths = np.repeat(np.diff(self.pair_ptr), r) * per
+            indptr = _frozen(np.concatenate([[0], np.cumsum(lengths)]))
+            row = np.repeat(np.arange(self.n_rows * r, dtype=np.int32),
+                            lengths)
+            k = np.arange(indptr[-1], dtype=np.int32)
+            k -= indptr[row]
+            a = row % r
+            pair = self.pair_ptr[row // r]
+            del row
+            pair += k // per
+            b = a if diagonal else k % per
+            del k
+            indices = self.pair_cols[pair] * d + b
+            if diagonal:
+                slot = pair
+            elif r > 1:
+                slot = (pair * r + a) * d + b
+            else:           # the (pairs, 1, d) sums are in CSR order
+                slot = None
+            self._csr[key] = _CSR(indptr, indices, slot,
+                                  (self.n_rows * r, self.n_cols * d))
+        return self._csr[key]
 
 
 def _patterns(space):
-    """The node-by-node pattern of the velocity block and the vertex-by-node
+    """The node-pair pattern of the velocity block and the vertex-node
     pattern of the pressure block, built on the first assembly."""
     def build():
-        conn, n = space.cell_nodes, space.n_nodes
-        return (_Pattern(conn, conn, n, n),
-                _Pattern(space.mesh.cells, conn, space.n_pressure_dofs, n))
+        conn, n, d = space.cell_nodes, space.n_nodes, space.dimension
+        return (_Pattern(conn, conn, n, n, d),
+                _Pattern(space.mesh.cells, conn, space.n_pressure_dofs, n, d))
     return cached(space, "patterns", build)
 
 
 def _velocity_matrix(space, scalar, coupling=None, boundary=None):
     """Velocity block: ``scalar`` (nc, nb, nb) on every component alike,
-    plus the component-coupling blocks (nc, nb, nb, d, d) and the scalar
-    pattern data ``boundary`` of facet terms.  Entries that sum to exactly
-    zero are left out."""
+    plus the component-coupling blocks (nc, nb, nb, d, d) and the pair data
+    ``boundary`` of facet terms.  Without coupling its pattern holds the d
+    diagonal entries of each node pair, with it full d x d blocks."""
     pattern, d = _patterns(space)[0], space.dimension
     data = pattern.sum(scalar)
     if boundary is not None:
         data += boundary
-    blocks = np.zeros((len(data), d, d)) if coupling is None else \
-        pattern.sum(coupling, d * d).reshape(-1, d, d)
+    if coupling is None:
+        return pattern.csr(d, diagonal=True).matrix(data)
+    blocks = pattern.sum(coupling, d * d).reshape(-1, d, d)
     blocks[:, np.arange(d), np.arange(d)] += data[:, None]
-    A = pattern.csr(blocks)
-    A.eliminate_zeros()
-    return A
+    return pattern.csr(d).matrix(blocks)
 
 
 def _pressure_matrix(space, local):
     """Pressure-velocity CSR from (nc, d+1, nb, d) local blocks."""
     pattern, d = _patterns(space)[1], space.dimension
-    return pattern.csr(pattern.sum(local, d).reshape(-1, 1, d))
+    return pattern.csr(1).matrix(pattern.sum(local, d))
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +232,6 @@ def _mass_local(data, weight):
     """sum_q weight phi_i phi_j per cell, (nc, nb, nb)."""
     nb = data.vals.shape[1]
     return (weight @ data.outer).reshape(-1, nb, nb)
-
-
-def _ghat(data, inv, Finv):
-    """Pulled-back basis gradients grad phi F^{-1}, (nc, nq, nb, d).  This
-    order of the products keeps the exact zeros of the coupling blocks, and
-    so the sparsity of A, that the order lgrads @ (inv F^{-1}) turns into
-    roundoff."""
-    return (data.lgrads @ inv[:, None]) @ Finv
 
 
 def _convection_local(data, ghat, J, W, wc):
@@ -239,12 +306,12 @@ def _temam_boundary(space, map_, t, w):
     nodes = fd.nodes[sel]
     zn = np.einsum("fqd,fqd->fq", fd.vals @ _nodal(w)[nodes],
                    facets.conormal[sel])
-    nfb = nodes.shape[1]
     local = ((0.5 * fd.weights[sel] * zn) @ np.einsum(
         "qi,qj->qij", fd.vals, fd.vals).reshape(len(fd.vals), -1))
     pattern = _patterns(space)[0]
-    keys = np.repeat(nodes, nfb, axis=1) * pattern.n_cols + np.tile(nodes, nfb)
-    return _sum(np.searchsorted(pattern.keys, keys), local, len(pattern.keys))
+    pairs = cached(space, "outflow_pairs", lambda: pattern.pairs(
+        nodes[:, :, None], nodes[:, None, :]))
+    return _sum(pairs, local, pattern.n_pairs)
 
 
 def _neumann_facets(space, patch=None):
@@ -287,8 +354,8 @@ def convection_matrices(space, map_, t, w):
     """
     data = cell_data(space)
     cells = map_samples(space, map_).cells(t)
-    C = _convection_local(data, _ghat(data, geometry(space).inv, cells.Finv),
-                          cells.J, data.weights, _nodal(w)[space.cell_nodes])
+    C = _convection_local(data, cells.ghat, cells.J, data.weights,
+                          _nodal(w)[space.cell_nodes])
     T = -0.5 * (C + np.swapaxes(C, 1, 2))
     return _velocity_matrix(space, C), _velocity_matrix(
         space, T, boundary=_temam_boundary(space, map_, t, w))
@@ -299,13 +366,12 @@ def viscous_matrix(space, map_, t, nu, stress="symmetric", *,
     """Viscous velocity block; see the module docstring for the two forms."""
     data = cell_data(space)
     cells = map_samples(space, map_).cells(t)
-    geo = geometry(space)
-    ghat = _ghat(data, geo.inv, cells.Finv)
     wc = _nodal(DiscreteField(space, "velocity") if w is None else w)[
         space.cell_nodes]
-    nuq = _eddy_viscosity(ghat, wc, geo.cell_diam, nu, smagorinsky)
+    nuq = _eddy_viscosity(cells.ghat, wc, geometry(space).cell_diam, nu,
+                          smagorinsky)
     return _velocity_matrix(space, *_viscous_local(
-        ghat, data.weights * cells.J * nuq, stress))
+        cells.ghat, data.weights * cells.J * nuq, stress))
 
 
 def divergence_matrix(space, map_, t):
@@ -313,8 +379,7 @@ def divergence_matrix(space, map_, t):
     data = cell_data(space)
     cells = map_samples(space, map_).cells(t)
     return _pressure_matrix(space, _divergence_local(
-        data, _ghat(data, geometry(space).inv, cells.Finv),
-        data.weights * cells.J))
+        data, cells.ghat, data.weights * cells.J))
 
 
 def forcing_vector(space, map_, t, forcing):
@@ -400,14 +465,6 @@ def velocity_at_points(space, field):
     return cell_data(space).vals @ _nodal(field)[space.cell_nodes]
 
 
-def velocity_gradients(space, field):
-    """Reference-domain gradients (du_a/dx_b) at quadrature points,
-    (nc, nq, d, d)."""
-    vc = _nodal(field)[space.cell_nodes]
-    return (np.swapaxes(vc, 1, 2)[:, None] @ cell_data(space).lgrads) @ \
-        geometry(space).inv[:, None]
-
-
 # ---------------------------------------------------------------------------
 # the step assembler
 # ---------------------------------------------------------------------------
@@ -444,16 +501,15 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
         alpha = 1.0
         combo = _nodal(u_prev) / dt
 
-    def gradient_terms(inv, Finv, J, W, wc, diam):
-        ghat = _ghat(data, inv, Finv)
+    def gradient_terms(ghat, J, W, wc, diam):
         kappa = W * J * _eddy_viscosity(ghat, wc, diam, nu, smagorinsky)
         return (_convection_local(data, ghat, J, W, wc),
                 *_viscous_local(ghat, kappa, stress),
                 _divergence_local(data, ghat, W * J))
-    geo, W = geometry(space), data.weights
+    W = data.weights
     C, visc, coupling, Bloc = _by_cells(
-        gradient_terms, geo.inv, cells.Finv, Jk, W,
-        _nodal(w)[space.cell_nodes], geo.cell_diam)
+        gradient_terms, cells.ghat, Jk, W, _nodal(w)[space.cell_nodes],
+        geometry(space).cell_diam)
     scalar = _mass_local(data, W * (Jtime * (alpha / dt) + 0.5 * Jdot)) + visc
     scalar += 0.5 * (C - np.swapaxes(C, 1, 2))                   # C + T
     A = _velocity_matrix(space, scalar, coupling,

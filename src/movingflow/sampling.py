@@ -10,12 +10,15 @@ values, cell geometry) depend on the mesh alone and are built on first use.
 boundary conditions and diagnostics read the map.  For one time level it
 calls ``SpaceTimeMap.sample_fields`` once on the cell points and once on the
 facet points, and evaluates the domain velocity once at the velocity
-nodes.  Next to the map sample it keeps the level's forcing at the
-cell points and the level's solved velocity there (values and grad u
-F^{-1}), each evaluated once for every reader.  Lifetime: only the newest
-level is kept whole; J at the cell points is kept for the last three
-levels, which the backward differences of J need.  F itself is not kept.
-The arrays are read-only.
+nodes.  Of F the level keeps the pulled-back basis gradients grad phi
+F^{-1} at the cell points, the one stack that every gradient form of
+``assembly`` and every velocity gradient reads.  Next to the map sample
+it keeps the level's forcing at the cell points and the level's solved
+velocity there (values and grad u F^{-1}), each evaluated once for every
+reader.  Lifetime: only the newest level is kept whole; J at the cell
+points is kept for the last three levels, which the backward differences
+of J need, and an older level is sampled for J alone.  The arrays are
+read-only.
 
 The tables, the map samples and the sparsity patterns of ``assembly`` hang
 on the space in one cache; ``solver.run`` releases it when it returns, so a
@@ -147,10 +150,12 @@ def _readonly(*arrays):
 
 @dataclass(frozen=True)
 class CellSample:
-    """Map data at the cell quadrature points, (nc, nq, ...)."""
+    """Map data at the cell quadrature points, (nc, nq, ...): J, the
+    physical positions and ``ghat``, the basis gradients grad phi F^{-1},
+    (nc, nq, nb, d)."""
 
     J: np.ndarray
-    Finv: np.ndarray
+    ghat: np.ndarray
     position: np.ndarray
 
 
@@ -190,10 +195,9 @@ class FieldSample:
     @property
     def gradients(self):
         if self._gradients is None:
-            from . import assembly
-            Finv = self._samples.cells(self.t).Finv
-            self._gradients, = _readonly(assembly.velocity_gradients(
-                self._samples.space, self._nodal()) @ Finv)
+            ghat = self._samples.cells(self.t).ghat
+            vc = self._nodal()[self._samples.space.cell_nodes]
+            self._gradients, = _readonly(np.swapaxes(vc, 1, 2)[:, None] @ ghat)
         return self._gradients
 
 
@@ -204,9 +208,9 @@ class MapSamples:
     level; ``wall(t)`` evaluates xi_t once per level at the velocity
     nodes.  Only the newest level is kept; ``jacobian`` serves J at the
     cell points of the last ``LEVELS`` levels, and samples an older level
-    without replacing the newest.  ``forcing`` and ``field`` evaluate a
-    forcing and a velocity field at the cell points, kept for the newest
-    level.
+    for J alone, without replacing the newest.  ``forcing`` and ``field``
+    evaluate a forcing and a velocity field at the cell points, kept for
+    the newest level.
     """
 
     LEVELS = 3
@@ -235,28 +239,44 @@ class MapSamples:
         return flat, cells, Finv.reshape(shape + (d, d)), J.reshape(shape), \
             xi_t.reshape(shape + (d,))
 
+    def _cell_points(self, t):
+        data = cell_data(self.space)
+        return self._sample(data.points, np.arange(self.space.mesh.n_cells), t)
+
+    def _keep_jacobian(self, t, J):
+        levels = self._jacobians
+        levels[t], = _readonly(J)
+        while len(levels) > self.LEVELS:   # drop the level farthest from t
+            del levels[max(levels, key=lambda s: abs(s - t))]
+        return levels[t]
+
     def _cells(self, t):
         data = cell_data(self.space)
-        flat, cells, Finv, J, _ = self._sample(
-            data.points, np.arange(self.space.mesh.n_cells), t)
+        flat, cells, Finv, J, _ = self._cell_points(t)
         if isinstance(self.map, MeshSequenceMap):
             position = self.map.position(flat, t, cells=cells)
         else:
             position = self.map.position(flat, t)
-        J, Finv, position = _readonly(J, Finv,
-                                      position.reshape(data.points.shape))
-        levels = self._jacobians
-        levels[t] = J
-        while len(levels) > self.LEVELS:   # drop the level farthest from t
-            del levels[max(levels, key=lambda s: abs(s - t))]
-        return CellSample(J, Finv, position)
+        # this order of the products keeps the exact zeros of the coupling
+        # blocks that the order lgrads @ (inv F^{-1}) turns into roundoff;
+        # blocks of cells bound the temporary
+        nq, nb, d = data.lgrads.shape
+        lgrads, inv = data.lgrads.reshape(-1, d), geometry(self.space).inv
+        ghat = np.empty(J.shape + (nb, d))
+        for i in range(0, len(ghat), 256):
+            np.matmul((lgrads @ inv[i:i + 256]).reshape(-1, nq, nb, d),
+                      Finv[i:i + 256], out=ghat[i:i + 256])
+        return CellSample(self._keep_jacobian(t, J), *_readonly(
+            ghat, position.reshape(data.points.shape)))
 
     def cells(self, t):
         return self._get(t, "cells", lambda: self._cells(t))
 
     def jacobian(self, t):
         J = self._jacobians.get(t)
-        return self._cells(t).J if J is None else J
+        if J is None:                      # a level sampled for J alone
+            J = self._keep_jacobian(t, self._cell_points(t)[3])
+        return J
 
     def facets(self, t):
         fd = facet_data(self.space)

@@ -254,7 +254,6 @@ class _SaddleLayout:
         self.gather = source[order].astype(np.int32)
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(
             cols, minlength=n_u + n_p))]).astype(np.int32)
-        self.key = (A.indptr, A.indices, B.indptr, B.indices)
         self.order = _nested_dissection(space)
 
     def matrix(self, A, B):
@@ -314,13 +313,12 @@ def apply_boundary_conditions(step, bcs, space, map_, t, dt=None):
     the layout pins one pressure dof.
     """
     values = _boundary_values(bcs, space, map_, t, dt)
-    # the layout is cached on the space, rebuilt when A's or B's pattern moves
+    # A and B have fixed patterns on a space; A's has d diagonal entries or,
+    # for the symmetric stress, a full d x d block per node pair, and the
+    # two differ in size: one layout each, cached on the space
     A, B = step.A, step.B
-    layout = sampling.cached(space, "saddle",
+    layout = sampling.cached(space, ("saddle", A.nnz),
                              lambda: _SaddleLayout(space, A, B))
-    if not all(map(np.array_equal, layout.key,
-                   (A.indptr, A.indices, B.indptr, B.indices))):
-        layout = space._cache["saddle"] = _SaddleLayout(space, A, B)
     e = None
     if layout.pin is not None:
         nfield = assembly.boundary_normal_field(space)

@@ -243,7 +243,6 @@ def _shared_evaluation_run(monkeypatch):
     """Three steps of manufactured_2d L1 with the error accumulator and the
     energy terms, counting gradient evaluations per step and forcing calls
     per level."""
-    from movingflow import assembly
     from movingflow.benchmarks import manufactured_2d
     case = manufactured_2d()
     space = TaylorHoodSpace(case.mesh_for_level(1))
@@ -259,13 +258,15 @@ def _shared_evaluation_run(monkeypatch):
     acc = ErrorAccumulator(space, case.map, case.velocity,
                            case.velocity_gradient, dt, case.nu)
     gradients = []
-    original = assembly.velocity_gradients
+    original = sampling.FieldSample.gradients.fget
 
-    def counted_gradients(*args, **kwargs):
-        gradients.append(1)
-        return original(*args, **kwargs)
+    def counted_gradients(sample):
+        if sample._gradients is None:      # this read evaluates them
+            gradients.append(1)
+        return original(sample)
 
-    monkeypatch.setattr(assembly, "velocity_gradients", counted_gradients)
+    monkeypatch.setattr(sampling.FieldSample, "gradients",
+                        property(counted_gradients))
     per_step = []
     u0 = interpolate(space, "velocity",
                      lambda X: case.velocity(case.map.position(X, 0.0), 0.0))

@@ -4,7 +4,8 @@ import pytest
 import naive_fem
 from movingflow import assembly, sampling
 from movingflow.elements import default_degree
-from movingflow.maps import AxisScalingMap, IdentityMap, TubeShrinkMap
+from movingflow.maps import (AxisScalingMap, IdentityMap, TubeShrinkMap,
+                             parse_map_expressions)
 from movingflow.meshing import (dirichlet, generate_box, generate_tube,
                                 neumann, reference_simplex_mesh)
 from movingflow.spaces import DiscreteField, TaylorHoodSpace, interpolate
@@ -298,6 +299,93 @@ def test_boundary_normal_field_unit_cube():
     assert np.allclose(n[face], [-1.0, 0.0, 0.0], atol=1e-12)
     interior = np.flatnonzero(space.node_kind == 0)
     assert np.allclose(n[interior], 0.0)
+
+
+# --- the fixed-pattern scatter ------------------------------------------------
+
+
+def _scattered_blocks(space, map_, t, dt, w, nu, stress, smagorinsky):
+    """A and B of a backward-Euler step, as dense arrays: the step's local
+    blocks, made here over the whole cell stack and summed by np.add.at."""
+    data, geo = sampling.cell_data(space), sampling.geometry(space)
+    samples = sampling.map_samples(space, map_)
+    cells, Jprev = samples.cells(t), samples.jacobian(t - dt)
+    J, W, ghat, conn = cells.J, data.weights, cells.ghat, space.cell_nodes
+    wc = w.nodal()[conn]
+    C = assembly._convection_local(data, ghat, J, W, wc)
+    kappa = W * J * assembly._eddy_viscosity(ghat, wc, geo.cell_diam, nu,
+                                             smagorinsky)
+    visc, coupling = assembly._viscous_local(ghat, kappa, stress)
+    scalar = assembly._mass_local(data, W * (Jprev / dt + 0.5 * (
+        J - Jprev) / dt)) + visc + 0.5 * (C - np.swapaxes(C, 1, 2))
+    d, n = space.dimension, space.n_velocity_dofs
+    comps = np.arange(d)
+    A = np.zeros((n, n))
+    for a in comps:
+        np.add.at(A, ((conn * d + a)[:, :, None], (conn * d + a)[:, None, :]),
+                  scalar)
+    if coupling is not None:               # [c, i, j, a, b]
+        np.add.at(A, ((conn[:, :, None, None, None] * d +
+                       comps[:, None]),
+                      (conn[:, None, :, None, None] * d + comps)), coupling)
+    fd = sampling.facet_data(space)
+    sel = np.flatnonzero([lbl.kind == "neumann"
+                          for lbl in space.mesh.boundary_labels])
+    nodes, facets = fd.nodes[sel], samples.facets(t)
+    zn = np.sum((fd.vals @ w.nodal()[nodes]) * facets.conormal[sel], axis=2)
+    surface = np.einsum("fq,qi,qj->fij", 0.5 * fd.weights[sel] * zn,
+                        fd.vals, fd.vals)
+    for a in comps:
+        np.add.at(A, ((nodes * d + a)[:, :, None],
+                      (nodes * d + a)[:, None, :]), surface)
+    B = np.zeros((space.n_pressure_dofs, n))
+    np.add.at(B, (space.mesh.cells[:, :, None, None],
+                  conn[:, None, :, None] * d + comps),
+              assembly._divergence_local(data, ghat, W * J))
+    return A, B
+
+
+def _scatter_cases():
+    box = TaylorHoodSpace(generate_box(2, (3, 3),
+                                       labels={"xmax": neumann(0)}))
+    curved = parse_map_expressions(
+        "x1 + 0.2*t*x1*x2; x2*(1 + 0.3*t) + 0.1*t*x1*x1", 2)
+    tube = TaylorHoodSpace(generate_tube(
+        3, 2, lambda y: np.exp((y + 4.0) / 8.0), (-4.0, 4.0),
+        labels={"inlet": dirichlet(1), "outlet": neumann(0)}))
+    return {"box-symmetric-smagorinsky": (box, curved, "symmetric", 0.2),
+            "tube-full-gradient": (tube, TubeShrinkMap(), "full-gradient",
+                                   None)}
+
+
+@pytest.mark.parametrize("case", ["box-symmetric-smagorinsky",
+                                  "tube-full-gradient"])
+def test_step_blocks_equal_a_dense_scatter_on_fixed_patterns(case):
+    space, map_, stress, smagorinsky = _scatter_cases()[case]
+    rng = np.random.default_rng(8)
+    dt, nu, d = 0.05, 0.3, space.dimension
+    steps = []
+    for t in (0.1, 0.15):
+        w = DiscreteField(space, "velocity",
+                          rng.standard_normal(space.n_velocity_dofs))
+        step = assembly.assemble_step(space, map_, t, t - dt, dt, w, w, nu,
+                                      stress=stress, smagorinsky=smagorinsky)
+        A, B = _scattered_blocks(space, map_, t, dt, w, nu, stress,
+                                 smagorinsky)
+        for got, want in ((step.A, A), (step.B, B)):
+            assert np.abs(got.toarray() - want).max() <= \
+                1e-13 * np.abs(want).max()
+        steps.append(step)
+    for block in ("A", "B"):
+        first, second = (getattr(s, block) for s in steps)
+        assert np.array_equal(first.indptr, second.indptr)
+        assert np.array_equal(first.indices, second.indices)
+    # A holds d entries per node pair, or d * d with the symmetric stress
+    conn = space.cell_nodes
+    pairs = len(np.unique(conn[:, :, None] * space.n_nodes +
+                          conn[:, None, :]))
+    assert steps[0].A.nnz == pairs * d * (d if stress == "symmetric" else 1)
+    sampling.release(space)
 
 
 # --- eddy viscosity -----------------------------------------------------------

@@ -426,13 +426,32 @@ def test_map_samples_are_read_only_and_dropped_by_run():
         [lambda t: 0.1, lambda t: 0.0]))
     samples = sampling.map_samples(prob.space, prob.map)
     cells, facets = samples.cells(0.1), samples.facets(0.1)
-    for array in (cells.J, cells.Finv, cells.position, facets.J,
+    for array in (cells.J, cells.ghat, cells.position, facets.J,
                   facets.Finv, facets.conormal, facets.xi_t,
                   samples.wall(0.1), samples.jacobian(0.0)):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
     run(make_state(prob.space), prob, SolverConfig(), 0.2, 0.1)
     assert "_cache" not in vars(prob.space)
+
+
+def test_a_first_step_samples_positions_only_at_its_own_level(monkeypatch):
+    # J at t = 0 comes from a sample of J alone: the map's positions at the
+    # cell points (and the gradient stack) are built for t_1 only
+    prob = all_noslip_problem(generate_box(2, (2, 2)), map_=AxisScalingMap(
+        [lambda t: 1 + 0.1 * t, lambda t: 1.0],
+        [lambda t: 0.1, lambda t: 0.0]))
+    n_points = sampling.cell_data(prob.space).points[..., 0].size
+    times, position = [], prob.map.position
+
+    def counted_position(X, t):
+        if len(X) == n_points:
+            times.append(t)
+        return position(X, t)
+
+    monkeypatch.setattr(prob.map, "position", counted_position)
+    run(make_state(prob.space), prob, SolverConfig(), 0.1, 0.1)
+    assert times == [0.1]
 
 
 # --- pressure gauge and the fixed saddle pattern ---------------------------------
