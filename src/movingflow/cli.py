@@ -239,8 +239,8 @@ def _cmd_info(args):
           f"({cfg.n_steps} steps, {cfg.time['scheme']})")
     print(f"bcs      : {', '.join(sorted(cfg.bcs))}")
     print(f"solver   : tolerance {cfg.solver['tolerance']:g}, linear solve: "
-          "float32 SuperLU factor in nested-dissection order, float64 "
-          "FGMRES")
+          "float32 SuperLU factor in a nested-dissection order of the "
+          "reference cells, float64 FGMRES")
     cell, facet = rules(cfg.mesh["dimension"])
     print(f"quadrature: cell {cell.n_points} points (degree {cell.exactness}), "
           f"facet {facet.n_points} points (degree {facet.exactness})")

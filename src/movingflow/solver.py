@@ -5,7 +5,7 @@ the previous velocity minus the interpolated domain velocity), applies the
 boundary conditions by symmetric elimination and solves the sparse
 saddle-point system, whose pattern is fixed per space, by a float64
 flexible GMRES preconditioned with a float32 sparse LU factor, made in a
-nested-dissection order of the reference mesh.  Later steps with the same
+nested-dissection order of the reference cells.  Later steps with the same
 time-derivative coefficient reuse that factor.
 
 Wall data on no-slip boundaries is the interpolated domain velocity; for
@@ -172,48 +172,76 @@ def _boundary_values(bcs, space, map_, t, dt):
     return values
 
 
-_DISSECTION_LEAF = 64     # node sets up to this size are not bisected further
+_DISSECTION_LEAF = 32    # most unnumbered nodes of a part left unsplit
 
 
 def _nested_dissection(space):
-    """A fill-reducing order of the saddle dofs, from the reference mesh.
+    """A fill-reducing order of the saddle dofs: a nested dissection of the
+    reference cells (George 1973).
 
-    The velocity nodes of a cell are all joined.  A node set is split at
-    the median of its widest coordinate; the right-hand nodes that touch a
-    left-hand node are its separator, numbered after both halves, which are
-    split again.  Each block lists its nodes' velocity dofs, then the
+    A set of cells is split at the median rank of the cell centroids along
+    the axis, of the d axes, whose two halves share the fewest unnumbered
+    nodes.  Those shared nodes are its separator, numbered after both
+    halves, which are split again until a part has at most
+    ``_DISSECTION_LEAF`` unnumbered nodes (a cell has at most 10, so any
+    part with more has two cells to split).  The parts of one depth are
+    split together.  Each block lists its nodes' velocity dofs, then the
     pressure dofs of its vertices (a pressure dof couples to the nodes its
     vertex does).  Constrained dofs are isolated unit rows, so where they
     fall does not matter.
     """
-    cells, n, X = space.cell_nodes, space.n_nodes, space.velocity_nodes
-    m = cells.shape[1]
-    graph = sp.csr_matrix((np.ones(cells.size * m),
-                           (np.repeat(cells, m, axis=1).ravel(),
-                            np.tile(cells, m).ravel())), shape=(n, n))
-    in_left, blocks = np.zeros(n), []
-
-    def dissect(nodes):
-        if len(nodes) <= _DISSECTION_LEAF:
-            blocks.append(nodes)
-            return
-        x = X[nodes, np.argmax(np.ptp(X[nodes], axis=0))]
-        at_left = x < np.median(x)
-        if not at_left.any():      # over half the nodes share the lowest x
-            at_left = x == x.min()
-        left, right = nodes[at_left], nodes[~at_left]
-        in_left[left] = 1.0
-        cut = graph[right] @ in_left > 0
-        in_left[left] = 0.0
-        dissect(left)
-        dissect(right[~cut])
-        blocks.append(right[cut])
-
-    dissect(np.arange(n))
-    d, n_u = space.dimension, space.n_velocity_dofs
-    return np.concatenate([np.concatenate([
-        (b[:, None] * d + np.arange(d)).ravel(),
-        n_u + b[b < space.n_pressure_dofs]]) for b in blocks])
+    cells, n, d = space.cell_nodes, space.n_nodes, space.dimension
+    n_cells = len(cells)
+    centroid = space.velocity_nodes[space.mesh.cells].mean(axis=1)
+    by_axis = np.argsort(centroid, axis=0, kind="stable").T
+    degree = np.bincount(cells.ravel(), minlength=n)
+    # an unnumbered node's cells all lie in one part: any of them names it
+    owner = np.empty(n, dtype=np.intp)
+    owner[cells.ravel()] = np.repeat(np.arange(n_cells), cells.shape[1])
+    part = np.zeros(n_cells, dtype=np.intp)  # of each cell still being split
+    path = np.zeros(1, dtype=np.int64)    # per part, base 3: 0 left, 1 right
+    depth = np.full(n, -1)                # where each node was numbered
+    code = np.zeros(n, dtype=np.int64)    # and the path of its part there
+    live, level = np.arange(n_cells), 0
+    while True:
+        free = np.flatnonzero(depth < 0)
+        node_part = part[owner[free]]
+        leaf = np.bincount(node_part, minlength=len(path)) <= _DISSECTION_LEAF
+        done = leaf[node_part]
+        depth[free[done]], code[free[done]] = level, path[node_part[done]]
+        live = live[~leaf[part[live]]]
+        if not live.size:
+            break
+        free, node_part = free[~done], node_part[~done]
+        # per axis: each live cell's side of its part's median rank, and the
+        # free nodes with cells on both sides
+        size = np.bincount(part[live], minlength=len(path))
+        first = np.cumsum(size) - size
+        in_live = np.zeros(n_cells, dtype=bool)
+        in_live[live] = True
+        right = np.zeros((d, n_cells), dtype=bool)
+        cut = np.zeros((d, len(free)), dtype=bool)
+        for a in range(d):
+            s = by_axis[a][in_live[by_axis[a]]]
+            s = s[np.argsort(part[s], kind="stable")]
+            p = part[s]
+            right[a, s] = np.arange(len(s)) - first[p] >= size[p] // 2
+            on_left = np.bincount(cells[s[~right[a, s]]].ravel(), minlength=n)
+            cut[a] = (on_left[free] > 0) & (on_left[free] < degree[free])
+        axis = np.argmin([np.bincount(node_part[c], minlength=len(path))
+                          for c in cut], axis=0)
+        sep = cut[axis[node_part], np.arange(len(free))]
+        depth[free[sep]], code[free[sep]] = level, path[node_part[sep]]
+        p = part[live]
+        child, part[live] = np.unique(2 * p + right[axis[p], live],
+                                      return_inverse=True)
+        path = path[child // 2] * 3 + child % 2
+        level += 1
+    # separators after both halves: pad each path, then a 2, to one length
+    key = (code * 3 + 2) * 3 ** (depth.max() - depth)
+    return np.argsort(np.concatenate([np.repeat(2 * key, d),
+                                      2 * key[:space.n_pressure_dofs] + 1]),
+                      kind="stable")
 
 
 class _SaddleLayout:
@@ -238,22 +266,27 @@ class _SaddleLayout:
             volume = np.repeat(sampling.geometry(space).det, cells.shape[1])
             self.pin = int(np.argmax(np.bincount(cells.ravel(), volume, n_p)))
         self.at_pin = at_pin = np.arange(n_p) == self.pin
+        # int32 entries listed so that rows ascend within every column: A
+        # by rows, then B by rows (n_u + r); each -B^T column and unit is
+        # alone in its column.  The COO to CSC conversion is one counting
+        # pass over the columns that keeps that order, so nothing is sorted
         free = ~mask
-        a_row = np.repeat(np.arange(n_u), np.diff(A.indptr))
-        a = np.flatnonzero(free[a_row] & free[A.indices])
-        b_row = np.repeat(np.arange(n_p), np.diff(B.indptr))
-        b = np.flatnonzero(free[B.indices] & ~at_pin[b_row])
-        units = np.flatnonzero(np.concatenate([mask, at_pin]))
-        rows = np.concatenate([a_row[a], n_u + b_row[b], B.indices[b], units])
-        cols = np.concatenate([A.indices[a], B.indices[b], n_u + b_row[b],
-                               units])
-        source = np.concatenate([a, A.nnz + b, A.nnz + B.nnz + b,
-                                 np.full(len(units), A.nnz + 2 * B.nnz)])
-        order = np.lexsort((rows, cols))
-        self.indices = rows[order].astype(np.int32)
-        self.gather = source[order].astype(np.int32)
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(
-            cols, minlength=n_u + n_p))]).astype(np.int32)
+        source = np.arange(A.nnz + B.nnz, dtype=np.int32)
+        a_row = np.repeat(np.arange(n_u, dtype=np.int32), np.diff(A.indptr))
+        a = free[a_row] & free[A.indices]
+        b_row = np.repeat(np.arange(n_p, dtype=np.int32), np.diff(B.indptr))
+        b = free[B.indices] & ~at_pin[b_row]
+        b_row, b_col = n_u + b_row[b], B.indices[b]
+        b_source = source[A.nnz:][b]
+        units = np.flatnonzero(np.concatenate([mask, at_pin])).astype(np.int32)
+        K = sp.coo_matrix((
+            np.concatenate([source[:A.nnz][a], b_source, b_source + B.nnz,
+                            np.full(len(units), A.nnz + 2 * B.nnz,
+                                    dtype=np.int32)]),
+            (np.concatenate([a_row[a], b_row, b_col, units]),
+             np.concatenate([A.indices[a], b_col, b_row, units]))),
+            shape=(n_u + n_p,) * 2).tocsc()
+        self.indptr, self.indices, self.gather = K.indptr, K.indices, K.data
         self.order = _nested_dissection(space)
 
     def matrix(self, A, B):
@@ -275,11 +308,6 @@ class ConstrainedSystem:
     pin: int = None                # pressure dof set to 0 (gauge case)
     gauge_vector: np.ndarray = None
     time_coefficient: float = None  # alpha/dt of the step
-
-    @property
-    def A(self):
-        """The eliminated velocity block."""
-        return self.matrix[:self.n_u, :self.n_u].tocsr()
 
     def split(self, x):
         """Velocity with the boundary values in place and, in the gauge

@@ -77,8 +77,8 @@ def test_solver_block(tmp_path, capsys):
     assert load_config(path).solver == {"tolerance": 1e-10}
     assert cli(["info", "--config", str(path)]) == 0
     assert ("solver   : tolerance 1e-10, linear solve: float32 SuperLU "
-            "factor in nested-dissection order, float64 FGMRES") in \
-        capsys.readouterr().out
+            "factor in a nested-dissection order of the reference cells, "
+            "float64 FGMRES") in capsys.readouterr().out
     path = minimal_config(tmp_path, solver={"type": "gmres"})
     with pytest.raises(ConfigError) as err:
         load_config(path)

@@ -134,7 +134,7 @@ def test_symmetric_elimination_preserves_symmetry():
                                   1.0, stress="symmetric")
     bcs = BoundaryConditionSet({NOSLIP: NoslipBC()})
     system = apply_boundary_conditions(step, bcs, space, tube, 0.1, 0.05)
-    A = system.A
+    A = system.matrix[:system.n_u, :system.n_u]
     assert np.abs((A - A.T).toarray()).max() <= 1e-12
 
 
@@ -803,18 +803,65 @@ def test_dissection_order_is_one_permutation_of_the_saddle_dofs(problem):
 
 
 def test_dissection_order_cuts_the_tube_factor_fill():
+    """Against SuperLU's default column order on the same float32 matrix,
+    on the 3D tube and on the 2D box (32 x 32, all Dirichlet)."""
     import scipy.sparse.linalg as spla
-    from movingflow.benchmarks import tube_benchmark
+    from movingflow.benchmarks import manufactured_2d, tube_benchmark
     from movingflow.solver import _SinglePrecisionFactor
-    case = tube_benchmark()
-    prob = FlowProblem(space=TaylorHoodSpace(case.mesh_for_level(1)),
-                       map=case.map, nu=case.nu,
-                       bcs=case.boundary_conditions(), forcing=case.forcing)
-    _, system = _first_system(prob, stress=case.stress)
-    K = system.matrix
-    default_nnz = spla.splu(K.astype(np.float32)).nnz
-    assert _SinglePrecisionFactor(K, system.order).lu.nnz <= \
-        0.75 * default_nnz
+    for case, level in ((tube_benchmark(), 1), (manufactured_2d(), 3)):
+        prob = FlowProblem(space=TaylorHoodSpace(case.mesh_for_level(level)),
+                           map=case.map, nu=case.nu,
+                           bcs=case.boundary_conditions(),
+                           forcing=case.forcing)
+        _, system = _first_system(prob, stress=case.stress)
+        K = system.matrix
+        default_nnz = spla.splu(K.astype(np.float32)).nnz
+        assert _SinglePrecisionFactor(K, system.order).lu.nnz <= \
+            0.75 * default_nnz
+        sampling.release(prob.space)
+
+
+def _lexsort_layout(space, A, B):
+    """The saddle CSC arrays, pin and at_pin built by sorting every entry's
+    (column, row): the oracle of the layout's counting pass."""
+    n_p, n_u = B.shape
+    mask, pin = space.constrained_dof_mask(), None
+    if not space.mesh.has_neumann_boundary():
+        cells = space.mesh.cells
+        volume = np.repeat(sampling.geometry(space).det, cells.shape[1])
+        pin = int(np.argmax(np.bincount(cells.ravel(), volume, n_p)))
+    at_pin = np.arange(n_p) == pin
+    free = ~mask
+    a_row = np.repeat(np.arange(n_u), np.diff(A.indptr))
+    a = np.flatnonzero(free[a_row] & free[A.indices])
+    b_row = np.repeat(np.arange(n_p), np.diff(B.indptr))
+    b = np.flatnonzero(free[B.indices] & ~at_pin[b_row])
+    units = np.flatnonzero(np.concatenate([mask, at_pin]))
+    rows = np.concatenate([a_row[a], n_u + b_row[b], B.indices[b], units])
+    cols = np.concatenate([A.indices[a], B.indices[b], n_u + b_row[b],
+                           units])
+    source = np.concatenate([a, A.nnz + b, A.nnz + B.nnz + b,
+                             np.full(len(units), A.nnz + 2 * B.nnz)])
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(
+        cols, minlength=n_u + n_p))])
+    return indptr, rows[order], source[order], pin, at_pin
+
+
+@pytest.mark.parametrize("stress", ["symmetric", "full-gradient"])
+@pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem])
+def test_saddle_layout_counting_pass_equals_a_lexsort(problem, stress):
+    from movingflow.solver import _SaddleLayout
+    prob = problem()
+    step, _ = _first_system(prob, stress=stress)
+    layout = _SaddleLayout(prob.space, step.A, step.B)
+    indptr, indices, gather, pin, at_pin = _lexsort_layout(
+        prob.space, step.A, step.B)
+    assert (layout.pin is None) == prob.space.mesh.has_neumann_boundary()
+    assert layout.pin == pin and np.array_equal(layout.at_pin, at_pin)
+    for got, want in ((layout.indptr, indptr), (layout.indices, indices),
+                      (layout.gather, gather)):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
     sampling.release(prob.space)
 
 
