@@ -2,8 +2,11 @@
 
 The mesh never moves: all domain motion is carried by the space-time map.
 This module provides the simplex mesh container with labeled boundary
-facets and edge connectivity (needed for quadratic velocity nodes),
-structured generators for boxes and tubes, and uniform red refinement.
+facets and edge connectivity (needed for quadratic velocity nodes): every
+cell and boundary facet reads its edge ids from ``cell_edges`` and
+``facet_edges``.  Boxes and tubes are the Kuhn split of a vertex-id grid,
+and uniform red refinement splits every cell and facet by fixed local
+tables over those edge ids.
 
 Meshes are immutable after construction (arrays are marked read-only);
 concurrent read access is safe.
@@ -11,10 +14,13 @@ concurrent read access is safe.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+from .elements import LOCAL_EDGES
 
 __all__ = [
     "BoundaryLabel", "NOSLIP", "dirichlet", "neumann",
@@ -63,12 +69,6 @@ def neumann(patch=0):
     return BoundaryLabel("neumann", patch)
 
 
-# local edges of a simplex: all vertex pairs in lexicographic order; this
-# order fixes the layout of quadratic midedge nodes everywhere downstream
-def _local_edges(d):
-    return [(a, b) for a in range(d + 1) for b in range(a + 1, d + 1)]
-
-
 class SimplicialMesh:
     """Triangle (d=2) or tetrahedral (d=3) mesh with labeled boundary.
 
@@ -81,10 +81,13 @@ class SimplicialMesh:
     boundary_cells : (nbf,) index of the unique cell adjacent to each facet
     edges : (ne, 2) sorted unique vertex pairs
     cell_edges : (nc, n_local_edges) edge index per local cell edge
+    facet_edges : (nbf, d(d-1)/2) edge index per local boundary facet edge,
+        in ``LOCAL_EDGES[d - 1]`` order
     """
 
     def __init__(self, dimension, vertices, cells, boundary_facets,
-                 boundary_labels, boundary_cells, edges, cell_edges):
+                 boundary_labels, boundary_cells, edges, cell_edges,
+                 facet_edges):
         self.dimension = dimension
         self.vertices = vertices
         self.cells = cells
@@ -93,8 +96,10 @@ class SimplicialMesh:
         self.boundary_cells = boundary_cells
         self.edges = edges
         self.cell_edges = cell_edges
+        self.facet_edges = facet_edges
         for arr in (self.vertices, self.cells, self.boundary_facets,
-                    self.boundary_cells, self.edges, self.cell_edges):
+                    self.boundary_cells, self.edges, self.cell_edges,
+                    self.facet_edges):
             arr.setflags(write=False)
 
     @property
@@ -138,7 +143,7 @@ class SimplicialMesh:
         return normal
 
     def has_neumann_boundary(self):
-        return any(lbl.kind == "neumann" for lbl in self.boundary_labels)
+        return any(lbl.kind == "neumann" for lbl in set(self.boundary_labels))
 
 
 @dataclass(frozen=True)
@@ -229,33 +234,72 @@ def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
         raise ValueError(f"{int(missing.sum())} boundary facets carry no "
                          f"label (e.g. {_key(keys[np.argmax(missing)])})")
 
-    # edges: unique sorted vertex pairs, lexicographic order
-    locals_ = _local_edges(d)
-    pairs = np.sort(cells[:, locals_].reshape(-1, 2), axis=1)
-    edges, _, inverse = _unique_rows(pairs)
-    cell_edges = inverse.reshape(len(cells), len(locals_))
+    # edges: unique sorted vertex pairs v0 < v1 in lexicographic order, as
+    # the sorted codes v0 * nv + v1; facet edges are found in those codes
+    nv = len(vertices)
+    pairs = np.sort(cells[:, LOCAL_EDGES[d]], axis=2)
+    codes, cell_edges = np.unique(pairs[..., 0] * nv + pairs[..., 1],
+                                  return_inverse=True)
+    edges = np.stack(divmod(codes, nv), axis=1)
+    pairs = np.sort(boundary_facets[:, LOCAL_EDGES[d - 1]], axis=2)
+    facet_edges = np.searchsorted(codes, pairs[..., 0] * nv + pairs[..., 1])
 
     return SimplicialMesh(
         dimension=d, vertices=vertices, cells=cells,
         boundary_facets=boundary_facets, boundary_labels=list(boundary_labels),
-        boundary_cells=owners, edges=edges, cell_edges=cell_edges)
+        boundary_cells=owners, edges=edges,
+        cell_edges=cell_edges.reshape(len(cells), -1), facet_edges=facet_edges)
 
 
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
 
-_BOX_FACES_2D = ("xmin", "xmax", "ymin", "ymax")
-_BOX_FACES_3D = ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")
+def _kuhn_cells(ids):
+    """Kuhn split of every cell of a d-dimensional vertex-id grid.
+
+    Each grid cell gives d! simplices, one per permutation of the axes: the
+    path from the cell's low corner to its high corner that steps along the
+    axes in that order.  The same split in every cell keeps shared faces
+    conforming.  Rows run grid cell major, then over the permutations.
+    """
+    d = ids.ndim
+    counts = [n - 1 for n in ids.shape]
+
+    def corner(offset):
+        return ids[tuple(slice(o, o + n) for o, n in zip(offset, counts))]
+
+    paths = []
+    for perm in itertools.permutations(range(d)):
+        offset = [0] * d
+        path = [corner(offset)]
+        for axis in perm:
+            offset[axis] = 1
+            path.append(corner(offset))
+        paths.append(np.stack(path, axis=-1))
+    return np.stack(paths, axis=-2).reshape(-1, d + 1)
+
+
+def _quad_facets(grids):
+    """Boundary triangles (a, b, c), (a, c, d) of every grid quad
+    a, b, c, d = g[i, j], g[i+1, j], g[i+1, j+1], g[i, j+1] of each 2D
+    vertex-id grid g (all of one shape).  Shape (n0, n1, len(grids), 2, 3):
+    the quads of the grids interleave, grid cell major."""
+    g = np.stack(grids, axis=-1)
+    quads = np.stack([g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]], axis=-1)
+    return quads[..., [[0, 1, 2], [0, 2, 3]]]
+
+
+_BOX_FACES = ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax")
 
 
 def generate_box(dimension, divisions, extents=None, labels=None):
     """Structured simplex mesh of an axis-aligned box.
 
-    Each grid quad is split into 2 triangles (d=2); each grid hex into 6
-    tetrahedra along a consistent main diagonal (d=3), so neighboring cells
-    conform.  Outer faces are labeled per ``labels`` (face name -> label),
-    defaulting to noslip everywhere.
+    The Kuhn split of the grid gives 2 triangles per grid quad (d=2) and 6
+    tetrahedra around the main diagonal of each grid hex (d=3), so
+    neighboring cells conform.  Outer faces are labeled per ``labels``
+    (face name -> label), defaulting to noslip everywhere.
     """
     d = dimension
     divisions = tuple(int(n) for n in np.atleast_1d(divisions)) if not np.isscalar(divisions) \
@@ -264,7 +308,7 @@ def generate_box(dimension, divisions, extents=None, labels=None):
         raise ValueError("need one positive division count per axis")
     if extents is None:
         extents = [(0.0, 1.0)] * d
-    face_names = _BOX_FACES_2D if d == 2 else _BOX_FACES_3D
+    face_names = _BOX_FACES[:2 * d]
     labels = dict(labels or {})
     for name in labels:
         if name not in face_names:
@@ -272,80 +316,24 @@ def generate_box(dimension, divisions, extents=None, labels=None):
     face_label = {name: labels.get(name, NOSLIP) for name in face_names}
 
     axes = [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(extents, divisions)]
-    if d == 2:
-        nx, ny = divisions
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        vertices = np.stack([X.ravel(), Y.ravel()], axis=1)
-
-        def vid(i, j):
-            return i * (ny + 1) + j
-
-        cells = []
-        for i in range(nx):
-            for j in range(ny):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-                cells.append((v00, v10, v11))
-                cells.append((v00, v11, v01))
-        facets, labs = [], []
-        for j in range(ny):
-            facets.append((vid(0, j), vid(0, j + 1)));     labs.append(face_label["xmin"])
-            facets.append((vid(nx, j), vid(nx, j + 1)));   labs.append(face_label["xmax"])
-        for i in range(nx):
-            facets.append((vid(i, 0), vid(i + 1, 0)));     labs.append(face_label["ymin"])
-            facets.append((vid(i, ny), vid(i + 1, ny)));   labs.append(face_label["ymax"])
-        return build_connectivity(vertices, cells, facets, labs)
-
-    nx, ny, nz = divisions
-    X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
-    vertices = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-
-    def vid3(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                corner = [vid3(i + a, j + b, k + c)
-                          for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-                cells.extend(_hex_to_tets(corner))
+    vertices = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                        axis=1)
+    ids = np.arange(len(vertices)).reshape([n + 1 for n in divisions])
+    # per axis, the min and max faces, their facets interleaved
     facets, labs = [], []
-
-    def quad(vids, label):
-        a, b, c, dd = vids
-        facets.append((a, b, c)); labs.append(label)
-        facets.append((a, c, dd)); labs.append(label)
-
-    for j in range(ny):
-        for k in range(nz):
-            quad([vid3(0, j, k), vid3(0, j + 1, k), vid3(0, j + 1, k + 1),
-                  vid3(0, j, k + 1)], face_label["xmin"])
-            quad([vid3(nx, j, k), vid3(nx, j + 1, k), vid3(nx, j + 1, k + 1),
-                  vid3(nx, j, k + 1)], face_label["xmax"])
-    for i in range(nx):
-        for k in range(nz):
-            quad([vid3(i, 0, k), vid3(i + 1, 0, k), vid3(i + 1, 0, k + 1),
-                  vid3(i, 0, k + 1)], face_label["ymin"])
-            quad([vid3(i, ny, k), vid3(i + 1, ny, k), vid3(i + 1, ny, k + 1),
-                  vid3(i, ny, k + 1)], face_label["ymax"])
-    for i in range(nx):
-        for j in range(ny):
-            quad([vid3(i, j, 0), vid3(i + 1, j, 0), vid3(i + 1, j + 1, 0),
-                  vid3(i, j + 1, 0)], face_label["zmin"])
-            quad([vid3(i, j, nz), vid3(i + 1, j, nz), vid3(i + 1, j + 1, nz),
-                  vid3(i, j + 1, nz)], face_label["zmax"])
-    return build_connectivity(vertices, cells, facets, labs)
-
-
-def _hex_to_tets(c):
-    """Kuhn split of a hex into 6 tets around the main diagonal c[0]-c[7].
-
-    Corner order: c[(a<<2) | (b<<1) | cc] for offsets (a, b, cc) along the
-    three axes.  The same split in every hex keeps shared faces conforming.
-    """
-    paths = [(4, 6, 7), (4, 5, 7), (2, 6, 7), (2, 3, 7), (1, 5, 7), (1, 3, 7)]
-    return [(c[0], c[p], c[q], c[r]) for p, q, r in paths]
+    for axis in range(d):
+        ends = [np.take(ids, 0, axis), np.take(ids, -1, axis)]
+        if d == 2:                                  # one segment per edge
+            g = np.stack(ends, axis=-1)
+            group = np.stack([g[:-1], g[1:]], axis=-1)
+        else:
+            group = _quad_facets(ends)
+        facets.append(group.reshape(-1, d))
+        lo, hi = face_names[2 * axis:2 * axis + 2]
+        pattern = [face_label[lo]] * (d - 1) + [face_label[hi]] * (d - 1)
+        labs += pattern * (len(facets[-1]) // len(pattern))
+    return build_connectivity(vertices, _kuhn_cells(ids), np.vstack(facets),
+                              labs)
 
 
 def _square_to_disk(u, v):
@@ -383,51 +371,20 @@ def generate_tube(axial_divisions, radial_divisions, radius_fn, y_range,
     U, V = np.meshgrid(grid, grid, indexing="ij")
     DX, DZ = _square_to_disk(U, V)  # (m+1, m+1) unit-disk coordinates
 
-    nsec = (m + 1) * (m + 1)
-    vertices = np.empty(((na + 1) * nsec, 3))
-    for layer, (y, r) in enumerate(zip(ys, radii)):
-        base = layer * nsec
-        vertices[base:base + nsec, 0] = (r * DX).ravel()
-        vertices[base:base + nsec, 1] = y
-        vertices[base:base + nsec, 2] = (r * DZ).ravel()
+    r = radii[:, None, None]
+    y = np.broadcast_to(ys[:, None, None], (na + 1, m + 1, m + 1))
+    vertices = np.stack([r * DX, y, r * DZ], axis=-1).reshape(-1, 3)
+    ids = np.arange(len(vertices)).reshape(na + 1, m + 1, m + 1)
 
-    def vid(layer, i, j):
-        return layer * nsec + i * (m + 1) + j
-
-    cells = []
-    for layer in range(na):
-        for i in range(m):
-            for j in range(m):
-                corner = [vid(layer + a, i + b, j + c)
-                          for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-                cells.extend(_hex_to_tets(corner))
-
-    facets, labs = [], []
-
-    def quad(vids, label):
-        a, b, c, d = vids
-        facets.append((a, b, c)); labs.append(label)
-        facets.append((a, c, d)); labs.append(label)
-
-    # lateral surface: the four sides of the section grid, extruded
-    for layer in range(na):
-        for i in range(m):
-            quad([vid(layer, i, 0), vid(layer, i + 1, 0),
-                  vid(layer + 1, i + 1, 0), vid(layer + 1, i, 0)], lab_lat)
-            quad([vid(layer, i, m), vid(layer, i + 1, m),
-                  vid(layer + 1, i + 1, m), vid(layer + 1, i, m)], lab_lat)
-            quad([vid(layer, 0, i), vid(layer, 0, i + 1),
-                  vid(layer + 1, 0, i + 1), vid(layer + 1, 0, i)], lab_lat)
-            quad([vid(layer, m, i), vid(layer, m, i + 1),
-                  vid(layer + 1, m, i + 1), vid(layer + 1, m, i)], lab_lat)
-    # inlet / outlet disks
-    for i in range(m):
-        for j in range(m):
-            quad([vid(0, i, j), vid(0, i + 1, j), vid(0, i + 1, j + 1),
-                  vid(0, i, j + 1)], lab_in)
-            quad([vid(na, i, j), vid(na, i + 1, j), vid(na, i + 1, j + 1),
-                  vid(na, i, j + 1)], lab_out)
-    return build_connectivity(vertices, cells, facets, labs)
+    # lateral surface: the four sides of the section grid, extruded; each
+    # side grid is transposed so its quads run section major
+    sides = [ids[:, :, 0], ids[:, :, m], ids[:, 0, :], ids[:, m, :]]
+    lateral = _quad_facets([side.T for side in sides]).swapaxes(0, 1)
+    disks = _quad_facets([ids[0], ids[na]])        # inlet / outlet
+    facets = np.vstack([lateral.reshape(-1, 3), disks.reshape(-1, 3)])
+    labs = ([lab_lat] * (lateral.size // 3)
+            + [lab_in, lab_in, lab_out, lab_out] * (m * m))
+    return build_connectivity(vertices, _kuhn_cells(ids), facets, labs)
 
 
 # ---------------------------------------------------------------------------
@@ -435,83 +392,56 @@ def generate_tube(axial_divisions, radial_divisions, radius_fn, y_range,
 # ---------------------------------------------------------------------------
 
 
+# Children as rows of local node ids: the cell's (or facet's) vertices, then
+# the midpoints of its edges in LOCAL_EDGES order.
+_RED_TRIANGLES = np.array([(0, 3, 4), (1, 5, 3), (2, 4, 5), (3, 5, 4)])
+_RED_FACETS = {2: np.array([(0, 2), (2, 1)]),
+               3: np.array([(0, 3, 4), (1, 3, 5), (2, 4, 5), (3, 5, 4)])}
+# A tet gives its four corner tets and four tets around one diagonal of the
+# octahedron of its edge midpoints: m01-m23, m02-m13 or m03-m12.  The
+# octahedron's equator around each diagonal is a fixed 4-cycle.
+_OCT_DIAGONALS = np.array([(4, 9), (5, 8), (6, 7)])
+_OCT_RINGS = ((5, 6, 8, 7), (4, 6, 9, 7), (4, 5, 9, 8))
+_RED_TETS = np.array([
+    [(0, 4, 5, 6), (1, 4, 7, 8), (2, 5, 7, 9), (3, 6, 8, 9)]
+    + [(a, b, ring[k], ring[(k + 1) % 4]) for k in range(4)]
+    for (a, b), ring in zip(_OCT_DIAGONALS, _OCT_RINGS)])
+
+
 def refine_uniform(mesh):
     """Red refinement: each triangle -> 4 children, each tet -> 8 children
-    (octahedron split along its shortest interior diagonal).  Boundary
-    facets inherit their parent's label."""
+    (octahedron split along its shortest interior diagonal, ties to the
+    first).  Boundary facets inherit their parent's label."""
     d = mesh.dimension
     nv = mesh.n_vertices
     mid = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mid])
-    edge_mid = {tuple(e): nv + i for i, e in enumerate(map(tuple, mesh.edges))}
-
-    def m(a, b):
-        return edge_mid[(a, b) if a < b else (b, a)]
-
-    cells = []
+    nodes = np.hstack([mesh.cells, nv + mesh.cell_edges])
     if d == 2:
-        for v0, v1, v2 in mesh.cells:
-            m01, m02, m12 = m(v0, v1), m(v0, v2), m(v1, v2)
-            cells += [(v0, m01, m02), (v1, m12, m01), (v2, m02, m12),
-                      (m01, m12, m02)]
-        facets, labs = [], []
-        for (a, b), lbl in zip(mesh.boundary_facets, mesh.boundary_labels):
-            mab = m(a, b)
-            facets += [(a, mab), (mab, b)]
-            labs += [lbl, lbl]
+        cells = nodes[:, _RED_TRIANGLES]
     else:
-        for v0, v1, v2, v3 in mesh.cells:
-            m01, m02, m03 = m(v0, v1), m(v0, v2), m(v0, v3)
-            m12, m13, m23 = m(v1, v2), m(v1, v3), m(v2, v3)
-            cells += [(v0, m01, m02, m03), (v1, m01, m12, m13),
-                      (v2, m02, m12, m23), (v3, m03, m13, m23)]
-            # octahedron m01 m02 m03 m12 m13 m23: pick the shortest of the
-            # three interior diagonals, then fan 4 tets around it
-            diags = [(m01, m23), (m02, m13), (m03, m12)]
-            lengths = [np.linalg.norm(vertices[a] - vertices[b]) for a, b in diags]
-            a, b = diags[int(np.argmin(lengths))]
-            ring = [v for v in (m01, m02, m03, m12, m13, m23) if v not in (a, b)]
-            ring = _octahedron_ring(ring, edge_mid, vertices)
-            for r0, r1 in zip(ring, ring[1:] + ring[:1]):
-                cells.append((a, b, r0, r1))
-        facets, labs = [], []
-        for (a, b, c), lbl in zip(mesh.boundary_facets, mesh.boundary_labels):
-            mab, mac, mbc = m(a, b), m(a, c), m(b, c)
-            facets += [(a, mab, mac), (b, mab, mbc), (c, mac, mbc),
-                       (mab, mbc, mac)]
-            labs += [lbl] * 4
-    return build_connectivity(vertices, cells, facets, labs)
-
-
-def _octahedron_ring(ring, edge_mid, vertices):
-    """Order 4 equator vertices of the midpoint octahedron into a cycle.
-
-    Two midpoint vertices are adjacent iff their parent edges share a parent
-    vertex; consecutive ring entries must be adjacent."""
-    parents = {}
-    for key, idx in edge_mid.items():
-        parents[idx] = set(key)
-    ordered = [ring[0]]
-    remaining = list(ring[1:])
-    while remaining:
-        last = ordered[-1]
-        for cand in remaining:
-            if parents[cand] & parents[last]:
-                ordered.append(cand)
-                remaining.remove(cand)
-                break
-        else:
-            raise AssertionError("octahedron equator is not a cycle")
-    return ordered
+        diff = (vertices[nodes[:, _OCT_DIAGONALS[:, 0]]]
+                - vertices[nodes[:, _OCT_DIAGONALS[:, 1]]])
+        # lengths as np.linalg.norm gives them for one vector, the root of
+        # one dot product, so near-ties break the same way for any batch
+        squares = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+        diagonal = np.argmin(np.sqrt(squares), axis=1)
+        cells = nodes[np.arange(len(nodes))[:, None, None],
+                      _RED_TETS[diagonal]]
+    facet_nodes = np.hstack([mesh.boundary_facets, nv + mesh.facet_edges])
+    facets = facet_nodes[:, _RED_FACETS[d]].reshape(-1, d)
+    labels = np.repeat(np.array(mesh.boundary_labels, dtype=object),
+                       len(_RED_FACETS[d]))
+    return build_connectivity(vertices, cells.reshape(-1, d + 1), facets,
+                              labels)
 
 
 def mesh_quality(mesh):
     verts = mesh.vertices[mesh.cells]
     d = mesh.dimension
     # simplex diameter = longest edge
-    locals_ = _local_edges(d)
-    elen = np.linalg.norm(verts[:, [a for a, _ in locals_], :] -
-                          verts[:, [b for _, b in locals_], :], axis=2)
+    a, b = np.array(LOCAL_EDGES[d]).T
+    elen = np.linalg.norm(verts[:, a, :] - verts[:, b, :], axis=2)
     diam = elen.max(axis=1)
     vol = np.abs(mesh.cell_volumes())
     # insphere radius r = d * |V| / (sum of facet measures)

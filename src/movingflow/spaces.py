@@ -21,8 +21,8 @@ __all__ = ["TaylorHoodSpace", "DiscreteField", "interpolate",
 
 log = logging.getLogger(__name__)
 
+# the boundary kinds, ordered by precedence: the smallest code wins
 INTERIOR, NOSLIP_NODE, DIRICHLET_NODE, NEUMANN_NODE = 0, 1, 2, 3
-_PRECEDENCE = {"noslip": 3, "dirichlet": 2, "neumann": 1}
 _KIND_CODE = {"noslip": NOSLIP_NODE, "dirichlet": DIRICHLET_NODE,
               "neumann": NEUMANN_NODE}
 
@@ -54,64 +54,53 @@ class TaylorHoodSpace:
 
     def _classify_boundary(self):
         mesh = self.mesh
-        d = mesh.dimension
-        kind = np.zeros(self.n_nodes, dtype=np.int8)
-        patch = np.full(self.n_nodes, -1, dtype=np.int64)
-        rank = np.zeros(self.n_nodes, dtype=np.int8)
-
-        edge_index = {tuple(e): i for i, e in enumerate(map(tuple, mesh.edges))}
-
-        def facet_node_ids(facet):
-            nodes = list(facet)
-            if d == 2:
-                pairs = [tuple(sorted(facet))]
-            else:
-                pairs = [tuple(sorted((facet[a], facet[b])))
-                         for a, b in ((0, 1), (0, 2), (1, 2))]
-            nodes += [mesh.n_vertices + edge_index[p] for p in pairs]
-            return nodes
-
-        facet_nodes = []
-        for facet, label in zip(mesh.boundary_facets, mesh.boundary_labels):
-            ids = facet_node_ids(facet)
-            facet_nodes.append(ids)
-            r = _PRECEDENCE[label.kind]
-            p = -1 if label.patch is None else label.patch
-            for n in ids:
-                if r > rank[n]:
-                    if rank[n] > 0 and kind[n] != _KIND_CODE[label.kind]:
-                        log.info("boundary node %d: %s overrides weaker label",
-                                 n, label.kind)
-                    rank[n] = r
-                    kind[n] = _KIND_CODE[label.kind]
-                    patch[n] = p
-                elif r == rank[n] and kind[n] == DIRICHLET_NODE and p != patch[n]:
-                    keep = min(patch[n], p)
-                    log.info("boundary node %d on dirichlet patches %d and %d; "
-                             "keeping %d", n, patch[n], p, keep)
-                    patch[n] = keep
-        self.node_kind = kind
-        self.node_patch = patch
         # (nbf, n_facet_nodes) velocity node ids per boundary facet: facet
-        # vertices first, then facet midedge nodes (3D)
-        self.facet_nodes = np.asarray(facet_nodes, dtype=np.int64)
+        # vertices first, then facet midedge nodes
+        self.facet_nodes = np.hstack([mesh.boundary_facets,
+                                      mesh.n_vertices + mesh.facet_edges])
+
+        # kind and patch of every (facet, node) pair, in facet order
+        code = {l: (_KIND_CODE[l.kind], -1 if l.patch is None else l.patch)
+                for l in set(mesh.boundary_labels)}
+        facet_code = np.array(list(map(code.get, mesh.boundary_labels)),
+                              dtype=np.int64).reshape(-1, 2)
+        kind, patch = np.repeat(facet_code, self.facet_nodes.shape[1], axis=0).T
+        nodes = self.facet_nodes.ravel()
+
+        # sort each node's pairs by kind, then Dirichlet patch, then facet
+        # order: the node keeps its first pair
+        order = np.lexsort((np.where(kind == DIRICHLET_NODE, patch, 0), kind,
+                            nodes))
+        nodes, kind, patch = nodes[order], kind[order], patch[order]
+        same = nodes[1:] == nodes[:-1]
+        head = np.ones(len(nodes), dtype=bool)
+        head[1:] = ~same
+        self.node_kind = np.zeros(self.n_nodes, dtype=np.int8)
+        self.node_patch = np.full(self.n_nodes, -1, dtype=np.int64)
+        self.node_kind[nodes[head]] = kind[head]
+        self.node_patch[nodes[head]] = patch[head]
+
+        # conflicts show between neighboring pairs of one node: a weaker
+        # kind, or a second patch of a Dirichlet node
+        weaker = np.unique(nodes[1:][same & (kind[1:] != kind[:-1])])
+        if weaker.size:
+            log.info("%d boundary nodes: a stronger label overrides weaker "
+                     "ones (first node %d)", weaker.size, weaker[0])
+        split = np.unique(nodes[1:][
+            same & (kind[1:] == DIRICHLET_NODE) & (patch[1:] != patch[:-1])
+            & (self.node_kind[nodes[1:]] == DIRICHLET_NODE)])
+        if split.size:
+            log.info("%d boundary nodes on two dirichlet patches keep the "
+                     "smallest (first node %d, keeping patch %d)",
+                     split.size, split[0], self.node_patch[split[0]])
 
     # -- dof helpers -----------------------------------------------------------
 
-    def velocity_dofs_of_nodes(self, nodes):
-        nodes = np.asarray(nodes, dtype=np.int64)
-        d = self.dimension
-        return (nodes[:, None] * d + np.arange(d)[None, :]).ravel()
-
-    def constrained_nodes(self):
-        """Nodes with strongly imposed velocity (noslip or dirichlet)."""
-        return np.flatnonzero((self.node_kind == NOSLIP_NODE) |
-                              (self.node_kind == DIRICHLET_NODE))
-
     def constrained_dof_mask(self):
-        mask = np.zeros(self.n_velocity_dofs, dtype=bool)
-        mask[self.velocity_dofs_of_nodes(self.constrained_nodes())] = True
-        return mask
+        """Velocity dofs with strongly imposed values (noslip or dirichlet
+        nodes)."""
+        return np.repeat(np.isin(self.node_kind, (NOSLIP_NODE, DIRICHLET_NODE)),
+                         self.dimension)
 
 
 @dataclass

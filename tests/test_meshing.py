@@ -1,12 +1,15 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
+from movingflow.elements import LOCAL_EDGES
 from movingflow.meshing import (NOSLIP, BoundaryLabel, build_connectivity,
                                 dirichlet, generate_box, generate_tube,
                                 mesh_quality, neumann, refine_uniform,
                                 reference_simplex_mesh)
+from movingflow.spaces import TaylorHoodSpace
 
 
 def test_boundary_label_parsing():
@@ -172,6 +175,11 @@ def test_refine_triangle_counts():
     assert finer.n_cells == 32
 
 
+def _label_area(mesh, label):
+    areas = mesh.boundary_facet_areas()
+    return sum(a for a, l in zip(areas, mesh.boundary_labels) if l == label)
+
+
 def test_refine_tet_counts():
     mesh = reference_simplex_mesh(3)
     fine = refine_uniform(mesh)
@@ -179,6 +187,15 @@ def test_refine_tet_counts():
     assert fine.n_vertices == 10
     assert np.all(fine.cell_volumes() > 0)
     assert abs(fine.cell_volumes().sum() - 1.0 / 6.0) < 1e-14
+    # a refinement that searched all edges per cell would take seconds here
+    box = generate_box(3, (4, 4, 4), extents=[(0, 2), (0, 1), (0, 1)],
+                       labels={"xmin": dirichlet(0), "xmax": neumann(0)})
+    finer = refine_uniform(refine_uniform(box))
+    assert finer.n_cells == 24576
+    assert np.all(finer.cell_volumes() > 0)
+    assert abs(finer.cell_volumes().sum() - 2.0) < 1e-12
+    for label, area in ((NOSLIP, 8.0), (dirichlet(0), 1.0), (neumann(0), 1.0)):
+        assert abs(_label_area(finer, label) - area) < 1e-12
 
 
 def test_refine_halves_structured_h():
@@ -192,14 +209,8 @@ def test_refine_preserves_labels():
     mesh = generate_box(3, (1, 1, 1), labels=labels)
     fine = refine_uniform(mesh)
     assert len(fine.boundary_facets) == 4 * len(mesh.boundary_facets)
-
-    def label_area(m, kind):
-        areas = m.boundary_facet_areas()
-        return sum(a for a, l in zip(areas, m.boundary_labels)
-                   if str(l) == kind)
-
-    for kind in ("noslip", "dirichlet:0", "neumann:0"):
-        assert abs(label_area(mesh, kind) - label_area(fine, kind)) < 1e-12
+    for label in (NOSLIP, dirichlet(0), neumann(0)):
+        assert abs(_label_area(mesh, label) - _label_area(fine, label)) < 1e-12
 
 
 def test_build_connectivity_idempotent():
@@ -209,6 +220,7 @@ def test_build_connectivity_idempotent():
     assert np.array_equal(rebuilt.cells, mesh.cells)
     assert np.array_equal(rebuilt.edges, mesh.edges)
     assert np.array_equal(rebuilt.cell_edges, mesh.cell_edges)
+    assert np.array_equal(rebuilt.facet_edges, mesh.facet_edges)
     assert rebuilt.boundary_labels == mesh.boundary_labels
 
 
@@ -265,3 +277,85 @@ def test_connectivity_matches_brute_force(make):
     with pytest.raises(ValueError, match=re.escape(
             f"non-manifold facet {shared}: shared by 3 cells")):
         build_connectivity(mesh.vertices, cells, facets, labels)
+
+
+def _labeled_box_2d():
+    # two Dirichlet patches meet at the (xmin, ymin) corner
+    return generate_box(2, (4, 3), labels={
+        "xmin": dirichlet(0), "ymin": dirichlet(2), "xmax": neumann(0)})
+
+
+def _labeled_box_3d():
+    # two Neumann patches meet along the (ymax, zmax) edge
+    return generate_box(3, (2, 3, 2), labels={
+        "xmin": dirichlet(3), "ymin": dirichlet(1), "ymax": neumann(2),
+        "zmax": neumann(1)})
+
+
+# sha256 of every topology array of each mesh and of its space's boundary
+# classification, recorded from the loop-based generators, refinement and
+# classification that the table lookups replaced
+_ARRAY_DIGESTS = {
+    "box-2d": "b550be94837d392303d905e410660c4580e2cd9a748159dd96941065ee1dacc5",
+    "box-2d-dirichlet-patches": "97b3eb6bca9c58edd9ee19a1dc13eada8cd8c47b9f869654715e99026fc31664",
+    "box-3d-neumann-patches": "46e1b434234d084d83ea4c5c37220ecc1c44d491d3e0d0fe1f4a68ab94ed1e64",
+    "tube": "d5b233a541b73c171243c559d17c4e789702284082111435ed45765ec0b63e47",
+    "box-2d-refined": "e749e9b42fdc3f0ad3f826812579982b1be6c53fb03cd2ce07e64ceb51eabdfc",
+    "box-2d-refined-twice": "0ca6bd091e7c1fa7b4f917decc71042186207d50ffb6442c4e7ee57b20b2d2ff",
+    "box-3d-refined": "d44f62df3d41021d73d9f953df66045f4e2d8b750935e29cadf67b512e71ae28",
+    "box-3d-refined-twice": "0948cac582baded7e0a4d432de0adf4ffd1b918988788f255964ba51f6a2cc70",
+}
+
+_DIGEST_MESHES = {
+    "box-2d": lambda: generate_box(2, (3, 2)),
+    "box-2d-dirichlet-patches": _labeled_box_2d,
+    "box-3d-neumann-patches": _labeled_box_3d,
+    "tube": lambda: generate_tube(3, 2, lambda y: 1.0 + 0.1 * y, (0.0, 2.0),
+                                  labels={"inlet": dirichlet(1)}),
+    "box-2d-refined": lambda: refine_uniform(_labeled_box_2d()),
+    "box-2d-refined-twice": lambda: refine_uniform(
+        refine_uniform(_labeled_box_2d())),
+    "box-3d-refined": lambda: refine_uniform(_labeled_box_3d()),
+    "box-3d-refined-twice": lambda: refine_uniform(
+        refine_uniform(_labeled_box_3d())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIGEST_MESHES))
+def test_mesh_and_space_arrays_match_recorded_digests(name):
+    mesh = _DIGEST_MESHES[name]()
+    space = TaylorHoodSpace(mesh)
+    h = hashlib.sha256()
+    for arr in (mesh.vertices, mesh.cells, mesh.boundary_facets,
+                mesh.boundary_cells, mesh.edges, mesh.cell_edges):
+        h.update(arr.tobytes())
+    h.update(str(mesh.boundary_labels).encode())
+    for arr in (space.node_kind, space.node_patch, space.facet_nodes):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == _ARRAY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["tube", "box-2d-dirichlet-patches"])
+def test_facet_edges_under_renumbering(name):
+    mesh = _DIGEST_MESHES[name]()
+    perm = np.random.default_rng(7).permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    renumbered = build_connectivity(vertices, perm[mesh.cells],
+                                    perm[mesh.boundary_facets],
+                                    mesh.boundary_labels)
+    d = mesh.dimension
+    facets, edges = renumbered.boundary_facets, renumbered.edges
+    assert renumbered.facet_edges.shape == (len(facets), len(LOCAL_EDGES[d - 1]))
+    for k, (a, b) in enumerate(LOCAL_EDGES[d - 1]):
+        joined = np.sort(facets[:, [a, b]], axis=1)
+        assert np.array_equal(edges[renumbered.facet_edges[:, k]], joined)
+    # the same node positions carry the same kinds and patches
+    classified = []
+    for m in (mesh, renumbered):
+        space = TaylorHoodSpace(m)
+        order = np.lexsort(space.velocity_nodes.T)
+        classified.append((space.velocity_nodes[order],
+                           space.node_kind[order], space.node_patch[order]))
+    for before, after in zip(*classified):
+        assert np.array_equal(before, after)

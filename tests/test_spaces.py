@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,30 @@ def test_noslip_wins_at_corners():
         (np.abs(space.velocity_nodes[:, 0]) < 1e-14) &
         (np.abs(space.velocity_nodes[:, 1]) < 1e-14))
     assert space.node_kind[corner[0]] == NOSLIP_NODE
+
+
+def test_two_dirichlet_patches_keep_the_smallest(caplog):
+    # xmin (patch 3) facets come before ymin (patch 1) facets; xmax neumann
+    # meets both noslip and dirichlet, ymax noslip meets xmin
+    labels = {"xmin": dirichlet(3), "ymin": dirichlet(1), "xmax": neumann(0)}
+    mesh = generate_box(2, (4, 3), labels=labels)
+    with caplog.at_level(logging.INFO, logger="movingflow.spaces"):
+        space = TaylorHoodSpace(mesh)
+    X = space.velocity_nodes
+    corner = np.flatnonzero((X == 0.0).all(axis=1))
+    assert space.node_kind[corner] == DIRICHLET_NODE
+    assert space.node_patch[corner] == 1
+    xmin = np.flatnonzero((X[:, 0] == 0.0) & (X[:, 1] > 0.0) & (X[:, 1] < 1.0))
+    assert np.all(space.node_kind[xmin] == DIRICHLET_NODE)
+    assert np.all(space.node_patch[xmin] == 3)
+    # one record per kind of conflict
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert [m for m in messages if "dirichlet patches" in m] == [
+        "1 boundary nodes on two dirichlet patches keep the smallest "
+        "(first node 0, keeping patch 1)"]
+    overrides = [m for m in messages if "overrides" in m]
+    assert len(overrides) == 1
+    assert overrides[0].startswith("3 boundary nodes")
 
 
 def test_interpolate_reproduces_quadratics():
