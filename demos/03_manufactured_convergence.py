@@ -14,7 +14,7 @@ OUTDIR = Path("demo_output") / "03_manufactured_convergence"
 
 case = manufactured_2d()
 table = convergence_study(
-    case, levels=3, pairing="dt-h2",
+    case, levels=3,
     progress=lambda lvl, tab: print(f"level {lvl}: "
                                     f"error {tab.errors()[-1]:.6g}"))
 

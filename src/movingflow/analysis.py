@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -275,41 +275,36 @@ class ConvergenceTable:
         return "\n".join(lines)
 
 
-def convergence_study(case, levels, pairing="dt-h2", config=None, *,
-                      progress=None):
+def convergence_study(case, levels, *, progress=None):
     """Run ``case`` on its mesh-level sequence and tabulate energy errors.
 
-    The time step scales from the case's base step with the nominal mesh
-    ratio: proportionally to h^2 under pairing 'dt-h2', to h under 'dt-h'.
+    The time step scales from the case's base step with the square of the
+    nominal mesh ratio, dt = base_dt (h_l / h_1)^2, so the paper's condition
+    h^4 <= c dt for the quadratic velocity holds on every level.
     """
     if levels < 2:
         raise ValueError("a convergence study needs at least 2 levels")
-    if pairing not in ("dt-h2", "dt-h"):
-        raise ValueError(f"unknown pairing {pairing!r}")
-    config = config or SolverConfig()
+    config = SolverConfig(stress=case.stress)
     table = ConvergenceTable()
     from .meshing import mesh_quality
 
     for level in range(1, levels + 1):
         mesh = case.mesh_for_level(level)
         ratio = case.nominal_h(level) / case.nominal_h(1)
-        exponent = 2.0 if pairing == "dt-h2" else 1.0
-        dt = case.base_dt * ratio ** exponent
-        steps = int(round(case.T / dt))
+        steps = int(round(case.T / (case.base_dt * ratio ** 2)))
         dt = case.T / steps
         space = TaylorHoodSpace(mesh)
-        cfg = replace(config, stress=case.stress)
         problem = FlowProblem(space=space, map=case.map, nu=case.nu,
                               bcs=case.boundary_conditions(),
                               forcing=case.forcing)
         u0 = interpolate(space, "velocity",
-                         lambda X: case.velocity(_compose(case.map, X, 0.0), 0.0))
+                         lambda X: case.velocity(case.map.position(X, 0.0), 0.0))
         p0 = interpolate(space, "pressure",
-                         lambda X: case.pressure(_compose(case.map, X, 0.0), 0.0))
+                         lambda X: case.pressure(case.map.position(X, 0.0), 0.0))
         initial = FlowState(k=0, t=0.0, u=u0, p=p0)
         acc = ErrorAccumulator(space, case.map, case.velocity,
                                case.velocity_gradient, dt, case.nu)
-        result = run(initial, problem, cfg, case.T, dt,
+        result = run(initial, problem, config, case.T, dt,
                      callbacks=[acc.update], record_energy=False)
         report = acc.report()
         quality = mesh_quality(mesh)
@@ -319,7 +314,3 @@ def convergence_study(case, levels, pairing="dt-h2", config=None, *,
         if progress is not None:
             progress(level, table)
     return table
-
-
-def _compose(map_, X, t):
-    return map_.position(X, t)

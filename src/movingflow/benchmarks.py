@@ -36,25 +36,16 @@ class BenchmarkCase:
     velocity_gradient: object     # (X_phys, t) -> (n, d, d), du_a/dx_b
     pressure: object              # (X_phys, t) -> (n,)
     forcing: object               # (X_phys, t) -> (n, d)
+    nominal_h: object             # level -> nominal mesh width
+    boundary_conditions: object   # () -> BoundaryConditionSet
+    sample_reference_points: object   # (rng, n) -> (n, d) reference points
     _mesh_factory: object
-    _nominal_h: object
-    _bc_factory: object
-    _reference_sampler: object
     _mesh_cache: dict = field(default_factory=dict)
 
     def mesh_for_level(self, level):
         if level not in self._mesh_cache:
             self._mesh_cache[level] = self._mesh_factory(self, level)
         return self._mesh_cache[level]
-
-    def nominal_h(self, level):
-        return self._nominal_h(level)
-
-    def boundary_conditions(self):
-        return self._bc_factory()
-
-    def sample_reference_points(self, rng, n):
-        return self._reference_sampler(rng, n)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +157,10 @@ def tube_benchmark():
         name="tube", dimension=3, T=0.2, nu=nu, stress="full-gradient",
         base_dt=0.04, map=map_, velocity=velocity,
         velocity_gradient=velocity_gradient, pressure=pressure,
-        forcing=forcing, _mesh_factory=mesh_factory,
-        _nominal_h=lambda level: 2.0 ** (-(level - 1) / 2.0),
-        _bc_factory=bc_factory, _reference_sampler=sampler)
+        forcing=forcing,
+        nominal_h=lambda level: 2.0 ** (-(level - 1) / 2.0),
+        boundary_conditions=bc_factory, sample_reference_points=sampler,
+        _mesh_factory=mesh_factory)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +248,9 @@ def manufactured_2d():
         name="manufactured-2d", dimension=2, T=0.5, nu=nu, stress="symmetric",
         base_dt=0.05, map=map_, velocity=velocity,
         velocity_gradient=velocity_gradient, pressure=pressure,
-        forcing=forcing, _mesh_factory=mesh_factory,
-        _nominal_h=lambda level: 2.0 ** (-(level - 1)),
-        _bc_factory=bc_factory, _reference_sampler=sampler)
+        forcing=forcing, nominal_h=lambda level: 2.0 ** (-(level - 1)),
+        boundary_conditions=bc_factory, sample_reference_points=sampler,
+        _mesh_factory=mesh_factory)
 
 
 _CASES = {"tube": tube_benchmark, "manufactured-2d": manufactured_2d}

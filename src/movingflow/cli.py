@@ -43,11 +43,12 @@ def _build_parser():
     p_run.add_argument("--output", help="override the output directory")
 
     p_conv = sub.add_parser("converge", help="benchmark convergence study")
-    p_conv.add_argument("--config")
-    p_conv.add_argument("--case", choices=["tube", "manufactured-2d"])
-    p_conv.add_argument("--levels", type=int)
-    p_conv.add_argument("--pairing", choices=["dt-h2", "dt-h"])
-    p_conv.add_argument("--output", help="output directory for the CSV")
+    p_conv.add_argument("--case", required=True,
+                        choices=["tube", "manufactured-2d"])
+    p_conv.add_argument("--levels", type=int, default=3,
+                        help="mesh levels, at least 2 (default 3)")
+    p_conv.add_argument("--output", default="output",
+                        help="output directory for the CSV")
 
     p_val = sub.add_parser("validate-map", help="map regularity report")
     p_val.add_argument("--config", required=True)
@@ -68,6 +69,8 @@ def cli(argv=None):
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("missing subcommand")
+        if args.command == "converge" and args.levels < 2:
+            raise _UsageError("converge needs --levels of at least 2")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -123,8 +126,6 @@ def _cmd_run(args):
     from .spaces import DiscreteField
 
     cfg = _load(args)
-    if cfg.benchmark is not None:
-        return _run_benchmark(cfg, args)
     mesh, map_, space, problem, solver_cfg = _setup(cfg)
     outdir = Path(args.output or cfg.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -154,44 +155,18 @@ def _cmd_run(args):
     return 0
 
 
-def _run_benchmark(cfg, args):
-    bench = dict(cfg.benchmark)
-    ns = argparse.Namespace(case=bench["case"], levels=bench["levels"],
-                            pairing=bench["pairing"], config=None,
-                            output=args.output or cfg.output["directory"])
-    return _cmd_converge(ns)
-
-
 def _cmd_converge(args):
     from .analysis import convergence_study
     from .benchmarks import benchmark_case
 
-    if args.config:
-        cfg = _load(args)
-        if cfg.benchmark is None:
-            raise ValueError("config has no 'benchmark' section; "
-                             "pass --case/--levels instead")
-        bench = cfg.benchmark
-        case_name = args.case or bench["case"]
-        levels = args.levels or bench["levels"]
-        pairing = args.pairing or bench["pairing"]
-        outdir = Path(args.output or cfg.output["directory"])
-    else:
-        if not args.case:
-            raise _UsageError("converge needs --config or --case")
-        case_name = args.case
-        levels = args.levels or 3
-        pairing = args.pairing or "dt-h2"
-        outdir = Path(args.output or "output")
-
-    case = benchmark_case(case_name)
     table = convergence_study(
-        case, levels=levels, pairing=pairing,
-        progress=lambda lvl, tab: print(f"level {lvl}/{levels}: "
+        benchmark_case(args.case), args.levels,
+        progress=lambda lvl, tab: print(f"level {lvl}/{args.levels}: "
                                         f"error {tab.errors()[-1]:.6g}",
                                         flush=True))
+    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / f"convergence_{case_name}.csv"
+    csv_path = outdir / f"convergence_{args.case}.csv"
     table.to_csv(csv_path)
     print(table)
     print(f"wrote {csv_path}")
@@ -244,9 +219,6 @@ def _cmd_info(args):
     cell, facet = rules(cfg.mesh["dimension"])
     print(f"quadrature: cell {cell.n_points} points (degree {cell.exactness}), "
           f"facet {facet.n_points} points (degree {facet.exactness})")
-    if cfg.benchmark:
-        print(f"benchmark: {cfg.benchmark['case']} "
-              f"({cfg.benchmark['levels']} levels, {cfg.benchmark['pairing']})")
     return 0
 
 

@@ -87,10 +87,6 @@ class RunConfig:
     def solver(self):
         return self.raw["solver"]
 
-    @property
-    def benchmark(self):
-        return self.raw.get("benchmark")
-
     def to_dict(self):
         return json.loads(json.dumps(self.raw))
 
@@ -120,6 +116,12 @@ def validate_config(data, base_dir="."):
     base_dir = Path(base_dir)
     if not isinstance(data, dict):
         raise ConfigError("(root)", "config must be a JSON object")
+    if "benchmark" in data:
+        # configs of earlier versions ran a convergence study from here;
+        # running this one as a time-stepping run would ignore the block
+        raise ConfigError("benchmark", "convergence studies are no longer "
+                          "configured here; run `movingflow converge --case "
+                          "CASE --levels N` instead")
     out = {}
 
     mesh = _need(data, "mesh", "(root)", dict)
@@ -180,19 +182,6 @@ def validate_config(data, base_dir="."):
     if tol <= 0:
         raise ConfigError("solver.tolerance", "must be positive")
     out["solver"] = {"tolerance": tol}
-
-    bench = _optional(data, "benchmark", None, dict, "(root)")
-    if bench is not None:
-        case = _need(bench, "case", "benchmark", str)
-        if case not in ("tube", "manufactured-2d"):
-            raise ConfigError("benchmark.case", f"unknown case {case!r}")
-        levels = _optional(bench, "levels", 3, int, "benchmark")
-        if levels < 2:
-            raise ConfigError("benchmark.levels", "need at least 2 levels")
-        pairing = _optional(bench, "pairing", "dt-h2", str, "benchmark")
-        if pairing not in ("dt-h2", "dt-h"):
-            raise ConfigError("benchmark.pairing", f"unknown pairing {pairing!r}")
-        out["benchmark"] = {"case": case, "levels": levels, "pairing": pairing}
 
     return RunConfig(raw=out, base_dir=base_dir)
 

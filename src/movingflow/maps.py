@@ -91,12 +91,14 @@ class SpaceTimeMap:
     kind = "abstract"
     dimension = None
 
-    def position(self, points, t):
+    def position(self, points, t, cells=None):
+        """xi at each point, shape (n, d).  ``cells`` (cell index per
+        point) is required only by mesh-backed maps, here and in
+        ``gradient`` and ``velocity``."""
         raise NotImplementedError
 
     def gradient(self, points, t, cells=None):
-        """F at each point, shape (n, d, d).  ``cells`` (cell index per
-        point) is required only by mesh-backed maps."""
+        """F at each point, shape (n, d, d)."""
         raise NotImplementedError
 
     def velocity(self, points, t, cells=None):
@@ -104,12 +106,12 @@ class SpaceTimeMap:
 
     # -- derived quantities -------------------------------------------------
 
-    def sample_fields(self, points, t, cells=None, check=True):
+    def sample_fields(self, points, t, cells=None):
         """Return (F, F_inv, J, xi_t) arrays at the given points."""
         points = _as_points(points, self.dimension)
         F = self.gradient(points, t, cells=cells)
         J, adj = det_adjugate(F)
-        if check and not np.all(J > 0.0):
+        if not np.all(J > 0.0):
             i = int(np.flatnonzero(~(J > 0.0))[0])
             raise SingularMappingError(
                 f"mapping gradient singular (J={J[i]:.3g} <= 0) at point "
@@ -153,7 +155,7 @@ class IdentityMap(SpaceTimeMap):
     def __init__(self, dimension):
         self.dimension = int(dimension)
 
-    def position(self, points, t):
+    def position(self, points, t, cells=None):
         return _as_points(points, self.dimension).copy()
 
     def gradient(self, points, t, cells=None):
@@ -183,7 +185,7 @@ class AxisScalingMap(SpaceTimeMap):
     def _s(self, t):
         return np.array([s(t) for s in self.scales], dtype=float)
 
-    def position(self, points, t):
+    def position(self, points, t, cells=None):
         return _as_points(points, self.dimension) * self._s(t)
 
     def gradient(self, points, t, cells=None):
@@ -215,7 +217,7 @@ class TubeShrinkMap(SpaceTimeMap):
     def scale_rate(t):
         return -1.0 / (8.0 * TubeShrinkMap.scale(t))
 
-    def position(self, points, t):
+    def position(self, points, t, cells=None):
         pts = _as_points(points, 3)
         s = self.scale(t)
         return pts * np.array([s, 1.0, s])
@@ -251,7 +253,7 @@ class ExpressionMap(SpaceTimeMap):
                       for j in range(d)]
         self._rate = [e.derivative("t") for e in self.expressions]
 
-    def position(self, points, t):
+    def position(self, points, t, cells=None):
         return evaluate(self.expressions, _as_points(points, self.dimension), t)
 
     def gradient(self, points, t, cells=None):
@@ -441,14 +443,12 @@ def validate_assumptions(map_, mesh, times, thresholds=DEFAULT_THRESHOLDS):
         raise ValueError("need at least one sample time")
     bary = mesh.vertices[mesh.cells].mean(axis=1)
     pts = np.vstack([mesh.vertices, bary])
-    cells = None
-    if isinstance(map_, MeshSequenceMap):
-        # vertices get an incident cell (F is constant per cell and every
-        # cell is sampled at its barycenter, so any one gives the same
-        # report); barycenters their own cell
-        vcell = np.zeros(len(mesh.vertices), dtype=int)
-        vcell[mesh.cells] = np.arange(len(mesh.cells))[:, None]
-        cells = np.concatenate([vcell, np.arange(len(mesh.cells))])
+    # vertices get an incident cell (a mesh-backed F is constant per cell
+    # and every cell is sampled at its barycenter, so any one gives the
+    # same report); barycenters their own cell
+    vcell = np.zeros(len(mesh.vertices), dtype=int)
+    vcell[mesh.cells] = np.arange(len(mesh.cells))[:, None]
+    cells = np.concatenate([vcell, np.arange(len(mesh.cells))])
 
     eye = np.eye(map_.dimension)
     min_J = np.inf

@@ -160,18 +160,6 @@ def _key(row):
     return tuple(int(v) for v in row)
 
 
-def _unique_rows(rows):
-    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)``
-    for integer rows, through one stable lexsort of the columns."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], order[new], inverse
-
-
 def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
     """Assemble a validated SimplicialMesh from raw arrays.
 
@@ -200,15 +188,25 @@ def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
     cells = cells.copy()
     cells[flip, -2], cells[flip, -1] = cells[flip, -1], cells[flip, -2].copy()
 
-    # facet -> adjacent cells: one sort of the sorted vertex rows
-    # of every cell facet (facet i leaves out local vertex i), followed by
-    # those of the labeled facets
+    # facet -> adjacent cells: one sort of the codes sum_j v_j nv^(d-1-j)
+    # of the sorted vertex rows of every cell facet (facet i leaves out
+    # local vertex i), followed by those of the labeled facets; the codes
+    # order as the rows do
+    nv = len(vertices)
+    if nv ** d > np.iinfo(np.int64).max:
+        raise ValueError(f"{nv} vertices are too many to number the facets "
+                         f"of a {d}D mesh")
+    boundary_facets = np.asarray(boundary_facets, dtype=np.int64).reshape(-1, d)
+    if boundary_facets.min(initial=0) < 0 or \
+            boundary_facets.max(initial=-1) >= nv:
+        raise IndexError("boundary facet vertex index out of range")
     nloc = d + 1
     local = [[j for j in range(nloc) if j != i] for i in range(nloc)]
     faces = np.sort(cells[:, local], axis=2).reshape(-1, d)
-    boundary_facets = np.asarray(boundary_facets, dtype=np.int64).reshape(-1, d)
-    keys, first, inverse = _unique_rows(
-        np.concatenate([faces, np.sort(boundary_facets, axis=1)]))
+    rows = np.concatenate([faces, np.sort(boundary_facets, axis=1)])
+    codes, first, inverse = np.unique(rows @ nv ** np.arange(d - 1, -1, -1),
+                                      return_index=True, return_inverse=True)
+    keys = rows[first]
     counts = np.bincount(inverse[:len(faces)], minlength=len(keys))
     shared = np.flatnonzero(counts > 2)
     if shared.size:
@@ -236,7 +234,6 @@ def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
 
     # edges: unique sorted vertex pairs v0 < v1 in lexicographic order, as
     # the sorted codes v0 * nv + v1; facet edges are found in those codes
-    nv = len(vertices)
     pairs = np.sort(cells[:, LOCAL_EDGES[d]], axis=2)
     codes, cell_edges = np.unique(pairs[..., 0] * nv + pairs[..., 1],
                                   return_inverse=True)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import default_degree, quadrature, shape_functions
-from .maps import MeshSequenceMap
 
 __all__ = ["CellSample", "FacetSample", "FieldSample", "MapSamples",
            "map_samples", "release", "rules", "cell_data", "facet_data",
@@ -232,8 +231,7 @@ class MapSamples:
     def _sample(self, points, cells, t):
         d = self.space.dimension
         shape = points.shape[:2]
-        cells = np.repeat(cells, shape[1]) \
-            if isinstance(self.map, MeshSequenceMap) else None
+        cells = np.repeat(cells, shape[1])
         flat = points.reshape(-1, d)
         _, Finv, J, xi_t = self.map.sample_fields(flat, t, cells=cells)
         return flat, cells, Finv.reshape(shape + (d, d)), J.reshape(shape), \
@@ -253,10 +251,7 @@ class MapSamples:
     def _cells(self, t):
         data = cell_data(self.space)
         flat, cells, Finv, J, _ = self._cell_points(t)
-        if isinstance(self.map, MeshSequenceMap):
-            position = self.map.position(flat, t, cells=cells)
-        else:
-            position = self.map.position(flat, t)
+        position = self.map.position(flat, t, cells=cells)
         # this order of the products keeps the exact zeros of the coupling
         # blocks that the order lgrads @ (inv F^{-1}) turns into roundoff;
         # blocks of cells bound the temporary

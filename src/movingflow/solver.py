@@ -138,7 +138,7 @@ class SolverConfig:
             raise ValueError("eddy-viscosity constant must be positive")
 
 
-def map_velocity_at_nodes(space, map_, t, dt=None):
+def map_velocity_at_nodes(space, map_, t, dt):
     """Domain velocity interpolated at the velocity nodes.
 
     Analytic maps evaluate xi_t exactly; mesh-sequence maps use the backward
@@ -146,10 +146,7 @@ def map_velocity_at_nodes(space, map_, t, dt=None):
     endpoint averages, consistent with the piecewise-linear geometry).
     """
     if isinstance(map_, MeshSequenceMap):
-        if dt is None:
-            vert = map_.node_velocities(t)
-        else:
-            vert = (map_.node_positions(t) - map_.node_positions(t - dt)) / dt
+        vert = (map_.node_positions(t) - map_.node_positions(t - dt)) / dt
         edges = space.mesh.edges
         mid = 0.5 * (vert[edges[:, 0]] + vert[edges[:, 1]])
         return np.vstack([vert, mid])
@@ -330,7 +327,7 @@ class ConstrainedSystem:
                           np.linalg.norm(self.B @ u)) / max(scale, 1e-300)
 
 
-def apply_boundary_conditions(step, bcs, space, map_, t, dt=None):
+def apply_boundary_conditions(step, bcs, space, map_, t, dt):
     """Eliminate constrained velocity dofs symmetrically and fix the
     pressure gauge when the boundary has no outflow part.
 

@@ -40,12 +40,12 @@ def ok(capsys):
 
 @pytest.fixture(scope="session")
 def manufactured_study():
-    return convergence_study(manufactured_2d(), levels=3, pairing="dt-h2")
+    return convergence_study(manufactured_2d(), levels=3)
 
 
 @pytest.fixture(scope="session")
 def tube_study():
-    return convergence_study(tube_benchmark(), levels=3, pairing="dt-h2")
+    return convergence_study(tube_benchmark(), levels=3)
 
 
 def random_perturbed_box(rng, dim):

@@ -1,10 +1,13 @@
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from movingflow.cli import cli
+from movingflow.cli import _build_parser, cli
 from movingflow.config import (ConfigError, build_boundary_conditions,
                                build_map, build_mesh, load_config,
                                validate_config)
@@ -40,11 +43,16 @@ def test_zero_dt_reports_field(tmp_path):
     assert "time.dt" in str(err.value)
 
 
-def test_benchmark_block(tmp_path):
+def test_benchmark_block_rejected(tmp_path):
+    # a plain time-stepping run would ignore the block silently
     path = minimal_config(tmp_path,
                           benchmark={"case": "tube", "levels": 3})
-    cfg = load_config(path)
-    assert cfg.benchmark == {"case": "tube", "levels": 3, "pairing": "dt-h2"}
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.field_path == "benchmark"
+    assert "movingflow converge --case" in str(err.value)
+    assert "--levels" in str(err.value)
+    assert cli(["run", "--config", str(path)]) == 2
 
 
 def test_bad_expression_reports_path(tmp_path):
@@ -157,6 +165,33 @@ def test_cli_unknown_subcommand():
     assert cli(["transmogrify"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge"],
+    ["converge", "--case", "manufactured-2d", "--levels", "0"],
+    ["converge", "--case", "manufactured-2d", "--levels", "1"],
+    ["converge", "--case", "manufactured-2d", "--pairing", "dt-h2"],
+])
+def test_cli_converge_usage_errors(argv, tmp_path, capsys):
+    assert cli(argv + ["--output", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_readme_command_lines_match_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln.split() for ln in block.splitlines()
+             if ln.startswith("movingflow ")]
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(words[1] for words in lines) == sorted(commands)
+    for words in lines:
+        options = commands[words[1]]._option_string_actions
+        for flag in re.findall(r"--[a-z-]+", " ".join(words[2:])):
+            assert flag in options, f"{words[1]} has no option {flag}"
+
+
 def test_cli_info_and_validate(tmp_path, capsys):
     path = minimal_config(tmp_path)
     assert cli(["info", "--config", str(path)]) == 0
@@ -228,17 +263,6 @@ def test_mesh_sequence_config_runs(tmp_path):
         time={"dt": 0.05, "T": 0.1})
     assert cli(["run", "--config", str(path)]) == 0
     assert (tmp_path / "out" / "diagnostics.csv").exists()
-
-
-def test_cli_run_benchmark_config_switches_to_converge(tmp_path, capsys):
-    path = minimal_config(
-        tmp_path,
-        benchmark={"case": "manufactured-2d", "levels": 2,
-                   "pairing": "dt-h2"})
-    assert cli(["run", "--config", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "ratio" in out
-    assert (tmp_path / "out" / "convergence_manufactured-2d.csv").exists()
 
 
 def test_cli_converge_manufactured_two_levels(tmp_path, capsys):

@@ -38,9 +38,23 @@ def test_unit_square_two_triangles():
 
 
 def test_index_out_of_range_rejected():
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(IndexError):
-        build_connectivity([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-                           [(0, 1, 7)], [(0, 1)], [NOSLIP])
+        build_connectivity(vertices, [(0, 1, 7)], [(0, 1)], [NOSLIP])
+    # facets are matched by codes in base n_vertices: an index outside
+    # the vertex range must not alias another facet
+    for bad in ((1, 3), (-1, 2)):
+        with pytest.raises(IndexError, match="boundary facet"):
+            build_connectivity(vertices, [(0, 1, 2)],
+                               [(0, 1), (1, 2), bad], [NOSLIP] * 3)
+
+
+def test_facet_codes_overflow_rejected():
+    # 2^21 vertices: the 3D facet codes v0 nv^2 + v1 nv + v2 need nv^3 = 2^63
+    vertices = np.zeros((2 ** 21, 3))
+    vertices[1:4] = np.eye(3)
+    with pytest.raises(ValueError, match="too many to number the facets"):
+        build_connectivity(vertices, [(0, 1, 2, 3)], [], [])
 
 
 def test_dangling_facet_rejected():

@@ -444,10 +444,10 @@ def test_a_first_step_samples_positions_only_at_its_own_level(monkeypatch):
     n_points = sampling.cell_data(prob.space).points[..., 0].size
     times, position = [], prob.map.position
 
-    def counted_position(X, t):
+    def counted_position(X, t, cells=None):
         if len(X) == n_points:
             times.append(t)
-        return position(X, t)
+        return position(X, t, cells=cells)
 
     monkeypatch.setattr(prob.map, "position", counted_position)
     run(make_state(prob.space), prob, SolverConfig(), 0.1, 0.1)
