@@ -1,6 +1,10 @@
 """JSON run configuration: schema validation and construction of the
 runtime objects (mesh, map, boundary conditions, solver settings).
 
+The schema is one table per block (``_SCHEMA``), with one sub-table per
+mesh generator, map and boundary-label kind.  ``validate_config`` walks it:
+an unknown key, a boolean for a number and a non-finite number are errors.
+
 Boundary-condition and domain-map expressions are written in reference
 coordinates ``x1..xd`` plus ``t``; forcing expressions are written in
 physical coordinates.  All expressions are parsed at load time so malformed
@@ -10,19 +14,22 @@ input fails with the offending field path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
 
-from .expressions import ExpressionError, evaluate, parse_expression
+from .expressions import (ExpressionError, coordinate_names, evaluate,
+                          parse_expression)
 from .maps import (AxisScalingMap, IdentityMap, TubeShrinkMap,
                    load_mesh_sequence, parse_map_expressions)
 from .meshing import BoundaryLabel, build_connectivity, generate_box, generate_tube
 from .solver import (BoundaryConditionSet, DirichletBC, NeumannBC, NoslipBC,
                      SolverConfig)
 
-__all__ = ["RunConfig", "ConfigError", "load_config", "build_mesh",
-           "build_map", "build_boundary_conditions", "build_forcing",
-           "build_solver_config"]
+__all__ = ["RunConfig", "ConfigError", "load_config", "validate_config",
+           "build_mesh", "build_map", "build_boundary_conditions",
+           "build_forcing", "build_solver_config"]
 
 
 class ConfigError(ValueError):
@@ -31,24 +38,8 @@ class ConfigError(ValueError):
         self.field_path = path
 
 
-def _need(data, key, path, types=None):
-    if key not in data:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    value = data[key]
-    if types is not None and not isinstance(value, types):
-        raise ConfigError(f"{path}.{key}",
-                          f"expected {types}, got {type(value).__name__}")
-    return value
-
-
-def _optional(data, key, default=None, types=None, path=""):
-    if key not in data or data[key] is None:
-        return default
-    value = data[key]
-    if types is not None and not isinstance(value, types):
-        raise ConfigError(f"{path}.{key}",
-                          f"expected {types}, got {type(value).__name__}")
-    return value
+def _block(key):
+    return property(lambda self: self.raw[key])
 
 
 @dataclass
@@ -63,29 +54,12 @@ class RunConfig:
         wrapper = self.raw["mesh"]
         return wrapper.get("generator") or wrapper["gmsh"]
 
-    @property
-    def map(self):
-        return self.raw["map"]
-
-    @property
-    def physics(self):
-        return self.raw["physics"]
-
-    @property
-    def time(self):
-        return self.raw["time"]
-
-    @property
-    def bcs(self):
-        return self.raw["bcs"]
-
-    @property
-    def output(self):
-        return self.raw["output"]
-
-    @property
-    def solver(self):
-        return self.raw["solver"]
+    map = _block("map")
+    physics = _block("physics")
+    time = _block("time")
+    bcs = _block("bcs")
+    output = _block("output")
+    solver = _block("solver")
 
     def to_dict(self):
         return json.loads(json.dumps(self.raw))
@@ -93,11 +67,6 @@ class RunConfig:
     @property
     def n_steps(self):
         return int(round(self.time["T"] / self.time["dt"]))
-
-
-_MAP_KINDS = ("identity", "axis-scaling", "tube-shrink", "expression",
-              "mesh-sequence")
-_DIM_BY_MESH = {"box": None, "tube": 3}
 
 
 def load_config(path):
@@ -113,228 +82,259 @@ def load_config(path):
 
 
 def validate_config(data, base_dir="."):
-    base_dir = Path(base_dir)
-    if not isinstance(data, dict):
-        raise ConfigError("(root)", "config must be a JSON object")
-    if "benchmark" in data:
-        # configs of earlier versions ran a convergence study from here;
-        # running this one as a time-stepping run would ignore the block
-        raise ConfigError("benchmark", "convergence studies are no longer "
-                          "configured here; run `movingflow converge --case "
-                          "CASE --levels N` instead")
-    out = {}
-
-    mesh = _need(data, "mesh", "(root)", dict)
-    inner = _validate_mesh(mesh, base_dir)
-    out["mesh"] = {"gmsh" if inner["kind"] == "gmsh" else "generator": inner}
-    dim = inner["dimension"]
-
-    map_cfg = _optional(data, "map", {"kind": "identity"}, dict, "(root)")
-    out["map"] = _validate_map(map_cfg, dim, base_dir)
-
-    physics = _need(data, "physics", "(root)", dict)
-    out["physics"] = _validate_physics(physics, dim)
-
-    time_cfg = _need(data, "time", "(root)", dict)
-    dt = _need(time_cfg, "dt", "time", (int, float))
-    T = _need(time_cfg, "T", "time", (int, float))
-    if dt <= 0:
-        raise ConfigError("time.dt", "must be positive")
+    """The RunConfig of a config dict with its defaults filled in."""
+    ctx = {"base_dir": Path(base_dir)}
+    raw = _walk(data, _SCHEMA, "", ctx)
+    dt, T = raw["time"]["dt"], raw["time"]["T"]
     if T < dt:
         raise ConfigError("time.T", "must be at least one step long")
-    if abs(round(T / dt) * dt - T) > 1e-9 * max(T, 1.0):
+    if not math.isfinite(T / dt) or \
+            abs(round(T / dt) * dt - T) > 1e-9 * max(T, 1.0):
         raise ConfigError("time.dt", f"dt={dt} does not divide T={T}")
-    scheme = _optional(time_cfg, "scheme", "backward-euler", str, "time")
-    if scheme not in ("backward-euler", "bdf2"):
-        raise ConfigError("time.scheme", f"unknown scheme {scheme!r}")
-    out["time"] = {"dt": float(dt), "T": float(T), "scheme": scheme}
+    return RunConfig(raw=raw, base_dir=ctx["base_dir"])
 
-    bcs = _need(data, "bcs", "(root)", dict)
-    out["bcs"] = _validate_bcs(bcs, dim)
 
-    output = _optional(data, "output", {}, dict, "(root)")
-    vtk_every = _optional(output, "vtk_every", 0, int, "output")
-    if vtk_every < 0:
-        raise ConfigError("output.vtk_every", "must be >= 0 (0 disables)")
-    out["output"] = {
-        "directory": _optional(output, "directory", "output", str, "output"),
-        "vtk_every": vtk_every,
-        "csv": _optional(output, "csv", True, bool, "output"),
-        "q_criterion": _optional(output, "q_criterion", False, bool, "output"),
-        "checkpoint": _optional(output, "checkpoint", False, bool, "output"),
-    }
+_REQUIRED = object()    # default of a field that must be given
+_ABSENT = object()      # default of a field left out of ``raw`` when not given
 
-    solver = _optional(data, "solver", {}, dict, "(root)")
-    unknown = sorted(set(solver) - {"type", "tolerance", "temam"})
+
+# one field: its Python types, its default and its check, which is None,
+# a tuple of choices, a function (value, path, ctx) -> stored value that
+# raises ConfigError, or the table of a nested block; null means not given
+_Field = namedtuple("_Field", "types default check",
+                    defaults=(_REQUIRED, None))
+
+
+# a block with one table per value of its "kind" field
+_Kinds = namedtuple("_Kinds", "tables default", defaults=(_REQUIRED,))
+
+
+# keys of earlier versions, rejected with what replaced them
+_REMOVED = {
+    "benchmark": "studies moved to `movingflow converge --case C --levels N`",
+    "solver.type": "removed: there is one linear solve path",
+    "solver.temam": "removed: the skew-symmetric form is the only one",
+}
+
+
+def _walk(data, spec, path, ctx):
+    """The normalized copy of the object ``data`` under ``spec``: a table
+    (key -> _Field) or _Kinds."""
+    _expect(data, (dict,), path or "(root)")
+    if isinstance(spec, _Kinds):
+        field_ = _Field((str,), spec.default, tuple(spec.tables))
+        kind = _value(data, "kind", field_, f"{path}.kind", ctx)
+        spec = {"kind": field_} | spec.tables[kind]
+    unknown = sorted(set(data) - set(spec))
     if unknown:
-        raise ConfigError(f"solver.{unknown[0]}", "unknown field")
-    # configs of earlier versions may still name the one solver there is
-    # and the one (skew-symmetric) convection form
-    stype = _optional(solver, "type", "direct", str, "solver")
-    if stype != "direct":
-        raise ConfigError("solver.type", f"unknown solver type {stype!r} "
-                          "(the only one is 'direct')")
-    if not _optional(solver, "temam", True, bool, "solver"):
-        raise ConfigError("solver.temam", "the skew-symmetric convection "
-                          "form is the only one")
-    tol = _optional(solver, "tolerance", SolverConfig.tolerance, (int, float),
-                    "solver")
-    if tol <= 0:
-        raise ConfigError("solver.tolerance", "must be positive")
-    out["solver"] = {"tolerance": tol}
-
-    return RunConfig(raw=out, base_dir=base_dir)
-
-
-def _validate_mesh(mesh, base_dir):
-    if "generator" in mesh:
-        gen = _need(mesh, "generator", "mesh", dict)
-        kind = _need(gen, "kind", "mesh.generator", str)
-        if kind == "box":
-            dim = _need(gen, "dimension", "mesh.generator", int)
-            if dim not in (2, 3):
-                raise ConfigError("mesh.generator.dimension", "must be 2 or 3")
-            divisions = _need(gen, "divisions", "mesh.generator", (list, int))
-            extents = _optional(gen, "extents", None, list, "mesh.generator")
-            labels = _optional(gen, "labels", {}, dict, "mesh.generator")
-            for k, v in labels.items():
-                _parse_label(v, f"mesh.generator.labels.{k}")
-            return {"kind": "box", "dimension": dim, "divisions": divisions,
-                    "extents": extents, "labels": labels}
-        if kind == "tube":
-            radius = _need(gen, "radius", "mesh.generator", (str, int, float))
-            if isinstance(radius, str):
-                try:
-                    parse_expression(radius, ("y",))
-                except ExpressionError as exc:
-                    raise ConfigError("mesh.generator.radius", str(exc))
-            labels = _optional(gen, "labels", {}, dict, "mesh.generator")
-            for k, v in labels.items():
-                _parse_label(v, f"mesh.generator.labels.{k}")
-            return {"kind": "tube", "dimension": 3,
-                    "axial_divisions": _need(gen, "axial_divisions",
-                                             "mesh.generator", int),
-                    "radial_divisions": _need(gen, "radial_divisions",
-                                              "mesh.generator", int),
-                    "radius": radius,
-                    "y_range": _need(gen, "y_range", "mesh.generator", list),
-                    "labels": labels}
-        raise ConfigError("mesh.generator.kind", f"unknown generator {kind!r}")
-    if "gmsh" in mesh:
-        gm = _need(mesh, "gmsh", "mesh", dict)
-        rel = _need(gm, "path", "mesh.gmsh", str)
-        full = base_dir / rel
-        if not full.exists():
-            raise ConfigError("mesh.gmsh.path", f"file {full} does not exist")
-        tag_labels = _need(gm, "tag_labels", "mesh.gmsh", dict)
-        for k, v in tag_labels.items():
-            _parse_label(v, f"mesh.gmsh.tag_labels.{k}")
-        # expression arities are checked at load time, so the dimension
-        # must be declared alongside external mesh files
-        dim = _need(gm, "dimension", "mesh.gmsh", int)
-        if dim not in (2, 3):
-            raise ConfigError("mesh.gmsh.dimension", "must be 2 or 3")
-        return {"kind": "gmsh", "dimension": dim, "path": rel,
-                "tag_labels": tag_labels}
-    raise ConfigError("mesh", "needs either 'generator' or 'gmsh'")
-
-
-def _parse_label(text, path):
-    try:
-        return BoundaryLabel.parse(text)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(path, f"bad boundary label {text!r}: {exc}")
-
-
-def _validate_map(map_cfg, dim, base_dir):
-    kind = _optional(map_cfg, "kind", "identity", str, "map")
-    if kind not in _MAP_KINDS:
-        raise ConfigError("map.kind", f"unknown map kind {kind!r}")
-    out = {"kind": kind}
-    if kind == "expression":
-        source = _need(map_cfg, "expressions", "map", str)
-        try:
-            parse_map_expressions(source, dim)
-        except ExpressionError as exc:
-            raise ConfigError("map.expressions", str(exc))
-        out["expressions"] = source
-    elif kind == "axis-scaling":
-        scales = _need(map_cfg, "scales", "map", list)
-        if len(scales) != dim:
-            raise ConfigError("map.scales", f"need {dim} scale expressions")
-        for i, s in enumerate(scales):
-            try:
-                parse_expression(str(s), ("t",))
-            except ExpressionError as exc:
-                raise ConfigError(f"map.scales[{i}]", str(exc))
-        out["scales"] = [str(s) for s in scales]
-    elif kind == "mesh-sequence":
-        rel = _need(map_cfg, "directory", "map", str)
-        full = base_dir / rel
-        if not full.is_dir():
-            raise ConfigError("map.directory", f"{full} is not a directory")
-        out["directory"] = rel
-    elif kind == "tube-shrink" and dim != 3:
-        raise ConfigError("map.kind", "tube-shrink is a 3D map")
-    return out
-
-
-def _validate_physics(physics, dim):
-    nu = _need(physics, "nu", "physics", (int, float))
-    if nu <= 0:
-        raise ConfigError("physics.nu", "must be positive")
-    stress = _optional(physics, "stress", "symmetric", str, "physics")
-    if stress not in ("symmetric", "full-gradient"):
-        raise ConfigError("physics.stress", f"unknown stress form {stress!r}")
-    out = {"nu": float(nu), "stress": stress}
-    smag = _optional(physics, "smagorinsky", None, dict, "physics")
-    if smag is not None:
-        cs = _need(smag, "cs", "physics.smagorinsky", (int, float))
-        if cs <= 0:
-            raise ConfigError("physics.smagorinsky.cs", "must be positive")
-        out["smagorinsky"] = {"cs": float(cs)}
-    forcing = _optional(physics, "forcing", None, list, "physics")
-    if forcing is not None:
-        if len(forcing) != dim:
-            raise ConfigError("physics.forcing",
-                              f"need {dim} component expressions")
-        names = tuple(f"x{i + 1}" for i in range(dim)) + ("t",)
-        for i, expr in enumerate(forcing):
-            try:
-                parse_expression(expr, names)
-            except ExpressionError as exc:
-                raise ConfigError(f"physics.forcing[{i}]", str(exc))
-        out["forcing"] = list(forcing)
-    return out
-
-
-def _validate_bcs(bcs, dim):
+        key = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ConfigError(key, _REMOVED.get(key, "unknown field"))
     out = {}
-    names = tuple(f"x{i + 1}" for i in range(dim)) + ("t",)
-    for key, entry in bcs.items():
-        label = _parse_label(key, f"bcs.{key}")
-        if not isinstance(entry, dict):
-            raise ConfigError(f"bcs.{key}", "entry must be an object")
-        btype = _need(entry, "type", f"bcs.{key}", str)
-        if btype != label.kind:
-            raise ConfigError(f"bcs.{key}.type",
-                              f"type {btype!r} does not match label kind "
-                              f"{label.kind!r}")
-        data = _optional(entry, "data", None, list, f"bcs.{key}")
-        if btype == "dirichlet" and data is None:
-            raise ConfigError(f"bcs.{key}.data",
-                              "dirichlet conditions need data expressions")
-        if data is not None:
-            if len(data) != dim:
-                raise ConfigError(f"bcs.{key}.data",
-                                  f"need {dim} component expressions")
-            for i, expr in enumerate(data):
-                try:
-                    parse_expression(expr, names)
-                except ExpressionError as exc:
-                    raise ConfigError(f"bcs.{key}.data[{i}]", str(exc))
-        out[key] = {"type": btype, "data": data}
+    for key, field_ in spec.items():
+        value = _value(data, key, field_, f"{path}.{key}" if path else key,
+                       ctx)
+        if value is not _ABSENT:
+            out[key] = value
+        if key == "dimension":      # read by the checks that follow
+            ctx["dim"] = value
     return out
+
+
+def _value(data, key, field_, path, ctx):
+    """The stored value of ``data[key]`` under ``field_``."""
+    value = data.get(key)
+    if value is None:
+        if field_.default is _REQUIRED:
+            raise ConfigError(path, "missing required field")
+        if field_.default is None or field_.default is _ABSENT:
+            return field_.default
+        value = field_.default
+    return _check(value, field_, path, ctx)
+
+
+def _check(value, field_, path, ctx):
+    _expect(value, field_.types, path)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, "must be finite")
+    if isinstance(field_.check, (dict, _Kinds)):
+        return _walk(value, field_.check, path, ctx)
+    if isinstance(field_.check, tuple) and value not in field_.check:
+        raise ConfigError(path, f"{value!r} is not one of {field_.check}")
+    if callable(field_.check):
+        return field_.check(value, path, ctx)
+    return value
+
+
+def _expect(value, types, path):
+    # a JSON boolean is a Python int, but not a number here
+    if not isinstance(value, types) or (isinstance(value, bool)
+                                        and bool not in types):
+        want = "/".join(t.__name__ for t in types)
+        raise ConfigError(path, f"expected {want}, got {type(value).__name__}")
+
+
+def _positive(value, path, ctx):
+    if not value > 0:
+        raise ConfigError(path, "must be positive")
+    return float(value)
+
+
+def _nonnegative(value, path, ctx):
+    if value < 0:
+        raise ConfigError(path, "must be >= 0 (0 disables)")
+    return value
+
+
+def _array(length, item):
+    """A check of a list of ``length`` entries ("dim": the mesh dimension),
+    each checked as the _Field ``item``; a bare entry stands for all."""
+    def check(value, path, ctx):
+        if not isinstance(value, list):
+            return value
+        n = ctx["dim"] if length == "dim" else length
+        if len(value) != n:
+            raise ConfigError(path, f"need {n} entries, got {len(value)}")
+        return [_check(v, item, f"{path}[{i}]", ctx)
+                for i, v in enumerate(value)]
+    return check
+
+
+def _expression(variables=None):
+    """A check of an expression in ``variables`` (default ``x1..xd, t``;
+    "map": the ';'-separated expressions of a map), stored as a string."""
+    def check(value, path, ctx):
+        try:
+            if variables == "map":
+                parse_map_expressions(value, ctx["dim"])
+            else:
+                parse_expression(str(value),
+                                 variables or coordinate_names(ctx["dim"]))
+        except ExpressionError as exc:
+            raise ConfigError(path, str(exc)) from None
+        return str(value)
+    return check
+
+
+def _mesh(value, path, ctx):
+    if sum(value.get(key) is not None for key in _MESH) != 1:
+        raise ConfigError(path, "needs exactly one of 'generator' or 'gmsh'")
+    return _walk(value, _MESH, path, ctx)
+
+
+def _three_d(value, path, ctx):
+    if ctx["dim"] != 3:
+        raise ConfigError(path, f"{value} is a 3D map")
+    return value
+
+
+def _labels(value, path, ctx):
+    """A check of an object whose values are boundary labels."""
+    for key, text in value.items():
+        try:
+            BoundaryLabel.parse(text)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{path}.{key}",
+                              f"bad boundary label {text!r}: {exc}")
+    return value
+
+
+def _bcs(value, path, ctx):
+    # the kind of each label selects the table of its entry
+    _labels({key: key for key in value}, path, ctx)
+    return {key: _walk(entry, _BCS[BoundaryLabel.parse(key).kind],
+                       f"{path}.{key}", ctx)
+            for key, entry in value.items()}
+
+
+def _existing(test):
+    """A check of a path, relative to the config file, passing ``test``."""
+    def check(value, path, ctx):
+        if not test(ctx["base_dir"] / value):
+            raise ConfigError(path, f"{ctx['base_dir'] / value} is not a "
+                              f"{test.__name__[3:]}")
+        return value
+    return check
+
+
+_INT, _NUMBER = (int,), (int, float)
+_PAIR = _Field((list,), check=_array(2, _Field(_NUMBER)))
+_VECTOR = _array("dim", _Field((str,), check=_expression()))
+_FACE_LABELS = _Field((dict,), {}, _labels)
+
+_MESH = {
+    "generator": _Field((dict,), _ABSENT, _Kinds({
+        "box": {
+            "dimension": _Field(_INT, check=(2, 3)),
+            "divisions": _Field((int, list),
+                                check=_array("dim", _Field(_INT))),
+            "extents": _Field((list,), None, _array("dim", _PAIR)),
+            "labels": _FACE_LABELS,
+        },
+        "tube": {
+            "dimension": _Field(_INT, 3, (3,)),
+            "axial_divisions": _Field(_INT),
+            "radial_divisions": _Field(_INT),
+            "radius": _Field((str, int, float), check=_expression(("y",))),
+            "y_range": _PAIR,
+            "labels": _FACE_LABELS,
+        },
+    })),
+    # expression arities are checked at load time, so the dimension must
+    # be declared alongside external mesh files
+    "gmsh": _Field((dict,), _ABSENT, _Kinds({"gmsh": {
+        "path": _Field((str,), check=_existing(Path.is_file)),
+        "tag_labels": _Field((dict,), check=_labels),
+        "dimension": _Field(_INT, check=(2, 3)),
+    }}, "gmsh")),
+}
+
+_BCS = {
+    "noslip": {"type": _Field((str,), check=("noslip",)),
+               "data": _Field((type(None),), None)},
+    "dirichlet": {"type": _Field((str,), check=("dirichlet",)),
+                  "data": _Field((list,), check=_VECTOR)},
+    "neumann": {"type": _Field((str,), check=("neumann",)),
+                "data": _Field((list,), None, _VECTOR)},
+}
+
+_SCHEMA = {
+    "mesh": _Field((dict,), check=_mesh),
+    "map": _Field((dict,), {}, _Kinds({
+        "identity": {},
+        "axis-scaling": {"scales": _Field((list,), check=_array(
+            "dim", _Field((str, int, float), check=_expression(("t",)))))},
+        "tube-shrink": {"kind": _Field((str,), check=_three_d)},
+        "expression": {"expressions": _Field(
+            (str,), check=_expression("map"))},
+        "mesh-sequence": {"directory": _Field((str,),
+                                              check=_existing(Path.is_dir))},
+    }, "identity")),
+    "physics": _Field((dict,), check={
+        "nu": _Field(_NUMBER, check=_positive),
+        "stress": _Field((str,), "symmetric",
+                         ("symmetric", "full-gradient")),
+        "smagorinsky": _Field((dict,), _ABSENT, {
+            "cs": _Field(_NUMBER, check=_positive)}),
+        "forcing": _Field((list,), _ABSENT, _VECTOR),
+    }),
+    "time": _Field((dict,), check={
+        "dt": _Field(_NUMBER, check=_positive),
+        "T": _Field(_NUMBER, check=_positive),
+        "scheme": _Field((str,), "backward-euler",
+                         ("backward-euler", "bdf2")),
+    }),
+    "bcs": _Field((dict,), check=_bcs),
+    "output": _Field((dict,), {}, {
+        "directory": _Field((str,), "output"),
+        "vtk_every": _Field(_INT, 0, _nonnegative),
+        "csv": _Field((bool,), True),
+        "q_criterion": _Field((bool,), False),
+        "checkpoint": _Field((bool,), False),
+    }),
+    "solver": _Field((dict,), {}, {
+        "tolerance": _Field(_NUMBER, SolverConfig.tolerance, _positive),
+    }),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +344,16 @@ def _validate_bcs(bcs, dim):
 
 def build_mesh(cfg):
     mesh = cfg.mesh
+    labels = {k: BoundaryLabel.parse(v)
+              for k, v in mesh.get("labels", {}).items()}
     if mesh["kind"] == "box":
-        labels = {k: BoundaryLabel.parse(v) for k, v in mesh["labels"].items()}
-        extents = mesh["extents"]
-        return generate_box(mesh["dimension"], tuple(mesh["divisions"])
-                            if isinstance(mesh["divisions"], list)
-                            else mesh["divisions"],
-                            extents=extents, labels=labels)
+        return generate_box(mesh["dimension"], mesh["divisions"],
+                            extents=mesh["extents"], labels=labels)
     if mesh["kind"] == "tube":
-        labels = {k: BoundaryLabel.parse(v) for k, v in mesh["labels"].items()}
-        radius = mesh["radius"]
-        if isinstance(radius, str):
-            expr = parse_expression(radius, ("y",))
-            radius_fn = lambda y: float(expr(y=y))
-        else:
-            radius_fn = lambda y: float(radius)
+        radius = parse_expression(mesh["radius"], ("y",))
         return generate_tube(mesh["axial_divisions"], mesh["radial_divisions"],
-                             radius_fn, tuple(mesh["y_range"]), labels=labels)
+                             lambda y: float(radius(y=y)),
+                             tuple(mesh["y_range"]), labels=labels)
     from .fileio import read_gmsh
     raw = read_gmsh(cfg.base_dir / mesh["path"], mesh["tag_labels"])
     return build_connectivity(raw["vertices"], raw["cells"],
@@ -387,36 +380,30 @@ def build_map(cfg, mesh):
 
 
 def _vector_expression_fn(exprs, dim):
-    names = tuple(f"x{i + 1}" for i in range(dim)) + ("t",)
-    parsed = [parse_expression(e, names) for e in exprs]
+    if exprs is None:
+        return None
+    parsed = [parse_expression(e, coordinate_names(dim)) for e in exprs]
     return lambda X, t: evaluate(parsed, X, t)
 
 
 def build_boundary_conditions(cfg, mesh):
     entries = {}
-    d = mesh.dimension
     for key, entry in cfg.bcs.items():
         label = BoundaryLabel.parse(key)
+        data = _vector_expression_fn(entry["data"], mesh.dimension)
         if entry["type"] == "noslip":
             entries[label] = NoslipBC()
         elif entry["type"] == "dirichlet":
-            entries[label] = DirichletBC(_vector_expression_fn(entry["data"], d))
+            entries[label] = DirichletBC(data)
+        elif data is None:
+            entries[label] = NeumannBC(None)
         else:
-            if entry["data"] is None:
-                entries[label] = NeumannBC(None)
-            else:
-                base = _vector_expression_fn(entry["data"], d)
-                entries[label] = NeumannBC(lambda X, t, n, _f=base: _f(X, t))
-    bcs = BoundaryConditionSet(entries)
-    bcs.validate(mesh)
-    return bcs
+            entries[label] = NeumannBC(lambda X, t, n, _f=data: _f(X, t))
+    return BoundaryConditionSet(entries)
 
 
 def build_forcing(cfg, mesh):
-    forcing = cfg.physics.get("forcing")
-    if forcing is None:
-        return None
-    return _vector_expression_fn(forcing, mesh.dimension)
+    return _vector_expression_fn(cfg.physics.get("forcing"), mesh.dimension)
 
 
 def build_solver_config(cfg):

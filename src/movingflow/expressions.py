@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-__all__ = ["Expression", "ExpressionError", "parse_expression", "evaluate"]
+__all__ = ["Expression", "ExpressionError", "parse_expression", "evaluate",
+           "coordinate_names"]
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -421,6 +422,11 @@ class Expression:
 
     def __repr__(self):
         return f"Expression({self.source!r})"
+
+
+def coordinate_names(dimension):
+    """The variable names ``x1 .. xd, t`` of a d-dimensional expression."""
+    return tuple(f"x{i + 1}" for i in range(dimension)) + ("t",)
 
 
 def parse_expression(source, variables=("x1", "x2", "x3", "t")):

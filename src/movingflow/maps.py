@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .expressions import ExpressionError, evaluate, parse_expression
+from .expressions import (ExpressionError, coordinate_names, evaluate,
+                          parse_expression)
 
 __all__ = [
     "SpaceTimeMap", "MappingSample", "MapValidationReport", "SingularMappingError",
@@ -271,8 +272,8 @@ def parse_map_expressions(source, dimension):
     if len(parts) != dimension:
         raise ExpressionError(
             f"expected {dimension} ';'-separated expressions, got {len(parts)}")
-    names = tuple(f"x{i + 1}" for i in range(dimension)) + ("t",)
-    return ExpressionMap([parse_expression(p, names) for p in parts])
+    return ExpressionMap([parse_expression(p, coordinate_names(dimension))
+                          for p in parts])
 
 
 class MeshSequenceMap(SpaceTimeMap):

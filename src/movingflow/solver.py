@@ -97,9 +97,13 @@ class BoundaryConditionSet:
                 raise ValueError(f"label {label} needs a {expected.__name__}")
 
     def validate(self, mesh):
-        missing = [str(l) for l in set(mesh.boundary_labels) - set(self.entries)]
+        labels = set(mesh.boundary_labels)
+        missing = sorted(str(l) for l in labels - set(self.entries))
         if missing:
-            raise ValueError(f"no boundary condition for labels {sorted(missing)}")
+            raise ValueError(f"no boundary condition for labels {missing}")
+        stray = sorted(str(l) for l in set(self.entries) - labels)
+        if stray:
+            raise ValueError(f"labels {stray} have a condition but no facet")
 
     def dirichlet_patches(self):
         return {label.patch: bc for label, bc in self.entries.items()
@@ -132,9 +136,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in ("backward-euler", "bdf2"):
             raise ValueError(f"unknown time scheme {self.scheme!r}")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("solver tolerance must be positive")
-        if self.smagorinsky is not None and self.smagorinsky <= 0:
+        if self.smagorinsky is not None and not self.smagorinsky > 0:
             raise ValueError("eddy-viscosity constant must be positive")
 
 

@@ -2,15 +2,19 @@ import argparse
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from movingflow import config
 from movingflow.cli import _build_parser, cli
 from movingflow.config import (ConfigError, build_boundary_conditions,
                                build_map, build_mesh, load_config,
                                validate_config)
+
+ROOT = Path(__file__).parents[1]
 
 
 def minimal_config(tmp_path, **overrides):
@@ -81,26 +85,127 @@ def test_bc_type_label_mismatch(tmp_path):
 
 
 def test_solver_block(tmp_path, capsys):
-    path = minimal_config(tmp_path, solver={"type": "direct", "temam": True})
+    path = minimal_config(tmp_path, solver={"tolerance": 1e-8})
+    assert load_config(path).solver == {"tolerance": 1e-8}
+    path = minimal_config(tmp_path)
     assert load_config(path).solver == {"tolerance": 1e-10}
     assert cli(["info", "--config", str(path)]) == 0
     assert ("solver   : tolerance 1e-10, linear solve: float32 SuperLU "
             "factor in a nested-dissection order of the reference cells, "
             "float64 FGMRES") in capsys.readouterr().out
-    path = minimal_config(tmp_path, solver={"type": "gmres"})
-    with pytest.raises(ConfigError) as err:
-        load_config(path)
-    assert err.value.field_path == "solver.type"
-    # the skew-symmetric convection form is the only one
-    path = minimal_config(tmp_path, solver={"temam": False})
-    with pytest.raises(ConfigError) as err:
-        load_config(path)
-    assert err.value.field_path == "solver.temam"
+    # configs of earlier versions named the one solve path and the one
+    # (skew-symmetric) convection form here; both fields are gone
+    for key, value in (("type", "direct"), ("temam", True)):
+        path = minimal_config(tmp_path, solver={key: value})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.field_path == f"solver.{key}"
+        assert "removed" in str(err.value)
     # a key the solver block does not read fails instead of being ignored
     path = minimal_config(tmp_path, solver={"quadrature_degree": 8})
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert err.value.field_path == "solver.quadrature_degree"
+
+
+BOX = {"kind": "box", "dimension": 2, "divisions": [2, 2]}
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("overrides, field_path", [
+    # misspelt keys, which would otherwise run with the defaults
+    ({"ouptut": {"directory": "elsewhere"}}, "ouptut"),
+    ({"physics": {"nu": 1.0, "stres": "full-gradient"}}, "physics.stres"),
+    ({"time": {"dt": 0.1, "T": 0.1, "shceme": "bdf2"}}, "time.shceme"),
+    ({"mesh": {"generator": {**BOX, "labls": {"xmin": "neumann:0"}}}},
+     "mesh.generator.labls"),
+    # keys that mean nothing where they stand
+    ({"bcs": {"noslip": {"type": "noslip", "data": ["1", "0"]}}},
+     "bcs.noslip.data"),
+    ({"mesh": {"generator": BOX,
+               "gmsh": {"path": "m.msh", "dimension": 2,
+                        "tag_labels": {}}}}, "mesh"),
+    # JSON booleans are not numbers
+    ({"physics": {"nu": True}}, "physics.nu"),
+    ({"output": {"vtk_every": True}}, "output.vtk_every"),
+    # malformed mesh arrays, which would fail only in the generator
+    ({"mesh": {"generator": {**BOX, "divisions": ["a", 2]}}},
+     "mesh.generator.divisions[0]"),
+    ({"mesh": {"generator": {**BOX, "extents": [1.0]}}},
+     "mesh.generator.extents"),
+    # non-finite numbers, which json reads as NaN and Infinity
+    ({"solver": {"tolerance": NAN}}, "solver.tolerance"),
+    ({"physics": {"nu": NAN}}, "physics.nu"),
+    ({"time": {"dt": INF, "T": INF}}, "time.dt"),
+    ({"time": {"dt": 5e-324, "T": 1.0}}, "time.dt"),     # T / dt overflows
+])
+def test_rejected_inputs_name_their_field(tmp_path, overrides, field_path):
+    path = minimal_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.field_path == field_path
+
+
+def test_bc_entry_for_a_label_the_mesh_lacks(tmp_path, capsys):
+    path = minimal_config(tmp_path, bcs={"noslip": {"type": "noslip"},
+                                         "neumann:7": {"type": "neumann"}})
+    assert cli(["run", "--config", str(path)]) == 2
+    assert "neumann:7" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def readme_configuration():
+    readme = (ROOT / "README.md").read_text()
+    return readme.split("\n### Configuration\n", 1)[1].split("\n## ", 1)[0]
+
+
+def shipped_configs():
+    """The README example and the benchmark's generated run configs."""
+    section = readme_configuration()
+    yield json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import CliCase
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for seed in range(1, 11):
+        yield CliCase("expression-cli", seed, ROOT).config()
+
+
+def test_shipped_configs_load():
+    for data in shipped_configs():
+        cfg = validate_config(data)
+        assert validate_config(cfg.to_dict()).raw == cfg.raw
+
+
+def schema_paths(spec, path):
+    """Every field path that a schema table, _Kinds or check names."""
+    if spec is config._mesh:
+        spec = config._MESH
+    elif spec is config._bcs:
+        entry = {k: f for table in config._BCS.values()
+                 for k, f in table.items()}
+        spec = {"<label>": config._Field((dict,), check=entry)}
+    if isinstance(spec, config._Kinds):
+        yield f"{path}.kind"
+        for table in spec.tables.values():
+            yield from schema_paths(table, path)
+    elif isinstance(spec, dict):
+        for key, field_ in spec.items():
+            field_path = f"{path}.{key}" if path else key
+            yield field_path
+            yield from schema_paths(field_.check, field_path)
+
+
+def test_readme_lists_every_config_field():
+    section = readme_configuration()
+    paths = set(schema_paths(config._SCHEMA, ""))
+    assert {"mesh.generator.radius", "bcs.<label>.data",
+            "solver.tolerance"} <= paths
+    assert {p for p in paths if "." not in p} == {
+        "mesh", "map", "physics", "time", "bcs", "output", "solver"}
+    for path in sorted(paths):
+        assert f"`{path}`" in section, f"README lacks {path}"
 
 
 def test_config_round_trip(tmp_path):

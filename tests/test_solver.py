@@ -160,6 +160,14 @@ def test_missing_bc_entry_rejected():
                     bcs=BoundaryConditionSet({NOSLIP: NoslipBC()}))
 
 
+def test_bc_entry_for_a_label_the_mesh_lacks_rejected():
+    # a condition for a label no facet carries would be dropped silently
+    space = TaylorHoodSpace(generate_box(2, (2, 2)))
+    bcs = BoundaryConditionSet({NOSLIP: NoslipBC(), neumann(7): NeumannBC()})
+    with pytest.raises(ValueError, match=r"\['neumann:7'\]"):
+        FlowProblem(space=space, map=IdentityMap(2), nu=1.0, bcs=bcs)
+
+
 # --- energy behavior -----------------------------------------------------------
 
 
@@ -362,6 +370,11 @@ def test_solver_config_validation():
         SolverConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(smagorinsky=0.0)
+    # NaN fails every comparison, so each check must fail on it too
+    with pytest.raises(ValueError, match="tolerance"):
+        SolverConfig(tolerance=float("nan"))
+    with pytest.raises(ValueError, match="eddy-viscosity"):
+        SolverConfig(smagorinsky=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(scheme="leapfrog")
     assert SolverConfig().tolerance == 1e-10
