@@ -128,6 +128,7 @@ class _Pattern:
 
     def __init__(self, rows, cols, n_rows, n_cols, d):
         self.n_rows, self.n_cols, self.d = n_rows, n_cols, d
+        self._block = (rows.shape[1], cols.shape[1])   # nodes of a cell block
         keys, index = np.unique(
             (rows[:, :, None] * n_cols + cols[:, None, :]).ravel(),
             return_inverse=True)
@@ -135,7 +136,7 @@ class _Pattern:
         self.pair_cols = _frozen(keys % n_cols)
         self.pair_ptr = _frozen(np.searchsorted(keys // n_cols,
                                                 np.arange(n_rows + 1)))
-        self._index = {1: _frozen(index.ravel())}   # per run width
+        self._index = {1: _frozen(index.ravel())}   # per run width, coupling
         self._csr = {}
 
     def pairs(self, rows, cols):
@@ -155,6 +156,22 @@ class _Pattern:
                 np.arange(width, dtype=np.int32)).ravel())
         return np.bincount(index, weights=local.ravel(),
                            minlength=self.n_pairs * width)
+
+    def sum_coupling(self, local):
+        """Sums per pair of the (d, d) coupling blocks ``local[c, i, b, j,
+        a]`` of the cell block entries, (pairs, d, d) with [pair, a, b].
+        The index follows the kernel's order, so no transposed copy is made;
+        every sum still takes its terms in (c, i, j) order."""
+        index = self._index.get("coupling")
+        if index is None:
+            d, (nr, nk) = self.d, self._block
+            arange = np.arange(d, dtype=np.int32)
+            pair = self._index[1].reshape(-1, nr, 1, nk, 1)
+            index = self._index["coupling"] = _frozen(
+                (pair * d + arange) * d + arange[:, None, None])
+        return np.bincount(index.ravel(), weights=local.ravel(),
+                           minlength=self.n_pairs * self.d ** 2).reshape(
+                               -1, self.d, self.d)
 
     def csr(self, r, diagonal=False):
         """The CSR pattern with an (r, d) block per pair: rows (i, a) for
@@ -203,7 +220,7 @@ def _patterns(space):
 
 def _velocity_matrix(space, scalar, coupling=None, boundary=None):
     """Velocity block: ``scalar`` (nc, nb, nb) on every component alike,
-    plus the component-coupling blocks (nc, nb, nb, d, d) and the pair data
+    plus the component-coupling blocks (nc, nb, d, nb, d) and the pair data
     ``boundary`` of facet terms.  Without coupling its pattern holds the d
     diagonal entries of each node pair, with it full d x d blocks."""
     pattern, d = _patterns(space)[0], space.dimension
@@ -212,7 +229,7 @@ def _velocity_matrix(space, scalar, coupling=None, boundary=None):
         data += boundary
     if coupling is None:
         return pattern.csr(d, diagonal=True).matrix(data)
-    blocks = pattern.sum(coupling, d * d).reshape(-1, d, d)
+    blocks = pattern.sum_coupling(coupling)
     blocks[:, np.arange(d), np.arange(d)] += data[:, None]
     return pattern.csr(d).matrix(blocks)
 
@@ -266,7 +283,8 @@ def _eddy_viscosity(ghat, wc, diam, nu, smagorinsky):
 def _viscous_local(ghat, kappa, stress):
     """Viscous blocks with the pointwise coefficient kappa = W J nu: the
     scalar kappa ghat_i . ghat_j, (nc, nb, nb), and for the symmetric form
-    the coupling [c, i, j, a, b] = sum_q kappa (ghat_i)_b (ghat_j)_a."""
+    the coupling [c, i, b, j, a] = sum_q kappa (ghat_i)_b (ghat_j)_a, the
+    product's own order."""
     if stress not in ("symmetric", "full-gradient"):
         raise ValueError(f"unknown stress form {stress!r}")
     nc, nq, nb, d = ghat.shape
@@ -276,7 +294,7 @@ def _viscous_local(ghat, kappa, stress):
     scalar = np.einsum("cieje->cij", X)
     if stress == "full-gradient":
         return scalar, None
-    return scalar, X.transpose(0, 1, 3, 4, 2)
+    return scalar, X
 
 
 def _divergence_local(data, ghat, wj):

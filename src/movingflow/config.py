@@ -356,6 +356,10 @@ def build_mesh(cfg):
                              tuple(mesh["y_range"]), labels=labels)
     from .fileio import read_gmsh
     raw = read_gmsh(cfg.base_dir / mesh["path"], mesh["tag_labels"])
+    if raw["dimension"] != mesh["dimension"]:
+        raise ConfigError("mesh.gmsh.dimension", (
+            f"declared {mesh['dimension']}, but {mesh['path']} holds a "
+            f"{raw['dimension']}D mesh"))
     return build_connectivity(raw["vertices"], raw["cells"],
                               raw["boundary_facets"], raw["boundary_labels"])
 

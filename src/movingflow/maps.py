@@ -13,6 +13,16 @@ results have leading dimension ``n``.  ``sample_fields`` computes ``J`` and
 ``J > 0`` at every point before it divides by ``J``.  The solver does not
 call it point set by point set: ``sampling.map_samples`` samples each time
 level once per point set of a space and shares the result.
+
+Memory order is part of the contract: the ``F^{-1}`` of ``sample_fields``
+is C-ordered, each point's d x d block contiguous.  Its readers multiply
+whole stacks by it (grad phi F^{-1} in ``sampling``, G F^{-1} in
+``analysis``), and numpy's stacked ``matmul`` takes the BLAS path only
+when every matrix of the stack is contiguous; on a transposed view it
+falls back to its own loop, with the same result at several times the
+cost.  So ``det_adjugate`` writes the 3x3 cofactors on contiguous
+component planes and returns the adjugate C-ordered, with the arithmetic
+of the cross-product formula and hence the same values to the bit.
 """
 
 from __future__ import annotations
@@ -137,13 +147,22 @@ def det_adjugate(F):
         adj = np.stack([np.stack([e, -b], -1), np.stack([-c, a], -1)], -2)
         return a * e - b * c, adj
     if d == 3:
-        # the rows of the cofactor matrix are cross products of the other
-        # two rows of F; the adjugate is its transpose
-        r0, r1, r2 = F[..., 0, :], F[..., 1, :], F[..., 2, :]
-        cof = np.stack([np.cross(r1, r2), np.cross(r2, r0),
-                        np.cross(r0, r1)], -2)
-        det = np.einsum("...j,...j->...", r0, cof[..., 0, :])
-        return det, np.swapaxes(cof, -1, -2)
+        # row k of the cofactor matrix is the cross product of rows k+1
+        # and k+2 of F, written out on contiguous planes f[i, j] of F; the
+        # adjugate, its transpose, is built C-ordered as adj[j, k]
+        f = np.moveaxis(F, (-2, -1), (0, 1)).copy()
+        adj = np.empty(f.shape)
+        for k in range(3):
+            p, q = (k + 1) % 3, (k + 2) % 3
+            for j in range(3):
+                s, r = (j + 1) % 3, (j + 2) % 3
+                np.multiply(f[p, s], f[q, r], out=adj[j, k, ...])
+                adj[j, k, ...] -= f[p, r] * f[q, s]
+        # det by an einsum with a contiguous copy of cofactor row 0: over
+        # the strided row the einsum rounds differently, 1 ulp apart
+        det = np.einsum("...j,...j->...", F[..., 0, :],
+                        np.moveaxis(adj[:, 0], 0, -1).copy())
+        return det, np.moveaxis(adj, (0, 1), (-2, -1)).copy()
     raise ValueError(f"closed-form inverse needs 2x2 or 3x3 matrices, got "
                      f"{d}x{d}")
 

@@ -255,7 +255,11 @@ class _SaddleLayout:
     the pin: its continuity row and -B^T column are left out and its
     diagonal is one.  ``gather`` gives, per entry, its position in
     ``[A.data, B.data, -B.data, 1.0]``: a step fills the matrix with it.
-    ``order`` is the nested-dissection order its factors use.
+    ``order`` is the nested-dissection order its factors use, and
+    ``factor_indptr``, ``factor_indices`` the CSC pattern of the matrix
+    with rows and columns in that order, rows ascending in every column as
+    SuperLU sorts them; ``permuted`` gives each of its entries' position
+    in the matrix's data.
     """
 
     def __init__(self, space, A, B):
@@ -288,7 +292,21 @@ class _SaddleLayout:
              np.concatenate([A.indices[a], b_col, b_row, units]))),
             shape=(n_u + n_p,) * 2).tocsc()
         self.indptr, self.indices, self.gather = K.indptr, K.indices, K.data
-        self.order = _nested_dissection(space)
+        self.order = order = _nested_dissection(space)
+        # the factor's pattern: K's columns taken in ``order`` with their
+        # rows renumbered, then two counting passes (to CSR and back) that
+        # leave the rows ascending in every column, with no sort
+        n, rank = len(order), np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(n, dtype=np.int32)
+        lengths = np.diff(K.indptr)[order]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(lengths, out=indptr[1:])
+        entry = np.repeat(K.indptr[order] - indptr[:-1], lengths) + \
+            np.arange(K.nnz, dtype=np.int32)
+        P = sp.csc_matrix((entry, rank[K.indices[entry]], indptr),
+                          shape=K.shape).tocsr().tocsc()
+        self.factor_indptr, self.factor_indices = P.indptr, P.indices
+        self.permuted = P.data
 
     def matrix(self, A, B):
         data = np.concatenate([A.data, B.data, -B.data, [1.0]])[self.gather]
@@ -305,7 +323,7 @@ class ConstrainedSystem:
     bc_values: np.ndarray          # full-length velocity vector of BC data
     mask: np.ndarray               # constrained velocity dofs
     B: sp.csr_matrix               # the step's divergence block
-    order: np.ndarray              # fill-reducing order of the saddle dofs
+    layout: _SaddleLayout          # the pattern and its factor order
     pin: int = None                # pressure dof set to 0 (gauge case)
     gauge_vector: np.ndarray = None
     time_coefficient: float = None  # alpha/dt of the step
@@ -368,13 +386,13 @@ def apply_boundary_conditions(step, bcs, space, map_, t, dt):
     return ConstrainedSystem(
         matrix=layout.matrix(A, B), rhs=np.concatenate([rhs_u, h]),
         n_u=space.n_velocity_dofs, n_p=space.n_pressure_dofs, bc_values=ub,
-        mask=mask, B=B, order=layout.order, pin=layout.pin, gauge_vector=e,
+        mask=mask, B=B, layout=layout, pin=layout.pin, gauge_vector=e,
         time_coefficient=step.time_coefficient)
 
 
 class _SinglePrecisionFactor:
-    """SuperLU factor of a float32 copy of a saddle matrix, in the
-    fill-reducing ``order`` of its rows and columns.
+    """SuperLU factor of a float32 copy of a saddle matrix of ``layout``,
+    rows and columns in the layout's fill-reducing ``order``.
 
     ``solve`` takes and returns float64 vectors in the matrix's own order;
     the permutations and the casts to and from float32 happen here and
@@ -386,12 +404,14 @@ class _SinglePrecisionFactor:
     becoming inf.
     """
 
-    def __init__(self, K, order):
+    def __init__(self, K, layout):
         if not np.all(np.abs(K.data) <= np.finfo(np.float32).max):
             raise SolverError("the saddle matrix has an entry outside the "
                               "float32 range or a non-finite one")
-        self.order = order
-        Kp = K.astype(np.float32)[order][:, order].tocsc()
+        self.order = layout.order
+        Kp = sp.csc_matrix((K.data.astype(np.float32)[layout.permuted],
+                            layout.factor_indices, layout.factor_indptr),
+                           shape=K.shape)
         self.lu = spla.splu(Kp, permc_spec="NATURAL", diag_pivot_thresh=0.01,
                             options={"SymmetricMode": True})
 
@@ -429,7 +449,7 @@ def _solve_direct(system, tolerance, cache=None):
         event = "refactor" if x is None else "reuse"
     if x is None:
         cache.pop("lu", None)    # two factors alive at once raise the peak RSS
-        cache.update(lu=_SinglePrecisionFactor(K, system.order), shape=K.shape,
+        cache.update(lu=_SinglePrecisionFactor(K, system.layout), shape=K.shape,
                      coefficient=system.time_coefficient)
         x, residuals = _solve_with_stale_factor(K, cache["lu"], b, tolerance,
                                                 target, x0=x0)

@@ -324,10 +324,10 @@ def _scattered_blocks(space, map_, t, dt, w, nu, stress, smagorinsky):
     for a in comps:
         np.add.at(A, ((conn * d + a)[:, :, None], (conn * d + a)[:, None, :]),
                   scalar)
-    if coupling is not None:               # [c, i, j, a, b]
-        np.add.at(A, ((conn[:, :, None, None, None] * d +
-                       comps[:, None]),
-                      (conn[:, None, :, None, None] * d + comps)), coupling)
+    if coupling is not None:               # [c, i, b, j, a]
+        np.add.at(A, (conn[:, :, None, None, None] * d + comps,
+                      conn[:, None, None, :, None] * d +
+                      comps[:, None, None]), coupling)
     fd = sampling.facet_data(space)
     sel = np.flatnonzero([lbl.kind == "neumann"
                           for lbl in space.mesh.boundary_labels])
@@ -389,6 +389,54 @@ def test_step_blocks_equal_a_dense_scatter_on_fixed_patterns(case):
 
 
 # --- eddy viscosity -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("map_", [TubeShrinkMap(), parse_map_expressions(
+    "x1 + 0.1*t*sin(x2*x3); x2 + 0.05*t*x1*x3; x3 + 0.1*t*cos(x1)", 3)])
+def test_ghat_equals_the_product_over_a_strided_inverse(map_):
+    """grad phi F^{-1} on tube level 1 equals (lgrads @ inv) @ F^{-1} to the
+    bit, with F^{-1} laid out as a transposed stack: the matmul loop that
+    layout takes gives what BLAS gives on the C-ordered stack."""
+    from movingflow.benchmarks import tube_benchmark
+    space = TaylorHoodSpace(tube_benchmark().mesh_for_level(1))
+    data, geo = sampling.cell_data(space), sampling.geometry(space)
+    (nc, nq), (nb, d), t = data.points.shape[:2], data.lgrads.shape[1:], 0.1
+    _, Finv, _, _ = map_.sample_fields(data.points.reshape(-1, d), t,
+                                       cells=np.repeat(np.arange(nc), nq))
+    strided = np.swapaxes(np.swapaxes(Finv, 1, 2).copy(), 1, 2).reshape(
+        nc, nq, d, d)
+    assert not strided.flags.c_contiguous
+    lg = (data.lgrads.reshape(-1, d) @ geo.inv).reshape(nc, nq, nb, d)
+    ghat = sampling.map_samples(space, map_).cells(t).ghat
+    assert np.array_equal(ghat, lg @ strided)
+    sampling.release(space)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_coupling_scatter_in_kernel_order_equals_transposed_sum(dim):
+    """The symmetric-stress coupling, scattered in the kernel's [c, i, b, j,
+    a] order, equals the width-d^2 sum of its [c, i, j, a, b] transpose to
+    the bit: each slot takes its terms in the same (c, i, j) order."""
+    if dim == 2:
+        space, map_ = TaylorHoodSpace(generate_box(2, (6, 5))), \
+            parse_map_expressions("x1 + 0.1*t*sin(x1*x2); x2", 2)
+    else:
+        space = TaylorHoodSpace(generate_tube(
+            4, 2, lambda y: 1.0 + 0.1 * y, (0.0, 2.0)))
+        map_ = parse_map_expressions(
+            "x1 + 0.1*t*sin(x2*x3); x2 + 0.05*t*x1*x3; x3", 3)
+    data = sampling.cell_data(space)
+    cells = sampling.map_samples(space, map_).cells(0.5)
+    rng = np.random.default_rng(dim)
+    kappa = data.weights * cells.J * rng.uniform(0.5, 2.0, cells.J.shape)
+    _, coupling = assembly._viscous_local(cells.ghat, kappa, "symmetric")
+    pattern = assembly._patterns(space)[0]
+    d = space.dimension
+    blocks = pattern.sum_coupling(coupling)
+    assert blocks.shape == (pattern.n_pairs, d, d)
+    assert np.array_equal(blocks, pattern.sum(
+        coupling.transpose(0, 1, 3, 4, 2), d * d).reshape(-1, d, d))
+    sampling.release(space)
 
 
 def test_smagorinsky_changes_viscous_block_only_with_rate(box2d):

@@ -154,6 +154,27 @@ def test_bc_entry_for_a_label_the_mesh_lacks(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_gmsh_dimension_must_match_the_file(tmp_path, capsys):
+    from test_fileio import GMSH_TWO_TETS
+    (tmp_path / "two.msh").write_text(GMSH_TWO_TETS)
+    gmsh = {"path": "two.msh", "dimension": 2,
+            "tag_labels": {"7": "noslip", "8": "neumann:0"}}
+    path = minimal_config(tmp_path, mesh={"gmsh": gmsh},
+                          bcs={"noslip": {"type": "noslip"},
+                               "neumann:0": {"type": "neumann"}})
+    cfg = load_config(path)         # the file is read when the mesh is built
+    with pytest.raises(ConfigError) as err:
+        build_mesh(cfg)
+    assert err.value.field_path == "mesh.gmsh.dimension"
+    assert cli(["run", "--config", str(path)]) == 2
+    assert "mesh.gmsh.dimension" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    path = minimal_config(tmp_path, mesh={"gmsh": {**gmsh, "dimension": 3}},
+                          bcs={"noslip": {"type": "noslip"},
+                               "neumann:0": {"type": "neumann"}})
+    assert build_mesh(load_config(path)).dimension == 3
+
+
 def readme_configuration():
     readme = (ROOT / "README.md").read_text()
     return readme.split("\n### Configuration\n", 1)[1].split("\n## ", 1)[0]

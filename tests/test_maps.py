@@ -184,6 +184,34 @@ def test_closed_form_inverse_matches_linalg(dim):
     assert np.max(err / np.linalg.norm(inv, axis=(1, 2))) < 1e-13
 
 
+def _cross_det_adjugate(F):
+    """det and adjugate of 3x3 stacks by np.cross: rows of the cofactor
+    matrix are cross products of the other two rows of F."""
+    r0, r1, r2 = F[..., 0, :], F[..., 1, :], F[..., 2, :]
+    cof = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], -2)
+    return (np.einsum("...j,...j->...", r0, cof[..., 0, :]),
+            np.swapaxes(cof, -1, -2))
+
+
+@pytest.mark.parametrize("shape", [(4000, 3, 3), (97, 7, 3, 3), (3, 3)])
+def test_det_adjugate_equals_the_cross_product_formula_bitwise(shape):
+    F = np.random.default_rng(sum(shape)).standard_normal(shape)
+    J, adj = det_adjugate(F)
+    J_cross, adj_cross = _cross_det_adjugate(F)
+    assert np.array_equal(J, J_cross) and np.array_equal(adj, adj_cross)
+    assert adj.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sampled_inverse_is_c_ordered(dim):
+    """The stacked products of sampling and analysis take BLAS only on a
+    C-ordered F^{-1}."""
+    X = np.random.default_rng(dim).uniform(0.1, 0.9, (50, dim))
+    for m in catalog(dim):
+        F, F_inv, J, _ = m.sample_fields(X, 0.3)
+        assert F_inv.flags.c_contiguous, m.kind
+
+
 @pytest.mark.parametrize("t", [1.0, 1.5])
 def test_nonpositive_J_raises_without_warnings(t):
     m = parse_map_expressions("x1*(1-t); x2", 2)            # J = 1 - t

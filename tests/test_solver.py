@@ -808,10 +808,10 @@ def test_dissection_order_is_one_permutation_of_the_saddle_dofs(problem):
     from movingflow.solver import _SaddleLayout
     prob = problem()
     step, system = _first_system(prob)
-    assert np.array_equal(np.sort(system.order),
+    assert np.array_equal(np.sort(system.layout.order),
                           np.arange(system.n_u + system.n_p))
     again = _SaddleLayout(prob.space, step.A, step.B)
-    assert np.array_equal(again.order, system.order)
+    assert np.array_equal(again.order, system.layout.order)
     sampling.release(prob.space)
 
 
@@ -829,9 +829,36 @@ def test_dissection_order_cuts_the_tube_factor_fill():
         _, system = _first_system(prob, stress=case.stress)
         K = system.matrix
         default_nnz = spla.splu(K.astype(np.float32)).nnz
-        assert _SinglePrecisionFactor(K, system.order).lu.nnz <= \
+        assert _SinglePrecisionFactor(K, system.layout).lu.nnz <= \
             0.75 * default_nnz
         sampling.release(prob.space)
+
+
+@pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem])
+def test_factor_pattern_equals_the_permuted_matrix(problem):
+    """The layout's factor-order pattern and the factor's gathered data
+    equal K[order][:, order] in float32 with rows sorted, as SuperLU sorts
+    its input, and so give the same factors."""
+    import scipy.sparse.linalg as spla
+    from movingflow.solver import _SinglePrecisionFactor
+    prob = problem()
+    _, system = _first_system(prob)
+    K, layout = system.matrix, system.layout
+    expected = K.astype(np.float32)[layout.order][:, layout.order].tocsc()
+    expected.sum_duplicates()       # what splu does to its input
+    assert np.array_equal(layout.factor_indptr, expected.indptr)
+    assert np.array_equal(layout.factor_indices, expected.indices)
+    factor = _SinglePrecisionFactor(K, layout)
+    assert np.array_equal(K.data.astype(np.float32)[layout.permuted],
+                          expected.data)
+    lu = spla.splu(expected, permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                   options={"SymmetricMode": True})
+    for ours, theirs in ((factor.lu.L, lu.L), (factor.lu.U, lu.U)):
+        assert np.array_equal(ours.indptr, theirs.indptr)
+        assert np.array_equal(ours.indices, theirs.indices)
+        assert np.array_equal(ours.data, theirs.data)
+    assert np.array_equal(factor.lu.perm_r, lu.perm_r)
+    sampling.release(prob.space)
 
 
 def _lexsort_layout(space, A, B):
