@@ -35,7 +35,7 @@ initial = FlowState(0, 0.0, u0, DiscreteField(space, "pressure"))
 errors = ErrorAccumulator(space, case.map, case.velocity,
                           case.velocity_gradient, dt, case.nu)
 result = run(initial, problem, config, T=case.T, dt=dt,
-             callbacks=[errors.update], record_energy=False)
+             callbacks=[errors.update])
 
 report = errors.report()
 print(f"steps: {len(report.times)}, dt = {dt}")

@@ -50,7 +50,7 @@ for name, map_ in (("analytic", analytic), ("frames", sequence)):
                                               coeffs.copy()),
                         DiscreteField(space, "pressure"))
     results[name] = run(initial, problem, SolverConfig(), T=0.1, dt=0.025,
-                        store_states=True, record_energy=False)
+                        store_states=True)
 
 worst = 0.0
 for sa, sm in zip(results["analytic"].states, results["frames"].states):

@@ -41,7 +41,7 @@ for label, cfg in {
     problem = FlowProblem(space=space, map=IdentityMap(2), nu=0.002,
                           bcs=BoundaryConditionSet({NOSLIP: NoslipBC()}))
     initial = FlowState(0, 0.0, u0.copy(), DiscreteField(space, "pressure"))
-    result = run(initial, problem, cfg, T=0.5, dt=0.025, record_energy=False)
+    result = run(initial, problem, cfg, T=0.5, dt=0.025)
     histories[label] = [r["kinetic_energy"] for r in result.diagnostics]
 
 print(f"{'t':>6}", *(f"{name:>28}" for name in histories))

@@ -54,7 +54,7 @@ __all__ = [
     "rate_mass_matrix", "convection_matrices", "viscous_matrix",
     "divergence_matrix", "forcing_vector", "pressure_gauge_vector",
     "piola_boundary_flux", "boundary_normal_field", "velocity_at_points",
-    "cell_quadrature_points", "smagorinsky_viscosity",
+    "cell_quadrature_points", "smagorinsky_viscosity", "outflow_power",
 ]
 
 
@@ -63,7 +63,8 @@ class AssembledStep:
     """One time step of the discrete system.
 
     A is the velocity-velocity block, B the pressure-velocity divergence
-    block; the saddle system reads  A u - B^T p = rhs_u,  B u = 0.
+    block; the saddle system reads  A u - B^T p = rhs_u,  B u = 0.  A and
+    rhs_u hold the neumann facets' Temam term and load; see outflow_power.
     """
 
     A: sp.csr_matrix
@@ -72,6 +73,8 @@ class AssembledStep:
     t: float
     dt: float
     time_coefficient: float     # alpha/dt: u^k's weight in the time derivative
+    outflow: np.ndarray = None
+    neumann: np.ndarray = None
 
     def triplets(self, block="A"):
         """Canonical COO triplets: duplicates summed, sorted row-major."""
@@ -314,22 +317,23 @@ def _by_cells(kernel, *arrays, size=256):
 
 
 def _temam_boundary(space, map_, t, w):
-    """0.5 (z.n) phi_i phi_j over neumann facets as scalar pattern data,
-    or None without neumann facets."""
+    """0.5 (z.n) phi_i phi_j over neumann facets: its point weights, and
+    the term as scalar pattern data; (None, None) without neumann facets."""
     sel = _neumann_facets(space)
     if sel.size == 0:
-        return None
+        return None, None
     fd = facet_data(space)
     facets = map_samples(space, map_).facets(t)
     nodes = fd.nodes[sel]
     zn = np.einsum("fqd,fqd->fq", fd.vals @ _nodal(w)[nodes],
                    facets.conormal[sel])
-    local = ((0.5 * fd.weights[sel] * zn) @ np.einsum(
-        "qi,qj->qij", fd.vals, fd.vals).reshape(len(fd.vals), -1))
+    outflow = 0.5 * fd.weights[sel] * zn
+    local = outflow @ np.einsum("qi,qj->qij", fd.vals, fd.vals).reshape(
+        len(fd.vals), -1)
     pattern = _patterns(space)[0]
     pairs = cached(space, "outflow_pairs", lambda: pattern.pairs(
         nodes[:, :, None], nodes[:, None, :]))
-    return _sum(pairs, local, pattern.n_pairs)
+    return outflow, _sum(pairs, local, pattern.n_pairs)
 
 
 def _neumann_facets(space, patch=None):
@@ -376,7 +380,7 @@ def convection_matrices(space, map_, t, w):
                           _nodal(w)[space.cell_nodes])
     T = -0.5 * (C + np.swapaxes(C, 1, 2))
     return _velocity_matrix(space, C), _velocity_matrix(
-        space, T, boundary=_temam_boundary(space, map_, t, w))
+        space, T, boundary=_temam_boundary(space, map_, t, w)[1])
 
 
 def viscous_matrix(space, map_, t, nu, stress="symmetric", *,
@@ -530,19 +534,33 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
         geometry(space).cell_diam)
     scalar = _mass_local(data, W * (Jtime * (alpha / dt) + 0.5 * Jdot)) + visc
     scalar += 0.5 * (C - np.swapaxes(C, 1, 2))                   # C + T
-    A = _velocity_matrix(space, scalar, coupling,
-                         _temam_boundary(space, map_, t_k, w))
+    outflow, temam = _temam_boundary(space, map_, t_k, w)
+    A = _velocity_matrix(space, scalar, coupling, temam)
     B = _pressure_matrix(space, Bloc)
 
     rhs = _sum(space.cell_nodes, _mass_local(data, W * Jtime) @
                combo[space.cell_nodes], space.n_nodes, space.dimension)
     if forcing is not None:
         rhs += forcing_vector(space, map_, t_k, forcing)
+    neumann = None
     if neumann_data is not None:
-        rhs += _neumann_vector(space, map_, t_k, neumann_data)
+        neumann = _neumann_vector(space, map_, t_k, neumann_data)
+        rhs += neumann
 
     return AssembledStep(A=A, B=B, rhs_u=rhs, t=t_k, dt=dt,
-                         time_coefficient=alpha / dt)
+                         time_coefficient=alpha / dt, outflow=outflow,
+                         neumann=neumann)
+
+
+def outflow_power(space, step, u):
+    """int J g.u - 1/2 int (z.n) |u|^2 over the neumann facets for the
+    nodal velocity u, from the step's own Neumann load and Temam weights."""
+    if step.outflow is None:
+        return 0.0
+    fd = facet_data(space)
+    uq = fd.vals @ u[fd.nodes[_neumann_facets(space)]]
+    load = 0.0 if step.neumann is None else step.neumann @ u.ravel()
+    return float(load - np.sum(step.outflow[..., None] * uq ** 2))
 
 
 def _neumann_vector(space, map_, t, neumann_data):

@@ -271,8 +271,9 @@ def read_checkpoint(path, space):
 
 DIAGNOSTIC_COLUMNS = ("step", "time", "kinetic_energy", "divergence_residual",
                       "linear_iterations", "linear_residual", "solver_event",
-                      "kinetic_rate", "dissipation", "boundary_work",
-                      "forcing_power")
+                      "kinetic_rate", "dissipation", "numerical_dissipation",
+                      "forcing_power", "reaction_power", "outflow_power",
+                      "energy_defect")
 
 
 def write_diagnostics_csv(path, records):
@@ -281,7 +282,7 @@ def write_diagnostics_csv(path, records):
         for rec in records:
             row = []
             for col in DIAGNOSTIC_COLUMNS:
-                v = rec.get(col)
+                v = rec[col]
                 row.append("" if v is None else
                            str(v) if isinstance(v, (int, str)) else
                            _fmt(float(v)))

@@ -104,8 +104,8 @@ def cell_data(space):
 
 
 class _FacetData:
-    """Trace data on the boundary facets: quadrature, trace basis, geometry,
-    and the cell basis evaluated at the facet points from the cell side."""
+    """Trace data on the boundary facets: quadrature, trace basis, geometry
+    and the cell of each facet."""
 
     def __init__(self, space):
         mesh = space.mesh
@@ -120,16 +120,6 @@ class _FacetData:
                         self.rule.weights * math.factorial(d - 1))
         self.nodes = space.facet_nodes                      # (nbf, nfb)
         self.cells = mesh.boundary_cells
-        nbf, nqf = self.points.shape[:2]
-        inv = geometry(space).inv[self.cells]
-        v0 = mesh.vertices[mesh.cells[self.cells, 0]]
-        loc = np.einsum("fde,fqe->fqd", inv, self.points - v0[:, None, :])
-        bary = np.concatenate([1.0 - loc.sum(axis=2, keepdims=True), loc],
-                              axis=2).reshape(-1, d + 1)
-        self.cell_pvals = shape_functions(1, d).values(bary).reshape(
-            nbf, nqf, d + 1)
-        self.cell_grads = (shape_functions(2, d).gradients(bary).reshape(
-            nbf, nqf, -1, d) @ inv[:, None])
 
 
 def facet_data(space):
@@ -164,9 +154,7 @@ class FacetSample:
     ``conormal`` is J F^{-T} n."""
 
     J: np.ndarray
-    Finv: np.ndarray
     conormal: np.ndarray
-    xi_t: np.ndarray
 
 
 class FieldSample:
@@ -233,9 +221,8 @@ class MapSamples:
         shape = points.shape[:2]
         cells = np.repeat(cells, shape[1])
         flat = points.reshape(-1, d)
-        _, Finv, J, xi_t = self.map.sample_fields(flat, t, cells=cells)
-        return flat, cells, Finv.reshape(shape + (d, d)), J.reshape(shape), \
-            xi_t.reshape(shape + (d,))
+        _, Finv, J, _ = self.map.sample_fields(flat, t, cells=cells)
+        return flat, cells, Finv.reshape(shape + (d, d)), J.reshape(shape)
 
     def _cell_points(self, t):
         data = cell_data(self.space)
@@ -250,7 +237,7 @@ class MapSamples:
 
     def _cells(self, t):
         data = cell_data(self.space)
-        flat, cells, Finv, J, _ = self._cell_points(t)
+        flat, cells, Finv, J = self._cell_points(t)
         position = self.map.position(flat, t, cells=cells)
         # this order of the products keeps the exact zeros of the coupling
         # blocks that the order lgrads @ (inv F^{-1}) turns into roundoff;
@@ -279,10 +266,10 @@ class MapSamples:
         fd = facet_data(self.space)
 
         def build():
-            _, _, Finv, J, xi_t = self._sample(fd.points, fd.cells, t)
+            _, _, Finv, J = self._sample(fd.points, fd.cells, t)
             conormal = J[..., None] * np.einsum("fqmd,fm->fqd", Finv,
                                                 fd.normals)
-            return FacetSample(*_readonly(J, Finv, conormal, xi_t))
+            return FacetSample(*_readonly(J, conormal))
         return self._get(t, "facets", build)
 
     def wall(self, t):

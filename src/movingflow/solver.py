@@ -524,6 +524,7 @@ def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
     point of the step, or a solve that misses ``config.tolerance``, raises a
     SolverError with the step index.  ``info["residual"]`` is that of the
     system without the pin; a warning reports it when above the tolerance.
+    ``info`` also holds the step's reaction and outflow powers.
     """
     space, map_ = problem.space, problem.map
     t_k = float(state.t + dt)
@@ -568,7 +569,12 @@ def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
     new = FlowState(k=k, t=t_k,
                     u=DiscreteField(space, "velocity", ucoef),
                     p=DiscreteField(space, "pressure", pcoef))
-    info["divergence_residual"] = float(np.linalg.norm(step.B @ ucoef))
+    Bu = step.B @ ucoef
+    info["divergence_residual"] = float(np.linalg.norm(Bu))
+    # u . (A u - B^T p - rhs_u), with u . B^T p as p . B u
+    info["reaction_power"] = float(ucoef @ (step.A @ ucoef - step.rhs_u) -
+                                   pcoef @ Bu)
+    info["outflow_power"] = assembly.outflow_power(space, step, new.u.nodal())
     return new, info
 
 
@@ -579,8 +585,7 @@ class RunResult:
     states: list = None
 
 
-def run(initial, problem, config, T, dt, callbacks=(), store_states=False,
-        record_energy=True):
+def run(initial, problem, config, T, dt, callbacks=(), store_states=False):
     """March the scheme from ``initial`` to time T in steps of dt.
 
     dt must divide T - t0 within roundoff.  Callbacks are invoked after each
@@ -618,13 +623,21 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False,
                 "linear_iterations": info["iterations"],
                 "linear_residual": info["residual"],
                 "solver_event": info["solver_event"],
-            }
-            log.debug("step %d: %s solve", state.k, info["solver_event"])
-            if record_energy:
-                record.update(energy_balance_terms(
+                **energy_balance_terms(
                     state_prev, state, problem.map, problem.nu,
                     problem.forcing, stress=config.stress,
-                    norms=(norm_prev, norm_k)).as_dict())
+                    norms=(norm_prev, norm_k)).as_dict(),
+                "reaction_power": info["reaction_power"],
+                "outflow_power": info["outflow_power"],
+            }
+            if config.scheme == "bdf2" and diagnostics:   # bdf2: no identity
+                record.update(numerical_dissipation=None, energy_defect=None)
+            else:             # the identity of analysis.EnergyBalance
+                record["energy_defect"] = (
+                    record["kinetic_rate"] + record["dissipation"] +
+                    record["numerical_dissipation"] - record["forcing_power"]
+                    - record["reaction_power"] - record["outflow_power"])
+            log.debug("step %d: %s solve", state.k, info["solver_event"])
             diagnostics.append(record)
             if store_states:
                 states.append(state)

@@ -166,8 +166,7 @@ def test_criterion_5_energy_monotonic(ok):
     coeffs[space.constrained_dof_mask()] = 0.0
     u0 = DiscreteField(space, "velocity", coeffs)
     state = FlowState(0, 0.0, u0, DiscreteField(space, "pressure"))
-    result = run(state, prob, SolverConfig(), T=1.0, dt=0.02,
-                 record_energy=False)
+    result = run(state, prob, SolverConfig(), T=1.0, dt=0.02)
     norms = [k_norm(u0, prob.map, 0.0)]
     norms += [r["velocity_norm_k"] for r in result.diagnostics]
     assert len(norms) == 51
@@ -312,7 +311,7 @@ def test_mesh_sequence_pathway_matches_analytic(ok):
         u0 = DiscreteField(space, "velocity", coeffs.copy())
         state = FlowState(0, 0.0, u0, DiscreteField(space, "pressure"))
         runs.append(run(state, prob, SolverConfig(), T=0.1, dt=0.025,
-                        store_states=True, record_energy=False))
+                        store_states=True))
     worst = 0.0
     for s_a, s_m in zip(runs[0].states, runs[1].states):
         worst = max(worst,

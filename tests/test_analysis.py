@@ -129,11 +129,10 @@ def test_energy_balance_rest_state():
     bal = energy_balance_terms(s0, s1, IdentityMap(2), nu=1.0)
     assert bal.kinetic_rate == 0.0
     assert bal.dissipation == 0.0
-    assert bal.boundary_work == 0.0
     assert bal.forcing_power == 0.0
 
 
-def test_energy_balance_static_domain_no_boundary_work():
+def test_energy_balance_static_domain_dissipates():
     mesh = generate_box(2, (3, 3))
     space = TaylorHoodSpace(mesh)
     rng = np.random.default_rng(8)
@@ -144,7 +143,6 @@ def test_energy_balance_static_domain_no_boundary_work():
     s0 = FlowState(0, 0.0, u, p)
     s1 = FlowState(1, 0.1, u.copy(), p)
     bal = energy_balance_terms(s0, s1, IdentityMap(2), nu=0.7)
-    assert bal.boundary_work == 0.0          # xi_t = 0 on a static domain
     assert bal.dissipation > 0.0
 
 
@@ -166,9 +164,91 @@ def test_poiseuille_dissipation_balances_power():
     exact = nu * L * (16.0 / 3.0) * U ** 2
     assert abs(bal.kinetic_rate) < 1e-12
     assert abs(bal.dissipation - exact) / exact < 0.05
-    # no body force: the power enters through the inflow boundary traction
-    assert abs(bal.boundary_work) < 1e-12    # static walls: xi_t = 0
     assert bal.forcing_power == 0.0
+
+
+# --- the backward-Euler energy identity ----------------------------------------
+
+BALANCE_TERMS = ("kinetic_rate", "dissipation", "numerical_dissipation",
+                 "forcing_power", "reaction_power", "outflow_power")
+
+
+def _moving_box_run(dt, T, smagorinsky=None):
+    """The 16 x 16 all-no-slip box under a non-affine moving map, driven
+    from rest by a body force of amplitude 20, nu = 1e-3, backward Euler;
+    returns the run and its largest CFL number max |u| dt / h."""
+    from movingflow.maps import parse_map_expressions
+    from movingflow.meshing import NOSLIP
+    from movingflow.solver import BoundaryConditionSet, NoslipBC
+    map_ = parse_map_expressions(
+        "x1 + 0.2*t*sin(x1*x2); x2 + 0.2*t*exp(x1*x2/4)", 2)
+    space = TaylorHoodSpace(generate_box(2, (16, 16)))
+    prob = FlowProblem(space=space, map=map_, nu=1e-3,
+                       bcs=BoundaryConditionSet({NOSLIP: NoslipBC()}),
+                       forcing=lambda X, t: 20.0 * np.stack(
+                           [np.sin(np.pi * X[:, 1]), np.cos(np.pi * X[:, 0])],
+                           axis=1))
+    initial = FlowState(0, 0.0, DiscreteField(space, "velocity"),
+                        DiscreteField(space, "pressure"))
+    result = run(initial, prob, SolverConfig(smagorinsky=smagorinsky), T, dt,
+                 store_states=True)
+    cfl = max(np.abs(s.u.nodal()).max() * dt * 16 for s in result.states)
+    return prob, result, cfl
+
+
+def _relative_defects(result):
+    return [r["energy_defect"] / max(abs(r[key]) for key in BALANCE_TERMS)
+            for r in result.diagnostics]
+
+
+@pytest.mark.parametrize("dt, steps", [(0.005, 6), (0.1, 8)])
+def test_energy_identity_closes_on_the_moving_box_at_any_cfl(dt, steps):
+    _, result, cfl = _moving_box_run(dt, dt * steps)
+    assert cfl > 10 if dt == 0.1 else cfl < 1
+    assert max(abs(d) for d in _relative_defects(result)) <= 1e-10
+    assert all(r["outflow_power"] == 0.0 for r in result.diagnostics)
+    # the walls move: their reactions work on the fluid
+    assert all(abs(r["reaction_power"]) > 0 for r in result.diagnostics)
+
+
+def test_energy_identity_closes_on_the_tube_with_its_outflow():
+    from movingflow.benchmarks import tube_benchmark
+    case = tube_benchmark()
+    space = TaylorHoodSpace(case.mesh_for_level(1))
+    prob = FlowProblem(space=space, map=case.map, nu=case.nu,
+                       bcs=case.boundary_conditions(), forcing=case.forcing)
+    u0 = interpolate(space, "velocity",
+                     lambda X: case.velocity(case.map.position(X, 0.0), 0.0))
+    p0 = interpolate(space, "pressure",
+                     lambda X: case.pressure(case.map.position(X, 0.0), 0.0))
+    result = run(FlowState(0, 0.0, u0, p0), prob,
+                 SolverConfig(stress=case.stress), 0.08, 0.02)
+    assert max(abs(d) for d in _relative_defects(result)) <= 1e-10
+    # the outlet's traction and Temam term carry a share of the balance
+    for r in result.diagnostics:
+        assert abs(r["outflow_power"]) > 0.1 * max(
+            abs(r[key]) for key in BALANCE_TERMS)
+
+
+def test_energy_defect_with_eddy_viscosity_is_the_eddy_dissipation():
+    from movingflow import assembly
+    from movingflow.solver import map_velocity_at_nodes
+    cs = 0.2
+    prob, result, _ = _moving_box_run(0.1, 0.4, smagorinsky=cs)
+    space, map_ = prob.space, prob.map
+    defects = _relative_defects(result)
+    assert max(defects) <= 1e-10
+    for prev, state, record in zip(result.states, result.states[1:],
+                                   result.diagnostics):
+        # the step's molecular minus its eddy dissipation
+        w = prev.u.nodal() - map_velocity_at_nodes(space, map_, state.t, 0.1)
+        u = state.u.coefficients
+        extra = u @ ((assembly.viscous_matrix(space, map_, state.t, prob.nu) -
+                      assembly.viscous_matrix(space, map_, state.t, prob.nu,
+                                              smagorinsky=cs, w=w)) @ u)
+        scale = max(abs(record[key]) for key in BALANCE_TERMS)
+        assert abs(record["energy_defect"] - extra) <= 1e-10 * scale
+        assert extra < 0.0
 
 
 # --- convergence table ------------------------------------------------------------
@@ -215,27 +295,6 @@ def test_convergence_table_csv(tmp_path):
     assert float(lines[2].split(",")[5]) == 4.0
 
 
-def test_boundary_work_closed_form_on_stretching_square():
-    # map xi = ((1+t) x1, x2): F = diag(1+t, 1), J = 1+t, xi_t = (x1, 0).
-    # For a linear velocity field and constant pressure the discrete stress
-    # is constant, and the boundary work over the unit square reduces to
-    # the (1,1) entry of sigma * diag(1, 1+t), i.e. -p + 2 nu a/(1+t).
-    from movingflow.maps import AxisScalingMap
-    a, c, nu, p_const, t = 0.8, -0.3, 0.45, 1.7, 0.5
-    mesh = generate_box(2, (3, 3))
-    space = TaylorHoodSpace(mesh)
-    map_ = AxisScalingMap([lambda tt: 1 + tt, lambda tt: 1.0],
-                          [lambda tt: 1.0, lambda tt: 0.0])
-    u = interpolate(space, "velocity",
-                    lambda X: np.stack([a * X[:, 0], c * X[:, 0]], axis=1))
-    p = interpolate(space, "pressure", lambda X: np.full(len(X), p_const))
-    s0 = FlowState(0, t - 0.1, u, p)
-    s1 = FlowState(1, t, u.copy(), p)
-    bal = energy_balance_terms(s0, s1, map_, nu=nu, stress="symmetric")
-    expected = -p_const + 2 * nu * a / (1 + t)
-    assert abs(bal.boundary_work - expected) < 1e-12
-
-
 # --- one evaluation of each solved state for every diagnostic -------------------
 
 
@@ -273,8 +332,7 @@ def _shared_evaluation_run(monkeypatch):
     initial = FlowState(0, 0.0, u0, DiscreteField(space, "pressure"))
     result = run(initial, problem, SolverConfig(stress=case.stress), 3 * dt,
                  dt, callbacks=[acc.update, lambda s, r: per_step.append(
-                     len(gradients))], store_states=True,
-                 record_energy=True)
+                     len(gradients))], store_states=True)
     return case, space, result, acc, np.diff([0] + per_step), forcing_points
 
 

@@ -299,11 +299,46 @@ def test_diagnostics_csv(tmp_path):
                 "divergence_residual": 1e-13, "linear_iterations": 2,
                 "linear_residual": 1e-15, "solver_event": "refactor",
                 "kinetic_rate": -0.5, "dissipation": 0.4,
-                "boundary_work": 0.0, "forcing_power": 0.1}]
+                "numerical_dissipation": None, "forcing_power": 0.1,
+                "reaction_power": 0.25, "outflow_power": 0.0,
+                "energy_defect": None}]
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(path, records)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ("step,time,kinetic_energy,divergence_residual,"
                         "linear_iterations,linear_residual,solver_event,"
-                        "kinetic_rate,dissipation,boundary_work,forcing_power")
-    assert lines[1] == "1,0.1,2,1e-13,2,1e-15,refactor,-0.5,0.4,0,0.1"
+                        "kinetic_rate,dissipation,numerical_dissipation,"
+                        "forcing_power,reaction_power,outflow_power,"
+                        "energy_defect")
+    assert lines[1] == "1,0.1,2,1e-13,2,1e-15,refactor,-0.5,0.4,,0.1,0.25,0,"
+    # a column the record lacks raises instead of writing an empty cell
+    del records[0]["outflow_power"]
+    with pytest.raises(KeyError, match="outflow_power"):
+        write_diagnostics_csv(path, records)
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "bdf2"])
+def test_every_record_of_run_has_every_csv_column(scheme):
+    from movingflow.fileio import DIAGNOSTIC_COLUMNS
+    from movingflow.meshing import NOSLIP
+    from movingflow.solver import (BoundaryConditionSet, FlowProblem,
+                                   NoslipBC, SolverConfig, run)
+    space = TaylorHoodSpace(generate_box(2, (3, 3)))
+    prob = FlowProblem(space=space, map=AxisScalingMap(
+        [lambda t: 1 + 0.1 * t, lambda t: 1.0], [lambda t: 0.1, lambda t: 0.0]),
+        nu=0.1, bcs=BoundaryConditionSet({NOSLIP: NoslipBC()}))
+    initial = FlowState(0, 0.0, DiscreteField(space, "velocity"),
+                        DiscreteField(space, "pressure"))
+    result = run(initial, prob, SolverConfig(scheme=scheme), 0.3, 0.1)
+    assert len(result.diagnostics) == 3
+    for record in result.diagnostics:
+        assert set(DIAGNOSTIC_COLUMNS) <= set(record)
+    # bdf2 steps after the first have no energy identity: empty cells
+    later = [r["energy_defect"] for r in result.diagnostics[1:]]
+    assert result.diagnostics[0]["energy_defect"] is not None
+    if scheme == "bdf2":
+        assert later == [None, None]
+        assert [r["numerical_dissipation"] for r in result.diagnostics[1:]] \
+            == [None, None]
+    else:
+        assert None not in later

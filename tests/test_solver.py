@@ -179,8 +179,7 @@ def test_energy_monotonic_decay_static_domain():
     coeffs = rng.standard_normal(space.n_velocity_dofs)
     coeffs[space.constrained_dof_mask()] = 0.0
     u0 = DiscreteField(space, "velocity", coeffs)
-    result = run(make_state(space, u=u0), prob, SolverConfig(), T=1.0, dt=0.02,
-                 record_energy=False)
+    result = run(make_state(space, u=u0), prob, SolverConfig(), T=1.0, dt=0.02)
     norms = [k_norm(u0, prob.map, 0.0)]
     norms += [r["velocity_norm_k"] for r in result.diagnostics]
     diffs = np.diff(norms)
@@ -196,7 +195,7 @@ def test_energy_monotonic_3d_spot_check():
     coeffs = rng.standard_normal(space.n_velocity_dofs)
     coeffs[space.constrained_dof_mask()] = 0.0
     result = run(make_state(space, u=DiscreteField(space, "velocity", coeffs)),
-                 prob, SolverConfig(), T=0.1, dt=0.02, record_energy=False)
+                 prob, SolverConfig(), T=0.1, dt=0.02)
     norms = [k_norm(DiscreteField(space, "velocity", coeffs), prob.map, 0.0)]
     norms += [r["velocity_norm_k"] for r in result.diagnostics]
     assert np.all(np.diff(norms) <= 1e-12)
@@ -234,8 +233,7 @@ def test_bdf2_exact_on_linear_in_time_data():
     cfg = SolverConfig(stress="full-gradient", scheme="bdf2")
     u0 = interpolate(space, "velocity", lambda X: exact_u(X, 0.0))
     p0 = interpolate(space, "pressure", lambda X: exact_p(X, 0.0))
-    result = run(FlowState(0, 0.0, u0, p0), prob, cfg, T=0.5, dt=0.1,
-                 record_energy=False)
+    result = run(FlowState(0, 0.0, u0, p0), prob, cfg, T=0.5, dt=0.1)
     expect = interpolate(space, "velocity", lambda X: exact_u(X, 0.5))
     err = np.abs(result.final.u.coefficients - expect.coefficients).max()
     assert err <= 10 * cfg.tolerance * np.abs(expect.coefficients).max()
@@ -265,8 +263,7 @@ def test_smagorinsky_run_dissipates_faster():
     for cs in (None, 0.5):
         prob = all_noslip_problem(mesh, nu=0.01)
         cfg = SolverConfig(smagorinsky=cs)
-        result = run(make_state(space, u=u0.copy()), prob, cfg, T=0.2, dt=0.05,
-                     record_energy=False)
+        result = run(make_state(space, u=u0.copy()), prob, cfg, T=0.2, dt=0.05)
         finals.append(result.diagnostics[-1]["velocity_norm_k"])
     assert finals[1] < finals[0]
 
@@ -301,7 +298,7 @@ def test_callback_failure_reports_step():
     from movingflow.solver import CallbackError
     with pytest.raises(CallbackError, match="step 2"):
         run(make_state(prob.space), prob, SolverConfig(), T=0.3, dt=0.1,
-            callbacks=[boom], record_energy=False)
+            callbacks=[boom])
 
 
 def test_map_validation_failure_raises():
@@ -358,7 +355,7 @@ def test_mesh_sequence_run_matches_analytic_map():
                            bcs=BoundaryConditionSet({NOSLIP: NoslipBC()}))
         u0 = DiscreteField(space, "velocity", coeffs.copy())
         result = run(make_state(space, u=u0), prob, SolverConfig(), T=0.1,
-                     dt=0.025, store_states=True, record_energy=False)
+                     dt=0.025, store_states=True)
         finals.append(result)
     for s_a, s_m in zip(finals[0].states, finals[1].states):
         assert np.abs(s_a.u.coefficients - s_m.u.coefficients).max() < 1e-8
@@ -440,7 +437,7 @@ def test_map_samples_are_read_only_and_dropped_by_run():
     samples = sampling.map_samples(prob.space, prob.map)
     cells, facets = samples.cells(0.1), samples.facets(0.1)
     for array in (cells.J, cells.ghat, cells.position, facets.J,
-                  facets.Finv, facets.conormal, facets.xi_t,
+                  facets.conormal,
                   samples.wall(0.1), samples.jacobian(0.0)):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
@@ -556,7 +553,7 @@ def test_saddle_pattern_fixed_over_steps(monkeypatch):
                        bcs=case.boundary_conditions(), forcing=case.forcing)
     seen = _capture_systems(monkeypatch)
     result = run(make_state(space), prob, SolverConfig(stress=case.stress),
-                 0.03, 0.01, record_energy=False)
+                 0.03, 0.01)
     matrices = [system.matrix for _, system in seen]
     assert len(matrices) == 3
     for K in matrices[1:]:
