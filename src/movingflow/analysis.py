@@ -38,18 +38,19 @@ def k_norm(field, map_, t, space=None):
         space = field.space
         if field.component == "velocity":
             vals = sampling.map_samples(space, map_).field(t, field).values
+            sq = np.einsum("dcq,dcq->cq", vals, vals)
         else:
             pv = field.coefficients[space.mesh.cells]
-            vals = (pv @ sampling.cell_data(space).pvals.T)[..., None]
+            sq = (pv @ sampling.cell_data(space).pvals.T) ** 2
     elif space is None:
         raise ValueError("k_norm of a callable needs the space argument")
     else:
         pts = sampling.cell_data(space).points
         vals = np.asarray(field(pts.reshape(-1, space.dimension)), dtype=float)
         vals = vals.reshape(pts.shape[0], pts.shape[1], -1)
+        sq = np.einsum("cqd,cqd->cq", vals, vals)
     wts = sampling.cell_data(space).weights
     J = sampling.map_samples(space, map_).jacobian(t)
-    sq = np.einsum("cqd,cqd->cq", vals, vals)
     return float(np.sqrt(np.sum(wts * J * sq)))
 
 
@@ -109,15 +110,16 @@ class ErrorAccumulator:
         nc, nq, d = cells.position.shape
         phys = cells.position.reshape(-1, d)
         wJ = sampling.cell_data(space).weights * cells.J
-        ue = np.asarray(self.velocity(phys, t), dtype=float).reshape(nc, nq, d)
+        # the exact fields as component planes, like the discrete ones
+        ue = np.asarray(self.velocity(phys, t), dtype=float).T.reshape(
+            d, nc, nq)
         err = ue - uh.values
-        l2 = math.sqrt(float(np.sum(wJ * np.einsum("cqd,cqd->cq", err, err))))
+        l2 = math.sqrt(float(np.sum(wJ * np.einsum("dcq,dcq->cq", err, err))))
 
-        Ge = np.asarray(self.velocity_gradient(phys, t),
-                        dtype=float).reshape(nc, nq, d, d)
-        Gerr = Ge - uh.gradients
-        D = 0.5 * (Gerr + np.swapaxes(Gerr, 2, 3))
-        rate = math.sqrt(float(np.sum(wJ * np.einsum("cqab,cqab->cq", D, D))))
+        Ge = np.asarray(self.velocity_gradient(phys, t), dtype=float)
+        Gerr = np.moveaxis(Ge, 0, -1).reshape(d, d, nc, nq) - uh.gradients
+        D = 0.5 * (Gerr + np.swapaxes(Gerr, 0, 1))
+        rate = math.sqrt(float(np.sum(wJ * np.einsum("abcq,abcq->cq", D, D))))
 
         self.times.append(t)
         self.l2.append(l2)
@@ -172,24 +174,24 @@ def energy_balance_terms(state_prev, state, map_, nu, forcing=None,
     uh = samples.field(state.t, state.u)
     data = sampling.cell_data(space)
     wJ = data.weights * samples.cells(state.t).J
-    Gh = uh.gradients
+    Gh = uh.gradients                                    # (d, d, nc, nq)
     if stress == "symmetric":
-        D = 0.5 * (Gh + np.swapaxes(Gh, 2, 3))
+        D = 0.5 * (Gh + np.swapaxes(Gh, 0, 1))
         dissipation = 2.0 * nu * float(np.sum(
-            wJ * np.einsum("cqab,cqab->cq", D, D)))
+            wJ * np.einsum("abcq,abcq->cq", D, D)))
     else:
         dissipation = nu * float(np.sum(
-            wJ * np.einsum("cqab,cqab->cq", Gh, Gh)))
+            wJ * np.einsum("abcq,abcq->cq", Gh, Gh)))
 
     # the components of u^k - u^{k-1} at the cell points, (d, nc, nq)
-    jump = np.take((state.u.nodal() - state_prev.u.nodal()).T,
-                   space.cell_nodes, axis=1) @ data.vals.T
+    jump = sampling.point_values(data, sampling.cell_components(
+        space, state.u.nodal() - state_prev.u.nodal()))
     numerical = float(np.sum(
         data.weights * samples.jacobian(state_prev.t) *
         np.einsum("acq,acq->cq", jump, jump))) / (2.0 * dt)
 
     power = 0.0 if forcing is None else float(np.sum(wJ * np.einsum(
-        "cqd,cqd->cq", samples.forcing(state.t, forcing), uh.values)))
+        "cqd,dcq->cq", samples.forcing(state.t, forcing), uh.values)))
     return EnergyBalance(kinetic_rate=kinetic_rate, dissipation=dissipation,
                          numerical_dissipation=numerical, forcing_power=power)
 

@@ -20,12 +20,27 @@ and the pressure coupling B[q, psi] = int J q F^{-T} : grad psi.
 The map data come from the per-time-level sample of ``sampling``, which
 boundary conditions and diagnostics read too.
 
-Kernels.  Each form is one batched numpy expression over the whole
-(cell, quadrature point) stack.  The gradient forms read the level's
-pulled-back basis gradients ``ghat`` = grad phi F^{-1} from the sample, and
-mass-type terms are ``(w J) @ (phi_i phi_j)``.  The standalone forms and
-``assemble_step`` call the same kernels; ``assemble_step`` runs the
-gradient kernels over blocks of cells to bound their temporaries.
+Kernels.  All forms live on the fixed reference mesh, so each gradient
+form splits into a fixed table of reference basis products and a d x d
+factor per point (the tensor representation of Kirby, Knepley, Logg and
+Scott, SISC 2005, here with a per-point factor because the map is not
+affine).  The level's sample holds the map factor G = inv F^{-1} as planes
+G[k, e], (d, d, nc, nq), with grad phi F^{-1} = lgrad G; ``sampling``
+builds the tables once per space, rows (k, q).  A kernel forms its
+per-point factor by written-out sums on planes and makes one product
+(nc, rows) @ (rows, local block) against its table:
+
+* convection: W J G w against phi_i d_k phi_j;
+* full-gradient viscous: kappa G G^T, d(d+1)/2 planes, against the
+  symmetrized d_k phi_i d_l phi_j;
+* divergence: W J G[:, e] for each component e against q_p d_k phi_j.
+
+The symmetric-stress coupling keeps the product H^T kappa H of the
+per-cell stacks H = grad phi F^{-1}, (nq, nb d), over blocks of cells;
+H comes from one product per point q of the cells' G with the table of
+d_k phi_i.
+Mass-type terms are ``(w J) @ (phi_i phi_j)``.  The standalone forms and
+``assemble_step`` call the same kernels.
 
 Scatter.  The blocks have fixed patterns on the reference mesh, built once
 per space: the node pairs of the cell blocks, each cell block entry's pair,
@@ -46,7 +61,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .sampling import cached, cell_data, facet_data, geometry, map_samples
+from .sampling import (cached, cell_components, cell_data, facet_data,
+                       geometry, map_samples, plane_dot, point_gradients,
+                       point_values)
 from .spaces import DiscreteField
 
 __all__ = [
@@ -139,7 +156,8 @@ class _Pattern:
         self.pair_cols = _frozen(keys % n_cols)
         self.pair_ptr = _frozen(np.searchsorted(keys // n_cols,
                                                 np.arange(n_rows + 1)))
-        self._index = {1: _frozen(index.ravel())}   # per run width, coupling
+        self.entry_pair = _frozen(index.ravel())   # of each block entry
+        self._index = {}          # the component and coupling scatters
         self._csr = {}
 
     def pairs(self, rows, cols):
@@ -149,16 +167,23 @@ class _Pattern:
         return _frozen(np.searchsorted(keys,
                                        (rows * self.n_cols + cols).ravel()))
 
-    def sum(self, local, width=1):
-        """Sums per pair of the cell block entries' runs of ``width``
-        adjacent local values, (pairs * width,)."""
-        index = self._index.get(width)
+    def sum(self, local):
+        """Sums per pair of the cell block entries' local values, (pairs,)."""
+        return np.bincount(self.entry_pair, weights=local.ravel(),
+                           minlength=self.n_pairs)
+
+    def sum_components(self, local):
+        """Sums per pair of d component blocks ``local[e, ...]`` of the
+        cell block entries, (pairs * d,) with [pair, e].  The index follows
+        the kernel's order, so no transposed copy is made; every sum takes
+        its terms in cell block order."""
+        index = self._index.get("components")
         if index is None:
-            index = self._index[width] = _frozen((
-                self._index[1][:, None] * width +
-                np.arange(width, dtype=np.int32)).ravel())
-        return np.bincount(index, weights=local.ravel(),
-                           minlength=self.n_pairs * width)
+            index = self._index["components"] = _frozen(
+                self.entry_pair * self.d +
+                np.arange(self.d, dtype=np.int32)[:, None])
+        return np.bincount(index.ravel(), weights=local.ravel(),
+                           minlength=self.n_pairs * self.d)
 
     def sum_coupling(self, local):
         """Sums per pair of the (d, d) coupling blocks ``local[c, i, b, j,
@@ -169,7 +194,7 @@ class _Pattern:
         if index is None:
             d, (nr, nk) = self.d, self._block
             arange = np.arange(d, dtype=np.int32)
-            pair = self._index[1].reshape(-1, nr, 1, nk, 1)
+            pair = self.entry_pair.reshape(-1, nr, 1, nk, 1)
             index = self._index["coupling"] = _frozen(
                 (pair * d + arange) * d + arange[:, None, None])
         return np.bincount(index.ravel(), weights=local.ravel(),
@@ -238,14 +263,18 @@ def _velocity_matrix(space, scalar, coupling=None, boundary=None):
 
 
 def _pressure_matrix(space, local):
-    """Pressure-velocity CSR from (nc, d+1, nb, d) local blocks."""
-    pattern, d = _patterns(space)[1], space.dimension
-    return pattern.csr(1).matrix(pattern.sum(local, d))
+    """Pressure-velocity CSR from the local blocks [e, c, p, j] of the
+    divergence kernel, (d, nc, d+1, nb), summed in that order: no
+    transposed copy, and each sum takes its terms in (c, p, j) order."""
+    pattern = _patterns(space)[1]
+    return pattern.csr(1).matrix(pattern.sum_components(local))
 
 
 # ---------------------------------------------------------------------------
-# batched kernels over the (cell, quadrature point) stack
+# batched kernels: per-point factors on planes, one product with a table
 # ---------------------------------------------------------------------------
+
+_BLOCK = 256        # cells per block of the symmetric coupling
 
 
 def _mass_local(data, weight):
@@ -254,12 +283,23 @@ def _mass_local(data, weight):
     return (weight @ data.outer).reshape(-1, nb, nb)
 
 
-def _convection_local(data, ghat, J, W, wc):
-    """C[c, i, j] = sum_q W (z . grad phi_j) phi_i with z = J F^{-1} w,
-    where z . grad phi = J (ghat . w)."""
-    wq = data.vals @ wc                                  # (nc, nq, d)
-    ddir = J[..., None] * (ghat @ wq[..., None])[..., 0]   # (nc, nq, nb)
-    return data.vals.T @ (W[..., None] * ddir)
+def _convection_local(data, G, wj, wc):
+    """C[c, i, j] = sum_q W (z . grad phi_j) phi_i with z = J F^{-1} w and
+    wj = W J; z . grad phi_j = J sum_k d_k phi_j (G w)_k.  ``wc`` is the
+    advection field's cell components, (d, nc, nb)."""
+    d, nc, nb = wc.shape
+    wq = point_values(data, wc)                          # (d, nc, nq)
+    factor = np.empty(wq.shape)
+    for k in range(d):
+        plane_dot(G[k], wq, factor[k])
+    factor *= wj
+    return (_rows(factor) @ data.convection).reshape(nc, nb, nb)
+
+
+def _rows(planes):
+    """Per-point factor planes (m, nc, nq) as the (nc, m nq) rows of a
+    table product."""
+    return planes.transpose(1, 0, 2).reshape(planes.shape[1], -1)
 
 
 def smagorinsky_viscosity(D, h_T, nu, C_s=0.2):
@@ -270,7 +310,7 @@ def smagorinsky_viscosity(D, h_T, nu, C_s=0.2):
     return nu + (C_s * np.asarray(h_T)) ** 2 * rate
 
 
-def _eddy_viscosity(ghat, wc, diam, nu, smagorinsky):
+def _eddy_viscosity(data, G, wc, diam, nu, smagorinsky):
     """nu, or the Smagorinsky viscosity of D, the pulled-back rate of the
     lagged field, (nc, nq)."""
     if smagorinsky is None:
@@ -278,42 +318,47 @@ def _eddy_viscosity(ghat, wc, diam, nu, smagorinsky):
     cs = float(smagorinsky)
     if cs <= 0:
         raise ValueError("eddy-viscosity constant must be positive")
-    Gw = np.swapaxes(wc, 1, 2)[:, None] @ ghat           # (nc, nq, d, d)
-    Dw = 0.5 * (Gw + np.swapaxes(Gw, 2, 3))
-    return smagorinsky_viscosity(Dw, diam[:, None], nu, cs)
+    Gw = point_gradients(data, G, wc)                    # (d, d, nc, nq)
+    Dw = 0.5 * (Gw + np.swapaxes(Gw, 0, 1))
+    return smagorinsky_viscosity(np.moveaxis(Dw, (0, 1), (2, 3)),
+                                 diam[:, None], nu, cs)
 
 
-def _viscous_local(ghat, kappa, stress):
-    """Viscous blocks with the pointwise coefficient kappa = W J nu: the
-    scalar kappa ghat_i . ghat_j, (nc, nb, nb), and for the symmetric form
-    the coupling [c, i, b, j, a] = sum_q kappa (ghat_i)_b (ghat_j)_a, the
-    product's own order."""
+def _viscous_local(data, G, kappa, stress):
+    """Viscous blocks with the pointwise coefficient kappa = W J nu and
+    g_i = grad phi_i F^{-1}: the scalar sum_q kappa g_i . g_j, (nc, nb,
+    nb), and for the symmetric form the coupling [c, i, b, j, a] = sum_q
+    kappa (g_i)_b (g_j)_a, the product's own order."""
     if stress not in ("symmetric", "full-gradient"):
         raise ValueError(f"unknown stress form {stress!r}")
-    nc, nq, nb, d = ghat.shape
-    H = ghat.reshape(nc, nq, nb * d)
-    X = ((np.swapaxes(H, 1, 2) * kappa[:, None, :]) @ H).reshape(
-        nc, nb, d, nb, d)
-    scalar = np.einsum("cieje->cij", X)
+    d, _, nc, nq = G.shape
+    nb = data.vals.shape[1]
     if stress == "full-gradient":
-        return scalar, None
-    return scalar, X
+        # kappa (G G^T)[k, l] for k <= l against the symmetrized table
+        factor = np.empty((len(data.pairs), nc, nq))
+        for p, (k, l) in enumerate(data.pairs):
+            plane_dot(G[k], G[l], factor[p])
+        factor *= kappa
+        return (_rows(factor) @ data.stiffness).reshape(nc, nb, nb), None
+    # H^T kappa H per cell, over blocks of cells that bound the stacks H
+    kappa = np.broadcast_to(kappa, (nc, nq))
+    X = np.empty((nc, nb * d, nb * d))
+    for i in range(0, nc, _BLOCK):
+        n = min(_BLOCK, nc - i)
+        Gq = G[:, :, i:i + n].transpose(3, 2, 0, 1).reshape(nq, n, d * d)
+        H = np.swapaxes(Gq @ data.gradient_blocks, 0, 1).copy()
+        np.matmul(np.swapaxes(H * kappa[i:i + n, :, None], 1, 2), H,
+                  out=X[i:i + n])
+    X = X.reshape(nc, nb, d, nb, d)
+    return np.einsum("cieje->cij", X), X
 
 
-def _divergence_local(data, ghat, wj):
-    """B[c, p, j, e] = sum_q wj q_p (ghat_j)_e with wj = W J,
-    (nc, d+1, nb, d)."""
-    nc, nq, nb, d = ghat.shape
-    return (data.pvals.T @ (wj[..., None] * ghat.reshape(nc, nq, nb * d))
-            ).reshape(nc, -1, nb, d)
-
-
-def _by_cells(kernel, *arrays, size=256):
-    """``kernel`` over blocks of ``size`` cells of the per-cell arrays, its
-    outputs joined: bounds the (cell, q, basis, d) temporaries."""
-    parts = [kernel(*(a[i:i + size] for a in arrays))
-             for i in range(0, len(arrays[0]), size)]
-    return [None if p[0] is None else np.concatenate(p) for p in zip(*parts)]
+def _divergence_local(data, G, wj):
+    """B[e, c, p, j] = sum_q wj q_p (grad phi_j F^{-1})_e with wj = W J,
+    (d, nc, d+1, nb): the factor wj G[k, e] against q_p d_k phi_j."""
+    d, nc = G.shape[0], G.shape[2]
+    factor = (G * wj).transpose(1, 2, 0, 3).reshape(d * nc, -1)
+    return (factor @ data.divergence).reshape(d, nc, d + 1, -1)
 
 
 def _temam_boundary(space, map_, t, w):
@@ -376,8 +421,8 @@ def convection_matrices(space, map_, t, w):
     """
     data = cell_data(space)
     cells = map_samples(space, map_).cells(t)
-    C = _convection_local(data, cells.ghat, cells.J, data.weights,
-                          _nodal(w)[space.cell_nodes])
+    C = _convection_local(data, cells.G, data.weights * cells.J,
+                          cell_components(space, _nodal(w)))
     T = -0.5 * (C + np.swapaxes(C, 1, 2))
     return _velocity_matrix(space, C), _velocity_matrix(
         space, T, boundary=_temam_boundary(space, map_, t, w)[1])
@@ -388,12 +433,12 @@ def viscous_matrix(space, map_, t, nu, stress="symmetric", *,
     """Viscous velocity block; see the module docstring for the two forms."""
     data = cell_data(space)
     cells = map_samples(space, map_).cells(t)
-    wc = _nodal(DiscreteField(space, "velocity") if w is None else w)[
-        space.cell_nodes]
-    nuq = _eddy_viscosity(cells.ghat, wc, geometry(space).cell_diam, nu,
+    wc = cell_components(space, _nodal(
+        DiscreteField(space, "velocity") if w is None else w))
+    nuq = _eddy_viscosity(data, cells.G, wc, geometry(space).cell_diam, nu,
                           smagorinsky)
     return _velocity_matrix(space, *_viscous_local(
-        cells.ghat, data.weights * cells.J * nuq, stress))
+        data, cells.G, data.weights * cells.J * nuq, stress))
 
 
 def divergence_matrix(space, map_, t):
@@ -401,7 +446,7 @@ def divergence_matrix(space, map_, t):
     data = cell_data(space)
     cells = map_samples(space, map_).cells(t)
     return _pressure_matrix(space, _divergence_local(
-        data, cells.ghat, data.weights * cells.J))
+        data, cells.G, data.weights * cells.J))
 
 
 def forcing_vector(space, map_, t, forcing):
@@ -483,8 +528,10 @@ def cell_quadrature_points(space):
 
 
 def velocity_at_points(space, field):
-    """Velocity field values at the cell quadrature points, (nc, nq, d)."""
-    return cell_data(space).vals @ _nodal(field)[space.cell_nodes]
+    """Velocity field values at the cell quadrature points, (nc, nq, d): a
+    view over the component planes of ``sampling.point_values``."""
+    return np.moveaxis(point_values(cell_data(space), cell_components(
+        space, _nodal(field))), 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +570,17 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
         alpha = 1.0
         combo = _nodal(u_prev) / dt
 
-    def gradient_terms(ghat, J, W, wc, diam):
-        kappa = W * J * _eddy_viscosity(ghat, wc, diam, nu, smagorinsky)
-        return (_convection_local(data, ghat, J, W, wc),
-                *_viscous_local(ghat, kappa, stress),
-                _divergence_local(data, ghat, W * J))
-    W = data.weights
-    C, visc, coupling, Bloc = _by_cells(
-        gradient_terms, cells.ghat, Jk, W, _nodal(w)[space.cell_nodes],
-        geometry(space).cell_diam)
+    W, G = data.weights, cells.G
+    wj, wc = W * Jk, cell_components(space, _nodal(w))
+    kappa = wj * _eddy_viscosity(data, G, wc, geometry(space).cell_diam, nu,
+                                 smagorinsky)
+    C = _convection_local(data, G, wj, wc)
+    visc, coupling = _viscous_local(data, G, kappa, stress)
     scalar = _mass_local(data, W * (Jtime * (alpha / dt) + 0.5 * Jdot)) + visc
     scalar += 0.5 * (C - np.swapaxes(C, 1, 2))                   # C + T
     outflow, temam = _temam_boundary(space, map_, t_k, w)
     A = _velocity_matrix(space, scalar, coupling, temam)
-    B = _pressure_matrix(space, Bloc)
+    B = _pressure_matrix(space, _divergence_local(data, G, wj))
 
     rhs = _sum(space.cell_nodes, _mass_local(data, W * Jtime) @
                combo[space.cell_nodes], space.n_nodes, space.dimension)

@@ -132,7 +132,7 @@ def tube_benchmark():
             return velocity(map_.position(X_ref, t), t)
 
         def outlet_traction(X_ref, t, normals):
-            F, Finv, J, _ = map_.sample_fields(X_ref, t)
+            F, Finv, J = map_.sample_fields(X_ref, t)
             phys = map_.position(X_ref, t)
             co = np.einsum("nmd,nm->nd", Finv, normals)      # F^{-T} n
             G = velocity_gradient(phys, t)

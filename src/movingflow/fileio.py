@@ -210,9 +210,10 @@ def _vertex_q_criterion(u, map_, t):
     space = u.space
     mesh = space.mesh
     d = mesh.dimension
-    Ghat = sampling.map_samples(space, map_).field(t, u).gradients
+    grads = sampling.map_samples(space, map_).field(t, u).gradients
     wts = sampling.cell_data(space).weights
-    Gcell = np.einsum("cq,cqad->cad", wts / wts.sum(axis=1, keepdims=True), Ghat)
+    Gcell = np.einsum("cq,adcq->cad", wts / wts.sum(axis=1, keepdims=True),
+                      grads)
     S = 0.5 * (Gcell + np.swapaxes(Gcell, 1, 2))
     W = 0.5 * (Gcell - np.swapaxes(Gcell, 1, 2))
     qcell = 0.5 * (np.einsum("cab,cab->c", W, W) -
@@ -270,8 +271,8 @@ def read_checkpoint(path, space):
 # ---------------------------------------------------------------------------
 
 DIAGNOSTIC_COLUMNS = ("step", "time", "kinetic_energy", "divergence_residual",
-                      "linear_iterations", "linear_residual", "solver_event",
-                      "kinetic_rate", "dissipation", "numerical_dissipation",
+                      "min_J", "linear_iterations", "linear_residual",
+                      "solver_event", "kinetic_rate", "dissipation", "numerical_dissipation",
                       "forcing_power", "reaction_power", "outflow_power",
                       "energy_defect")
 

@@ -14,14 +14,15 @@ results have leading dimension ``n``.  ``sample_fields`` computes ``J`` and
 call it point set by point set: ``sampling.map_samples`` samples each time
 level once per point set of a space and shares the result.
 
-Memory order is part of the contract: the ``F^{-1}`` of ``sample_fields``
-is C-ordered, each point's d x d block contiguous.  Its readers multiply
-whole stacks by it (grad phi F^{-1} in ``sampling``, G F^{-1} in
-``analysis``), and numpy's stacked ``matmul`` gives the same result on a
-stack of transposed blocks at about three times the cost.  So
-``det_adjugate`` writes the 3x3 cofactors on contiguous component planes
-and returns the adjugate C-ordered, with the arithmetic of the
-cross-product formula and hence the same values to the bit.
+Memory order is part of the contract: ``sample_fields`` returns ``F^{-1}``
+as an (n, d, d) view over d x d contiguous component planes, each an
+array of n values.  Its readers in ``sampling`` work on whole planes (the
+cell map factor inv F^{-1} by written-out sums, the facet conormal J
+F^{-T} n): elementwise work on contiguous rows, where a stacked ``matmul``
+over the points makes one tiny BLAS call per point.  Indexing the view
+point by point works as on any (n, d, d) array.  ``det_adjugate`` returns
+the C-ordered adjugate; ``det_adjugate_planes`` the planes it is copied
+from.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = [
     "IdentityMap", "AxisScalingMap", "TubeShrinkMap", "ExpressionMap",
     "MeshSequenceMap", "parse_map_expressions", "evaluate_map",
     "piola_residual", "validate_assumptions", "load_mesh_sequence",
-    "DEFAULT_THRESHOLDS", "det_adjugate",
+    "DEFAULT_THRESHOLDS", "det_adjugate", "det_adjugate_planes",
 ]
 
 # (c_J, C_F, eps): lower bound on J, upper bound on the Frobenius norms of
@@ -117,53 +118,60 @@ class SpaceTimeMap:
     # -- derived quantities -------------------------------------------------
 
     def sample_fields(self, points, t, cells=None):
-        """Return (F, F_inv, J, xi_t) arrays at the given points."""
+        """Return (F, F_inv, J) arrays at the given points; F_inv is an
+        (n, d, d) view over contiguous component planes (see above)."""
         points = _as_points(points, self.dimension)
         F = self.gradient(points, t, cells=cells)
-        J, adj = det_adjugate(F)
+        J, adj = det_adjugate_planes(F)
         if not np.all(J > 0.0):
             i = int(np.flatnonzero(~(J > 0.0))[0])
             raise SingularMappingError(
                 f"mapping gradient singular (J={J[i]:.3g} <= 0) at point "
                 f"{points[i].tolist()} and time {t:g}")
-        F_inv = adj / J[:, None, None]
-        xi_t = self.velocity(points, t, cells=cells)
-        return F, F_inv, J, xi_t
+        adj /= J
+        return F, np.moveaxis(adj, -1, 0), J
 
     def jacobian(self, points, t, cells=None):
         points = _as_points(points, self.dimension)
-        return det_adjugate(self.gradient(points, t, cells=cells))[0]
+        return det_adjugate_planes(self.gradient(points, t, cells=cells))[0]
 
 
-def det_adjugate(F):
-    """Determinants and adjugates of a stack of 2x2 or 3x3 matrices, from
+def det_adjugate_planes(F):
+    """Determinants of a stack of 2x2 or 3x3 matrices F (n, d, d), and
+    their adjugates as contiguous planes adj[j, k], (d, d, n), from
     closed-form cofactor formulas; F^{-1} = adj / det where det != 0."""
     F = np.asarray(F, dtype=float)
     d = F.shape[-1]
+    if d not in (2, 3):
+        raise ValueError(f"closed-form inverse needs 2x2 or 3x3 matrices, "
+                         f"got {d}x{d}")
+    f = np.moveaxis(F, (-2, -1), (0, 1)).copy()      # planes f[i, j] of F
+    adj = np.empty(f.shape)
     if d == 2:
-        a, b = F[..., 0, 0], F[..., 0, 1]
-        c, e = F[..., 1, 0], F[..., 1, 1]
-        adj = np.stack([np.stack([e, -b], -1), np.stack([-c, a], -1)], -2)
-        return a * e - b * c, adj
-    if d == 3:
-        # row k of the cofactor matrix is the cross product of rows k+1
-        # and k+2 of F, written out on contiguous planes f[i, j] of F; the
-        # adjugate, its transpose, is built C-ordered as adj[j, k]
-        f = np.moveaxis(F, (-2, -1), (0, 1)).copy()
-        adj = np.empty(f.shape)
-        for k in range(3):
-            p, q = (k + 1) % 3, (k + 2) % 3
-            for j in range(3):
-                s, r = (j + 1) % 3, (j + 2) % 3
-                np.multiply(f[p, s], f[q, r], out=adj[j, k, ...])
-                adj[j, k, ...] -= f[p, r] * f[q, s]
-        # det by an einsum with a contiguous copy of cofactor row 0: over
-        # the strided row the einsum rounds differently, 1 ulp apart
-        det = np.einsum("...j,...j->...", F[..., 0, :],
-                        np.moveaxis(adj[:, 0], 0, -1).copy())
-        return det, np.moveaxis(adj, (0, 1), (-2, -1)).copy()
-    raise ValueError(f"closed-form inverse needs 2x2 or 3x3 matrices, got "
-                     f"{d}x{d}")
+        adj[0, 0], adj[1, 1] = f[1, 1], f[0, 0]
+        np.negative(f[0, 1], out=adj[0, 1])
+        np.negative(f[1, 0], out=adj[1, 0])
+        return f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0], adj
+    # row k of the cofactor matrix is the cross product of rows k+1 and
+    # k+2 of F; the adjugate, its transpose, is written as adj[j, k]
+    for k in range(3):
+        p, q = (k + 1) % 3, (k + 2) % 3
+        for j in range(3):
+            s, r = (j + 1) % 3, (j + 2) % 3
+            np.multiply(f[p, s], f[q, r], out=adj[j, k, ...])
+            adj[j, k, ...] -= f[p, r] * f[q, s]
+    # det by an einsum with a contiguous copy of cofactor row 0: over
+    # the strided row the einsum rounds differently, 1 ulp apart
+    det = np.einsum("...j,...j->...", F[..., 0, :],
+                    np.moveaxis(adj[:, 0], 0, -1).copy())
+    return det, adj
+
+
+def det_adjugate(F):
+    """Determinants and C-ordered adjugates of a stack of 2x2 or 3x3
+    matrices, (..., d, d); F^{-1} = adj / det where det != 0."""
+    det, adj = det_adjugate_planes(F)
+    return det, np.moveaxis(adj, (0, 1), (-2, -1)).copy()
 
 
 class IdentityMap(SpaceTimeMap):
@@ -428,9 +436,10 @@ def load_mesh_sequence(directory, mesh):
 def evaluate_map(map_, x, t):
     """Evaluate the map at one reference point and time."""
     pts = _as_points(x, map_.dimension)
-    F, F_inv, J, xi_t = map_.sample_fields(pts, t)
+    F, F_inv, J = map_.sample_fields(pts, t)
     return MappingSample(point=pts[0], time=float(t), F=F[0],
-                         F_inv=F_inv[0], J=float(J[0]), xi_t=xi_t[0])
+                         F_inv=F_inv[0], J=float(J[0]),
+                         xi_t=map_.velocity(pts, t)[0])
 
 
 def piola_residual(map_, x, t, delta=1e-3):
@@ -443,7 +452,7 @@ def piola_residual(map_, x, t, delta=1e-3):
     d = map_.dimension
 
     def jfinv(p):
-        F, F_inv, J, _ = map_.sample_fields(p[None, :], t)
+        _, F_inv, J = map_.sample_fields(p[None, :], t)
         return J[0] * F_inv[0]
 
     div = np.zeros(d)
@@ -473,7 +482,7 @@ def validate_assumptions(map_, mesh, times, thresholds=DEFAULT_THRESHOLDS):
     min_J = np.inf
     max_F = max_Finv = max_dev = 0.0
     for t in times:
-        F, F_inv, J, _ = map_.sample_fields(pts, float(t), cells=cells)
+        F, F_inv, J = map_.sample_fields(pts, float(t), cells=cells)
         min_J = min(min_J, float(J.min()))
         max_F = max(max_F, float(np.linalg.norm(F, axis=(1, 2)).max()))
         max_Finv = max(max_Finv, float(np.linalg.norm(F_inv, axis=(1, 2)).max()))

@@ -10,15 +10,17 @@ values, cell geometry) depend on the mesh alone and are built on first use.
 boundary conditions and diagnostics read the map.  For one time level it
 calls ``SpaceTimeMap.sample_fields`` once on the cell points and once on the
 facet points, and evaluates the domain velocity once at the velocity
-nodes.  Of F the level keeps the pulled-back basis gradients grad phi
-F^{-1} at the cell points, the one stack that every gradient form of
-``assembly`` and every velocity gradient reads.  Next to the map sample
-it keeps the level's forcing at the cell points and the level's solved
-velocity there (values and grad u F^{-1}), each evaluated once for every
-reader.  Lifetime: only the newest level is kept whole; J at the cell
-points is kept for the last three levels, which the backward differences
-of J need, and an older level is sampled for J alone.  The arrays are
-read-only.
+nodes.  Of F the level keeps the map factor G = inv F^{-1} at the cell
+points, where inv maps reference-simplex to reference-mesh gradients: the
+basis gradients grad phi F^{-1} are lgrad G, so every gradient form of
+``assembly`` is elementwise work on G and one product with a fixed table
+of the space.  G is kept as d x d contiguous planes, (d, d, nc, nq).  Next
+to the map sample the level keeps its forcing at the cell points and its
+solved velocity there (values and grad u F^{-1}, as component planes),
+each evaluated once for every reader.  Lifetime: only the newest level is
+kept whole; J at the cell points is kept for the last three levels, which
+the backward differences of J need, and an older level is sampled for J
+alone.  The arrays are read-only.
 
 The tables, the map samples and the sparsity patterns of ``assembly`` hang
 on the space in one cache; ``solver.run`` releases it when it returns, so a
@@ -36,7 +38,8 @@ from .elements import default_degree, quadrature, shape_functions
 
 __all__ = ["CellSample", "FacetSample", "FieldSample", "MapSamples",
            "map_samples", "release", "rules", "cell_data", "facet_data",
-           "geometry"]
+           "geometry", "cell_components", "point_values",
+           "point_gradients"]
 
 
 def cached(space, key, build):
@@ -84,6 +87,21 @@ def rules(dimension):
 
 
 class _CellData:
+    """The cell rule, the basis tables at its points and the products of
+    basis tables that the gradient forms of ``assembly`` multiply by, with
+    rows (k, q) for the reference derivative k at point q:
+
+    * ``outer``      phi_i phi_j, (nq, nb^2);
+    * ``convection`` phi_i d_k phi_j, (d nq, nb^2);
+    * ``stiffness``  d_k phi_i d_l phi_j + d_l phi_i d_k phi_j for k < l
+      and d_k phi_i d_k phi_j for k = l, rows in ``pairs`` order,
+      (d(d+1)/2 nq, nb^2);
+    * ``divergence`` q_p d_k phi_j, (d nq, (d+1) nb);
+    * ``lgrad_t``    d_k phi_i as [i, (k, q)], (nb, d nq);
+    * ``gradient_blocks`` d_k phi_i delta_ef per point, [q, (k, f), (i,
+      e)], (nq, d^2, nb d): G at a point times it is grad phi F^{-1}.
+    """
+
     def __init__(self, space):
         d = space.dimension
         self.rule = rules(d)[0]
@@ -91,8 +109,24 @@ class _CellData:
         self.vals = vbasis.values(self.rule.points)        # (nq, nb)
         self.lgrads = vbasis.gradients(self.rule.points)   # (nq, nb, d)
         self.pvals = shape_functions(1, d).values(self.rule.points)
+        nq, nb = self.vals.shape
+        lg = np.moveaxis(self.lgrads, 2, 0)                # [k, q, i]
         self.outer = np.einsum("qi,qj->qij", self.vals,
-                               self.vals).reshape(len(self.vals), -1)
+                               self.vals).reshape(nq, -1)
+        self.convection = np.einsum("qi,kqj->kqij", self.vals,
+                                    lg).reshape(d * nq, -1)
+        self.pairs = [(k, l) for k in range(d) for l in range(k, d)]
+        products = [np.einsum("qi,qj->qij", lg[k], lg[l])
+                    for k, l in self.pairs]
+        self.stiffness = np.stack([
+            p if k == l else p + np.swapaxes(p, 1, 2)
+            for (k, l), p in zip(self.pairs, products)]).reshape(-1, nb * nb)
+        self.divergence = np.einsum("qp,kqj->kqpj", self.pvals,
+                                    lg).reshape(d * nq, -1)
+        self.lgrad_t = np.ascontiguousarray(
+            np.moveaxis(lg, 2, 0).reshape(nb, d * nq))
+        self.gradient_blocks = np.einsum(
+            "qik,fe->qkfie", self.lgrads, np.eye(d)).reshape(nq, d * d, -1)
         mesh = space.mesh
         verts = mesh.vertices[mesh.cells]                  # (nc, d+1, d)
         self.points = np.einsum("qv,cvd->cqd", self.rule.points, verts)
@@ -137,14 +171,50 @@ def _readonly(*arrays):
     return arrays
 
 
+def plane_dot(a, b, out):
+    """out = sum_k a[k] * b[k]: a product summed over the leading axis,
+    written out on whole planes."""
+    np.multiply(a[0], b[0], out=out)
+    for k in range(1, len(a)):
+        out += a[k] * b[k]
+    return out
+
+
+def cell_components(space, nodal):
+    """The components of a nodal velocity (n, d) on each cell's basis,
+    (d, nc, nb)."""
+    return np.take(nodal.T, space.cell_nodes, axis=1)
+
+
+def point_values(data, comps):
+    """Values at the cell points of the cell components (d, nc, nb):
+    one product with the basis table, (d, nc, nq)."""
+    d, nc, nb = comps.shape
+    return (comps.reshape(-1, nb) @ data.vals.T).reshape(d, nc, -1)
+
+
+def point_gradients(data, G, comps):
+    """grad u F^{-1} at the cell points of the cell components (d, nc, nb)
+    and the map factor G, as planes [a, b] = d u_a / d x_b, (d, d, nc,
+    nq): one product with ``lgrad_t``, then G on planes."""
+    d, nc, nb = comps.shape
+    ref = (comps.reshape(-1, nb) @ data.lgrad_t).reshape(d, nc, d, -1)
+    ref = ref.transpose(0, 2, 1, 3).copy()              # planes [a, k]
+    out = np.empty(G.shape)
+    for a in range(d):
+        for b in range(d):
+            plane_dot(ref[a], G[:, b], out[a, b])
+    return out
+
+
 @dataclass(frozen=True)
 class CellSample:
-    """Map data at the cell quadrature points, (nc, nq, ...): J, the
-    physical positions and ``ghat``, the basis gradients grad phi F^{-1},
-    (nc, nq, nb, d)."""
+    """Map data at the cell quadrature points: J and the physical
+    positions, (nc, nq, ...), and the map factor G = inv F^{-1} as planes
+    G[k, e], (d, d, nc, nq), so that grad phi F^{-1} = lgrad G."""
 
     J: np.ndarray
-    ghat: np.ndarray
+    G: np.ndarray
     position: np.ndarray
 
 
@@ -158,33 +228,36 @@ class FacetSample:
 
 
 class FieldSample:
-    """A velocity field at the cell points of level t: ``values``,
-    (nc, nq, d), and ``gradients`` grad u F^{-1}, (nc, nq, d, d), each
-    evaluated on first use."""
+    """A velocity field at the cell points of level t, as component planes:
+    ``values``, (d, nc, nq), and ``gradients`` grad u F^{-1}, (d, d, nc,
+    nq), each evaluated on first use."""
 
     def __init__(self, samples, field, t):
         self._samples = samples
         self.coefficients = field.coefficients
         self.t = t
-        self._values = self._gradients = None
+        self._comps = self._values = self._gradients = None
 
-    def _nodal(self):
-        return self.coefficients.reshape(-1, self._samples.space.dimension)
+    def _components(self):
+        if self._comps is None:
+            space = self._samples.space
+            self._comps = cell_components(
+                space, self.coefficients.reshape(-1, space.dimension))
+        return self._comps
 
     @property
     def values(self):
         if self._values is None:
-            from . import assembly
-            self._values, = _readonly(assembly.velocity_at_points(
-                self._samples.space, self._nodal()))
+            self._values, = _readonly(point_values(
+                cell_data(self._samples.space), self._components()))
         return self._values
 
     @property
     def gradients(self):
         if self._gradients is None:
-            ghat = self._samples.cells(self.t).ghat
-            vc = self._nodal()[self._samples.space.cell_nodes]
-            self._gradients, = _readonly(np.swapaxes(vc, 1, 2)[:, None] @ ghat)
+            self._gradients, = _readonly(point_gradients(
+                cell_data(self._samples.space),
+                self._samples.cells(self.t).G, self._components()))
         return self._gradients
 
 
@@ -217,12 +290,15 @@ class MapSamples:
         return self._newest[key]
 
     def _sample(self, points, cells, t):
+        """The map at the (n, nq, d) points: the flat points and cells,
+        the planes of F^{-1}, (d, d, n, nq), and J, (n, nq)."""
         d = self.space.dimension
         shape = points.shape[:2]
         cells = np.repeat(cells, shape[1])
         flat = points.reshape(-1, d)
-        _, Finv, J, _ = self.map.sample_fields(flat, t, cells=cells)
-        return flat, cells, Finv.reshape(shape + (d, d)), J.reshape(shape)
+        _, Finv, J = self.map.sample_fields(flat, t, cells=cells)
+        planes = np.moveaxis(Finv, 0, -1).reshape((d, d) + shape)
+        return flat, cells, planes, J.reshape(shape)
 
     def _cell_points(self, t):
         data = cell_data(self.space)
@@ -239,19 +315,19 @@ class MapSamples:
         data = cell_data(self.space)
         flat, cells, Finv, J = self._cell_points(t)
         position = self.map.position(flat, t, cells=cells)
-        # this order of the products keeps the exact zeros of the coupling
-        # blocks that the order lgrads @ (inv F^{-1}) turns into roundoff;
-        # blocks of cells bound the temporary.  F^{-1} is C-ordered (see
-        # maps): on transposed 3x3 blocks the stacked matmul gives equal
-        # results at about three times the cost
-        nq, nb, d = data.lgrads.shape
-        lgrads, inv = data.lgrads.reshape(-1, d), geometry(self.space).inv
-        ghat = np.empty(J.shape + (nb, d))
-        for i in range(0, len(ghat), 256):
-            np.matmul((lgrads @ inv[i:i + 256]).reshape(-1, nq, nb, d),
-                      Finv[i:i + 256], out=ghat[i:i + 256])
+        # G[k, e] = sum_m inv[k, m] F^{-1}[m, e], written out on planes;
+        # inv is constant on a cell.  Entries of the coupling block B that
+        # vanish in exact arithmetic come out as exact zeros or as roundoff
+        # by the order of these sums and of the kernels' products (on tube
+        # level 1, 544 exact zeros among 3459 entries below 1e-15 of the
+        # largest); the saddle layout keeps both as structural entries
+        inv = np.moveaxis(geometry(self.space).inv, 0, -1)[..., None]
+        G = np.empty(Finv.shape)
+        for k in range(len(G)):
+            for e in range(len(G)):
+                plane_dot(inv[k], Finv[:, e], G[k, e])
         return CellSample(self._keep_jacobian(t, J), *_readonly(
-            ghat, position.reshape(data.points.shape)))
+            G, position.reshape(data.points.shape)))
 
     def cells(self, t):
         return self._get(t, "cells", lambda: self._cells(t))
@@ -267,7 +343,7 @@ class MapSamples:
 
         def build():
             _, _, Finv, J = self._sample(fd.points, fd.cells, t)
-            conormal = J[..., None] * np.einsum("fqmd,fm->fqd", Finv,
+            conormal = J[..., None] * np.einsum("mdfq,fm->fqd", Finv,
                                                 fd.normals)
             return FacetSample(*_readonly(J, conormal))
         return self._get(t, "facets", build)

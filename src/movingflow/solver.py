@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly, sampling
-from .maps import MeshSequenceMap, SingularMappingError
+from .maps import DEFAULT_THRESHOLDS, MeshSequenceMap, SingularMappingError
 from .spaces import DIRICHLET_NODE, NOSLIP_NODE, DiscreteField
 
 __all__ = [
@@ -615,11 +615,18 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False):
             prev = state_prev if config.scheme == "bdf2" else None
 
             norm_k = k_norm(state.u, problem.map, state.t)
+            # J at the level's cell points, kept by the step's own sample
+            min_J = float(sampling.map_samples(
+                problem.space, problem.map).jacobian(state.t).min())
+            if min_J < DEFAULT_THRESHOLDS[0]:
+                log.warning("step %d: min J %.3g at the cell points is below "
+                            "%g", state.k, min_J, DEFAULT_THRESHOLDS[0])
             record = {
                 "step": state.k, "time": state.t,
                 "velocity_norm_k": norm_k,
                 "kinetic_energy": 0.5 * norm_k ** 2,
                 "divergence_residual": info["divergence_residual"],
+                "min_J": min_J,
                 "linear_iterations": info["iterations"],
                 "linear_residual": info["residual"],
                 "solver_event": info["solver_event"],

@@ -1,12 +1,16 @@
-"""Naive dense reference assembly for fixed-domain (identity-map) forms.
+"""Naive dense reference assembly, for fixed domains and moving maps.
 
 Plain loops over cells, quadrature points and basis pairs; used to check the
-vectorized assembly against an independent code path.
+vectorized assembly against an independent code path.  The identity-map
+forms take a quadrature degree.  The moving-map forms (``moving_*``) loop
+over the cells and the space's cell points and build each form from F^{-1}
+itself: ``np.linalg.inv`` and ``np.linalg.det`` of the map's gradient at
+the point, no sampling tables, no map factor.
 """
 
 import numpy as np
 
-from movingflow.elements import quadrature, shape_functions
+from movingflow.elements import default_degree, quadrature, shape_functions
 
 
 def _cell_setup(mesh, degree):
@@ -112,3 +116,90 @@ def convection(space, w_nodal, degree):
                         C[ni * d + a, nj * d + a] += cij
                         T[ni * d + a, nj * d + a] -= 0.5 * (cij + cji)
     return C, T
+
+
+
+# --- moving maps: every form from F^{-1} at each cell point -----------------
+
+
+def _moving_points(space, map_, t):
+    """Per cell: its velocity and pressure nodes, |det| of the cell, its
+    diameter and per point (rule weight, basis values, pressure basis
+    values, grad phi F^{-1} (nb, d), J); the space's cell rule."""
+    mesh = space.mesh
+    rule, vals, grads_loc, pvals = _cell_setup(
+        mesh, default_degree(mesh.dimension))
+    for c in range(mesh.n_cells):
+        verts, det, Ginv = _geometry(mesh, c)
+        diam = max(np.linalg.norm(a - b) for a in verts for b in verts)
+        F = map_.gradient(rule.points @ verts, t,
+                          cells=np.full(len(rule.weights), c))
+        points = [(wq, vals[q], pvals[q],
+                   grads_loc[q] @ Ginv @ np.linalg.inv(F[q]),
+                   np.linalg.det(F[q]))
+                  for q, wq in enumerate(rule.weights)]
+        yield space.cell_nodes[c], mesh.cells[c], det, diam, points
+
+
+def _dofs(nodes, d):
+    """The velocity dofs (i, a) of the nodes, node-major."""
+    return (np.asarray(nodes)[:, None] * d + np.arange(d)).ravel()
+
+
+def moving_convection(space, map_, t, w_nodal):
+    """C[(i,a),(j,a)] = int (z . grad phi_j) phi_i with z = J F^{-1} w."""
+    d = space.dimension
+    n = space.n_velocity_dofs
+    C = np.zeros((n, n))
+    for nodes, _, det, _, points in _moving_points(space, map_, t):
+        dofs = _dofs(nodes, d)
+        for wq, v, _, g, J in points:
+            wval = v @ w_nodal[nodes]
+            local = wq * det * J * np.outer(v, g @ wval)      # [i, j]
+            C[np.ix_(dofs, dofs)] += np.kron(local, np.eye(d))
+    return C
+
+
+def moving_viscous(space, map_, t, nu, stress, smagorinsky=None,
+                   w_nodal=None):
+    """nu_T J (grad u F^{-1}) : (grad psi F^{-1}), or 2 nu_T J D(u) : D(psi)
+    for the symmetric stress, with nu_T = nu + (C_s h)^2 sqrt(2 D(w):D(w))
+    for a Smagorinsky constant C_s, h the cell diameter."""
+    d = space.dimension
+    n = space.n_velocity_dofs
+    A = np.zeros((n, n))
+    for nodes, _, det, diam, points in _moving_points(space, map_, t):
+        dofs = _dofs(nodes, d)
+        for wq, _, _, g, J in points:
+            nu_t = nu
+            if smagorinsky is not None:
+                gw = w_nodal[nodes].T @ g          # grad w F^{-1}, [a, b]
+                D = 0.5 * (gw + gw.T)
+                nu_t = nu + (smagorinsky * diam) ** 2 * np.sqrt(
+                    2.0 * np.sum(D * D))
+            # [i, a, j, b]: delta_ab g_i . g_j (+ g_ib g_ja, symmetric)
+            local = np.einsum("ij,ab->iajb", g @ g.T, np.eye(d))
+            if stress == "symmetric":
+                local += np.einsum("ib,ja->iajb", g, g)
+            A[np.ix_(dofs, dofs)] += (wq * det * J * nu_t *
+                                      local.reshape(len(dofs), -1))
+    return A
+
+
+def moving_divergence(space, map_, t):
+    """B[p, (j,b)] = int J q_p (grad phi_j F^{-1})_b."""
+    d = space.dimension
+    B = np.zeros((space.n_pressure_dofs, space.n_velocity_dofs))
+    for nodes, pnodes, det, _, points in _moving_points(space, map_, t):
+        dofs = _dofs(nodes, d)
+        for wq, _, pv, g, J in points:
+            B[np.ix_(pnodes, dofs)] += wq * det * J * np.outer(pv, g.ravel())
+    return B
+
+
+def moving_gradients(space, map_, t, u_nodal):
+    """grad u F^{-1} at the cell points, (nc, nq, d, d) with [a, b] =
+    d u_a / d x_b."""
+    return np.array([[u_nodal[nodes].T @ g for _, _, _, g, _ in points]
+                     for nodes, _, _, _, points in
+                     _moving_points(space, map_, t)])

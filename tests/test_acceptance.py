@@ -8,6 +8,8 @@ criteria that consume them.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from movingflow import assembly
 from movingflow.analysis import convergence_study, k_norm
@@ -99,31 +101,62 @@ def test_criterion_2_tube_rates(tube_study, ok):
 # --- criterion 3: skew-symmetry cancellation -------------------------------------
 
 
+def smooth_map(dim, a, b, c):
+    """A member of a family of smooth expression maps, the identity at
+    t = 0; |a|, |c| <= 0.3 and 0.5 <= b <= 3 keep J > 0 on the unit box
+    for t <= 0.15."""
+    if dim == 2:
+        return parse_map_expressions(
+            f"x1 + {a!r}*t*sin({b!r}*x1*x2); "
+            f"x2 + {c!r}*t*exp(x1*x2/4) + {a!r}*t*x1*x1", 2)
+    return parse_map_expressions(
+        f"x1 + {a!r}*t*sin({b!r}*x2*x3); x2 + {c!r}*t*x1*x3; "
+        f"x3 + {a!r}*t*cos({b!r}*x1) + {c!r}*t*x2*x2", 3)
+
+
+AMPLITUDES = st.tuples(st.floats(-0.3, 0.3), st.floats(0.5, 3.0),
+                       st.floats(-0.3, 0.3))
+
+
 def test_criterion_3_skew_symmetry(ok):
-    rng = np.random.default_rng(2024)
-    checked = 0
-    for dim in (2, 3):
-        for _ in range(5):
-            mesh = random_perturbed_box(rng, dim)
-            space = TaylorHoodSpace(mesh)
-            map_ = TubeShrinkMap() if dim == 3 else AxisScalingMap(
+    """v^T (C+T) v = 0 for random advection fields w and vectors v that
+    vanish on the constrained dofs, on jittered 2D and 3D boxes under the
+    axis-scaling or tube map (``shape`` None) or a smooth expression map."""
+    checked = []
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+           shape=st.none() | AMPLITUDES)
+    @example(seed=2024, dim=2, shape=None)
+    @example(seed=2024, dim=3, shape=None)
+    def skew(seed, dim, shape):
+        rng = np.random.default_rng(seed)
+        space = TaylorHoodSpace(random_perturbed_box(rng, dim))
+        if shape is not None:
+            map_ = smooth_map(dim, *shape)
+        elif dim == 3:
+            map_ = TubeShrinkMap()
+        else:
+            map_ = AxisScalingMap(
                 [lambda t: 1 + 0.2 * t, lambda t: 1 - 0.1 * t],
                 [lambda t: 0.2, lambda t: -0.1])
-            mask = space.constrained_dof_mask()
-            fields = 2 if dim == 3 else 3
-            for _ in range(fields):
-                w = DiscreteField(space, "velocity",
-                                  rng.standard_normal(space.n_velocity_dofs))
-                C, T = assembly.convection_matrices(space, map_, 0.08, w)
-                CT = C + T
-                v = rng.standard_normal(space.n_velocity_dofs)
-                v[mask] = 0.0
-                scale = np.abs(v) @ (abs(CT) @ np.abs(v)) + 1e-300
-                assert abs(v @ (CT @ v)) <= 1e-10 * scale
-                checked += 1
-    assert checked >= 20
-    ok(3, f"v^T (C+T) v = 0 within 1e-10 relative on {checked} "
-          f"random advection fields (2D and 3D)")
+        mask = space.constrained_dof_mask()
+        for _ in range(2):
+            w = DiscreteField(space, "velocity",
+                              rng.standard_normal(space.n_velocity_dofs))
+            C, T = assembly.convection_matrices(space, map_, 0.08, w)
+            CT = C + T
+            v = rng.standard_normal(space.n_velocity_dofs)
+            v[mask] = 0.0
+            scale = np.abs(v) @ (abs(CT) @ np.abs(v)) + 1e-300
+            assert abs(v @ (CT @ v)) <= 1e-10 * scale
+            checked.append(dim)
+
+    skew()
+    assert checked.count(2) >= 4 and checked.count(3) >= 4
+    ok(3, f"v^T (C+T) v = 0 within 1e-10 relative on {len(checked)} "
+          f"random advection fields (2D and 3D, catalog and expression "
+          f"maps, jittered boxes)")
 
 
 # --- criterion 4: discrete time-derivative identity -------------------------------
@@ -179,40 +212,59 @@ def test_criterion_5_energy_monotonic(ok):
 # --- criterion 6: transformed-volume divergence identity ----------------------------
 
 
+PIOLA_CATALOG = {
+    "identity-2d": IdentityMap(2),
+    "axis-scaling": AxisScalingMap([lambda t: 1 + t, lambda t: 1 / (1 + t)],
+                                   [lambda t: 1.0,
+                                    lambda t: -1 / (1 + t) ** 2]),
+    "tube-shrink": TubeShrinkMap(),
+    "expression-2d": parse_map_expressions(
+        "x1 + 0.1*sin(x1*x2); x2 + 0.1*exp(x1*x2/4)", 2),
+    "expression-3d": parse_map_expressions(
+        "x1 + 0.05*sin(x1*x2); x2 + 0.05*exp(x1*x3/4); "
+        "x3 + 0.05*cos(x2*x3)", 3),
+}
+
+
 def test_criterion_6_piola_identity(ok):
-    rng = np.random.default_rng(31)
-    catalog = {
-        "identity-2d": (IdentityMap(2), lambda: rng.uniform(0.1, 0.9, 2)),
-        "axis-scaling": (AxisScalingMap([lambda t: 1 + t,
-                                         lambda t: 1 / (1 + t)],
-                                        [lambda t: 1.0,
-                                         lambda t: -1 / (1 + t) ** 2]),
-                         lambda: rng.uniform(0.1, 0.9, 2)),
-        "tube-shrink": (TubeShrinkMap(), lambda: rng.uniform(-0.5, 0.5, 3)),
-        "expression-2d": (parse_map_expressions(
-            "x1 + 0.1*sin(x1*x2); x2 + 0.1*exp(x1*x2/4)", 2),
-            lambda: rng.uniform(0.1, 0.9, 2)),
-        "expression-3d": (parse_map_expressions(
-            "x1 + 0.05*sin(x1*x2); x2 + 0.05*exp(x1*x3/4); "
-            "x3 + 0.05*cos(x2*x3)", 3),
-            lambda: rng.uniform(0.1, 0.9, 3)),
-    }
-    orders_checked = 0
-    for name, (map_, sample) in catalog.items():
-        residuals = np.array([piola_residual(map_, sample(), 0.15, 1e-3)
-                              for _ in range(100)])
-        assert residuals.max() <= 1e-6, name
-        # decay order on the points where the residual is genuinely nonzero
-        x = sample()
-        seq = [piola_residual(map_, x, 0.15, d) for d in (1e-2, 5e-3, 2.5e-3)]
+    """div(J F^{-T}) = 0: the central-difference residual is <= 1e-6 at
+    delta 1e-3 and decays at order >= 1.9, for the catalog maps and the
+    smooth expression maps (``map_`` a catalog name or amplitudes)."""
+    orders_checked, maps_checked = [], []
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           map_=st.sampled_from(sorted(PIOLA_CATALOG)) |
+           st.tuples(st.sampled_from([2, 3]), AMPLITUDES))
+    @example(seed=31, map_="identity-2d")
+    @example(seed=31, map_="axis-scaling")
+    @example(seed=31, map_="tube-shrink")
+    @example(seed=31, map_="expression-2d")
+    @example(seed=31, map_="expression-3d")
+    def piola(seed, map_):
+        rng = np.random.default_rng(seed)
+        if isinstance(map_, str):
+            name, map_ = map_, PIOLA_CATALOG[map_]
+        else:
+            name, map_ = str(map_), smooth_map(map_[0], *map_[1])
+        low, high = (-0.5, 0.5) if map_.kind == "tube-shrink" else (0.1, 0.9)
+        points = rng.uniform(low, high, (40, map_.dimension))
+        residuals = [piola_residual(map_, x, 0.15, 1e-3) for x in points]
+        assert max(residuals) <= 1e-6, name
+        # decay order where the residual is genuinely nonzero
+        seq = [piola_residual(map_, points[0], 0.15, d)
+               for d in (1e-2, 5e-3, 2.5e-3)]
         if seq[0] > 1e-10:
             for r0, r1 in zip(seq, seq[1:]):
                 assert np.log2(r0 / r1) >= 1.9, name
-            orders_checked += 1
-    assert orders_checked >= 2
-    ok(6, f"divergence of the transformed volume field <= 1e-6 at 100 points "
-          f"per catalog map; decay order >= 1.9 on {orders_checked} "
-          f"curved maps")
+            orders_checked.append(name)
+        maps_checked.append(name)
+
+    piola()
+    assert len(orders_checked) >= 2
+    ok(6, f"divergence of the transformed volume field <= 1e-6 at 40 points "
+          f"on {len(maps_checked)} maps; decay order >= 1.9 on "
+          f"{len(orders_checked)} curved maps")
 
 
 # --- criterion 7: fixed points -------------------------------------------------------

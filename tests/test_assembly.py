@@ -6,7 +6,8 @@ from movingflow import assembly, sampling
 from movingflow.elements import default_degree
 from movingflow.maps import (AxisScalingMap, IdentityMap, TubeShrinkMap,
                              parse_map_expressions)
-from movingflow.meshing import (dirichlet, generate_box, generate_tube,
+from movingflow.meshing import (build_connectivity, dirichlet, generate_box,
+                                generate_tube,
                                 neumann, reference_simplex_mesh)
 from movingflow.spaces import DiscreteField, TaylorHoodSpace, interpolate
 
@@ -301,6 +302,83 @@ def test_boundary_normal_field_unit_cube():
     assert np.allclose(n[interior], 0.0)
 
 
+# --- moving maps against the naive loops over cells and points ----------------
+
+
+def _oracle_case(name):
+    """A curved 2D expression map over a jittered box, or the shrinking
+    tube map on a small tube; a random advection field and velocity."""
+    rng = np.random.default_rng(19)
+    if name == "curved-2d":
+        mesh = generate_box(2, (3, 3))
+        verts = mesh.vertices.copy()
+        inner = np.setdiff1d(np.arange(len(verts)), mesh.boundary_facets)
+        verts[inner] += rng.uniform(-0.08, 0.08, (len(inner), 2))
+        mesh = build_connectivity(verts, mesh.cells, mesh.boundary_facets,
+                                  mesh.boundary_labels)
+        map_ = parse_map_expressions(
+            "x1 + 0.2*t*sin(x1*x2); x2 + 0.1*t*exp(x1*x2/4) + 0.1*t*x1*x1",
+            2)
+    else:
+        mesh = generate_tube(2, 1, lambda y: np.exp((y + 4.0) / 8.0),
+                             (-4.0, 4.0))
+        map_ = TubeShrinkMap()
+    space = TaylorHoodSpace(mesh)
+    w = DiscreteField(space, "velocity",
+                      rng.standard_normal(space.n_velocity_dofs))
+    return space, map_, w
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.fixture(scope="module", params=["curved-2d", "tube-3d"])
+def oracle_case(request):
+    space, map_, w = _oracle_case(request.param)
+    yield space, map_, w
+    sampling.release(space)
+
+
+def test_convection_matches_the_moving_oracle(oracle_case):
+    space, map_, w = oracle_case
+    C, T = assembly.convection_matrices(space, map_, 0.3, w)
+    want = naive_fem.moving_convection(space, map_, 0.3, w.nodal())
+    assert _close(C.toarray(), want)
+    if not space.mesh.has_neumann_boundary():
+        assert _close(T.toarray(), -0.5 * (want + want.T))
+
+
+@pytest.mark.parametrize("stress", ["symmetric", "full-gradient"])
+@pytest.mark.parametrize("smagorinsky", [None, 0.2])
+def test_viscous_matches_the_moving_oracle(oracle_case, stress, smagorinsky):
+    space, map_, w = oracle_case
+    got = assembly.viscous_matrix(space, map_, 0.3, 0.7, stress,
+                                  smagorinsky=smagorinsky, w=w)
+    want = naive_fem.moving_viscous(space, map_, 0.3, 0.7, stress,
+                                    smagorinsky, w.nodal())
+    assert _close(got.toarray(), want)
+
+
+def test_divergence_matches_the_moving_oracle(oracle_case):
+    space, map_, _ = oracle_case
+    got = assembly.divergence_matrix(space, map_, 0.3)
+    assert _close(got.toarray(), naive_fem.moving_divergence(space, map_, 0.3))
+
+
+def test_velocity_gradients_match_the_moving_oracle(oracle_case):
+    space, map_, w = oracle_case
+    sample = sampling.map_samples(space, map_).field(0.3, w)
+    got = np.moveaxis(sample.gradients, (0, 1), (2, 3))
+    assert _close(got, naive_fem.moving_gradients(space, map_, 0.3,
+                                                  w.nodal()))
+    values = np.moveaxis(sample.values, 0, -1)
+    assert _close(values, assembly.velocity_at_points(space, w))
+    data = sampling.cell_data(space)
+    want = np.einsum("qi,cid->cqd", data.vals, w.nodal()[space.cell_nodes])
+    assert _close(values, want)
+
+
 # --- the fixed-pattern scatter ------------------------------------------------
 
 
@@ -310,12 +388,12 @@ def _scattered_blocks(space, map_, t, dt, w, nu, stress, smagorinsky):
     data, geo = sampling.cell_data(space), sampling.geometry(space)
     samples = sampling.map_samples(space, map_)
     cells, Jprev = samples.cells(t), samples.jacobian(t - dt)
-    J, W, ghat, conn = cells.J, data.weights, cells.ghat, space.cell_nodes
-    wc = w.nodal()[conn]
-    C = assembly._convection_local(data, ghat, J, W, wc)
-    kappa = W * J * assembly._eddy_viscosity(ghat, wc, geo.cell_diam, nu,
+    J, W, G, conn = cells.J, data.weights, cells.G, space.cell_nodes
+    wc = sampling.cell_components(space, w.nodal())
+    C = assembly._convection_local(data, G, W * J, wc)
+    kappa = W * J * assembly._eddy_viscosity(data, G, wc, geo.cell_diam, nu,
                                              smagorinsky)
-    visc, coupling = assembly._viscous_local(ghat, kappa, stress)
+    visc, coupling = assembly._viscous_local(data, G, kappa, stress)
     scalar = assembly._mass_local(data, W * (Jprev / dt + 0.5 * (
         J - Jprev) / dt)) + visc + 0.5 * (C - np.swapaxes(C, 1, 2))
     d, n = space.dimension, space.n_velocity_dofs
@@ -338,10 +416,10 @@ def _scattered_blocks(space, map_, t, dt, w, nu, stress, smagorinsky):
     for a in comps:
         np.add.at(A, ((nodes * d + a)[:, :, None],
                       (nodes * d + a)[:, None, :]), surface)
-    B = np.zeros((space.n_pressure_dofs, n))
-    np.add.at(B, (space.mesh.cells[:, :, None, None],
-                  conn[:, None, :, None] * d + comps),
-              assembly._divergence_local(data, ghat, W * J))
+    B = np.zeros((space.n_pressure_dofs, n))           # local [e, c, p, j]
+    np.add.at(B, (space.mesh.cells[None, :, :, None],
+                  conn[None, :, None, :] * d + comps[:, None, None, None]),
+              assembly._divergence_local(data, G, W * J))
     return A, B
 
 
@@ -390,22 +468,21 @@ def test_step_blocks_equal_a_dense_scatter_on_fixed_patterns(case):
 
 @pytest.mark.parametrize("map_", [TubeShrinkMap(), parse_map_expressions(
     "x1 + 0.1*t*sin(x2*x3); x2 + 0.05*t*x1*x3; x3 + 0.1*t*cos(x1)", 3)])
-def test_ghat_equals_the_product_over_a_strided_inverse(map_):
-    """grad phi F^{-1} on tube level 1 equals (lgrads @ inv) @ F^{-1} to the
-    bit with F^{-1} laid out as a stack of transposed blocks: the memory
-    order of the sample changes the speed of the product, not its bits."""
+def test_map_factor_is_inv_times_the_sampled_inverse_on_planes(map_):
+    """The cell sample's G on tube level 1 is inv F^{-1} at every point, as
+    contiguous read-only planes G[k, e], (d, d, nc, nq)."""
     from movingflow.benchmarks import tube_benchmark
     space = TaylorHoodSpace(tube_benchmark().mesh_for_level(1))
     data, geo = sampling.cell_data(space), sampling.geometry(space)
-    (nc, nq), (nb, d), t = data.points.shape[:2], data.lgrads.shape[1:], 0.1
-    _, Finv, _, _ = map_.sample_fields(data.points.reshape(-1, d), t,
-                                       cells=np.repeat(np.arange(nc), nq))
-    strided = np.swapaxes(np.swapaxes(Finv, 1, 2).copy(), 1, 2).reshape(
-        nc, nq, d, d)
-    assert not strided.flags.c_contiguous
-    lg = (data.lgrads.reshape(-1, d) @ geo.inv).reshape(nc, nq, nb, d)
-    ghat = sampling.map_samples(space, map_).cells(t).ghat
-    assert np.array_equal(ghat, lg @ strided)
+    (nc, nq), d, t = data.points.shape[:2], space.dimension, 0.1
+    _, Finv, _ = map_.sample_fields(data.points.reshape(-1, d), t,
+                                    cells=np.repeat(np.arange(nc), nq))
+    want = geo.inv[:, None] @ np.asarray(Finv).reshape(nc, nq, d, d)
+    G = sampling.map_samples(space, map_).cells(t).G
+    assert G.shape == (d, d, nc, nq) and G.flags.c_contiguous
+    assert not G.flags.writeable
+    got = np.moveaxis(G, (0, 1), (2, 3))
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     sampling.release(space)
 
 
@@ -426,13 +503,14 @@ def test_coupling_scatter_in_kernel_order_equals_transposed_sum(dim):
     cells = sampling.map_samples(space, map_).cells(0.5)
     rng = np.random.default_rng(dim)
     kappa = data.weights * cells.J * rng.uniform(0.5, 2.0, cells.J.shape)
-    _, coupling = assembly._viscous_local(cells.ghat, kappa, "symmetric")
+    _, coupling = assembly._viscous_local(data, cells.G, kappa, "symmetric")
     pattern = assembly._patterns(space)[0]
     d = space.dimension
     blocks = pattern.sum_coupling(coupling)
     assert blocks.shape == (pattern.n_pairs, d, d)
-    assert np.array_equal(blocks, pattern.sum(
-        coupling.transpose(0, 1, 3, 4, 2), d * d).reshape(-1, d, d))
+    assert np.array_equal(blocks, assembly._sum(
+        pattern.entry_pair, coupling.transpose(0, 1, 3, 4, 2),
+        pattern.n_pairs, d * d).reshape(-1, d, d))
     sampling.release(space)
 
 

@@ -296,7 +296,8 @@ def test_checkpoint_rejects_mismatched_space(tmp_path):
 
 def test_diagnostics_csv(tmp_path):
     records = [{"step": 1, "time": 0.1, "kinetic_energy": 2.0,
-                "divergence_residual": 1e-13, "linear_iterations": 2,
+                "divergence_residual": 1e-13, "min_J": 0.75,
+                "linear_iterations": 2,
                 "linear_residual": 1e-15, "solver_event": "refactor",
                 "kinetic_rate": -0.5, "dissipation": 0.4,
                 "numerical_dissipation": None, "forcing_power": 0.1,
@@ -306,11 +307,12 @@ def test_diagnostics_csv(tmp_path):
     write_diagnostics_csv(path, records)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ("step,time,kinetic_energy,divergence_residual,"
-                        "linear_iterations,linear_residual,solver_event,"
+                        "min_J,linear_iterations,linear_residual,solver_event,"
                         "kinetic_rate,dissipation,numerical_dissipation,"
                         "forcing_power,reaction_power,outflow_power,"
                         "energy_defect")
-    assert lines[1] == "1,0.1,2,1e-13,2,1e-15,refactor,-0.5,0.4,,0.1,0.25,0,"
+    assert lines[1] == ("1,0.1,2,1e-13,0.75,2,1e-15,refactor,-0.5,0.4,,0.1,"
+                        "0.25,0,")
     # a column the record lacks raises instead of writing an empty cell
     del records[0]["outflow_power"]
     with pytest.raises(KeyError, match="outflow_power"):

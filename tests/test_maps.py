@@ -97,7 +97,7 @@ def test_gradient_determinant_inverse_consistency(dim):
     for m in catalog(dim):
         X = rng.uniform(0.1, 0.9, (50, dim))
         for t in (0.0, 0.1):
-            F, Finv, J, _ = m.sample_fields(X, t)
+            F, Finv, J = m.sample_fields(X, t)
             assert np.allclose(np.linalg.det(F), J, atol=1e-12)
             eye = np.einsum("nij,njk->nik", F, Finv)
             assert np.max(np.abs(eye - np.eye(dim))) < 1e-12
@@ -203,13 +203,20 @@ def test_det_adjugate_equals_the_cross_product_formula_bitwise(shape):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_sampled_inverse_is_c_ordered(dim):
-    """The stacked products of sampling and analysis by F^{-1} run about
-    three times faster on a C-ordered stack."""
+def test_sampled_inverse_is_a_view_over_contiguous_planes(dim):
+    """sample_fields returns F^{-1} as an (n, d, d) view over contiguous
+    component planes, which sampling combines plane by plane; it equals
+    the C-ordered adjugate of det_adjugate over J to the bit."""
     X = np.random.default_rng(dim).uniform(0.1, 0.9, (50, dim))
     for m in catalog(dim):
-        F, F_inv, J, _ = m.sample_fields(X, 0.3)
-        assert F_inv.flags.c_contiguous, m.kind
+        result = m.sample_fields(X, 0.3)
+        assert len(result) == 3, m.kind
+        F, F_inv, J = result
+        assert F_inv.shape == (50, dim, dim), m.kind
+        assert np.moveaxis(F_inv, 0, -1).flags.c_contiguous, m.kind
+        J_c, adj = det_adjugate(F)
+        assert np.array_equal(J, J_c), m.kind
+        assert np.array_equal(F_inv, adj / J[:, None, None]), m.kind
 
 
 @pytest.mark.parametrize("t", [1.0, 1.5])

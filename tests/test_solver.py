@@ -436,13 +436,45 @@ def test_map_samples_are_read_only_and_dropped_by_run():
         [lambda t: 0.1, lambda t: 0.0]))
     samples = sampling.map_samples(prob.space, prob.map)
     cells, facets = samples.cells(0.1), samples.facets(0.1)
-    for array in (cells.J, cells.ghat, cells.position, facets.J,
+    for array in (cells.J, cells.G, cells.position, facets.J,
                   facets.conormal,
                   samples.wall(0.1), samples.jacobian(0.0)):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
     run(make_state(prob.space), prob, SolverConfig(), 0.2, 0.1)
     assert "_cache" not in vars(prob.space)
+
+
+def test_run_records_min_J_and_warns_below_c_J(caplog, monkeypatch):
+    """min_J is the minimum of the level's kept cell-point J, read with no
+    further map sample; a step whose min_J is below c_J = 0.1 logs one
+    warning.  Here J = 1 - 0.9 t: 0.685, 0.37 and 0.055 at the three
+    steps."""
+    import logging
+    map_ = AxisScalingMap([lambda t: 1 - 0.9 * t, lambda t: 1.0],
+                          [lambda t: -0.9, lambda t: 0.0])
+    prob = all_noslip_problem(generate_box(2, (2, 2)), map_=map_)
+    calls = _count_sample_fields(monkeypatch)
+    seen = []
+
+    def check(state, record):
+        before = len(calls)
+        J = sampling.map_samples(prob.space, map_).jacobian(state.t)
+        assert len(calls) == before          # the level's own sample
+        seen.append((record["min_J"], float(J.min())))
+
+    with caplog.at_level(logging.WARNING, logger="movingflow.solver"):
+        result = run(make_state(prob.space), prob, SolverConfig(), 1.05,
+                     0.35, callbacks=[check])
+    assert [got for got, _ in seen] == [want for _, want in seen]
+    fresh = sampling.map_samples(prob.space, map_)
+    for record in result.diagnostics:
+        assert record["min_J"] == fresh.jacobian(record["time"]).min()
+    assert [r["min_J"] < 0.1 for r in result.diagnostics] == \
+        [False, False, True]
+    warned = [rec.message for rec in caplog.records if "min J" in rec.message]
+    assert len(warned) == 1 and warned[0].startswith("step 3:")
+    sampling.release(prob.space)
 
 
 def test_a_first_step_samples_positions_only_at_its_own_level(monkeypatch):
