@@ -341,7 +341,6 @@ def _viscous_local(data, G, kappa, stress):
         factor *= kappa
         return (_rows(factor) @ data.stiffness).reshape(nc, nb, nb), None
     # H^T kappa H per cell, over blocks of cells that bound the stacks H
-    kappa = np.broadcast_to(kappa, (nc, nq))
     X = np.empty((nc, nb * d, nb * d))
     for i in range(0, nc, _BLOCK):
         n = min(_BLOCK, nc - i)
