@@ -188,8 +188,10 @@ def _nested_dissection(space):
     part with more has two cells to split).  The parts of one depth are
     split together.  Each block lists its nodes' velocity dofs, then the
     pressure dofs of its vertices (a pressure dof couples to the nodes its
-    vertex does).  Constrained dofs are isolated unit rows, so where they
-    fall does not matter.
+    vertex does).  Constrained dofs are isolated unit rows: where they fall
+    does not change the fill, but one inside a separator cuts that
+    separator's dense supernode apart, so ``_SaddleLayout`` numbers them
+    ahead of the order given here.
     """
     cells, n, d = space.cell_nodes, space.n_nodes, space.dimension
     n_cells = len(cells)
@@ -255,8 +257,12 @@ class _SaddleLayout:
     the pin: its continuity row and -B^T column are left out and its
     diagonal is one.  ``gather`` gives, per entry, its position in
     ``[A.data, B.data, -B.data, 1.0]``: a step fills the matrix with it.
-    ``order`` is the nested-dissection order its factors use, and
-    ``factor_indptr``, ``factor_indices`` the CSC pattern of the matrix
+    ``order`` is the order its factors use: the unit rows (constrained
+    velocity dofs, then the pin) in ascending dof order, then the free dofs
+    in nested-dissection order.  Each unit row is alone on its diagonal, so
+    leading with them leaves the fill as it is and keeps every separator's
+    columns together in SuperLU's supernodes.  ``factor_indptr``,
+    ``factor_indices`` are the CSC pattern of the matrix
     with rows and columns in that order, rows ascending in every column as
     SuperLU sorts them; ``permuted`` gives each of its entries' position
     in the matrix's data.
@@ -283,7 +289,8 @@ class _SaddleLayout:
         b = free[B.indices] & ~at_pin[b_row]
         b_row, b_col = n_u + b_row[b], B.indices[b]
         b_source = source[A.nnz:][b]
-        units = np.flatnonzero(np.concatenate([mask, at_pin])).astype(np.int32)
+        unit = np.concatenate([mask, at_pin])
+        units = np.flatnonzero(unit).astype(np.int32)
         K = sp.coo_matrix((
             np.concatenate([source[:A.nnz][a], b_source, b_source + B.nnz,
                             np.full(len(units), A.nnz + 2 * B.nnz,
@@ -292,7 +299,9 @@ class _SaddleLayout:
              np.concatenate([A.indices[a], b_col, b_row, units]))),
             shape=(n_u + n_p,) * 2).tocsc()
         self.indptr, self.indices, self.gather = K.indptr, K.indices, K.data
-        self.order = order = _nested_dissection(space)
+        dissection = _nested_dissection(space)
+        self.order = order = np.concatenate(
+            [units, dissection[~unit[dissection]]])
         # the factor's pattern: K's columns taken in ``order`` with their
         # rows renumbered, then two counting passes (to CSR and back) that
         # leave the rows ascending in every column, with no sort
@@ -428,7 +437,9 @@ def _solve_direct(system, tolerance, cache=None):
     (x^{k-1} if it holds one, zero if none).  ``info["solver_event"]`` names
     the factor: ``fresh`` (none yet) and ``refactor`` (the cached one
     stalled or was made for another alpha/dt) factor this step's matrix,
-    ``reuse`` keeps the cached one.  ``info["iterations"]`` counts GMRES
+    ``reuse`` keeps the cached one.  A factor made for another alpha/dt is
+    kept, with its coefficient, when the start already meets the target,
+    since then no solve is made.  ``info["iterations"]`` counts GMRES
     cycles.  Another shape drops the factor and the history; x is None when
     the step's own factor misses ``tolerance``.
     """
@@ -445,7 +456,10 @@ def _solve_direct(system, tolerance, cache=None):
         if cache["coefficient"] == system.time_coefficient:
             x, residuals = _solve_with_stale_factor(K, cache["lu"], b,
                                                     tolerance, target, x0=x0)
-            cycles = len(residuals) - 1
+        else:     # no cycle: x is x0 if it meets the target, else None
+            x, residuals = _solve_with_stale_factor(K, cache["lu"], b, target,
+                                                    target, x0=x0, cycles=0)
+        cycles = len(residuals) - 1
         event = "refactor" if x is None else "reuse"
     if x is None:
         cache.pop("lu", None)    # two factors alive at once raise the peak RSS

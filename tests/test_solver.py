@@ -749,8 +749,9 @@ def test_warm_start_matches_cold_start_with_fewer_solves(monkeypatch):
         assert w < c
 
 
-def test_solution_history_dropped_when_the_shape_changes():
+def test_solution_history_dropped_when_the_shape_changes(monkeypatch):
     from dataclasses import replace
+    from movingflow import solver
     from movingflow.solver import _solve_direct
 
     def system(divisions):
@@ -763,17 +764,31 @@ def test_solution_history_dropped_when_the_shape_changes():
                                          prob.map, 0.1, 0.1)
 
     small, large = system((2, 2)), system((3, 3))
+    factors = []
+    original = solver.spla.splu
+
+    def counted_splu(K, **options):
+        factors.append(K.shape)
+        return original(K, **options)
+
+    monkeypatch.setattr(solver.spla, "splu", counted_splu)
     cache = {}
     for _ in range(2):
         _solve_direct(small, 1e-10, cache)
     assert [len(x) for x in cache["history"]] == [small.matrix.shape[0]] * 2
-    # another time coefficient makes a new factor and keeps the history
-    _, info = _solve_direct(replace(small, time_coefficient=15.0), 1e-10,
+    assert len(factors) == 1
+    # another time coefficient: the start already meets the target, so no
+    # factor is made and the cached one keeps its coefficient
+    coefficient = cache["coefficient"]
+    x, info = _solve_direct(replace(small, time_coefficient=15.0), 1e-10,
                             cache)
-    assert info["solver_event"] == "refactor"
-    assert len(cache["history"]) == 2 and cache["coefficient"] == 15.0
-    assert info["residual_history"][0] <= 1e-10
+    assert info["solver_event"] == "reuse" and info["iterations"] == 0
+    assert len(factors) == 1 and cache["coefficient"] == coefficient != 15.0
+    assert len(cache["history"]) == 2 and cache["history"][1] is x
+    assert info["residual_history"] == [info["residual_history"][0]] and \
+        info["residual_history"][0] <= 1e-12
     x, info = _solve_direct(large, 1e-10, cache)
+    assert len(factors) == 2
     assert info["solver_event"] == "fresh"
     assert len(cache["history"]) == 1 and cache["history"][0] is x
     assert info["residual_history"][-1] <= 1e-10
@@ -887,6 +902,31 @@ def test_factor_pattern_equals_the_permuted_matrix(problem):
         assert np.array_equal(ours.indices, theirs.indices)
         assert np.array_equal(ours.data, theirs.data)
     assert np.array_equal(factor.lu.perm_r, lu.perm_r)
+    sampling.release(prob.space)
+
+
+@pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem],
+                         ids=["manufactured", "tube"])
+def test_unit_rows_lead_the_factor_order(problem):
+    """The constrained velocity dofs and the pin come first, ascending, and
+    the free dofs follow in dissection order; the factor's first columns
+    are then unit columns of L and U."""
+    from movingflow.solver import _SinglePrecisionFactor, _nested_dissection
+    prob = problem()
+    _, system = _first_system(prob)
+    layout = system.layout
+    unit = np.concatenate([layout.mask, layout.at_pin])
+    m = int(unit.sum())
+    assert 0 < m < len(unit)
+    assert np.array_equal(layout.order[:m], np.flatnonzero(unit))
+    dissection = _nested_dissection(prob.space)
+    assert np.array_equal(layout.order[m:], dissection[~unit[dissection]])
+    lu = _SinglePrecisionFactor(system.matrix, layout).lu
+    assert np.array_equal(lu.perm_r[:m], np.arange(m))
+    for T in (lu.L.tocsc(), lu.U.tocsc()):
+        assert np.array_equal(T.indptr[:m + 1], np.arange(m + 1))
+        assert np.array_equal(T.indices[:m], np.arange(m))
+        assert np.all(T.data[:m] == 1.0)
     sampling.release(prob.space)
 
 
