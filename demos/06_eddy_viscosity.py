@@ -6,7 +6,7 @@ lagged velocity field.  This script lets a vortex pair decay in a box and
 compares the kinetic-energy histories with the closure off and on, and with
 backward Euler versus bdf2.  As shipped, bdf2 lags the advection field one
 step, as backward Euler does, so it is first order in time too (observed
-orders 1.07 and 1.11; ROADMAP.md, open item 2).
+orders 1.07 and 1.11; ROADMAP.md, open item 1).
 """
 
 import numpy as np

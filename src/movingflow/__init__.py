@@ -25,8 +25,9 @@ from .meshing import (NOSLIP, BoundaryLabel, MeshQuality, SimplicialMesh,
                       build_connectivity, dirichlet, generate_box,
                       generate_tube, mesh_quality, neumann, refine_uniform)
 from .solver import (BoundaryConditionSet, DirichletBC, FlowProblem,
-                     FlowState, NeumannBC, NoslipBC, RunResult, SolverConfig,
-                     SolverError, advance, apply_boundary_conditions, run)
+                     FlowState, NeumannBC, NoslipBC, RunResult, SaddleSolver,
+                     SolverConfig, SolverError, advance,
+                     apply_boundary_conditions, run)
 from .spaces import DiscreteField, TaylorHoodSpace, interpolate
 
 __version__ = "0.1.0"

@@ -5,10 +5,9 @@ time t_k.  The trajectory error is reported in the combined energy measure
 
     max_k ||e^k||_k  +  sqrt( sum_k dt ||D_k(e^k)||_k^2 )
 
-together with the variant that carries the 2*nu factor inside the
-dissipation sum, where D_k is the pulled-back symmetric velocity-gradient
-rate and e^k compares the discrete solution against the exact solution
-composed with the map at quadrature points (not against its interpolant).
+where D_k is the pulled-back symmetric velocity-gradient rate and e^k
+compares the discrete solution against the exact solution composed with the
+map at quadrature points (not against its interpolant).
 """
 
 from __future__ import annotations
@@ -74,13 +73,6 @@ class EnergyErrorReport:
     def combined(self):
         """max_k ||e||_k + sqrt(sum dt ||D_k e||_k^2)."""
         return self.max_l2 + self.dissipation_sum
-
-    @property
-    def combined_with_viscosity(self):
-        """sqrt(max_k ||e||_k^2 + 2 nu sum dt ||D_k e||_k^2)."""
-        return float(np.sqrt(self.max_l2 ** 2 +
-                             2.0 * self.nu * self.dt *
-                             np.sum(self.rate_errors ** 2)))
 
 
 class ErrorAccumulator:

@@ -5,8 +5,8 @@ the previous velocity minus the interpolated domain velocity), applies the
 boundary conditions by symmetric elimination and solves the sparse
 saddle-point system, whose pattern is fixed per space, by a float64
 flexible GMRES preconditioned with a float32 sparse LU factor, made in a
-nested-dissection order of the reference cells.  Later steps with the same
-time-derivative coefficient reuse that factor.
+nested-dissection order of the reference cells.  A ``SaddleSolver`` keeps
+that factor for later steps with the same time-derivative coefficient.
 
 Wall data on no-slip boundaries is the interpolated domain velocity; for
 mesh-sequence maps it is the backward difference quotient of the stored
@@ -35,7 +35,7 @@ __all__ = [
     "FlowState", "FlowProblem", "SolverConfig", "SolverError",
     "NoslipBC", "DirichletBC", "NeumannBC", "BoundaryConditionSet",
     "ConstrainedSystem", "apply_boundary_conditions", "advance", "run",
-    "RunResult", "map_velocity_at_nodes",
+    "RunResult", "SaddleSolver", "map_velocity_at_nodes",
 ]
 
 log = logging.getLogger(__name__)
@@ -430,115 +430,113 @@ class _SinglePrecisionFactor:
         return x
 
 
-def _solve_direct(system, tolerance, cache=None):
-    """Solve the saddle system by the float64 flexible GMRES of
-    ``_solve_with_stale_factor`` with a float32 factor, from the
-    extrapolation 2 x^{k-1} - x^{k-2} of the solutions in ``cache``
-    (x^{k-1} if it holds one, zero if none).  ``info["solver_event"]`` names
-    the factor: ``fresh`` (none yet) and ``refactor`` (the cached one
-    stalled or was made for another alpha/dt) factor this step's matrix,
-    ``reuse`` keeps the cached one.  A factor made for another alpha/dt is
-    kept, with its coefficient, when the start already meets the target,
-    since then no solve is made.  ``info["iterations"]`` counts GMRES
-    cycles.  Another shape drops the factor and the history; x is None when
-    the step's own factor misses ``tolerance``.
+_KRYLOV = 12    # Krylov vectors, so LU solves, in one FGMRES cycle at most
+_CYCLES = 4     # FGMRES cycles in one run at most
+
+
+class SaddleSolver:
+    """The solve of every step: a float64 flexible GMRES (Saad 1993) on the
+    step's saddle matrix, preconditioned by a factor of an earlier step's.
+
+    It keeps the ``preconditioner`` (a float32 factor; anything with
+    ``solve(v)``), the ``coefficient`` alpha/dt it was made for and the last
+    two solutions (``history``), dropped for a system of another shape, and
+    counts the preconditioner's applications in ``lu_solves``.  A solve
+    starts from 2 x^{k-1} - x^{k-2} (x^{k-1}, or zero) and aims for
+    ``min(1e-2 tolerance, 1e-11)``.  ``fresh`` (none kept) and ``refactor``
+    (kept for another alpha/dt, or stalled) factor the step's matrix;
+    ``reuse`` keeps the factor, and its coefficient when the start already
+    meets the target, so that no LU solve is made.
     """
-    K, b = system.matrix, system.rhs
-    cache = {} if cache is None else cache
-    if cache.get("shape") != K.shape:
-        cache.clear()
-    history = cache.get("history", [])
-    x0 = 2.0 * history[1] - history[0] if len(history) == 2 else \
-        history[-1] if history else None
-    target = min(tolerance * 1e-2, 1e-11)
-    event, x, cycles = "fresh", None, 0
-    if "lu" in cache:
-        if cache["coefficient"] == system.time_coefficient:
-            x, residuals = _solve_with_stale_factor(K, cache["lu"], b,
-                                                    tolerance, target, x0=x0)
-        else:     # no cycle: x is x0 if it meets the target, else None
-            x, residuals = _solve_with_stale_factor(K, cache["lu"], b, target,
-                                                    target, x0=x0, cycles=0)
-        cycles = len(residuals) - 1
-        event = "refactor" if x is None else "reuse"
-    if x is None:
-        cache.pop("lu", None)    # two factors alive at once raise the peak RSS
-        cache.update(lu=_SinglePrecisionFactor(K, system.layout), shape=K.shape,
-                     coefficient=system.time_coefficient)
-        x, residuals = _solve_with_stale_factor(K, cache["lu"], b, tolerance,
-                                                target, x0=x0)
-        cycles += len(residuals) - 1
-    if x is not None:
-        cache["history"] = [*history[-1:], x]
-    return x, {"iterations": cycles, "residual_history": residuals,
-               "solver_event": event}
+
+    def __init__(self):
+        self.shape = self.preconditioner = self.coefficient = None
+        self.history, self.lu_solves = [], 0
+
+    def solve(self, system, tolerance):
+        """x to ``tolerance`` (None when the step's own factor misses it) and
+        the ``solver_event``, GMRES cycles of both runs (``iterations``),
+        the last run's ``residual_history`` and the ``lu_solves`` made."""
+        K, b = system.matrix, system.rhs
+        if K.shape != self.shape:
+            self.preconditioner, self.history = None, []
+        h, scale = self.history, float(np.linalg.norm(b))
+        if h and scale:
+            x = 2.0 * h[1] - h[0] if len(h) == 2 else h[-1]
+            r = b - K @ x
+        else:
+            x, r = np.zeros_like(b), b.copy()
+        start = (scale, x, r,
+                 float(np.linalg.norm(r)) / scale if scale else 0.0)
+        target, solves = min(tolerance * 1e-2, 1e-11), self.lu_solves
+        residuals, event, iterations = [start[3]], "reuse", 0
+        if self.preconditioner is None:
+            x, event = None, "fresh"
+        elif not residuals[0] <= target:
+            x = None
+            if self.coefficient == system.time_coefficient:
+                x, residuals = self._fgmres(K, b, *start, tolerance, target)
+                iterations = len(residuals) - 1
+            event = "refactor" if x is None else "reuse"
+        if x is None:
+            self.preconditioner = None  # two factors alive raise the peak RSS
+            self.preconditioner = _SinglePrecisionFactor(K, system.layout)
+            self.coefficient, self.shape = system.time_coefficient, K.shape
+            x, residuals = self._fgmres(K, b, *start, tolerance, target)
+            iterations += len(residuals) - 1
+        self.history = [*h[-1:], x] if x is not None else h
+        return x, {"iterations": iterations, "residual_history": residuals,
+                   "solver_event": event, "lu_solves": self.lu_solves - solves}
+
+    def _fgmres(self, M, b, scale, x, r, relative, tol, target):
+        """M x = b from x, with residual r (``relative`` to |b|): one LU
+        solve per Krylov vector, whose preconditioned vectors are kept as in
+        flexible GMRES.  M drifts little from the factored matrix, so the
+        right-preconditioned cycles are short.  The residuals are
+        ``relative``, then one per cycle; cycles aim for ``target`` (< tol),
+        and a stall above ``tol`` gives x = None."""
+        residuals = [relative]
+        for _ in range(_CYCLES):
+            if residuals[-1] <= target:
+                return x, residuals
+            V, Z = np.empty((_KRYLOV + 1, len(b))), np.empty((_KRYLOV, len(b)))
+            H, e1 = np.zeros((_KRYLOV + 1, _KRYLOV)), np.zeros(_KRYLOV + 1)
+            e1[0] = beta = float(np.linalg.norm(r))
+            V[0] = r / beta
+            for j in range(_KRYLOV):
+                Z[j] = self.preconditioner.solve(V[j])
+                self.lu_solves += 1
+                w = M @ Z[j]
+                for i in range(j + 1):          # modified Gram-Schmidt
+                    H[i, j] = w @ V[i]
+                    w -= H[i, j] * V[i]
+                H[j + 1, j] = np.linalg.norm(w)
+                # right preconditioning keeps the true residual norm, so the
+                # small least-squares residual is a sound early-exit estimate
+                y, lsq_res, *_ = np.linalg.lstsq(H[:j + 2, :j + 1],
+                                                 e1[:j + 2], rcond=None)
+                est = math.sqrt(float(lsq_res[0])) if lsq_res.size else 0.0
+                if H[j + 1, j] <= 1e-300 or est <= 0.3 * target * scale:
+                    break
+                V[j + 1] = w / H[j + 1, j]
+            x = x + Z[:j + 1].T @ y
+            r = b - M @ x
+            residuals.append(float(np.linalg.norm(r)) / scale)
+            if len(residuals) >= 3 and residuals[-1] > 0.5 * residuals[-2]:
+                break   # stagnated: accept if already below the tolerance
+        return (x, residuals) if residuals[-1] <= tol else (None, residuals)
 
 
-def _solve_with_stale_factor(M, lu, b, tol, target, x0=None, max_krylov=12,
-                             cycles=4):
-    """Solve M x = b from ``x0`` (or zero) with the factor ``lu`` of an
-    earlier step's matrix.
-
-    The matrices differ only by the drift of the map coefficients between
-    the steps, so M lu^{-1} is close to the identity and each restarted,
-    right-preconditioned GMRES cycle needs few steps.  The preconditioned
-    vectors z_j = lu^{-1} v_j are kept, as in flexible GMRES, so a cycle
-    makes one LU solve per Krylov vector and updates x with them.  The
-    residuals are relative to |b|: the one at ``x0``, which returns x0
-    without a solve when it meets ``target``, then one per cycle.  Cycles
-    aim for ``target`` (< tol); a stall above ``tol`` returns (None,
-    residuals).
-    """
-    scale = float(np.linalg.norm(b))
-    if scale == 0.0:
-        return np.zeros_like(b), [0.0]
-    if x0 is None:
-        x, r = np.zeros_like(b), b.copy()
-    else:
-        x, r = x0, b - M @ x0
-    residuals = [float(np.linalg.norm(r)) / scale]
-    for _ in range(cycles):
-        if residuals[-1] <= target:
-            return x, residuals
-        beta = float(np.linalg.norm(r))
-        V = np.empty((max_krylov + 1, len(b)))
-        Z = np.empty((max_krylov, len(b)))
-        H = np.zeros((max_krylov + 1, max_krylov))
-        e1 = np.zeros(max_krylov + 1)
-        e1[0] = beta
-        V[0] = r / beta
-        for j in range(max_krylov):
-            Z[j] = lu.solve(V[j])
-            w = M @ Z[j]
-            for i in range(j + 1):          # modified Gram-Schmidt
-                H[i, j] = w @ V[i]
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = np.linalg.norm(w)
-            # right preconditioning keeps the true residual norm, so the
-            # small least-squares residual is a sound early-exit estimate
-            y, lsq_res, *_ = np.linalg.lstsq(H[:j + 2, :j + 1], e1[:j + 2],
-                                             rcond=None)
-            est = math.sqrt(float(lsq_res[0])) if lsq_res.size else 0.0
-            if H[j + 1, j] <= 1e-300 or est <= 0.3 * target * scale:
-                break
-            V[j + 1] = w / H[j + 1, j]
-        x = x + Z[:j + 1].T @ y
-        r = b - M @ x
-        residuals.append(float(np.linalg.norm(r)) / scale)
-        if len(residuals) >= 3 and residuals[-1] > 0.5 * residuals[-2]:
-            break   # stagnated: accept if already below the tolerance
-    return (x, residuals) if residuals[-1] <= tol else (None, residuals)
-
-
-def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
+def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
     """One implicit step from ``state`` to time ``state.t + dt``.
 
-    ``linear_cache`` (a dict threaded between calls) lets the solve reuse
-    its factorization across steps.  A map with J <= 0 at any quadrature
-    point of the step, or a solve that misses ``config.tolerance``, raises a
-    SolverError with the step index.  ``info["residual"]`` is that of the
-    system without the pin; a warning reports it when above the tolerance.
-    ``info`` also holds the step's reaction and outflow powers.
+    ``saddle_solver``, a ``SaddleSolver`` passed between steps, keeps the
+    factor and the solution history; a fresh one is made when none is given.
+    A map with J <= 0 at any quadrature point of the step, or a solve that
+    misses ``config.tolerance``, raises a SolverError with the step index.
+    ``info`` is the solve's, with the ``residual`` of the system without the
+    pin (a warning reports it above the tolerance), the divergence residual
+    and the step's reaction and outflow powers.
     """
     space, map_ = problem.space, problem.map
     t_k = float(state.t + dt)
@@ -564,7 +562,7 @@ def advance(state, problem, config, dt, state_prev2=None, linear_cache=None):
                           f"(t={t_k:g}): {exc}", step=k) from exc
     tol = config.tolerance
     try:
-        x, info = _solve_direct(system, tol, cache=linear_cache)
+        x, info = (saddle_solver or SaddleSolver()).solve(system, tol)
     except SolverError as exc:
         raise SolverError(f"step {k}: {exc}", step=k) from exc
     if not info["residual_history"][-1] <= tol:
@@ -604,8 +602,9 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False):
 
     dt must divide T - t0 within roundoff.  Callbacks are invoked after each
     accepted step with (state, record); failures abort with the step index.
-    What the run cached on the space (tables, map samples, sparsity
-    patterns) is released when it returns.
+    One ``SaddleSolver`` serves every step.  What the run cached on the
+    space (tables, map samples, sparsity patterns) is released when it
+    returns.
     """
     span = float(T - initial.t)
     if dt <= 0:
@@ -618,14 +617,13 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False):
 
     diagnostics = []
     states = [initial] if store_states else None
-    state, prev = initial, None
-    cache = {}
+    state, prev, saddle = initial, None, SaddleSolver()
     norm_k = None      # ||u^{k-1}||_{k-1}, carried into the energy terms
     try:
         for _ in range(N):
             state_prev, norm_prev = state, norm_k
             state, info = advance(state, problem, config, dt,
-                                  state_prev2=prev, linear_cache=cache)
+                                  state_prev2=prev, saddle_solver=saddle)
             prev = state_prev if config.scheme == "bdf2" else None
 
             norm_k = k_norm(state.u, problem.map, state.t)
@@ -642,6 +640,7 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False):
                 "divergence_residual": info["divergence_residual"],
                 "min_J": min_J,
                 "linear_iterations": info["iterations"],
+                "lu_solves": info["lu_solves"],
                 "linear_residual": info["residual"],
                 "solver_event": info["solver_event"],
                 **energy_balance_terms(

@@ -113,8 +113,6 @@ def test_combined_norm_definition():
                             rate_errors=np.array([3.0, 4.0]),
                             dt=0.1, nu=0.25)
     assert abs(rep.combined - (0.5 + np.sqrt(0.1 * 25.0))) < 1e-15
-    expected = np.sqrt(0.25 + 2 * 0.25 * 0.1 * 25.0)
-    assert abs(rep.combined_with_viscosity - expected) < 1e-15
 
 
 # --- energy balance diagnostics --------------------------------------------------

@@ -631,7 +631,7 @@ def test_saddle_matrix_keeps_every_structural_entry_of_B():
 
 
 class _CountingLU:
-    """Stands in for a cached factor and counts its solves."""
+    """Stands in for a kept factor and counts its solves."""
 
     def __init__(self, lu):
         self.lu = lu
@@ -645,6 +645,7 @@ class _CountingLU:
 class _CountingMatrix:
     def __init__(self, M):
         self.M = M
+        self.shape = M.shape
         self.products = 0
 
     def __matmul__(self, x):
@@ -665,41 +666,100 @@ def _drifted_pair(n=60, drift=0.05, seed=3):
     return M, spla.splu(stale), rng.standard_normal(n)
 
 
+def _kept(M, lu, b):
+    """A SaddleSolver that keeps ``lu`` as made for the coefficient 1, and a
+    system of M and b with that coefficient."""
+    from types import SimpleNamespace
+    from movingflow.solver import SaddleSolver
+    saddle = SaddleSolver()
+    saddle.shape, saddle.preconditioner, saddle.coefficient = M.shape, lu, 1.0
+    return saddle, SimpleNamespace(matrix=M, rhs=b, layout=None,
+                                   time_coefficient=1.0)
+
+
 @pytest.mark.parametrize("drift", [0.05, 2.0])
-def test_reuse_cycle_solves_once_per_krylov_vector(drift):
-    from movingflow.solver import _solve_with_stale_factor
+def test_reuse_cycle_solves_once_per_krylov_vector(drift, monkeypatch):
+    """Four Krylov vectors a cycle.  The factor of the far drifted copy
+    stalls, and a float64 factor of M itself then takes over."""
+    import scipy.sparse.linalg as spla
+    from movingflow import solver
     M, lu, b = _drifted_pair(drift=drift)
     M, lu = _CountingMatrix(M), _CountingLU(lu)
-    x, residuals = _solve_with_stale_factor(M, lu, b, 1e-10, 1e-12,
-                                            max_krylov=4)
-    cycles = len(residuals) - 1
-    assert cycles >= 1 and lu.solves >= cycles
+    monkeypatch.setattr(solver, "_KRYLOV", 4)
+    monkeypatch.setattr(solver, "_SinglePrecisionFactor",
+                        lambda K, layout: _CountingLU(spla.splu(K.M)))
+    saddle, system = _kept(M, lu, b)
+    x, info = saddle.solve(system, 1e-10)
+    solves = lu.solves + (saddle.preconditioner.solves
+                          if saddle.preconditioner is not lu else 0)
+    cycles = info["iterations"]
+    assert info["solver_event"] == ("reuse" if drift < 1 else "refactor")
+    assert cycles >= 1 and solves >= cycles
+    assert info["lu_solves"] == saddle.lu_solves == solves
     # a product per Krylov vector plus one true residual per cycle
-    assert lu.solves == M.products - cycles
-    if x is not None:
-        assert np.linalg.norm(b - M.M @ x) <= 1e-10 * np.linalg.norm(b)
+    assert solves == M.products - cycles
+    assert np.linalg.norm(b - M.M @ x) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_reuse_from_an_exact_start_makes_no_solve():
     import scipy.sparse.linalg as spla
-    from movingflow.solver import _solve_with_stale_factor
     M, lu, b = _drifted_pair()
     lu = _CountingLU(lu)
     exact = spla.spsolve(M, b)
-    x, residuals = _solve_with_stale_factor(M, lu, b, 1e-10, 1e-12,
-                                            x0=exact)
-    assert lu.solves == 0 and x is exact
-    assert len(residuals) == 1 and residuals[0] <= 1e-12
+    saddle, system = _kept(M, lu, b)
+    saddle.history = [exact]
+    x, info = saddle.solve(system, 1e-10)
+    assert lu.solves == 0 and info["lu_solves"] == 0 and x is exact
+    assert info["solver_event"] == "reuse" and info["iterations"] == 0
+    assert len(info["residual_history"]) == 1
+    assert info["residual_history"][0] <= 1e-12
+
+
+def test_a_kept_factor_that_stalls_on_its_own_coefficient_is_remade(
+        monkeypatch):
+    """The factor kept from the same mesh and alpha/dt at a thousandth of
+    the viscosity stalls: exactly one new factor is made, the tolerance is
+    met and ``iterations`` counts the cycles of both GMRES runs."""
+    from dataclasses import replace
+    from movingflow import solver
+    from movingflow.solver import SaddleSolver
+    prob = _manufactured_problem()
+    _, low_nu = _first_system(replace(prob, nu=1e-3 * prob.nu))
+    _, system = _first_system(prob)
+    assert low_nu.time_coefficient == system.time_coefficient
+    saddle = SaddleSolver()
+    saddle.solve(low_nu, 1e-10)
+    factors, runs = [], []
+    original_splu, original_fgmres = solver.spla.splu, saddle._fgmres
+
+    def counted_splu(K, **options):
+        factors.append(K.shape)
+        return original_splu(K, **options)
+
+    def recorded_fgmres(*args):
+        runs.append(original_fgmres(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(solver.spla, "splu", counted_splu)
+    monkeypatch.setattr(saddle, "_fgmres", recorded_fgmres)
+    x, info = saddle.solve(system, 1e-10)
+    assert info["solver_event"] == "refactor" and len(factors) == 1
+    assert [x_run is None for x_run, _ in runs] == [True, False]
+    assert info["iterations"] == sum(len(res) - 1 for _, res in runs)
+    assert info["iterations"] > len(info["residual_history"]) - 1
+    assert info["residual_history"][-1] <= 1e-10
+    assert system.residual(*system.split(x)) <= 1e-10
+    sampling.release(prob.space)
 
 
 def _counted_steps(monkeypatch, cold, scheme="backward-euler", stale=False,
                    factors=None):
     """Four steps of manufactured_2d L1 from its exact initial state through
-    one linear cache, with the solution history dropped before every step
-    when ``cold``; the final state and each step's event and LU solves.
-    With ``stale`` the cached factor is marked as made for the BDF2
-    coefficient 1.5/dt, so that BDF2 steps reuse it.  ``factors`` collects
-    the factors made."""
+    one SaddleSolver, with the solution history dropped before every step
+    when ``cold``; the final state and each step's event and LU solves,
+    which the step's ``lu_solves`` must equal.  With ``stale`` the kept
+    factor is marked as made for the BDF2 coefficient 1.5/dt, so that BDF2
+    steps reuse it.  ``factors`` collects the factors made."""
     from movingflow import solver
     from movingflow.benchmarks import manufactured_2d
     case = manufactured_2d()
@@ -721,18 +781,19 @@ def _counted_steps(monkeypatch, cold, scheme="backward-euler", stale=False,
                                           at_start(case.velocity)),
                        interpolate(space, "pressure", at_start(case.pressure)))
     cfg = SolverConfig(stress=case.stress, scheme=scheme)
-    cache, steps, prev = {}, [], None
+    saddle, steps, prev = solver.SaddleSolver(), [], None
     for _ in range(4):
         if cold:
-            cache.pop("history", None)
-        if stale and "lu" in cache:
-            cache["coefficient"] = 1.5 / 0.01
+            saddle.history = []
+        if stale and saddle.preconditioner is not None:
+            saddle.coefficient = 1.5 / 0.01
         before = sum(f.solves for f in factors)
         new, info = advance(state, prob, cfg, 0.01, state_prev2=prev,
-                            linear_cache=cache)
+                            saddle_solver=saddle)
         state, prev = new, state
         steps.append((info["solver_event"],
                       sum(f.solves for f in factors) - before))
+        assert info["lu_solves"] == steps[-1][1]
     sampling.release(space)
     return state, steps
 
@@ -752,7 +813,7 @@ def test_warm_start_matches_cold_start_with_fewer_solves(monkeypatch):
 def test_solution_history_dropped_when_the_shape_changes(monkeypatch):
     from dataclasses import replace
     from movingflow import solver
-    from movingflow.solver import _solve_direct
+    from movingflow.solver import SaddleSolver
 
     def system(divisions):
         prob = all_noslip_problem(generate_box(2, divisions))
@@ -772,25 +833,25 @@ def test_solution_history_dropped_when_the_shape_changes(monkeypatch):
         return original(K, **options)
 
     monkeypatch.setattr(solver.spla, "splu", counted_splu)
-    cache = {}
+    saddle = SaddleSolver()
     for _ in range(2):
-        _solve_direct(small, 1e-10, cache)
-    assert [len(x) for x in cache["history"]] == [small.matrix.shape[0]] * 2
+        saddle.solve(small, 1e-10)
+    assert [len(x) for x in saddle.history] == [small.matrix.shape[0]] * 2
     assert len(factors) == 1
     # another time coefficient: the start already meets the target, so no
-    # factor is made and the cached one keeps its coefficient
-    coefficient = cache["coefficient"]
-    x, info = _solve_direct(replace(small, time_coefficient=15.0), 1e-10,
-                            cache)
+    # factor is made and the kept one keeps its coefficient
+    coefficient = saddle.coefficient
+    x, info = saddle.solve(replace(small, time_coefficient=15.0), 1e-10)
     assert info["solver_event"] == "reuse" and info["iterations"] == 0
-    assert len(factors) == 1 and cache["coefficient"] == coefficient != 15.0
-    assert len(cache["history"]) == 2 and cache["history"][1] is x
+    assert info["lu_solves"] == 0
+    assert len(factors) == 1 and saddle.coefficient == coefficient != 15.0
+    assert len(saddle.history) == 2 and saddle.history[1] is x
     assert info["residual_history"] == [info["residual_history"][0]] and \
         info["residual_history"][0] <= 1e-12
-    x, info = _solve_direct(large, 1e-10, cache)
+    x, info = saddle.solve(large, 1e-10)
     assert len(factors) == 2
     assert info["solver_event"] == "fresh"
-    assert len(cache["history"]) == 1 and cache["history"][0] is x
+    assert len(saddle.history) == 1 and saddle.history[0] is x
     assert info["residual_history"][-1] <= 1e-10
 
 
@@ -978,8 +1039,7 @@ def test_saddle_layout_counting_pass_equals_a_lexsort(problem, stress):
 def test_fresh_float32_factor_meets_the_tolerance_in_one_cycle(problem):
     prob = problem()
     cfg = SolverConfig(stress="full-gradient")
-    state, info = advance(make_state(prob.space), prob, cfg, 0.02,
-                          linear_cache={})
+    state, info = advance(make_state(prob.space), prob, cfg, 0.02)
     assert info["solver_event"] == "fresh" and info["iterations"] == 1
     assert len(info["residual_history"]) == 2
     assert info["residual_history"][-1] <= cfg.tolerance
