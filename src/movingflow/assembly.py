@@ -93,14 +93,6 @@ class AssembledStep:
     outflow: np.ndarray = None
     neumann: np.ndarray = None
 
-    def triplets(self, block="A"):
-        """Canonical COO triplets: duplicates summed, sorted row-major."""
-        mat = {"A": self.A, "B": self.B}[block].tocsr()
-        mat.sum_duplicates()
-        coo = mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order], coo.col[order], coo.data[order]
-
 
 # ---------------------------------------------------------------------------
 # sparsity patterns and scatter

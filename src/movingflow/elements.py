@@ -1,13 +1,13 @@
 """Lagrange bases on the reference simplex and simplex quadrature.
 
-The rules at the three exactnesses the spaces use are symmetric tables,
-``SYMMETRIC_RULES``, derived and checked by ``tools/derive_quadrature.py``:
-cells to degree 6 in 2D (12 points) and 5 in 3D (14 points), boundary
-triangles of 3D meshes to degree 7 (12 points).  Every other simplex
-rule is a conical-product Gauss-Jacobi rule, and segments use Gauss-Legendre;
-both are exact for any requested total degree.  Every rule has positive
-weights and interior points.  Points are stored in barycentric coordinates;
-weights sum to the reference simplex measure 1/d!.
+The triangle and tetrahedron rules are the three the spaces use, symmetric
+tables in ``SYMMETRIC_RULES``, derived and checked by
+``tools/derive_quadrature.py``: cells to degree 6 in 2D (12 points) and 5
+in 3D (14 points), boundary triangles of 3D meshes to degree 7 (12
+points); any other degree raises.  Segments use Gauss-Legendre, exact for
+any requested total degree.  Every rule has positive weights and interior
+points.  Points are stored in barycentric coordinates; weights sum to the
+reference simplex measure 1/d!.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 __all__ = ["ShapeFunctions", "QuadratureRule", "shape_functions", "quadrature",
            "default_degree", "LOCAL_EDGES"]
@@ -28,8 +27,6 @@ LOCAL_EDGES = {
     2: ((0, 1), (0, 2), (1, 2)),
     3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
 }
-
-MAX_QUADRATURE_DEGREE = 30
 
 
 def default_degree(dimension):
@@ -119,39 +116,6 @@ def _gauss01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _jacobi01(n, alpha):
-    # Gauss-Jacobi with weight (1-x)^alpha on [-1,1], mapped to [0,1];
-    # the extra 2^-(alpha+1) absorbs the weight-function rescaling
-    x, w = roots_jacobi(n, alpha, 0.0)
-    return 0.5 * (x + 1.0), w * 0.5 ** (alpha + 1)
-
-
-def _conical_rule(d, degree):
-    n = max(1, (degree + 2) // 2)   # 2n-1 >= degree
-    if d == 2:
-        # x = u(1-v), y = v; area element (1-v) du dv
-        u, wu = _gauss01(n)
-        v, wv = _jacobi01(n, 1.0)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        W = np.outer(wu, wv)
-        x = U * (1.0 - V)
-        y = V
-        pts = np.stack([1.0 - x.ravel() - y.ravel(), x.ravel(), y.ravel()], axis=1)
-        return pts, W.ravel()
-    # x = u(1-v)(1-w), y = v(1-w), z = w; element (1-v)(1-w)^2 du dv dw
-    u, wu = _gauss01(n)
-    v, wv = _jacobi01(n, 1.0)
-    w, ww = _jacobi01(n, 2.0)
-    U, V, W3 = np.meshgrid(u, v, w, indexing="ij")
-    Wt = np.einsum("i,j,k->ijk", wu, wv, ww)
-    x = U * (1.0 - V) * (1.0 - W3)
-    y = V * (1.0 - W3)
-    z = W3
-    lam0 = 1.0 - x - y - z
-    pts = np.stack([lam0.ravel(), x.ravel(), y.ravel(), z.ravel()], axis=1)
-    return pts, Wt.ravel()
-
-
 # (dimension, exactness) -> orbits of (kind, free coordinates, weight of
 # each point); written by tools/derive_quadrature.py, see ``orbit``
 SYMMETRIC_RULES = {
@@ -207,17 +171,17 @@ def orbit_rule(orbits):
 @lru_cache(maxsize=None)
 def quadrature(dimension, exactness):
     """Positive-weight rule on the reference simplex, exact for all
-    polynomials of total degree <= ``exactness``."""
+    polynomials of total degree <= ``exactness``: Gauss-Legendre on the
+    segment at any exactness, a table of ``SYMMETRIC_RULES`` otherwise."""
     if dimension not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {dimension}")
     exactness = int(exactness)
-    if exactness < 1 or exactness > MAX_QUADRATURE_DEGREE:
-        raise ValueError(f"unsupported quadrature degree {exactness}")
-    if dimension == 1:
-        x, w = _gauss01(max(1, (exactness + 2) // 2))
+    if dimension == 1 and exactness >= 1:
+        x, w = _gauss01((exactness + 2) // 2)
         pts = np.stack([1.0 - x, x], axis=1)
     elif (dimension, exactness) in SYMMETRIC_RULES:
         pts, w = orbit_rule(SYMMETRIC_RULES[dimension, exactness])
     else:
-        pts, w = _conical_rule(dimension, exactness)
+        raise ValueError(f"no quadrature rule of degree {exactness} in "
+                         f"dimension {dimension}")
     return QuadratureRule(points=pts, weights=w, exactness=exactness)

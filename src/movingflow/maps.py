@@ -20,9 +20,8 @@ array of n values.  Its readers in ``sampling`` work on whole planes (the
 cell map factor inv F^{-1} by written-out sums, the facet conormal J
 F^{-T} n): elementwise work on contiguous rows, where a stacked ``matmul``
 over the points makes one tiny BLAS call per point.  Indexing the view
-point by point works as on any (n, d, d) array.  ``det_adjugate`` returns
-the C-ordered adjugate; ``det_adjugate_planes`` the planes it is copied
-from.
+point by point works as on any (n, d, d) array.  ``det_adjugate_planes``
+returns the adjugate in such planes.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ __all__ = [
     "IdentityMap", "AxisScalingMap", "TubeShrinkMap", "ExpressionMap",
     "MeshSequenceMap", "parse_map_expressions", "evaluate_map",
     "piola_residual", "validate_assumptions", "load_mesh_sequence",
-    "DEFAULT_THRESHOLDS", "det_adjugate", "det_adjugate_planes",
+    "DEFAULT_THRESHOLDS", "det_adjugate_planes",
 ]
 
 # (c_J, C_F, eps): lower bound on J, upper bound on the Frobenius norms of
@@ -165,13 +164,6 @@ def det_adjugate_planes(F):
     det = np.einsum("...j,...j->...", F[..., 0, :],
                     np.moveaxis(adj[:, 0], 0, -1).copy())
     return det, adj
-
-
-def det_adjugate(F):
-    """Determinants and C-ordered adjugates of a stack of 2x2 or 3x3
-    matrices, (..., d, d); F^{-1} = adj / det where det != 0."""
-    det, adj = det_adjugate_planes(F)
-    return det, np.moveaxis(adj, (0, 1), (-2, -1)).copy()
 
 
 class IdentityMap(SpaceTimeMap):

@@ -1,20 +1,21 @@
 """Time-stepping driver for the moving-domain flow scheme.
 
 Each implicit step assembles the linearized system (the advection field is
-the previous velocity minus the interpolated domain velocity), applies the
-boundary conditions by symmetric elimination and solves the sparse
-saddle-point system, whose pattern is fixed per space, by a float64
-flexible GMRES preconditioned with a float32 sparse LU factor, made in a
-nested-dissection order of the reference cells.  A ``SaddleSolver`` keeps
-that factor for later steps with the same time-derivative coefficient.
+the previous velocity minus the interpolated domain velocity), moves the
+boundary data into the right-hand side and solves the sparse saddle-point
+system of the step's unknowns, whose pattern is fixed per space, by a
+float64 flexible GMRES preconditioned with a float32 sparse LU factor, made
+in a nested-dissection order of the reference cells.  A ``SaddleSolver``
+keeps that factor for later steps with the same time-derivative
+coefficient.
 
 Wall data on no-slip boundaries is the interpolated domain velocity; for
 mesh-sequence maps it is the backward difference quotient of the stored
 nodal positions over the step.  When the mesh has no outflow (neumann)
 facets, that data is first corrected along the nodal outward-normal field
 so that its discrete flux vanishes exactly; as B^T 1 = 0 on the free
-velocity dofs, the continuity row of one pressure dof is then replaced by
-p_i = 0 (the pin) and the solution shifted to zero physical mean.
+velocity dofs, one pressure dof (the pin) is then held at zero, its
+continuity row left out, and the solution shifted to zero physical mean.
 """
 
 from __future__ import annotations
@@ -136,6 +137,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in ("backward-euler", "bdf2"):
             raise ValueError(f"unknown time scheme {self.scheme!r}")
+        if self.stress not in ("symmetric", "full-gradient"):
+            raise ValueError(f"unknown stress form {self.stress!r}")
         if not self.tolerance > 0:
             raise ValueError("solver tolerance must be positive")
         if self.smagorinsky is not None and not self.smagorinsky > 0:
@@ -177,8 +180,8 @@ _DISSECTION_LEAF = 32    # most unnumbered nodes of a part left unsplit
 
 
 def _nested_dissection(space):
-    """A fill-reducing order of the saddle dofs: a nested dissection of the
-    reference cells (George 1973).
+    """A fill-reducing order of all velocity and pressure dofs: a nested
+    dissection of the reference cells (George 1973).
 
     A set of cells is split at the median rank of the cell centroids along
     the axis, of the d axes, whose two halves share the fewest unnumbered
@@ -188,10 +191,7 @@ def _nested_dissection(space):
     part with more has two cells to split).  The parts of one depth are
     split together.  Each block lists its nodes' velocity dofs, then the
     pressure dofs of its vertices (a pressure dof couples to the nodes its
-    vertex does).  Constrained dofs are isolated unit rows: where they fall
-    does not change the fill, but one inside a separator cuts that
-    separator's dense supernode apart, so ``_SaddleLayout`` numbers them
-    ahead of the order given here.
+    vertex does).  ``_SaddleLayout`` restricts it to the unknowns.
     """
     cells, n, d = space.cell_nodes, space.n_nodes, space.dimension
     n_cells = len(cells)
@@ -248,64 +248,63 @@ def _nested_dissection(space):
 
 
 class _SaddleLayout:
-    """The CSC pattern of a space's constrained saddle matrix.
+    """The CSC pattern of a space's saddle matrix over the unknowns of a
+    step: the free velocity dofs, then the pressure dofs but the pin.
 
-    Its entries are A at free rows and columns, every structural entry of B
-    and -B^T at free velocity dofs (exact zeros included) and a unit
-    diagonal at constrained velocity dofs.  Without outflow facets the
-    pressure dof of the vertex with the largest reference patch volume is
-    the pin: its continuity row and -B^T column are left out and its
-    diagonal is one.  ``gather`` gives, per entry, its position in
-    ``[A.data, B.data, -B.data, 1.0]``: a step fills the matrix with it.
-    ``order`` is the order its factors use: the unit rows (constrained
-    velocity dofs, then the pin) in ascending dof order, then the free dofs
-    in nested-dissection order.  Each unit row is alone on its diagonal, so
-    leading with them leaves the fill as it is and keeps every separator's
-    columns together in SuperLU's supernodes.  ``factor_indptr``,
-    ``factor_indices`` are the CSC pattern of the matrix
-    with rows and columns in that order, rows ascending in every column as
-    SuperLU sorts them; ``permuted`` gives each of its entries' position
-    in the matrix's data.
+    Without outflow facets the pressure dof of the vertex with the largest
+    reference patch volume is the pin, held at zero.  ``unknowns`` gives
+    the positions of the unknowns in the vector of all velocity and
+    pressure dofs, and ``free`` those of the free velocity dofs.  The
+    entries are A at free rows and columns and every structural entry of B
+    and -B^T at the unknowns (exact zeros included).  ``gather`` gives, per
+    entry, its position in ``[A.data, B.data, -B.data]``: a step fills the
+    matrix with it.  ``order`` is the order its factors use, the nested
+    dissection restricted to the unknowns.  ``factor_indptr``,
+    ``factor_indices`` are the CSC pattern of the matrix with rows and
+    columns in that order, rows ascending in every column as SuperLU sorts
+    them; ``permuted`` gives each of its entries' position in the matrix's
+    data.
     """
 
     def __init__(self, space, A, B):
         n_p, n_u = B.shape
-        self.mask = mask = space.constrained_dof_mask()
-        self.pin = None                   # and ``at_pin`` is all False
+        self.pin = None
         if not space.mesh.has_neumann_boundary():
             cells = space.mesh.cells
             volume = np.repeat(sampling.geometry(space).det, cells.shape[1])
             self.pin = int(np.argmax(np.bincount(cells.ravel(), volume, n_p)))
-        self.at_pin = at_pin = np.arange(n_p) == self.pin
+        unknown = np.concatenate([~space.constrained_dof_mask(),
+                                  np.arange(n_p) != self.pin])
+        self.unknowns = np.flatnonzero(unknown)
+        self.free = np.flatnonzero(unknown[:n_u])
+        n = len(self.unknowns)
+        index = np.full(n_u + n_p, -1, dtype=np.int32)   # -1: no unknown
+        index[self.unknowns] = np.arange(n, dtype=np.int32)
         # int32 entries listed so that rows ascend within every column: A
-        # by rows, then B by rows (n_u + r); each -B^T column and unit is
-        # alone in its column.  The COO to CSC conversion is one counting
-        # pass over the columns that keeps that order, so nothing is sorted
-        free = ~mask
+        # by rows, then B by rows, as ``index`` keeps the dof order; each
+        # -B^T column is one row of B.  The COO to CSC conversion is one
+        # counting pass over the columns that keeps that order, so nothing
+        # is sorted
         source = np.arange(A.nnz + B.nnz, dtype=np.int32)
         a_row = np.repeat(np.arange(n_u, dtype=np.int32), np.diff(A.indptr))
-        a = free[a_row] & free[A.indices]
-        b_row = np.repeat(np.arange(n_p, dtype=np.int32), np.diff(B.indptr))
-        b = free[B.indices] & ~at_pin[b_row]
-        b_row, b_col = n_u + b_row[b], B.indices[b]
+        a = unknown[a_row] & unknown[A.indices]
+        b_row = np.repeat(np.arange(n_u, n_u + n_p, dtype=np.int32),
+                          np.diff(B.indptr))
+        b = unknown[b_row] & unknown[B.indices]
+        b_row, b_col = index[b_row[b]], index[B.indices[b]]
         b_source = source[A.nnz:][b]
-        unit = np.concatenate([mask, at_pin])
-        units = np.flatnonzero(unit).astype(np.int32)
         K = sp.coo_matrix((
-            np.concatenate([source[:A.nnz][a], b_source, b_source + B.nnz,
-                            np.full(len(units), A.nnz + 2 * B.nnz,
-                                    dtype=np.int32)]),
-            (np.concatenate([a_row[a], b_row, b_col, units]),
-             np.concatenate([A.indices[a], b_col, b_row, units]))),
-            shape=(n_u + n_p,) * 2).tocsc()
+            np.concatenate([source[:A.nnz][a], b_source, b_source + B.nnz]),
+            (np.concatenate([index[a_row[a]], b_row, b_col]),
+             np.concatenate([index[A.indices[a]], b_col, b_row]))),
+            shape=(n, n)).tocsc()
         self.indptr, self.indices, self.gather = K.indptr, K.indices, K.data
-        dissection = _nested_dissection(space)
-        self.order = order = np.concatenate(
-            [units, dissection[~unit[dissection]]])
+        order = index[_nested_dissection(space)]
+        self.order = order = order[order >= 0]
         # the factor's pattern: K's columns taken in ``order`` with their
         # rows renumbered, then two counting passes (to CSR and back) that
         # leave the rows ascending in every column, with no sort
-        n, rank = len(order), np.empty(len(order), dtype=np.int32)
+        rank = np.empty(n, dtype=np.int32)
         rank[order] = np.arange(n, dtype=np.int32)
         lengths = np.diff(K.indptr)[order]
         indptr = np.zeros(n + 1, dtype=np.int32)
@@ -318,55 +317,60 @@ class _SaddleLayout:
         self.permuted = P.data
 
     def matrix(self, A, B):
-        data = np.concatenate([A.data, B.data, -B.data, [1.0]])[self.gather]
+        data = np.concatenate([A.data, B.data, -B.data])[self.gather]
         return sp.csc_matrix((data, self.indices, self.indptr),
                              shape=(len(self.indptr) - 1,) * 2)
 
 
 @dataclass
 class ConstrainedSystem:
+    """A step's saddle system over the unknowns of its ``layout``, with the
+    boundary data moved into ``rhs``.  ``rhs_norm`` is the norm of the
+    right-hand side of the system of every dof, whose rows at the
+    constrained velocity dofs and the pin hold the boundary values and
+    zero: the solve's residuals are relative to it."""
+
+    step: assembly.AssembledStep
+    layout: _SaddleLayout
     matrix: sp.csc_matrix
     rhs: np.ndarray
-    n_u: int
-    n_p: int
+    rhs_norm: float
     bc_values: np.ndarray          # full-length velocity vector of BC data
-    mask: np.ndarray               # constrained velocity dofs
-    B: sp.csr_matrix               # the step's divergence block
-    layout: _SaddleLayout          # the pattern and its factor order
-    pin: int = None                # pressure dof set to 0 (gauge case)
     gauge_vector: np.ndarray = None
-    time_coefficient: float = None  # alpha/dt of the step
 
     def split(self, x):
-        """Velocity with the boundary values in place and, in the gauge
-        case, the pressure shifted to zero physical mean."""
-        u = x[:self.n_u].copy()
-        p = x[self.n_u:self.n_u + self.n_p].copy()
-        u[self.mask] = self.bc_values[self.mask]
-        if self.pin is not None:
+        """Velocity and pressure with x at the unknowns, the boundary
+        values and a zero pin beside them and, in the gauge case, the
+        pressure shifted to zero physical mean."""
+        full = np.concatenate([self.bc_values, np.zeros(self.step.B.shape[0])])
+        full[self.layout.unknowns] = x
+        u, p = np.split(full, [len(self.bc_values)])
+        if self.layout.pin is not None:
             p -= (self.gauge_vector @ p) / self.gauge_vector.sum()
         return u, p
 
     def residual(self, u, p):
-        """Relative residual of [[A, -B^T], [B, 0]] (u, p) = rhs without the
-        pin, at a split solution (u holds the boundary values)."""
-        Au = (self.matrix @ np.concatenate([u, np.zeros(self.n_p)]))[:self.n_u]
-        r_u = np.where(self.mask, 0.0, self.rhs[:self.n_u] - Au + self.B.T @ p)
-        scale = math.hypot(np.linalg.norm(self.rhs[:self.n_u]),
-                           np.linalg.norm(self.B @ self.bc_values))
+        """Relative residual of [[A, -B^T], [B, 0]] (u, p) = (rhs_u, 0) at
+        the free velocity dofs and every pressure dof, the pin's included,
+        at a split solution (u holds the boundary values)."""
+        A, B, f = self.step.A, self.step.B, self.rhs[:len(self.layout.free)]
+        r_u = (self.step.rhs_u - A @ u + B.T @ p)[self.layout.free]
+        scale = math.hypot(np.linalg.norm(f), np.linalg.norm(self.bc_values),
+                           np.linalg.norm(B @ self.bc_values))
         return math.hypot(np.linalg.norm(r_u),
-                          np.linalg.norm(self.B @ u)) / max(scale, 1e-300)
+                          np.linalg.norm(B @ u)) / max(scale, 1e-300)
 
 
 def apply_boundary_conditions(step, bcs, space, map_, t, dt):
-    """Eliminate constrained velocity dofs symmetrically and fix the
-    pressure gauge when the boundary has no outflow part.
+    """The step's system over its unknowns, with the boundary data moved
+    into the right-hand side, and the pressure gauge fixed when the
+    boundary has no outflow part.
 
-    Rows and columns of constrained dofs are zeroed with a unit diagonal and
-    the boundary values are moved to the right-hand side.  Without outflow
-    facets the boundary data is first made exactly flux-compatible by
-    subtracting a constant multiple of the nodal outward-normal field, and
-    the layout pins one pressure dof.
+    The columns of the constrained velocity dofs times their boundary
+    values leave the right-hand side.  Without outflow facets the boundary
+    data is first made exactly flux-compatible by subtracting a constant
+    multiple of the nodal outward-normal field, and the layout pins one
+    pressure dof.
     """
     values = _boundary_values(bcs, space, map_, t, dt)
     # A and B have fixed patterns on a space; A's has d diagonal entries or,
@@ -385,18 +389,13 @@ def apply_boundary_conditions(step, bcs, space, map_, t, dt):
         values = values - (flux_v / flux_n) * nfield
         e = assembly.pressure_gauge_vector(space, map_, t)
 
-    mask = layout.mask
-    ub = np.zeros(space.n_velocity_dofs)
-    ub[mask] = values.ravel()[mask]
-    rhs_u = step.rhs_u - A @ ub
-    rhs_u[mask] = ub[mask]
-    h = -(B @ ub)
-    h[layout.at_pin] = 0.0
+    ub = values.ravel().copy()
+    ub[layout.free] = 0.0
+    rhs = np.concatenate([step.rhs_u - A @ ub, -(B @ ub)])[layout.unknowns]
     return ConstrainedSystem(
-        matrix=layout.matrix(A, B), rhs=np.concatenate([rhs_u, h]),
-        n_u=space.n_velocity_dofs, n_p=space.n_pressure_dofs, bc_values=ub,
-        mask=mask, B=B, layout=layout, pin=layout.pin, gauge_vector=e,
-        time_coefficient=step.time_coefficient)
+        step=step, layout=layout, matrix=layout.matrix(A, B), rhs=rhs,
+        rhs_norm=math.hypot(np.linalg.norm(rhs), np.linalg.norm(ub)),
+        bc_values=ub, gauge_vector=e)
 
 
 class _SinglePrecisionFactor:
@@ -443,8 +442,9 @@ class SaddleSolver:
     two solutions (``history``), dropped for a system of another shape, and
     counts the preconditioner's applications in ``lu_solves``.  A solve
     starts from 2 x^{k-1} - x^{k-2} (x^{k-1}, or zero) and aims for
-    ``min(1e-2 tolerance, 1e-11)``.  ``fresh`` (none kept) and ``refactor``
-    (kept for another alpha/dt, or stalled) factor the step's matrix;
+    ``min(1e-2 tolerance, 1e-11)`` relative to the system's ``rhs_norm``.
+    ``fresh`` (none kept) and ``refactor`` (kept for another alpha/dt, or
+    stalled) factor the step's matrix;
     ``reuse`` keeps the factor, and its coefficient when the start already
     meets the target, so that no LU solve is made.
     """
@@ -457,10 +457,11 @@ class SaddleSolver:
         """x to ``tolerance`` (None when the step's own factor misses it) and
         the ``solver_event``, GMRES cycles of both runs (``iterations``),
         the last run's ``residual_history`` and the ``lu_solves`` made."""
-        K, b = system.matrix, system.rhs
+        K, b, scale = system.matrix, system.rhs, system.rhs_norm
+        coefficient = system.step.time_coefficient
         if K.shape != self.shape:
             self.preconditioner, self.history = None, []
-        h, scale = self.history, float(np.linalg.norm(b))
+        h = self.history
         if h and scale:
             x = 2.0 * h[1] - h[0] if len(h) == 2 else h[-1]
             r = b - K @ x
@@ -474,14 +475,14 @@ class SaddleSolver:
             x, event = None, "fresh"
         elif not residuals[0] <= target:
             x = None
-            if self.coefficient == system.time_coefficient:
+            if self.coefficient == coefficient:
                 x, residuals = self._fgmres(K, b, *start, tolerance, target)
                 iterations = len(residuals) - 1
             event = "refactor" if x is None else "reuse"
         if x is None:
             self.preconditioner = None  # two factors alive raise the peak RSS
             self.preconditioner = _SinglePrecisionFactor(K, system.layout)
-            self.coefficient, self.shape = system.time_coefficient, K.shape
+            self.coefficient, self.shape = coefficient, K.shape
             x, residuals = self._fgmres(K, b, *start, tolerance, target)
             iterations += len(residuals) - 1
         self.history = [*h[-1:], x] if x is not None else h
@@ -489,9 +490,9 @@ class SaddleSolver:
                    "solver_event": event, "lu_solves": self.lu_solves - solves}
 
     def _fgmres(self, M, b, scale, x, r, relative, tol, target):
-        """M x = b from x, with residual r (``relative`` to |b|): one LU
-        solve per Krylov vector, whose preconditioned vectors are kept as in
-        flexible GMRES.  M drifts little from the factored matrix, so the
+        """M x = b from x, with residual r (``relative`` to ``scale``): one
+        LU solve per Krylov vector, whose preconditioned vectors are kept as
+        in flexible GMRES.  M drifts little from the factored matrix, so the
         right-preconditioned cycles are short.  The residuals are
         ``relative``, then one per cycle; cycles aim for ``target`` (< tol),
         and a stall above ``tol`` gives x = None."""

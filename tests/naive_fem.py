@@ -5,12 +5,51 @@ vectorized assembly against an independent code path.  The identity-map
 forms take a quadrature degree.  The moving-map forms (``moving_*``) loop
 over the cells and the space's cell points and build each form from F^{-1}
 itself: ``np.linalg.inv`` and ``np.linalg.det`` of the map's gradient at
-the point, no sampling tables, no map factor.
+the point, no sampling tables, no map factor.  ``quadrature`` adds a
+conical-product Gauss-Jacobi rule at the degrees that have no tabled rule,
+for tests that integrate above the program's rules.
 """
 
 import numpy as np
+from scipy.special import roots_jacobi
 
-from movingflow.elements import default_degree, quadrature, shape_functions
+from movingflow import elements
+from movingflow.elements import QuadratureRule, default_degree, shape_functions
+
+
+def _jacobi01(n, alpha):
+    # Gauss-Jacobi with weight (1-x)^alpha on [-1,1], mapped to [0,1];
+    # the extra 2^-(alpha+1) absorbs the weight-function rescaling
+    x, w = roots_jacobi(n, alpha, 0.0)
+    return 0.5 * (x + 1.0), w * 0.5 ** (alpha + 1)
+
+
+def conical_rule(d, degree):
+    """Conical-product rule on the reference triangle or tetrahedron,
+    exact to ``degree``: Gauss-Legendre in u, Gauss-Jacobi in v (and w)
+    under x = u (1-v) (1-w), y = v (1-w), z = w."""
+    n = max(1, (degree + 2) // 2)   # 2n-1 >= degree
+    axes = [_jacobi01(n, float(a)) for a in range(d)]
+    grid = np.meshgrid(*[x for x, _ in axes], indexing="ij")
+    weights = np.ones_like(grid[0])
+    for a, (_, w) in enumerate(axes):
+        weights = weights * w.reshape((-1,) + (1,) * (d - 1 - a))
+    coords, rest = [], np.ones_like(grid[0])
+    for a in range(d - 1, -1, -1):      # z, then y, then x
+        coords.insert(0, grid[a] * rest)
+        rest = rest * (1.0 - grid[a])
+    coords = [c.ravel() for c in coords]
+    pts = np.stack([1.0 - sum(coords), *coords], axis=1)
+    return QuadratureRule(points=pts, weights=weights.ravel(),
+                          exactness=degree)
+
+
+def quadrature(d, degree):
+    """The program's rule where it has one, else ``conical_rule``."""
+    try:
+        return elements.quadrature(d, degree)
+    except ValueError:
+        return conical_rule(d, degree)
 
 
 def _cell_setup(mesh, degree):

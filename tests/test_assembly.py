@@ -95,21 +95,6 @@ def test_block_dimensions(box2d):
     assert step.rhs_u.shape == (space.n_velocity_dofs,)
 
 
-def test_triplets_canonical(box2d):
-    space = box2d
-    zero = DiscreteField(space, "velocity")
-    step = assembly.assemble_step(space, IdentityMap(2), 0.1, 0.0, 0.1,
-                                  zero, zero, 1.0)
-    rows, cols, vals = step.triplets("A")
-    order = np.lexsort((cols, rows))
-    assert np.array_equal(order, np.arange(len(rows)))  # already sorted
-    pairs = rows.astype(np.int64) * step.A.shape[1] + cols
-    assert len(np.unique(pairs)) == len(pairs)          # duplicates summed
-    dense = np.zeros(step.A.shape)
-    dense[rows, cols] = vals
-    assert np.abs(dense - step.A.toarray()).max() == 0.0
-
-
 # --- divergence block properties ---------------------------------------------
 
 
@@ -219,6 +204,8 @@ def test_quadrature_over_integration_stable(monkeypatch):
                                rng.standard_normal(space.n_velocity_dofs))
         base = default_degree(space.dimension)
         steps, rules = [], []
+        # the raised degrees have no tabled rule: a conical product serves
+        monkeypatch.setattr(sampling, "quadrature", naive_fem.quadrature)
         for deg in (base, base + 2):       # the one rule choice, raised
             sampling.release(space)
             monkeypatch.setattr(sampling, "default_degree", lambda d: deg)

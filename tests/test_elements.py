@@ -22,6 +22,12 @@ def exact_monomial(powers, d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_quadrature_exactness(d, degree):
+    """Segments have a rule of every degree, triangles and tetrahedra only
+    the tabled ones; each rule that exists is exact to its degree."""
+    if d > 1 and (d, degree) not in SYMMETRIC_RULES:
+        with pytest.raises(ValueError, match="no quadrature rule"):
+            quadrature(d, degree)
+        return
     rule = quadrature(d, degree)
     assert np.all(rule.weights > 0)
     assert abs(rule.weights.sum() - 1.0 / math.factorial(d)) < 1e-14
@@ -35,14 +41,19 @@ def test_quadrature_exactness(d, degree):
 
 
 def test_quadrature_examples():
-    tet = quadrature(3, 2)
+    tet = quadrature(3, 5)
     assert abs(tet.weights.sum() - 1.0 / 6.0) < 1e-15          # volume
-    tri = quadrature(2, 2)
-    x = tri.points[:, 1]
-    assert abs(tri.weights @ x - 1.0 / 6.0) < 1e-15            # int x1
-    tri4 = quadrature(2, 4)
-    vals = tri4.points[:, 1] ** 2 * tri4.points[:, 2] ** 2
-    assert abs(tri4.weights @ vals - 1.0 / 180.0) < 1e-15      # int x1^2 x2^2
+    x = tet.points[:, 1:]
+    assert abs(tet.weights @ (x[:, 0] * x[:, 1] * x[:, 2]) - 1.0 / 720.0) \
+        < 1e-15                                                 # int x1 x2 x3
+    tri = quadrature(2, 6)
+    vals = tri.points[:, 1] ** 2 * tri.points[:, 2] ** 2
+    assert abs(tri.weights @ vals - 1.0 / 180.0) < 1e-15       # int x1^2 x2^2
+    tri7 = quadrature(2, 7)
+    vals = tri7.points[:, 1] ** 3 * tri7.points[:, 2] ** 4
+    assert abs(tri7.weights @ vals - 1.0 / 2520.0) < 1e-15     # int x1^3 x2^4
+    seg = quadrature(1, 8)
+    assert abs(seg.weights @ seg.points[:, 1] ** 8 - 1.0 / 9.0) < 1e-15
 
 
 def _derive_tool():

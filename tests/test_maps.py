@@ -6,7 +6,7 @@ import pytest
 from movingflow.expressions import ExpressionError
 from movingflow.maps import (AxisScalingMap, IdentityMap, MeshSequenceMap,
                              SingularMappingError, TubeShrinkMap,
-                             det_adjugate, evaluate_map, load_mesh_sequence,
+                             det_adjugate_planes, evaluate_map, load_mesh_sequence,
                              parse_map_expressions, piola_residual,
                              validate_assumptions)
 from movingflow.meshing import generate_box
@@ -177,11 +177,11 @@ def test_closed_form_inverse_matches_linalg(dim):
     V, _ = np.linalg.qr(rng.standard_normal((500, dim, dim)))
     s = rng.uniform(0.5, 2.0, (500, 1, dim))
     F = (U * s) @ np.swapaxes(V, 1, 2)
-    J, adj = det_adjugate(F)
+    J, adj = det_adjugate_planes(F)
     assert np.max(np.abs(J - np.linalg.det(F)) / np.abs(J)) < 1e-13
-    inv = np.linalg.inv(F)
-    err = np.linalg.norm(adj / J[:, None, None] - inv, axis=(1, 2))
-    assert np.max(err / np.linalg.norm(inv, axis=(1, 2))) < 1e-13
+    inv = np.moveaxis(np.linalg.inv(F), 0, -1)          # as planes
+    err = np.linalg.norm(adj / J - inv, axis=(0, 1))
+    assert np.max(err / np.linalg.norm(inv, axis=(0, 1))) < 1e-13
 
 
 def _cross_det_adjugate(F):
@@ -196,17 +196,18 @@ def _cross_det_adjugate(F):
 @pytest.mark.parametrize("shape", [(4000, 3, 3), (97, 7, 3, 3), (3, 3)])
 def test_det_adjugate_equals_the_cross_product_formula_bitwise(shape):
     F = np.random.default_rng(sum(shape)).standard_normal(shape)
-    J, adj = det_adjugate(F)
+    J, adj = det_adjugate_planes(F)
     J_cross, adj_cross = _cross_det_adjugate(F)
-    assert np.array_equal(J, J_cross) and np.array_equal(adj, adj_cross)
-    assert adj.flags.c_contiguous
+    assert adj.shape == (3, 3) + shape[:-2] and adj.flags.c_contiguous
+    assert np.array_equal(J, J_cross)
+    assert np.array_equal(np.moveaxis(adj, (0, 1), (-2, -1)), adj_cross)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_sampled_inverse_is_a_view_over_contiguous_planes(dim):
     """sample_fields returns F^{-1} as an (n, d, d) view over contiguous
     component planes, which sampling combines plane by plane; it equals
-    the C-ordered adjugate of det_adjugate over J to the bit."""
+    the adjugate planes of det_adjugate_planes over J to the bit."""
     X = np.random.default_rng(dim).uniform(0.1, 0.9, (50, dim))
     for m in catalog(dim):
         result = m.sample_fields(X, 0.3)
@@ -214,9 +215,9 @@ def test_sampled_inverse_is_a_view_over_contiguous_planes(dim):
         F, F_inv, J = result
         assert F_inv.shape == (50, dim, dim), m.kind
         assert np.moveaxis(F_inv, 0, -1).flags.c_contiguous, m.kind
-        J_c, adj = det_adjugate(F)
+        J_c, adj = det_adjugate_planes(F)
         assert np.array_equal(J, J_c), m.kind
-        assert np.array_equal(F_inv, adj / J[:, None, None]), m.kind
+        assert np.array_equal(np.moveaxis(F_inv, 0, -1), adj / J), m.kind
 
 
 @pytest.mark.parametrize("t", [1.0, 1.5])

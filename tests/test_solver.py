@@ -74,8 +74,13 @@ def test_poiseuille_residual_and_fixed_point():
     system = apply_boundary_conditions(step, prob.bcs, space, prob.map, dt, dt)
     x = np.concatenate([u0.coefficients, p0.coefficients])
     # the interpolated exact solution satisfies the discrete step exactly
-    residual = system.rhs - system.matrix @ x
+    residual = system.rhs - system.matrix @ x[system.layout.unknowns]
     assert np.abs(residual).max() < 1e-10 * np.abs(system.rhs).max()
+    # and split puts the exact boundary values beside its unknowns
+    u, p = system.split(x[system.layout.unknowns])
+    assert np.array_equal(p, p0.coefficients)
+    assert np.abs(u - u0.coefficients).max() <= \
+        1e-14 * np.abs(u0.coefficients).max()
 
     state = FlowState(0, 0.0, u0, p0)
     new, info = advance(state, prob, cfg, dt)
@@ -134,8 +139,12 @@ def test_symmetric_elimination_preserves_symmetry():
                                   1.0, stress="symmetric")
     bcs = BoundaryConditionSet({NOSLIP: NoslipBC()})
     system = apply_boundary_conditions(step, bcs, space, tube, 0.1, 0.05)
-    A = system.matrix[:system.n_u, :system.n_u]
-    assert np.abs((A - A.T).toarray()).max() <= 1e-12
+    n = len(system.layout.free)
+    K = system.matrix.toarray()
+    assert 0 < n < len(K)
+    assert np.abs(K[:n, :n] - K[:n, :n].T).max() <= 1e-12
+    assert np.array_equal(K[:n, n:], -K[n:, :n].T)
+    assert np.all(K[n:, n:] == 0.0)
 
 
 def test_conflicting_labels_noslip_wins(caplog):
@@ -377,6 +386,13 @@ def test_solver_config_validation():
     assert SolverConfig().tolerance == 1e-10
 
 
+def test_solver_config_rejects_an_unknown_stress_form():
+    with pytest.raises(ValueError, match="unknown stress form 'symetric'"):
+        SolverConfig(stress="symetric")
+    for stress in ("symmetric", "full-gradient"):
+        assert SolverConfig(stress=stress).stress == stress
+
+
 # --- per-time-level map samples -------------------------------------------------
 
 
@@ -514,19 +530,45 @@ def _capture_systems(monkeypatch):
     return seen
 
 
+def _eliminated_system(step, mask, pin=None):
+    """The dense matrix of every dof, with the constrained velocity dofs
+    (``mask``) eliminated symmetrically, a unit row and column each, and
+    the ``pin``, if any, likewise."""
+    n_p, n_u = step.B.shape
+    free = (~mask).astype(float)
+    rows = np.ones(n_p)
+    if pin is not None:
+        rows[pin] = 0.0
+    B = step.B.toarray() * free * rows[:, None]
+    K = np.zeros((n_u + n_p,) * 2)
+    K[:n_u, :n_u] = step.A.toarray() * np.outer(free, free) + \
+        np.diag(1.0 - free)
+    K[:n_u, n_u:] = -B.T
+    K[n_u:, :n_u] = B
+    K[n_u:, n_u:] = np.diag(1.0 - rows)
+    return K
+
+
+def _eliminated_rhs(step, mask, ub, pin=None):
+    """Its right-hand side: the boundary values ``ub`` at the constrained
+    dofs, zero at the pin, the lifted step data elsewhere."""
+    rhs_u = np.where(mask, ub, step.rhs_u - step.A @ ub)
+    h = -(step.B @ ub)
+    if pin is not None:
+        h[pin] = 0.0
+    return np.concatenate([rhs_u, h])
+
+
 def _bordered_solution(step, system):
     """Dense solve of the bordered gauge system [[A, -B^T, 0], [B, 0, e],
     [0, e^T, 0]], with the constrained velocity dofs eliminated."""
-    n_u, n_p = system.n_u, system.n_p
-    free = (~system.mask).astype(float)
-    B = step.B.toarray() * free
+    n_p, n_u = step.B.shape
+    mask = np.ones(n_u, dtype=bool)
+    mask[system.layout.free] = False
     K = np.zeros((n_u + n_p + 1,) * 2)
-    K[:n_u, :n_u] = step.A.toarray() * np.outer(free, free) + \
-        np.diag(1.0 - free)
-    K[:n_u, n_u:-1] = -B.T
-    K[n_u:-1, :n_u] = B
+    K[:-1, :-1] = _eliminated_system(step, mask)
     K[n_u:-1, -1] = K[-1, n_u:-1] = system.gauge_vector
-    rhs = np.concatenate([system.rhs[:n_u], -(step.B @ system.bc_values),
+    rhs = np.concatenate([_eliminated_rhs(step, mask, system.bc_values),
                           [0.0]])
     x = np.linalg.solve(K, rhs)
     return x[:n_u], x[n_u:-1]
@@ -550,7 +592,7 @@ def test_pin_and_shift_matches_bordered_gauge_system(monkeypatch):
     cfg = SolverConfig(tolerance=1e-12)
     new, info = advance(state, prob, cfg, 0.05)
     step, system = seen[0]
-    assert system.pin is not None
+    assert system.layout.pin is not None
     u_ref, p_ref = _bordered_solution(step, system)
     u, p = new.u.coefficients, new.p.coefficients
     assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
@@ -560,8 +602,60 @@ def test_pin_and_shift_matches_bordered_gauge_system(monkeypatch):
     # every continuity row holds, the pinned one included
     bound = 10 * cfg.tolerance * abs(step.B).max() * np.abs(u).max()
     assert np.abs(step.B @ u).max() <= bound
-    assert abs((step.B @ u)[system.pin]) <= bound
+    assert abs((step.B @ u)[system.layout.pin]) <= bound
     assert info["residual"] <= cfg.tolerance
+
+
+@pytest.mark.parametrize("case", ["moving-gauge-box", "tube"])
+def test_scattered_solution_equals_a_dense_solve_of_the_eliminated_system(
+        case, monkeypatch):
+    """The system of the unknowns, solved densely and scattered beside the
+    boundary values, and the step's own solve both give the solution of the
+    system of every dof with unit rows at the constrained dofs and the
+    pin, whose right-hand side has the norm the solve is relative to."""
+    if case == "tube":
+        prob = _tube_problem()
+        state = make_state(prob.space)
+    else:
+        prob, state = _moving_box_problem(
+            "x1 + 0.2*t*x1*x2; x2*(1 + 0.3*t) + 0.1*t*x1*x1")
+    seen = _capture_systems(monkeypatch)
+    new, _ = advance(state, prob, SolverConfig(tolerance=1e-12), 0.05)
+    step, system = seen[0]
+    mask, pin = prob.space.constrained_dof_mask(), system.layout.pin
+    assert (pin is None) == (case == "tube")
+    rhs = _eliminated_rhs(step, mask, system.bc_values, pin)
+    assert abs(system.rhs_norm - np.linalg.norm(rhs)) <= \
+        1e-14 * system.rhs_norm
+    x = np.linalg.solve(_eliminated_system(step, mask, pin), rhs)
+    u_ref, p_ref = np.split(x, [len(mask)])
+    if pin is not None:
+        e = system.gauge_vector
+        p_ref = p_ref - (e @ p_ref) / e.sum()
+    u, p = system.split(np.linalg.solve(system.matrix.toarray(), system.rhs))
+    assert np.array_equal(u[mask], system.bc_values[mask])
+    for got in ((u, p), (new.u.coefficients, new.p.coefficients)):
+        for v, ref in zip(got, (u_ref, p_ref)):
+            assert np.linalg.norm(v - ref) <= 1e-10 * np.linalg.norm(ref)
+    sampling.release(prob.space)
+
+
+def test_the_solve_is_relative_to_the_right_hand_side_of_every_dof():
+    """From rest the moving walls carry most of the right-hand side of
+    the system of every dof.  A cold solve starts at |rhs| / rhs_norm, a
+    third here, not at 1, and its last residual is the true one over
+    rhs_norm."""
+    from movingflow.solver import SaddleSolver
+    prob, _ = _moving_box_problem(
+        "x1 + 0.2*t*x1*x2; x2*(1 + 0.3*t) + 0.1*t*x1*x1")
+    _, system = _first_system(prob, dt=0.05)
+    b, scale = system.rhs, system.rhs_norm
+    assert np.linalg.norm(b) < 0.5 * scale
+    x, info = SaddleSolver().solve(system, 1e-10)
+    residuals = info["residual_history"]
+    assert residuals[0] == np.linalg.norm(b) / scale
+    assert residuals[-1] == np.linalg.norm(b - system.matrix @ x) / scale
+    sampling.release(prob.space)
 
 
 def test_gauge_defect_shows_in_the_linear_residual(caplog):
@@ -611,16 +705,20 @@ def test_saddle_matrix_keeps_every_structural_entry_of_B():
     step = assembly.assemble_step(space, tube, 0.1, 0.05, 0.05, zero, zero,
                                   1.0)
     system = apply_boundary_conditions(step, bcs, space, tube, 0.1, 0.05)
-    assert system.pin is None
+    assert system.layout.pin is None
+    n_p, n_u = step.B.shape
+    index = np.full(n_u + n_p, -1)             # of each dof's unknown
+    index[system.layout.unknowns] = np.arange(len(system.layout.unknowns))
     B = step.B.tocoo()
-    at_free = ~system.mask[B.col]
+    at_free = index[B.col] >= 0
     q, j, values = B.row[at_free], B.col[at_free], B.data[at_free]
     assert np.any(values == 0.0)          # the entries scipy would drop
+    q, j = index[n_u + q], index[j]
     K = system.matrix.tocoo()
-    n, n_u = K.shape[0], system.n_u
+    n = K.shape[0]
     keys = K.row.astype(np.int64) * n + K.col
     order = np.argsort(keys)
-    for rows, cols, sign in ((n_u + q, j, 1.0), (j, n_u + q, -1.0)):
+    for rows, cols, sign in ((q, j, 1.0), (j, q, -1.0)):
         want = rows.astype(np.int64) * n + cols
         pos = np.searchsorted(keys, want, sorter=order)
         assert np.array_equal(keys[order[pos]], want)
@@ -673,8 +771,9 @@ def _kept(M, lu, b):
     from movingflow.solver import SaddleSolver
     saddle = SaddleSolver()
     saddle.shape, saddle.preconditioner, saddle.coefficient = M.shape, lu, 1.0
-    return saddle, SimpleNamespace(matrix=M, rhs=b, layout=None,
-                                   time_coefficient=1.0)
+    return saddle, SimpleNamespace(
+        matrix=M, rhs=b, rhs_norm=np.linalg.norm(b), layout=None,
+        step=SimpleNamespace(time_coefficient=1.0))
 
 
 @pytest.mark.parametrize("drift", [0.05, 2.0])
@@ -726,7 +825,7 @@ def test_a_kept_factor_that_stalls_on_its_own_coefficient_is_remade(
     prob = _manufactured_problem()
     _, low_nu = _first_system(replace(prob, nu=1e-3 * prob.nu))
     _, system = _first_system(prob)
-    assert low_nu.time_coefficient == system.time_coefficient
+    assert low_nu.step.time_coefficient == system.step.time_coefficient
     saddle = SaddleSolver()
     saddle.solve(low_nu, 1e-10)
     factors, runs = [], []
@@ -841,7 +940,9 @@ def test_solution_history_dropped_when_the_shape_changes(monkeypatch):
     # another time coefficient: the start already meets the target, so no
     # factor is made and the kept one keeps its coefficient
     coefficient = saddle.coefficient
-    x, info = saddle.solve(replace(small, time_coefficient=15.0), 1e-10)
+    x, info = saddle.solve(
+        replace(small, step=replace(small.step, time_coefficient=15.0)),
+        1e-10)
     assert info["solver_event"] == "reuse" and info["iterations"] == 0
     assert info["lu_solves"] == 0
     assert len(factors) == 1 and saddle.coefficient == coefficient != 15.0
@@ -910,11 +1011,17 @@ def _first_system(prob, stress="full-gradient", dt=0.02):
 
 @pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem])
 def test_dissection_order_is_one_permutation_of_the_saddle_dofs(problem):
+    """The matrix and its factor order hold the unknowns alone: every dof
+    but the constrained velocity dofs and the pin."""
     from movingflow.solver import _SaddleLayout
     prob = problem()
     step, system = _first_system(prob)
-    assert np.array_equal(np.sort(system.layout.order),
-                          np.arange(system.n_u + system.n_p))
+    n_p, n_u = step.B.shape
+    pinned = system.layout.pin is not None
+    assert pinned != prob.space.mesh.has_neumann_boundary()
+    n = n_u + n_p - prob.space.constrained_dof_mask().sum() - pinned
+    assert system.matrix.shape == (n, n) and len(system.rhs) == n
+    assert np.array_equal(np.sort(system.layout.order), np.arange(n))
     again = _SaddleLayout(prob.space, step.A, step.B)
     assert np.array_equal(again.order, system.layout.order)
     sampling.release(prob.space)
@@ -968,32 +1075,24 @@ def test_factor_pattern_equals_the_permuted_matrix(problem):
 
 @pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem],
                          ids=["manufactured", "tube"])
-def test_unit_rows_lead_the_factor_order(problem):
-    """The constrained velocity dofs and the pin come first, ascending, and
-    the free dofs follow in dissection order; the factor's first columns
-    are then unit columns of L and U."""
-    from movingflow.solver import _SinglePrecisionFactor, _nested_dissection
+def test_factor_order_is_the_dissection_of_the_unknowns(problem):
+    """The factor takes the unknowns in the order the nested dissection
+    of all dofs gives them: the others are dropped, nothing moves ahead."""
+    from movingflow.solver import _nested_dissection
     prob = problem()
     _, system = _first_system(prob)
     layout = system.layout
-    unit = np.concatenate([layout.mask, layout.at_pin])
-    m = int(unit.sum())
-    assert 0 < m < len(unit)
-    assert np.array_equal(layout.order[:m], np.flatnonzero(unit))
     dissection = _nested_dissection(prob.space)
-    assert np.array_equal(layout.order[m:], dissection[~unit[dissection]])
-    lu = _SinglePrecisionFactor(system.matrix, layout).lu
-    assert np.array_equal(lu.perm_r[:m], np.arange(m))
-    for T in (lu.L.tocsc(), lu.U.tocsc()):
-        assert np.array_equal(T.indptr[:m + 1], np.arange(m + 1))
-        assert np.array_equal(T.indices[:m], np.arange(m))
-        assert np.all(T.data[:m] == 1.0)
+    kept = np.isin(dissection, layout.unknowns)
+    assert 0 < len(layout.unknowns) < len(dissection)
+    assert np.array_equal(layout.unknowns[layout.order], dissection[kept])
     sampling.release(prob.space)
 
 
 def _lexsort_layout(space, A, B):
-    """The saddle CSC arrays, pin and at_pin built by sorting every entry's
-    (column, row): the oracle of the layout's counting pass."""
+    """The saddle CSC arrays over the unknowns, the pin and the unknowns
+    built by sorting every entry's (column, row): the oracle of the
+    layout's counting pass."""
     n_p, n_u = B.shape
     mask, pin = space.constrained_dof_mask(), None
     if not space.mesh.has_neumann_boundary():
@@ -1002,20 +1101,21 @@ def _lexsort_layout(space, A, B):
         pin = int(np.argmax(np.bincount(cells.ravel(), volume, n_p)))
     at_pin = np.arange(n_p) == pin
     free = ~mask
+    unknowns = np.flatnonzero(np.concatenate([free, ~at_pin]))
+    index = np.full(n_u + n_p, -1)
+    index[unknowns] = np.arange(len(unknowns))
     a_row = np.repeat(np.arange(n_u), np.diff(A.indptr))
     a = np.flatnonzero(free[a_row] & free[A.indices])
     b_row = np.repeat(np.arange(n_p), np.diff(B.indptr))
     b = np.flatnonzero(free[B.indices] & ~at_pin[b_row])
-    units = np.flatnonzero(np.concatenate([mask, at_pin]))
-    rows = np.concatenate([a_row[a], n_u + b_row[b], B.indices[b], units])
-    cols = np.concatenate([A.indices[a], B.indices[b], n_u + b_row[b],
-                           units])
-    source = np.concatenate([a, A.nnz + b, A.nnz + B.nnz + b,
-                             np.full(len(units), A.nnz + 2 * B.nnz)])
+    q, j = index[n_u + b_row[b]], index[B.indices[b]]
+    rows = np.concatenate([index[a_row[a]], q, j])
+    cols = np.concatenate([index[A.indices[a]], j, q])
+    source = np.concatenate([a, A.nnz + b, A.nnz + B.nnz + b])
     order = np.lexsort((rows, cols))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(
-        cols, minlength=n_u + n_p))])
-    return indptr, rows[order], source[order], pin, at_pin
+        cols, minlength=len(unknowns)))])
+    return indptr, rows[order], source[order], pin, unknowns
 
 
 @pytest.mark.parametrize("stress", ["symmetric", "full-gradient"])
@@ -1025,10 +1125,10 @@ def test_saddle_layout_counting_pass_equals_a_lexsort(problem, stress):
     prob = problem()
     step, _ = _first_system(prob, stress=stress)
     layout = _SaddleLayout(prob.space, step.A, step.B)
-    indptr, indices, gather, pin, at_pin = _lexsort_layout(
+    indptr, indices, gather, pin, unknowns = _lexsort_layout(
         prob.space, step.A, step.B)
     assert (layout.pin is None) == prob.space.mesh.has_neumann_boundary()
-    assert layout.pin == pin and np.array_equal(layout.at_pin, at_pin)
+    assert layout.pin == pin and np.array_equal(layout.unknowns, unknowns)
     for got, want in ((layout.indptr, indptr), (layout.indices, indices),
                       (layout.gather, gather)):
         assert got.dtype == np.int32 and np.array_equal(got, want)
