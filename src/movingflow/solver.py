@@ -4,10 +4,11 @@ Each implicit step assembles the linearized system (the advection field is
 the previous velocity minus the interpolated domain velocity), moves the
 boundary data into the right-hand side and solves the sparse saddle-point
 system of the step's unknowns, whose pattern is fixed per space, by a
-float64 flexible GMRES preconditioned with a float32 sparse LU factor, made
-in a nested-dissection order of the reference cells.  A ``SaddleSolver``
-keeps that factor for later steps with the same time-derivative
-coefficient.
+float64 flexible GMRES preconditioned with a float32 sparse LU factor.  The
+unknowns are numbered once, in a nested-dissection order of the reference
+cells, so the matrix, the Krylov vectors and the factor share one order and
+the factor needs no permutation.  A ``SaddleSolver`` keeps that factor for
+later steps with the same time-derivative coefficient.
 
 Wall data on no-slip boundaries is the interpolated domain velocity; for
 mesh-sequence maps it is the backward difference quotient of the stored
@@ -191,7 +192,8 @@ def _nested_dissection(space):
     part with more has two cells to split).  The parts of one depth are
     split together.  Each block lists its nodes' velocity dofs, then the
     pressure dofs of its vertices (a pressure dof couples to the nodes its
-    vertex does).  ``_SaddleLayout`` restricts it to the unknowns.
+    vertex does).  ``_SaddleLayout`` restricts it to the unknowns and
+    numbers them in it.
     """
     cells, n, d = space.cell_nodes, space.n_nodes, space.dimension
     n_cells = len(cells)
@@ -249,21 +251,18 @@ def _nested_dissection(space):
 
 class _SaddleLayout:
     """The CSC pattern of a space's saddle matrix over the unknowns of a
-    step: the free velocity dofs, then the pressure dofs but the pin.
+    step: the free velocity dofs and the pressure dofs but the pin, in the
+    nested-dissection order that the factor uses.
 
     Without outflow facets the pressure dof of the vertex with the largest
     reference patch volume is the pin, held at zero.  ``unknowns`` gives
-    the positions of the unknowns in the vector of all velocity and
-    pressure dofs, and ``free`` those of the free velocity dofs.  The
-    entries are A at free rows and columns and every structural entry of B
-    and -B^T at the unknowns (exact zeros included).  ``gather`` gives, per
+    the positions of the unknowns, in that order, in the vector of all
+    velocity and pressure dofs, and ``free`` those of the free velocity
+    dofs.  The entries are A at free rows and columns and every structural
+    entry of B and -B^T at the unknowns (exact zeros included), rows
+    ascending in every column as SuperLU sorts them.  ``gather`` gives, per
     entry, its position in ``[A.data, B.data, -B.data]``: a step fills the
-    matrix with it.  ``order`` is the order its factors use, the nested
-    dissection restricted to the unknowns.  ``factor_indptr``,
-    ``factor_indices`` are the CSC pattern of the matrix with rows and
-    columns in that order, rows ascending in every column as SuperLU sorts
-    them; ``permuted`` gives each of its entries' position in the matrix's
-    data.
+    matrix with it.
     """
 
     def __init__(self, space, A, B):
@@ -275,16 +274,14 @@ class _SaddleLayout:
             self.pin = int(np.argmax(np.bincount(cells.ravel(), volume, n_p)))
         unknown = np.concatenate([~space.constrained_dof_mask(),
                                   np.arange(n_p) != self.pin])
-        self.unknowns = np.flatnonzero(unknown)
+        order = _nested_dissection(space)
+        self.unknowns = order[unknown[order]]
         self.free = np.flatnonzero(unknown[:n_u])
         n = len(self.unknowns)
         index = np.full(n_u + n_p, -1, dtype=np.int32)   # -1: no unknown
         index[self.unknowns] = np.arange(n, dtype=np.int32)
-        # int32 entries listed so that rows ascend within every column: A
-        # by rows, then B by rows, as ``index`` keeps the dof order; each
-        # -B^T column is one row of B.  The COO to CSC conversion is one
-        # counting pass over the columns that keeps that order, so nothing
-        # is sorted
+        # int32 entries: A by rows, then B by rows, then each -B^T column as
+        # one row of B; the COO to CSC conversion sorts each column's rows
         source = np.arange(A.nnz + B.nnz, dtype=np.int32)
         a_row = np.repeat(np.arange(n_u, dtype=np.int32), np.diff(A.indptr))
         a = unknown[a_row] & unknown[A.indices]
@@ -299,22 +296,6 @@ class _SaddleLayout:
              np.concatenate([index[A.indices[a]], b_col, b_row]))),
             shape=(n, n)).tocsc()
         self.indptr, self.indices, self.gather = K.indptr, K.indices, K.data
-        order = index[_nested_dissection(space)]
-        self.order = order = order[order >= 0]
-        # the factor's pattern: K's columns taken in ``order`` with their
-        # rows renumbered, then two counting passes (to CSR and back) that
-        # leave the rows ascending in every column, with no sort
-        rank = np.empty(n, dtype=np.int32)
-        rank[order] = np.arange(n, dtype=np.int32)
-        lengths = np.diff(K.indptr)[order]
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(lengths, out=indptr[1:])
-        entry = np.repeat(K.indptr[order] - indptr[:-1], lengths) + \
-            np.arange(K.nnz, dtype=np.int32)
-        P = sp.csc_matrix((entry, rank[K.indices[entry]], indptr),
-                          shape=K.shape).tocsr().tocsc()
-        self.factor_indptr, self.factor_indices = P.indptr, P.indices
-        self.permuted = P.data
 
     def matrix(self, A, B):
         data = np.concatenate([A.data, B.data, -B.data])[self.gather]
@@ -353,7 +334,8 @@ class ConstrainedSystem:
         """Relative residual of [[A, -B^T], [B, 0]] (u, p) = (rhs_u, 0) at
         the free velocity dofs and every pressure dof, the pin's included,
         at a split solution (u holds the boundary values)."""
-        A, B, f = self.step.A, self.step.B, self.rhs[:len(self.layout.free)]
+        A, B = self.step.A, self.step.B
+        f = self.rhs[self.layout.unknowns < len(u)]     # free velocity rows
         r_u = (self.step.rhs_u - A @ u + B.T @ p)[self.layout.free]
         scale = math.hypot(np.linalg.norm(f), np.linalg.norm(self.bc_values),
                            np.linalg.norm(B @ self.bc_values))
@@ -399,34 +381,28 @@ def apply_boundary_conditions(step, bcs, space, map_, t, dt):
 
 
 class _SinglePrecisionFactor:
-    """SuperLU factor of a float32 copy of a saddle matrix of ``layout``,
-    rows and columns in the layout's fill-reducing ``order``.
+    """SuperLU factor of a float32 copy of a saddle matrix, whose unknowns
+    its layout numbers in a fill-reducing order.
 
-    ``solve`` takes and returns float64 vectors in the matrix's own order;
-    the permutations and the casts to and from float32 happen here and
-    nowhere else.  SuperLU keeps the given order (``NATURAL``) and, in
-    symmetric mode, prefers diagonal pivots down to 0.01 of the largest
-    entry of their column, so the zero pressure diagonal is pivoted on only
-    after its block's velocity dofs have filled it.  An entry that float32
-    cannot hold, or a non-finite one, raises a SolverError instead of
-    becoming inf.
+    ``solve`` takes and returns float64 vectors; the casts to and from
+    float32 happen here and nowhere else.  SuperLU keeps the given order
+    (``NATURAL``) and, in symmetric mode, prefers diagonal pivots down to
+    0.01 of the largest entry of their column, so the zero pressure
+    diagonal is pivoted on only after its block's velocity dofs have filled
+    it.  An entry that float32 cannot hold, or a non-finite one, raises a
+    SolverError instead of becoming inf.
     """
 
-    def __init__(self, K, layout):
+    def __init__(self, K):
         if not np.all(np.abs(K.data) <= np.finfo(np.float32).max):
             raise SolverError("the saddle matrix has an entry outside the "
                               "float32 range or a non-finite one")
-        self.order = layout.order
-        Kp = sp.csc_matrix((K.data.astype(np.float32)[layout.permuted],
-                            layout.factor_indices, layout.factor_indptr),
-                           shape=K.shape)
-        self.lu = spla.splu(Kp, permc_spec="NATURAL", diag_pivot_thresh=0.01,
+        self.lu = spla.splu(K.astype(np.float32), permc_spec="NATURAL",
+                            diag_pivot_thresh=0.01,
                             options={"SymmetricMode": True})
 
     def solve(self, v):
-        x = np.empty_like(v)
-        x[self.order] = self.lu.solve(v[self.order].astype(np.float32))
-        return x
+        return self.lu.solve(v.astype(np.float32)).astype(np.float64)
 
 
 _KRYLOV = 12    # Krylov vectors, so LU solves, in one FGMRES cycle at most
@@ -481,7 +457,7 @@ class SaddleSolver:
             event = "refactor" if x is None else "reuse"
         if x is None:
             self.preconditioner = None  # two factors alive raise the peak RSS
-            self.preconditioner = _SinglePrecisionFactor(K, system.layout)
+            self.preconditioner = _SinglePrecisionFactor(K)
             self.coefficient, self.shape = coefficient, K.shape
             x, residuals = self._fgmres(K, b, *start, tolerance, target)
             iterations += len(residuals) - 1
@@ -601,7 +577,7 @@ class RunResult:
 def run(initial, problem, config, T, dt, callbacks=(), store_states=False):
     """March the scheme from ``initial`` to time T in steps of dt.
 
-    dt must divide T - t0 within roundoff.  Callbacks are invoked after each
+    dt must divide T - t0 within roundoff, at least once.  Callbacks are invoked after each
     accepted step with (state, record); failures abort with the step index.
     One ``SaddleSolver`` serves every step.  What the run cached on the
     space (tables, map samples, sparsity patterns) is released when it
@@ -613,6 +589,8 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False):
     N = int(round(span / dt))
     if abs(N * dt - span) > 1e-9 * max(abs(T), 1.0):
         raise ValueError(f"dt={dt} does not divide the time span {span}")
+    if N < 1:
+        raise ValueError(f"the time span {span} holds no step of dt={dt}")
 
     from .analysis import energy_balance_terms, k_norm
 

@@ -141,11 +141,11 @@ class DiscreteField:
                              self.coefficients.copy())
 
 
-def interpolate(space, component, fn, t=None):
+def interpolate(space, component, fn):
     """Nodal Lagrange interpolant of ``fn``.
 
-    ``fn`` maps an (n, d) array of node coordinates (and optionally the time)
-    to values: (n, d) for velocity, (n,) for pressure.
+    ``fn`` maps an (n, d) array of node coordinates to values: (n, d) for
+    velocity, (n,) for pressure.
     """
     if component == "velocity":
         pts = space.velocity_nodes
@@ -153,8 +153,7 @@ def interpolate(space, component, fn, t=None):
         pts = space.mesh.vertices
     else:
         raise ValueError(f"unknown component {component!r}")
-    values = fn(pts) if t is None else fn(pts, t)
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(fn(pts), dtype=float)
     if component == "velocity":
         expected = (len(pts), space.dimension)
         if values.shape != expected:

@@ -131,7 +131,7 @@ def test_moving_wall_values_exact_tube():
 
 
 def test_symmetric_elimination_preserves_symmetry():
-    mesh = generate_box(3, (1, 1, 1))
+    mesh = generate_box(3, (2, 2, 2))
     space = TaylorHoodSpace(mesh)
     tube = TubeShrinkMap()
     zero = DiscreteField(space, "velocity")
@@ -139,12 +139,13 @@ def test_symmetric_elimination_preserves_symmetry():
                                   1.0, stress="symmetric")
     bcs = BoundaryConditionSet({NOSLIP: NoslipBC()})
     system = apply_boundary_conditions(step, bcs, space, tube, 0.1, 0.05)
-    n = len(system.layout.free)
+    # the velocity unknowns, in the dissection order, do not lead
+    v = system.layout.unknowns < space.n_velocity_dofs
+    assert v.sum() == len(system.layout.free) and not v[:v.sum()].all()
     K = system.matrix.toarray()
-    assert 0 < n < len(K)
-    assert np.abs(K[:n, :n] - K[:n, :n].T).max() <= 1e-12
-    assert np.array_equal(K[:n, n:], -K[n:, :n].T)
-    assert np.all(K[n:, n:] == 0.0)
+    assert np.abs(K[v][:, v] - K[v][:, v].T).max() <= 1e-12
+    assert np.array_equal(K[v][:, ~v], -K[~v][:, v].T)
+    assert np.all(K[~v][:, ~v] == 0.0)
 
 
 def test_conflicting_labels_noslip_wins(caplog):
@@ -280,13 +281,20 @@ def test_smagorinsky_run_dissipates_faster():
 # --- run/driver mechanics ---------------------------------------------------------
 
 
-def test_run_zero_steps_returns_initial():
+def test_run_rejects_a_span_without_a_step():
     mesh = generate_box(2, (2, 2))
     prob = all_noslip_problem(mesh)
-    state = make_state(prob.space)
-    result = run(state, prob, SolverConfig(), T=0.0, dt=0.1)
-    assert result.final is state
-    assert result.diagnostics == []
+    for T in (0.0, -0.5, 1e-10):       # N = 0, -5 and 0 steps of dt
+        with pytest.raises(ValueError, match="holds no step"):
+            run(make_state(prob.space), prob, SolverConfig(), T=T, dt=0.1)
+
+
+def test_run_rejects_a_step_that_is_not_positive():
+    mesh = generate_box(2, (2, 2))
+    prob = all_noslip_problem(mesh)
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            run(make_state(prob.space), prob, SolverConfig(), T=1.0, dt=dt)
 
 
 def test_run_rejects_non_divisible_dt():
@@ -658,6 +666,28 @@ def test_the_solve_is_relative_to_the_right_hand_side_of_every_dof():
     sampling.release(prob.space)
 
 
+@pytest.mark.parametrize("case", ["moving-gauge-box", "tube"])
+def test_residual_is_relative_to_the_lifted_data_at_the_free_velocity_rows(
+        case):
+    """The linear residual of a split solution is relative to the lifted
+    rhs_u at the free velocity rows, the boundary values and B of them,
+    wherever the dissection puts the velocity rows among the unknowns."""
+    if case == "tube":
+        prob = _tube_problem()
+    else:
+        prob, _ = _moving_box_problem(
+            "x1 + 0.2*t*x1*x2; x2*(1 + 0.3*t) + 0.1*t*x1*x1")
+    step, system = _first_system(prob, dt=0.05)
+    A, B, free, ub = step.A, step.B, system.layout.free, system.bc_values
+    x = np.random.default_rng(7).standard_normal(len(system.rhs))
+    u, p = system.split(x)
+    r = np.concatenate([(step.rhs_u - A @ u + B.T @ p)[free], B @ u])
+    scale = np.concatenate([(step.rhs_u - A @ ub)[free], ub, B @ ub])
+    want = np.linalg.norm(r) / np.linalg.norm(scale)
+    assert abs(system.residual(u, p) - want) <= 1e-12 * want
+    sampling.release(prob.space)
+
+
 def test_gauge_defect_shows_in_the_linear_residual(caplog):
     # with sin in the map the quadrature leaves B^T 1 != 0 on this coarse
     # mesh; the unpinned residual reports it instead of hiding it
@@ -772,7 +802,7 @@ def _kept(M, lu, b):
     saddle = SaddleSolver()
     saddle.shape, saddle.preconditioner, saddle.coefficient = M.shape, lu, 1.0
     return saddle, SimpleNamespace(
-        matrix=M, rhs=b, rhs_norm=np.linalg.norm(b), layout=None,
+        matrix=M, rhs=b, rhs_norm=np.linalg.norm(b),
         step=SimpleNamespace(time_coefficient=1.0))
 
 
@@ -786,7 +816,7 @@ def test_reuse_cycle_solves_once_per_krylov_vector(drift, monkeypatch):
     M, lu = _CountingMatrix(M), _CountingLU(lu)
     monkeypatch.setattr(solver, "_KRYLOV", 4)
     monkeypatch.setattr(solver, "_SinglePrecisionFactor",
-                        lambda K, layout: _CountingLU(spla.splu(K.M)))
+                        lambda K: _CountingLU(spla.splu(K.M)))
     saddle, system = _kept(M, lu, b)
     x, info = saddle.solve(system, 1e-10)
     solves = lu.solves + (saddle.preconditioner.solves
@@ -1009,21 +1039,31 @@ def _first_system(prob, stress="full-gradient", dt=0.02):
                                            prob.map, dt, dt)
 
 
+def _unknown_dofs(space, pin):
+    """The positions of a step's unknowns among all velocity and pressure
+    dofs, ascending: the free velocity dofs and every pressure dof but the
+    pin."""
+    n_p = space.n_pressure_dofs
+    return np.flatnonzero(np.concatenate([~space.constrained_dof_mask(),
+                                          np.arange(n_p) != pin]))
+
+
 @pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem])
 def test_dissection_order_is_one_permutation_of_the_saddle_dofs(problem):
-    """The matrix and its factor order hold the unknowns alone: every dof
-    but the constrained velocity dofs and the pin."""
+    """The layout numbers the unknowns alone, each once: every dof but the
+    constrained velocity dofs and the pin, the same on every build."""
     from movingflow.solver import _SaddleLayout
     prob = problem()
     step, system = _first_system(prob)
-    n_p, n_u = step.B.shape
-    pinned = system.layout.pin is not None
+    layout = system.layout
+    pinned = layout.pin is not None
     assert pinned != prob.space.mesh.has_neumann_boundary()
-    n = n_u + n_p - prob.space.constrained_dof_mask().sum() - pinned
+    dofs = _unknown_dofs(prob.space, layout.pin)
+    n = len(dofs)
     assert system.matrix.shape == (n, n) and len(system.rhs) == n
-    assert np.array_equal(np.sort(system.layout.order), np.arange(n))
+    assert np.array_equal(np.sort(layout.unknowns), dofs)
     again = _SaddleLayout(prob.space, step.A, step.B)
-    assert np.array_equal(again.order, system.layout.order)
+    assert np.array_equal(again.unknowns, layout.unknowns)
     sampling.release(prob.space)
 
 
@@ -1041,34 +1081,42 @@ def test_dissection_order_cuts_the_tube_factor_fill():
         _, system = _first_system(prob, stress=case.stress)
         K = system.matrix
         default_nnz = spla.splu(K.astype(np.float32)).nnz
-        assert _SinglePrecisionFactor(K, system.layout).lu.nnz <= \
+        assert _SinglePrecisionFactor(K).lu.nnz <= \
             0.75 * default_nnz
         sampling.release(prob.space)
 
 
 @pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem])
 def test_factor_pattern_equals_the_permuted_matrix(problem):
-    """The layout's factor-order pattern and the factor's gathered data
-    equal K[order][:, order] in float32 with rows sorted, as SuperLU sorts
-    its input, and so give the same factors."""
+    """The oracle of the factor made on a matrix in dof order: that
+    matrix of the unknowns, its rows and columns permuted by the nested
+    dissection and its rows sorted, as SuperLU sorts its input, equals the
+    layout's matrix, and its float32 factor equals ours bit for bit."""
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    from movingflow.solver import _SinglePrecisionFactor
+    from movingflow.solver import _nested_dissection, _SinglePrecisionFactor
     prob = problem()
-    _, system = _first_system(prob)
-    K, layout = system.matrix, system.layout
-    expected = K.astype(np.float32)[layout.order][:, layout.order].tocsc()
+    step, system = _first_system(prob)
+    A, B = step.A, step.B
+    dofs = _unknown_dofs(prob.space, system.layout.pin)
+    # bmat and the slices keep B's exact zeros as structural entries
+    K = sp.bmat([[A, -B.T], [B, None]], format="csr")[dofs][:, dofs]
+    dissection = _nested_dissection(prob.space)
+    order = np.searchsorted(dofs, dissection[np.isin(dissection, dofs)])
+    expected = K[order][:, order].tocsc()
     expected.sum_duplicates()       # what splu does to its input
-    assert np.array_equal(layout.factor_indptr, expected.indptr)
-    assert np.array_equal(layout.factor_indices, expected.indices)
-    factor = _SinglePrecisionFactor(K, layout)
-    assert np.array_equal(K.data.astype(np.float32)[layout.permuted],
-                          expected.data)
-    lu = spla.splu(expected, permc_spec="NATURAL", diag_pivot_thresh=0.01,
-                   options={"SymmetricMode": True})
-    for ours, theirs in ((factor.lu.L, lu.L), (factor.lu.U, lu.U)):
-        assert np.array_equal(ours.indptr, theirs.indptr)
-        assert np.array_equal(ours.indices, theirs.indices)
-        assert np.array_equal(ours.data, theirs.data)
+    ours = system.matrix
+    for got, want in ((ours.indptr, expected.indptr),
+                      (ours.indices, expected.indices),
+                      (ours.data, expected.data)):
+        assert np.array_equal(got, want)
+    factor = _SinglePrecisionFactor(ours)
+    lu = spla.splu(expected.astype(np.float32), permc_spec="NATURAL",
+                   diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+    for mine, theirs in ((factor.lu.L, lu.L), (factor.lu.U, lu.U)):
+        assert np.array_equal(mine.indptr, theirs.indptr)
+        assert np.array_equal(mine.indices, theirs.indices)
+        assert np.array_equal(mine.data, theirs.data)
     assert np.array_equal(factor.lu.perm_r, lu.perm_r)
     sampling.release(prob.space)
 
@@ -1076,23 +1124,24 @@ def test_factor_pattern_equals_the_permuted_matrix(problem):
 @pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem],
                          ids=["manufactured", "tube"])
 def test_factor_order_is_the_dissection_of_the_unknowns(problem):
-    """The factor takes the unknowns in the order the nested dissection
+    """The layout numbers the unknowns in the order the nested dissection
     of all dofs gives them: the others are dropped, nothing moves ahead."""
     from movingflow.solver import _nested_dissection
     prob = problem()
     _, system = _first_system(prob)
     layout = system.layout
     dissection = _nested_dissection(prob.space)
-    kept = np.isin(dissection, layout.unknowns)
+    kept = np.isin(dissection, _unknown_dofs(prob.space, layout.pin))
     assert 0 < len(layout.unknowns) < len(dissection)
-    assert np.array_equal(layout.unknowns[layout.order], dissection[kept])
+    assert np.array_equal(layout.unknowns, dissection[kept])
     sampling.release(prob.space)
 
 
 def _lexsort_layout(space, A, B):
-    """The saddle CSC arrays over the unknowns, the pin and the unknowns
-    built by sorting every entry's (column, row): the oracle of the
-    layout's counting pass."""
+    """The saddle CSC arrays over the unknowns, numbered in the nested
+    dissection, the pin and the unknowns, built by sorting every entry's
+    (column, row): the oracle of the layout's conversion."""
+    from movingflow.solver import _nested_dissection
     n_p, n_u = B.shape
     mask, pin = space.constrained_dof_mask(), None
     if not space.mesh.has_neumann_boundary():
@@ -1101,7 +1150,8 @@ def _lexsort_layout(space, A, B):
         pin = int(np.argmax(np.bincount(cells.ravel(), volume, n_p)))
     at_pin = np.arange(n_p) == pin
     free = ~mask
-    unknowns = np.flatnonzero(np.concatenate([free, ~at_pin]))
+    dissection = _nested_dissection(space)
+    unknowns = dissection[np.concatenate([free, ~at_pin])[dissection]]
     index = np.full(n_u + n_p, -1)
     index[unknowns] = np.arange(len(unknowns))
     a_row = np.repeat(np.arange(n_u), np.diff(A.indptr))
