@@ -42,21 +42,24 @@ d_k phi_i.
 Mass-type terms are ``(w J) @ (phi_i phi_j)``.  The standalone forms and
 ``assemble_step`` call the same kernels.
 
-Scatter.  The blocks have fixed patterns on the reference mesh, built once
-per space: the node pairs of the cell blocks, each cell block entry's pair,
-and the CSR expansions to velocity components (int32 ``indptr`` and
-``indices``) with each entry's slot in the summed data.  A form sums its
-local blocks over the node pairs with one ``np.bincount`` and gathers the
-sums into the CSR data.  The velocity block holds the d diagonal entries
-of each node pair when no term couples the velocity components and full
-d x d blocks for the symmetric stress; B holds (1, d) blocks.  Entries
-that sum to exactly zero stay in the pattern.  Assembly is single-threaded
-with a fixed reduction order, so results are deterministic.
+Scatter.  The mesh is fixed, so the map from the cells' local blocks to
+the data of A and B is one fixed linear operator, built once per space as
+CSR with one unit entry per local value, each row's in local order.  The
+matvec adds a row's terms in that order from 0.0, as a bincount would.
+The coupling [c, i, b, j, a] and the divergence [e, c, p, j] sum straight
+into their CSR data.  The cell scalars and the Temam facet term sum per
+node pair; a pair's d diagonal entries then take its sum.  The velocity
+block holds only those diagonal entries when no term couples the velocity
+components (A = S x I_d), and full d x d blocks for the symmetric stress;
+B holds (1, d) blocks.  Entries that sum to exactly zero stay in the
+pattern.  Assembly is single-threaded with a fixed reduction order, so
+results are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,8 +73,8 @@ __all__ = [
     "AssembledStep", "assemble_step", "weighted_mass_matrix", "mass_matrix",
     "rate_mass_matrix", "convection_matrices", "viscous_matrix",
     "divergence_matrix", "forcing_vector", "pressure_gauge_vector",
-    "piola_boundary_flux", "boundary_normal_field", "velocity_at_points",
-    "cell_quadrature_points", "smagorinsky_viscosity", "outflow_power",
+    "piola_boundary_flux", "boundary_normal_field", "smagorinsky_viscosity",
+    "outflow_power",
 ]
 
 
@@ -116,88 +119,75 @@ def _frozen(index):
     return index
 
 
+def _scatter(ptr, columns, n_local, group=None, offset=None):
+    """A fixed operator with one unit entry per local value.  Row t sums
+    the values ``columns[ptr[g]:ptr[g + 1]] + offset[t]`` of its group
+    g = group[t] (row g and no offset without ``group``), which ascend.
+    CSR's matvec adds a row's terms in stored order from 0.0, as a
+    bincount does, so the sums are bitwise those of ``_sum``."""
+    indptr, indices = ptr, columns
+    if group is not None:       # int32 throughout, as in _Pattern.csr
+        count = np.diff(ptr)[group]
+        indptr = np.zeros(len(group) + 1, np.int32)
+        np.cumsum(count, out=indptr[1:])
+        indices = np.repeat(ptr[group] - indptr[:-1], count)
+        indices += np.arange(indptr[-1], dtype=np.int32)
+        indices = columns[indices]
+        indices += np.repeat(offset, count)
+    # bool units, a byte each: the product upcasts them to 1.0
+    return sp.csr_matrix((np.ones(len(indices), bool), _frozen(indices),
+                          _frozen(indptr)), shape=(len(indptr) - 1, n_local))
+
+
 class _CSR:
-    """A fixed CSR pattern, with each entry's ``slot`` in the summed data
-    (None where the summed data is in CSR order already)."""
+    """A fixed CSR pattern.  ``scatter`` sums local values into its data;
+    ``pair`` is the node pair of its diagonal entries, at ``diagonal`` (all
+    entries where that is None)."""
 
-    def __init__(self, indptr, indices, slot, shape):
+    def __init__(self, indptr, indices, shape):
         self.indptr, self.indices = _frozen(indptr), _frozen(indices)
-        self.slot = None if slot is None else _frozen(slot)
         self.shape = shape
+        self.scatter = self.diagonal = self.pair = None
 
-    def matrix(self, summed):
-        data = summed.ravel()
-        if self.slot is not None:
-            data = data[self.slot]
+    def matrix(self, data):
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
 
 
 class _Pattern:
     """The sorted (row, column) node pairs of the cell blocks of the
-    ``rows`` and ``cols`` node tables, each block entry's pair, and the CSR
-    patterns of the pairs expanded to d velocity components."""
+    ``rows`` and ``cols`` node tables, the operator ``scatter`` that sums
+    the block entries' local values per pair, and the CSR patterns of the
+    pairs expanded to d velocity components."""
 
     def __init__(self, rows, cols, n_rows, n_cols, d):
         self.n_rows, self.n_cols, self.d = n_rows, n_cols, d
-        self._block = (rows.shape[1], cols.shape[1])   # nodes of a cell block
-        keys, index = np.unique(
-            (rows[:, :, None] * n_cols + cols[:, None, :]).ravel(),
-            return_inverse=True)
+        self._cols = cols.shape[1]              # column nodes of a cell block
+        keys = (rows[:, :, None] * n_cols + cols[:, None, :]).ravel()
+        # stable: each pair's entries stay in local (cell block) order
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        keys = keys[first]
         self.n_pairs = len(keys)
         self.pair_cols = _frozen(keys % n_cols)
         self.pair_ptr = _frozen(np.searchsorted(keys // n_cols,
                                                 np.arange(n_rows + 1)))
-        self.entry_pair = _frozen(index.ravel())   # of each block entry
-        self._index = {}          # the component and coupling scatters
+        self._order = _frozen(order)
+        self._ptr = _frozen(np.append(first, len(order)))
         self._csr = {}
 
-    def pairs(self, rows, cols):
-        """The pair of each (row, col) entry, which must be in the pattern."""
-        keys = np.repeat(np.arange(self.n_rows), np.diff(self.pair_ptr)) * \
-            self.n_cols + self.pair_cols
-        return _frozen(np.searchsorted(keys,
-                                       (rows * self.n_cols + cols).ravel()))
-
-    def sum(self, local):
-        """Sums per pair of the cell block entries' local values, (pairs,)."""
-        return np.bincount(self.entry_pair, weights=local.ravel(),
-                           minlength=self.n_pairs)
-
-    def sum_components(self, local):
-        """Sums per pair of d component blocks ``local[e, ...]`` of the
-        cell block entries, (pairs * d,) with [pair, e].  The index follows
-        the kernel's order, so no transposed copy is made; every sum takes
-        its terms in cell block order."""
-        index = self._index.get("components")
-        if index is None:
-            index = self._index["components"] = _frozen(
-                self.entry_pair * self.d +
-                np.arange(self.d, dtype=np.int32)[:, None])
-        return np.bincount(index.ravel(), weights=local.ravel(),
-                           minlength=self.n_pairs * self.d)
-
-    def sum_coupling(self, local):
-        """Sums per pair of the (d, d) coupling blocks ``local[c, i, b, j,
-        a]`` of the cell block entries, (pairs, d, d) with [pair, a, b].
-        The index follows the kernel's order, so no transposed copy is made;
-        every sum still takes its terms in (c, i, j) order."""
-        index = self._index.get("coupling")
-        if index is None:
-            d, (nr, nk) = self.d, self._block
-            arange = np.arange(d, dtype=np.int32)
-            pair = self.entry_pair.reshape(-1, nr, 1, nk, 1)
-            index = self._index["coupling"] = _frozen(
-                (pair * d + arange) * d + arange[:, None, None])
-        return np.bincount(index.ravel(), weights=local.ravel(),
-                           minlength=self.n_pairs * self.d ** 2).reshape(
-                               -1, self.d, self.d)
+    @cached_property
+    def scatter(self):
+        """The operator that sums the block entries' local values per pair."""
+        return _scatter(self._ptr, self._order, len(self._order))
 
     def csr(self, r, diagonal=False):
         """The CSR pattern with an (r, d) block per pair: rows (i, a) for
-        a < r, columns (j, b) for b < d.  With ``diagonal`` it holds only
-        the b = a entries of (d, d) blocks, whose slot is their pair;
-        otherwise an entry's slot is its place in the (pairs, r, d) sums."""
+        a < r, columns (j, b) for b < d; with ``diagonal`` only the b = a
+        entries of (d, d) blocks, which take their pair's sum.  Otherwise
+        its ``scatter`` sums the local blocks [c, i, b, j, a] (r = d) or
+        [b, c, i, j] (r = 1) into its data."""
         key = (r, diagonal)
         if key not in self._csr:
             # int32 throughout, in place where it can be: this runs with
@@ -216,15 +206,21 @@ class _Pattern:
             pair += k // per
             b = a if diagonal else k % per
             del k
-            indices = self.pair_cols[pair] * d + b
+            csr = self._csr[key] = _CSR(indptr, self.pair_cols[pair] * d + b,
+                                        (self.n_rows * r, self.n_cols * d))
             if diagonal:
-                slot = pair
-            elif r > 1:
-                slot = (pair * r + a) * d + b
-            else:           # the (pairs, 1, d) sums are in CSR order
-                slot = None
-            self._csr[key] = _CSR(indptr, indices, slot,
-                                  (self.n_rows * r, self.n_cols * d))
+                csr.pair = _frozen(pair)
+                return csr
+            order, ptr = self._order, self._ptr
+            n, nk = len(order), self._cols
+            if r > 1:       # [c, i, b, j, a]; an entry e is (c, i, j)
+                csr.diagonal = _frozen(np.flatnonzero(a == b))
+                csr.pair = _frozen(pair[csr.diagonal])
+                columns = (order // nk * (d * nk) + order % nk) * d
+                offset = b * (nk * d) + a
+            else:           # [b, c, i, j]
+                columns, offset = order, b * n
+            csr.scatter = _scatter(ptr, columns, n * r * d, pair, offset)
         return self._csr[key]
 
 
@@ -240,26 +236,27 @@ def _patterns(space):
 
 def _velocity_matrix(space, scalar, coupling=None, boundary=None):
     """Velocity block: ``scalar`` (nc, nb, nb) on every component alike,
-    plus the component-coupling blocks (nc, nb, d, nb, d) and the pair data
+    plus the component-coupling blocks (nc, nb, d, nb, d) and the pair sums
     ``boundary`` of facet terms.  Without coupling its pattern holds the d
     diagonal entries of each node pair, with it full d x d blocks."""
     pattern, d = _patterns(space)[0], space.dimension
-    data = pattern.sum(scalar)
+    sums = pattern.scatter @ scalar.ravel()
     if boundary is not None:
-        data += boundary
+        sums += boundary
+    csr = pattern.csr(d, diagonal=coupling is None)
     if coupling is None:
-        return pattern.csr(d, diagonal=True).matrix(data)
-    blocks = pattern.sum_coupling(coupling)
-    blocks[:, np.arange(d), np.arange(d)] += data[:, None]
-    return pattern.csr(d).matrix(blocks)
+        return csr.matrix(sums[csr.pair])
+    data = csr.scatter @ coupling.ravel()
+    data[csr.diagonal] += sums[csr.pair]
+    return csr.matrix(data)
 
 
 def _pressure_matrix(space, local):
     """Pressure-velocity CSR from the local blocks [e, c, p, j] of the
     divergence kernel, (d, nc, d+1, nb), summed in that order: no
     transposed copy, and each sum takes its terms in (c, p, j) order."""
-    pattern = _patterns(space)[1]
-    return pattern.csr(1).matrix(pattern.sum_components(local))
+    csr = _patterns(space)[1].csr(1)
+    return csr.matrix(csr.scatter @ local.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +363,23 @@ def _temam_boundary(space, map_, t, w):
     outflow = 0.5 * fd.weights[sel] * zn
     local = outflow @ np.einsum("qi,qj->qij", fd.vals, fd.vals).reshape(
         len(fd.vals), -1)
-    pattern = _patterns(space)[0]
-    pairs = cached(space, "outflow_pairs", lambda: pattern.pairs(
-        nodes[:, :, None], nodes[:, None, :]))
-    return outflow, _sum(pairs, local, pattern.n_pairs)
+    return outflow, _facet_scatter(space) @ local.ravel()
+
+
+def _facet_scatter(space):
+    """The operator that sums the neumann facets' local blocks (f, i, j)
+    per velocity node pair, built on first use."""
+    def build():
+        pattern, n = _patterns(space)[0], space.n_nodes
+        nodes = facet_data(space).nodes[_neumann_facets(space)]
+        keys = np.repeat(np.arange(n),
+                         np.diff(pattern.pair_ptr)) * n + pattern.pair_cols
+        pair = np.searchsorted(keys, (nodes[:, :, None] * n +
+                                      nodes[:, None, :]).ravel())
+        order = np.argsort(pair, kind="stable")
+        ptr = np.searchsorted(pair[order], np.arange(pattern.n_pairs + 1))
+        return _scatter(ptr, order, len(order))
+    return cached(space, "facet_scatter", build)
 
 
 def _neumann_facets(space, patch=None):
@@ -509,20 +519,6 @@ def _nodal_values(space, values):
         raise ValueError(f"expected nodal values of shape "
                          f"{(space.n_nodes, space.dimension)}, got {nodal.shape}")
     return nodal
-
-
-def cell_quadrature_points(space):
-    """Reference coordinates of the cell quadrature points, (nc, nq, d),
-    plus the combined weights |det| * w_q, (nc, nq)."""
-    data = cell_data(space)
-    return data.points, data.weights
-
-
-def velocity_at_points(space, field):
-    """Velocity field values at the cell quadrature points, (nc, nq, d): a
-    view over the component planes of ``sampling.point_values``."""
-    return np.moveaxis(point_values(cell_data(space), cell_components(
-        space, _nodal(field))), 0, -1)
 
 
 # ---------------------------------------------------------------------------

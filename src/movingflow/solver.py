@@ -537,6 +537,8 @@ def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
     except SingularMappingError as exc:
         raise SolverError(f"map validation failed at step {k} "
                           f"(t={t_k:g}): {exc}", step=k) from exc
+    except SolverError as exc:
+        raise SolverError(f"step {k}: {exc}", step=k) from exc
     tol = config.tolerance
     try:
         x, info = (saddle_solver or SaddleSolver()).solve(system, tol)
@@ -571,14 +573,14 @@ def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
 class RunResult:
     final: FlowState
     diagnostics: list
-    states: list = None
 
 
-def run(initial, problem, config, T, dt, callbacks=(), store_states=False):
+def run(initial, problem, config, T, dt, callbacks=()):
     """March the scheme from ``initial`` to time T in steps of dt.
 
-    dt must divide T - t0 within roundoff, at least once.  Callbacks are invoked after each
-    accepted step with (state, record); failures abort with the step index.
+    dt must divide T - t0 within roundoff, at least once.  Callbacks are
+    invoked after each accepted step with (state, record); failures abort
+    with the step index.
     One ``SaddleSolver`` serves every step.  What the run cached on the
     space (tables, map samples, sparsity patterns) is released when it
     returns.
@@ -595,7 +597,6 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False):
     from .analysis import energy_balance_terms, k_norm
 
     diagnostics = []
-    states = [initial] if store_states else None
     state, prev, saddle = initial, None, SaddleSolver()
     norm_k = None      # ||u^{k-1}||_{k-1}, carried into the energy terms
     try:
@@ -638,8 +639,6 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False):
                     - record["reaction_power"] - record["outflow_power"])
             log.debug("step %d: %s solve", state.k, info["solver_event"])
             diagnostics.append(record)
-            if store_states:
-                states.append(state)
             for cb in callbacks:
                 try:
                     cb(state, record)
@@ -648,4 +647,4 @@ def run(initial, problem, config, T, dt, callbacks=(), store_states=False):
     finally:
         # the caches hang on the space, which callers keep alive
         sampling.release(problem.space)
-    return RunResult(final=state, diagnostics=diagnostics, states=states)
+    return RunResult(final=state, diagnostics=diagnostics)

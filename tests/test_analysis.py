@@ -188,10 +188,11 @@ def _moving_box_run(dt, T, smagorinsky=None):
                            axis=1))
     initial = FlowState(0, 0.0, DiscreteField(space, "velocity"),
                         DiscreteField(space, "pressure"))
+    states = [initial]
     result = run(initial, prob, SolverConfig(smagorinsky=smagorinsky), T, dt,
-                 store_states=True)
-    cfl = max(np.abs(s.u.nodal()).max() * dt * 16 for s in result.states)
-    return prob, result, cfl
+                 callbacks=[lambda state, _: states.append(state)])
+    cfl = max(np.abs(s.u.nodal()).max() * dt * 16 for s in states)
+    return prob, result, states, cfl
 
 
 def _relative_defects(result):
@@ -201,7 +202,7 @@ def _relative_defects(result):
 
 @pytest.mark.parametrize("dt, steps", [(0.005, 6), (0.1, 8)])
 def test_energy_identity_closes_on_the_moving_box_at_any_cfl(dt, steps):
-    _, result, cfl = _moving_box_run(dt, dt * steps)
+    _, result, _, cfl = _moving_box_run(dt, dt * steps)
     assert cfl > 10 if dt == 0.1 else cfl < 1
     assert max(abs(d) for d in _relative_defects(result)) <= 1e-10
     assert all(r["outflow_power"] == 0.0 for r in result.diagnostics)
@@ -232,12 +233,11 @@ def test_energy_defect_with_eddy_viscosity_is_the_eddy_dissipation():
     from movingflow import assembly
     from movingflow.solver import map_velocity_at_nodes
     cs = 0.2
-    prob, result, _ = _moving_box_run(0.1, 0.4, smagorinsky=cs)
+    prob, result, states, _ = _moving_box_run(0.1, 0.4, smagorinsky=cs)
     space, map_ = prob.space, prob.map
     defects = _relative_defects(result)
     assert max(defects) <= 1e-10
-    for prev, state, record in zip(result.states, result.states[1:],
-                                   result.diagnostics):
+    for prev, state, record in zip(states, states[1:], result.diagnostics):
         # the step's molecular minus its eddy dissipation
         w = prev.u.nodal() - map_velocity_at_nodes(space, map_, state.t, 0.1)
         u = state.u.coefficients
@@ -327,29 +327,30 @@ def _shared_evaluation_run(monkeypatch):
     per_step = []
     u0 = interpolate(space, "velocity",
                      lambda X: case.velocity(case.map.position(X, 0.0), 0.0))
-    initial = FlowState(0, 0.0, u0, DiscreteField(space, "pressure"))
-    result = run(initial, problem, SolverConfig(stress=case.stress), 3 * dt,
-                 dt, callbacks=[acc.update, lambda s, r: per_step.append(
-                     len(gradients))], store_states=True)
-    return case, space, result, acc, np.diff([0] + per_step), forcing_points
+    states = [FlowState(0, 0.0, u0, DiscreteField(space, "pressure"))]
+    result = run(states[0], problem, SolverConfig(stress=case.stress), 3 * dt,
+                 dt, callbacks=[lambda s, r: states.append(s), acc.update,
+                                lambda s, r: per_step.append(len(gradients))])
+    return (case, space, result, states, acc, np.diff([0] + per_step),
+            forcing_points)
 
 
 def test_each_solved_state_is_evaluated_once_per_step(monkeypatch):
-    case, space, result, _, gradients, forcing = _shared_evaluation_run(
+    case, space, _, states, _, gradients, forcing = _shared_evaluation_run(
         monkeypatch)
     assert list(gradients) == [1, 1, 1]
     n_points = sampling.cell_data(space).points[..., 0].size
     assert forcing == [(dt, n_points) for dt in (0.01, 0.02, 0.03)]
-    for state in result.states[1:]:
+    for state in states[1:]:
         for field_ in (state.u, state.p):
             assert not field_.coefficients.flags.writeable
 
 
 def test_shared_evaluations_match_each_reader_evaluating_itself(monkeypatch):
-    case, space, result, acc, _, _ = _shared_evaluation_run(monkeypatch)
+    case, space, result, states, acc, _, _ = _shared_evaluation_run(
+        monkeypatch)
     # writeable copies are never kept: each reader evaluates them afresh
-    states = [FlowState(s.k, s.t, s.u.copy(), s.p.copy())
-              for s in result.states]
+    states = [FlowState(s.k, s.t, s.u.copy(), s.p.copy()) for s in states]
     fresh = ErrorAccumulator(space, case.map, case.velocity,
                              case.velocity_gradient, 0.01, case.nu)
     for prev, state, record in zip(states, states[1:], result.diagnostics):

@@ -360,7 +360,6 @@ def test_velocity_gradients_match_the_moving_oracle(oracle_case):
     assert _close(got, naive_fem.moving_gradients(space, map_, 0.3,
                                                   w.nodal()))
     values = np.moveaxis(sample.values, 0, -1)
-    assert _close(values, assembly.velocity_at_points(space, w))
     data = sampling.cell_data(space)
     want = np.einsum("qi,cid->cqd", data.vals, w.nodal()[space.cell_nodes])
     assert _close(values, want)
@@ -473,31 +472,84 @@ def test_map_factor_is_inv_times_the_sampled_inverse_on_planes(map_):
     sampling.release(space)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_coupling_scatter_in_kernel_order_equals_transposed_sum(dim):
-    """The symmetric-stress coupling, scattered in the kernel's [c, i, b, j,
-    a] order, equals the width-d^2 sum of its [c, i, j, a, b] transpose to
-    the bit: each slot takes its terms in the same (c, i, j) order."""
-    if dim == 2:
-        space, map_ = TaylorHoodSpace(generate_box(2, (6, 5))), \
-            parse_map_expressions("x1 + 0.1*t*sin(x1*x2); x2", 2)
+def _csr_positions(M, rows, cols):
+    """The place in M.data of each (rows, cols) entry, which must be in M's
+    pattern."""
+    keys = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)) * M.shape[1] \
+        + M.indices
+    want = (rows * M.shape[1] + cols).ravel()
+    pos = np.searchsorted(keys, want)
+    assert np.array_equal(keys[pos], want)
+    return pos
+
+
+@pytest.mark.parametrize("stress", ["symmetric", "full-gradient"])
+@pytest.mark.parametrize("case", ["box-symmetric-smagorinsky",
+                                  "tube-full-gradient"], ids=["2d", "3d"])
+def test_step_blocks_are_bitwise_a_bincount_at_csr_positions(
+        monkeypatch, case, stress):
+    """A.data and B.data equal, to the bit, each local value summed at its
+    CSR position in local order by np.bincount: the cell scalars and the
+    neumann facets' Temam term per diagonal entry, their sum added to the
+    symmetric coupling's sum, and B's blocks [e, c, p, j].  Both meshes
+    have neumann facets; each case's own stress is not used."""
+    space, map_, _, smagorinsky = _scatter_cases()[case]
+    original = assembly._velocity_matrix
+    seen = {}               # the local blocks each scatter is given
+    for name in ("_velocity_matrix", "_pressure_matrix"):
+        def recording(space_, *args, _name=name,
+                      _scatter=getattr(assembly, name)):
+            seen[_name] = args
+            return _scatter(space_, *args)
+        monkeypatch.setattr(assembly, name, recording)
+    rng = np.random.default_rng(5)
+    w = DiscreteField(space, "velocity",
+                      rng.standard_normal(space.n_velocity_dofs))
+    step = assembly.assemble_step(space, map_, 0.1, 0.05, 0.05, w, w, 0.3,
+                                  stress=stress, smagorinsky=smagorinsky)
+    scalar, coupling, boundary = seen["_velocity_matrix"]
+    (divergence,) = seen["_pressure_matrix"]
+    d, conn = space.dimension, space.cell_nodes
+    comps = np.arange(d)[:, None, None, None]
+    A, B = step.A, step.B
+
+    def diagonal_sum(M, nodes, local):      # local (n, nb, nb), every a
+        pos = _csr_positions(M, (nodes * d + comps)[..., :, None],
+                             (nodes * d + comps)[..., None, :])
+        return np.bincount(pos, np.broadcast_to(local, (d,) + local.shape)
+                           .ravel(), minlength=M.nnz)
+
+    fd = sampling.facet_data(space)
+    sel = np.flatnonzero([lbl.kind == "neumann"
+                          for lbl in space.mesh.boundary_labels])
+    assert sel.size > 0
+    facet = step.outflow @ np.einsum("qi,qj->qij", fd.vals, fd.vals).reshape(
+        len(fd.vals), -1)
+    nbf = fd.nodes.shape[1]
+    facet = facet.reshape(len(sel), nbf, nbf)
+    # the Temam term alone too, where no larger sum absorbs its rounding
+    temam = original(space, np.zeros_like(scalar), None, boundary)
+    assert np.array_equal(temam.data,
+                          diagonal_sum(temam, fd.nodes[sel], facet))
+    want = diagonal_sum(A, conn, scalar)
+    want += diagonal_sum(A, fd.nodes[sel], facet)
+    if stress == "symmetric":              # [c, i, b, j, a]
+        e = np.arange(d)
+        pos = _csr_positions(
+            A, np.broadcast_to(conn[:, :, None, None, None] * d + e,
+                               coupling.shape),
+            np.broadcast_to(conn[:, None, None, :, None] * d +
+                            e[:, None, None], coupling.shape))
+        want = np.bincount(pos, coupling.ravel(), minlength=A.nnz) + want
     else:
-        space = TaylorHoodSpace(generate_tube(
-            4, 2, lambda y: 1.0 + 0.1 * y, (0.0, 2.0)))
-        map_ = parse_map_expressions(
-            "x1 + 0.1*t*sin(x2*x3); x2 + 0.05*t*x1*x3; x3", 3)
-    data = sampling.cell_data(space)
-    cells = sampling.map_samples(space, map_).cells(0.5)
-    rng = np.random.default_rng(dim)
-    kappa = data.weights * cells.J * rng.uniform(0.5, 2.0, cells.J.shape)
-    _, coupling = assembly._viscous_local(data, cells.G, kappa, "symmetric")
-    pattern = assembly._patterns(space)[0]
-    d = space.dimension
-    blocks = pattern.sum_coupling(coupling)
-    assert blocks.shape == (pattern.n_pairs, d, d)
-    assert np.array_equal(blocks, assembly._sum(
-        pattern.entry_pair, coupling.transpose(0, 1, 3, 4, 2),
-        pattern.n_pairs, d * d).reshape(-1, d, d))
+        assert coupling is None
+    assert np.array_equal(A.data, want)
+    pos = _csr_positions(                   # [e, c, p, j]
+        B, np.broadcast_to(space.mesh.cells[None, :, :, None],
+                           divergence.shape),
+        conn[None, :, None, :] * d + comps)
+    assert np.array_equal(B.data, np.bincount(pos, divergence.ravel(),
+                                              minlength=B.nnz))
     sampling.release(space)
 
 

@@ -346,6 +346,16 @@ def test_singular_map_away_from_first_vertex_raises_with_step():
     assert info.value.step == 3
 
 
+def test_degenerate_boundary_normal_field_raises_with_step(monkeypatch):
+    from movingflow.solver import SolverError
+    prob = all_noslip_problem(generate_box(2, (2, 2)))
+    monkeypatch.setattr(assembly, "boundary_normal_field",
+                        lambda space: np.zeros((space.n_nodes, 2)))
+    with pytest.raises(SolverError, match="degenerate boundary normal") as info:
+        run(make_state(prob.space), prob, SolverConfig(), 0.2, 0.1)
+    assert info.value.step == 1
+
+
 # --- mesh-sequence equivalence -----------------------------------------------------
 
 
@@ -366,15 +376,16 @@ def test_mesh_sequence_run_matches_analytic_map():
     coeffs = rng.standard_normal(space.n_velocity_dofs)
     coeffs[space.constrained_dof_mask()] = 0.0
 
-    finals = []
+    runs = []
     for map_ in (analytic, sequence):
         prob = FlowProblem(space=space, map=map_, nu=0.5,
                            bcs=BoundaryConditionSet({NOSLIP: NoslipBC()}))
         u0 = DiscreteField(space, "velocity", coeffs.copy())
-        result = run(make_state(space, u=u0), prob, SolverConfig(), T=0.1,
-                     dt=0.025, store_states=True)
-        finals.append(result)
-    for s_a, s_m in zip(finals[0].states, finals[1].states):
+        states = [make_state(space, u=u0)]
+        run(states[0], prob, SolverConfig(), T=0.1, dt=0.025,
+            callbacks=[lambda state, _: states.append(state)])
+        runs.append(states)
+    for s_a, s_m in zip(*runs):
         assert np.abs(s_a.u.coefficients - s_m.u.coefficients).max() < 1e-8
         assert np.abs(s_a.p.coefficients - s_m.p.coefficients).max() < 1e-8
 

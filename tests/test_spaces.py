@@ -7,7 +7,7 @@ from movingflow.meshing import dirichlet, generate_box, neumann
 from movingflow.spaces import (DIRICHLET_NODE, INTERIOR, NEUMANN_NODE,
                                NOSLIP_NODE, DiscreteField, TaylorHoodSpace,
                                interpolate)
-from movingflow import assembly
+from movingflow import sampling
 
 
 def test_dof_counts():
@@ -83,9 +83,10 @@ def test_interpolate_reproduces_quadratics():
 
     u = interpolate(space, "velocity", quad)
     # evaluate the interpolant at the cell quadrature points and compare
-    vals = assembly.velocity_at_points(space, u)
-    qpts, _ = assembly.cell_quadrature_points(space)
-    exact = quad(qpts.reshape(-1, 2)).reshape(vals.shape)
+    data = sampling.cell_data(space)
+    vals = np.moveaxis(sampling.point_values(
+        data, sampling.cell_components(space, u.nodal())), 0, -1)
+    exact = quad(data.points.reshape(-1, 2)).reshape(vals.shape)
     assert np.abs(vals - exact).max() < 1e-13
 
 
