@@ -3,10 +3,10 @@
 When the motion comes from imaging or an external solver, the map is a
 sequence of nodal position frames over the fixed connectivity.  Positions
 are interpolated linearly in time, the gradient is the cellwise-constant
-displacement gradient, and walls move with the backward difference quotient
-of the frames.  For frames that sample an affine, linear-in-time motion this
-pathway is exact, so the run must match the analytic-map run to roundoff,
-which is verified below.
+displacement gradient, and walls move with the map's own domain velocity:
+the P1 interpolant of the slope of the current frame interval.  For frames
+that sample an affine, linear-in-time motion this pathway is exact, so the
+run must match the analytic-map run to roundoff, which is verified below.
 """
 
 from pathlib import Path

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sampling
-from .meshing import BoundaryLabel
+from .meshing import BoundaryLabel, incident_cells
 from .spaces import DiscreteField
 
 __all__ = ["read_gmsh", "write_vtk", "write_checkpoint", "read_checkpoint",
@@ -163,8 +163,8 @@ def write_vtk(path, mesh, map_, t, u=None, p=None, q_criterion=False):
     comes from cell-averaged physical velocity gradients.
     """
     d = mesh.dimension
-    pos = map_.position(mesh.vertices, t) if not _needs_cells(map_) \
-        else map_.node_positions(t)
+    pos = map_.position(mesh.vertices, t,
+                        cells=incident_cells(mesh.cells, mesh.n_vertices))
     pad = np.zeros((mesh.n_vertices, 3 - d))
     lines = ["# vtk DataFile Version 3.0",
              f"movingflow t={_fmt(t)}",
@@ -196,11 +196,6 @@ def write_vtk(path, mesh, map_, t, u=None, p=None, q_criterion=False):
         lines.append(_rows(p.coefficients[:, None]))
     Path(path).write_text("\n".join(lines) + "\n")
     return Path(path)
-
-
-def _needs_cells(map_):
-    from .maps import MeshSequenceMap
-    return isinstance(map_, MeshSequenceMap)
 
 
 def _vertex_q_criterion(u, map_, t):

@@ -33,6 +33,7 @@ import numpy as np
 
 from .expressions import (ExpressionError, coordinate_names, evaluate,
                           parse_expression)
+from .meshing import incident_cells
 
 __all__ = [
     "SpaceTimeMap", "MappingSample", "MapValidationReport", "SingularMappingError",
@@ -297,12 +298,14 @@ def parse_map_expressions(source, dimension):
 class MeshSequenceMap(SpaceTimeMap):
     """Map given by stored nodal positions of a fixed-connectivity mesh.
 
-    Between stored frames, nodal positions are interpolated linearly in time.
-    The gradient F is the piecewise-constant gradient of the piecewise-linear
-    nodal displacement per cell; the velocity is the slope of the current
-    frame interval (equivalently, the backward difference quotient of the
-    frame positions).  Points are evaluated in the cell given for each
-    (``cells``); the map does no point location.
+    A time t lies in one frame interval [t_{j-1}, t_j] (a frame time t_j
+    in the one that ends at it): the nodal positions are linear in time on
+    it and the nodal velocities are its slope.  F is the cellwise-constant
+    gradient of the P1 nodal positions; position and velocity xi_t are the
+    P1 interpolants of the nodal values, so a run's wall velocity is the P1
+    interpolant of the slope.  Points are evaluated in the cell given for
+    each (``cells``); the map does no point location.  A time outside the
+    frames' span by more than 1e-9 of it raises a ValueError.
     """
 
     kind = "mesh-sequence"
@@ -328,25 +331,27 @@ class MeshSequenceMap(SpaceTimeMap):
 
     # -- nodal accessors (exact, no point location needed) -------------------
 
-    def node_positions(self, t):
+    def _interval(self, t):
+        """Index j of the frame interval [t_{j-1}, t_j] of t, and its
+        length."""
         times = self.times
-        if t <= times[0]:
-            return self.frames[0].copy()
-        if t >= times[-1]:
-            return self.frames[-1].copy()
-        j = int(np.searchsorted(times, t, side="right"))
-        w = (t - times[j - 1]) / (times[j] - times[j - 1])
+        slack = 1e-9 * (times[-1] - times[0])
+        if not times[0] - slack <= t <= times[-1] + slack:
+            raise ValueError(f"mesh-sequence map evaluated at t={t:g}, "
+                             f"outside its frames' span [{times[0]:g}, "
+                             f"{times[-1]:g}]")
+        j = int(np.searchsorted(times, t, side="left"))
+        j = min(max(j, 1), len(times) - 1)
+        return j, times[j] - times[j - 1]
+
+    def node_positions(self, t):
+        j, length = self._interval(t)
+        w = (t - self.times[j - 1]) / length
         return (1.0 - w) * self.frames[j - 1] + w * self.frames[j]
 
-    def _interval(self, t):
-        """Index j of the frame interval [t_{j-1}, t_j] containing t."""
-        j = int(np.searchsorted(self.times, t, side="left"))
-        return min(max(j, 1), len(self.times) - 1)
-
     def node_velocities(self, t):
-        j = self._interval(t)
-        dt = self.times[j] - self.times[j - 1]
-        return (self.frames[j] - self.frames[j - 1]) / dt
+        j, length = self._interval(t)
+        return (self.frames[j] - self.frames[j - 1]) / length
 
     # -- field evaluation -----------------------------------------------------
 
@@ -466,9 +471,8 @@ def validate_assumptions(map_, mesh, times, thresholds=DEFAULT_THRESHOLDS):
     # vertices get an incident cell (a mesh-backed F is constant per cell
     # and every cell is sampled at its barycenter, so any one gives the
     # same report); barycenters their own cell
-    vcell = np.zeros(len(mesh.vertices), dtype=int)
-    vcell[mesh.cells] = np.arange(len(mesh.cells))[:, None]
-    cells = np.concatenate([vcell, np.arange(len(mesh.cells))])
+    cells = np.concatenate([incident_cells(mesh.cells, mesh.n_vertices),
+                            np.arange(mesh.n_cells)])
 
     eye = np.eye(map_.dimension)
     min_J = np.inf

@@ -24,7 +24,7 @@ from .elements import LOCAL_EDGES
 
 __all__ = [
     "BoundaryLabel", "NOSLIP", "dirichlet", "neumann",
-    "SimplicialMesh", "MeshQuality", "build_connectivity",
+    "SimplicialMesh", "MeshQuality", "build_connectivity", "incident_cells",
     "generate_box", "generate_tube", "refine_uniform", "mesh_quality",
     "reference_simplex_mesh",
 ]
@@ -246,6 +246,14 @@ def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
         boundary_facets=boundary_facets, boundary_labels=list(boundary_labels),
         boundary_cells=owners, edges=edges,
         cell_edges=cell_edges.reshape(len(cells), -1), facet_edges=facet_edges)
+
+
+def incident_cells(cells, n):
+    """A cell of each of the n nodes of a cell-node table (nc, nloc): the
+    last one that lists the node, or 0 if none does."""
+    owner = np.zeros(n, dtype=np.intp)
+    owner[cells] = np.arange(len(cells))[:, None]
+    return owner
 
 
 # ---------------------------------------------------------------------------

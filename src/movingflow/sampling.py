@@ -9,7 +9,7 @@ values, cell geometry) depend on the mesh alone and are built on first use.
 ``map_samples(space, map_)`` returns the store through which assembly,
 boundary conditions and diagnostics read the map.  For one time level it
 calls ``SpaceTimeMap.sample_fields`` once on the cell points and once on the
-facet points, and evaluates the domain velocity once at the velocity
+facet points, and evaluates xi_t, the wall velocity, once at the velocity
 nodes.  Of F the level keeps the map factor G = inv F^{-1} at the cell
 points, where inv maps reference-simplex to reference-mesh gradients: the
 basis gradients grad phi F^{-1} are lgrad G, so every gradient form of
@@ -35,10 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import default_degree, quadrature, shape_functions
+from .meshing import incident_cells
 
 __all__ = ["CellSample", "FacetSample", "FieldSample", "MapSamples",
            "map_samples", "release", "rules", "cell_data", "facet_data",
-           "geometry", "cell_components", "point_values",
+           "geometry", "node_cells", "cell_components", "point_values",
            "point_gradients"]
 
 
@@ -76,6 +77,12 @@ class _Geometry:
 
 def geometry(space):
     return cached(space, "geometry", lambda: _Geometry(space))
+
+
+def node_cells(space):
+    """An incident cell of each velocity node."""
+    return cached(space, "node cells",
+                  lambda: incident_cells(space.cell_nodes, space.n_nodes))
 
 
 def rules(dimension):
@@ -349,8 +356,8 @@ class MapSamples:
         return self._get(t, "facets", build)
 
     def wall(self, t):
-        return self._get(t, "wall", lambda: _readonly(
-            self.map.velocity(self.space.velocity_nodes, t))[0])
+        return self._get(t, "wall", lambda: _readonly(self.map.velocity(
+            self.space.velocity_nodes, t, cells=node_cells(self.space)))[0])
 
     def forcing(self, t, forcing):
         """``forcing(x, t)`` at the physical cell points of level t,

@@ -10,13 +10,13 @@ cells, so the matrix, the Krylov vectors and the factor share one order and
 the factor needs no permutation.  A ``SaddleSolver`` keeps that factor for
 later steps with the same time-derivative coefficient.
 
-Wall data on no-slip boundaries is the interpolated domain velocity; for
-mesh-sequence maps it is the backward difference quotient of the stored
-nodal positions over the step.  When the mesh has no outflow (neumann)
-facets, that data is first corrected along the nodal outward-normal field
-so that its discrete flux vanishes exactly; as B^T 1 = 0 on the free
-velocity dofs, one pressure dof (the pin) is then held at zero, its
-continuity row left out, and the solution shifted to zero physical mean.
+Wall data on no-slip boundaries is the map's own xi_t at the velocity
+nodes (for a mesh-sequence map, the P1 interpolant of the frame-interval
+slope).  When the mesh has no outflow (neumann) facets, that data is first
+corrected along the nodal outward-normal field so that its discrete flux
+vanishes exactly; as B^T 1 = 0 on the free velocity dofs, one pressure dof
+(the pin) is then held at zero, its continuity row left out, and the
+solution shifted to zero physical mean.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly, sampling
-from .maps import DEFAULT_THRESHOLDS, MeshSequenceMap, SingularMappingError
+from .maps import DEFAULT_THRESHOLDS, SingularMappingError
 from .spaces import DIRICHLET_NODE, NOSLIP_NODE, DiscreteField
 
 __all__ = [
     "FlowState", "FlowProblem", "SolverConfig", "SolverError",
     "NoslipBC", "DirichletBC", "NeumannBC", "BoundaryConditionSet",
     "ConstrainedSystem", "apply_boundary_conditions", "advance", "run",
-    "RunResult", "SaddleSolver", "map_velocity_at_nodes",
+    "RunResult", "SaddleSolver",
 ]
 
 log = logging.getLogger(__name__)
@@ -146,28 +146,13 @@ class SolverConfig:
             raise ValueError("eddy-viscosity constant must be positive")
 
 
-def map_velocity_at_nodes(space, map_, t, dt):
-    """Domain velocity interpolated at the velocity nodes.
-
-    Analytic maps evaluate xi_t exactly; mesh-sequence maps use the backward
-    difference quotient of nodal positions over the step (midedge nodes are
-    endpoint averages, consistent with the piecewise-linear geometry).
-    """
-    if isinstance(map_, MeshSequenceMap):
-        vert = (map_.node_positions(t) - map_.node_positions(t - dt)) / dt
-        edges = space.mesh.edges
-        mid = 0.5 * (vert[edges[:, 0]] + vert[edges[:, 1]])
-        return np.vstack([vert, mid])
-    return sampling.map_samples(space, map_).wall(t)
-
-
-def _boundary_values(bcs, space, map_, t, dt):
+def _boundary_values(bcs, space, map_, t):
     """Nodal boundary velocity data (zero at unconstrained nodes)."""
     values = np.zeros((space.n_nodes, space.dimension))
     kinds = space.node_kind
     ns_nodes = np.flatnonzero(kinds == NOSLIP_NODE)
     if ns_nodes.size:
-        values[ns_nodes] = map_velocity_at_nodes(space, map_, t, dt)[ns_nodes]
+        values[ns_nodes] = sampling.map_samples(space, map_).wall(t)[ns_nodes]
     for patch, bc in bcs.dirichlet_patches().items():
         nodes = np.flatnonzero((kinds == DIRICHLET_NODE) &
                                (space.node_patch == patch))
@@ -201,8 +186,7 @@ def _nested_dissection(space):
     by_axis = np.argsort(centroid, axis=0, kind="stable").T
     degree = np.bincount(cells.ravel(), minlength=n)
     # an unnumbered node's cells all lie in one part: any of them names it
-    owner = np.empty(n, dtype=np.intp)
-    owner[cells.ravel()] = np.repeat(np.arange(n_cells), cells.shape[1])
+    owner = sampling.node_cells(space)
     part = np.zeros(n_cells, dtype=np.intp)  # of each cell still being split
     path = np.zeros(1, dtype=np.int64)    # per part, base 3: 0 left, 1 right
     depth = np.full(n, -1)                # where each node was numbered
@@ -343,7 +327,7 @@ class ConstrainedSystem:
                           np.linalg.norm(B @ u)) / max(scale, 1e-300)
 
 
-def apply_boundary_conditions(step, bcs, space, map_, t, dt):
+def apply_boundary_conditions(step, bcs, space, map_, t):
     """The step's system over its unknowns, with the boundary data moved
     into the right-hand side, and the pressure gauge fixed when the
     boundary has no outflow part.
@@ -354,7 +338,7 @@ def apply_boundary_conditions(step, bcs, space, map_, t, dt):
     multiple of the nodal outward-normal field, and the layout pins one
     pressure dof.
     """
-    values = _boundary_values(bcs, space, map_, t, dt)
+    values = _boundary_values(bcs, space, map_, t)
     # A and B have fixed patterns on a space; A's has d diagonal entries or,
     # for the symmetric stress, a full d x d block per node pair, and the
     # two differ in size: one layout each, cached on the space
@@ -520,7 +504,7 @@ def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
     k = state.k + 1
     bdf2 = config.scheme == "bdf2" and state_prev2 is not None
     try:
-        wall = map_velocity_at_nodes(space, map_, t_k, dt)
+        wall = sampling.map_samples(space, map_).wall(t_k)
         w = DiscreteField(space, "velocity",
                           (state.u.nodal() - wall).ravel())
         step = assembly.assemble_step(
@@ -533,7 +517,7 @@ def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
             u_prev2=state_prev2.u if bdf2 else None,
             t_prev2=state_prev2.t if bdf2 else None)
         system = apply_boundary_conditions(step, problem.bcs, space, map_,
-                                           t_k, dt)
+                                           t_k)
     except SingularMappingError as exc:
         raise SolverError(f"map validation failed at step {k} "
                           f"(t={t_k:g}): {exc}", step=k) from exc

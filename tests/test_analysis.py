@@ -231,7 +231,6 @@ def test_energy_identity_closes_on_the_tube_with_its_outflow():
 
 def test_energy_defect_with_eddy_viscosity_is_the_eddy_dissipation():
     from movingflow import assembly
-    from movingflow.solver import map_velocity_at_nodes
     cs = 0.2
     prob, result, states, _ = _moving_box_run(0.1, 0.4, smagorinsky=cs)
     space, map_ = prob.space, prob.map
@@ -239,7 +238,7 @@ def test_energy_defect_with_eddy_viscosity_is_the_eddy_dissipation():
     assert max(defects) <= 1e-10
     for prev, state, record in zip(states, states[1:], result.diagnostics):
         # the step's molecular minus its eddy dissipation
-        w = prev.u.nodal() - map_velocity_at_nodes(space, map_, state.t, 0.1)
+        w = prev.u.nodal() - sampling.map_samples(space, map_).wall(state.t)
         u = state.u.coefficients
         extra = u @ ((assembly.viscous_matrix(space, map_, state.t, prob.nu) -
                       assembly.viscous_matrix(space, map_, state.t, prob.nu,

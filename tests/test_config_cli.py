@@ -370,25 +370,35 @@ def test_cli_mesh_gen(tmp_path):
     assert out.exists()
 
 
-def test_mesh_sequence_config_runs(tmp_path):
-    # frames of a linear-in-time axis scaling over a 2x2 box
-    mesh_div = [2, 2]
+def _frames_config(tmp_path, T):
+    """A run of T in steps of 0.1 on a 2x2 box whose map is four frames of
+    a linear-in-time axis scaling, at 0, 0.1, 0.2 and 0.3."""
     from movingflow.meshing import generate_box
-    base = generate_box(2, tuple(mesh_div))
+    base = generate_box(2, (2, 2))
     frames = tmp_path / "frames"
     frames.mkdir()
-    for k, t in enumerate((0.0, 0.05, 0.1)):
+    for k, t in enumerate((0.0, 0.1, 0.2, 0.3)):
         coords = base.vertices * [1.0 + 0.5 * t, 1.0 - 0.25 * t]
         lines = [f"{t}"] + [f"{x:.17g} {y:.17g}" for x, y in coords]
         (frames / f"f{k}.txt").write_text("\n".join(lines))
-    path = minimal_config(
-        tmp_path,
-        mesh={"generator": {"kind": "box", "dimension": 2,
-                            "divisions": mesh_div}},
-        map={"kind": "mesh-sequence", "directory": "frames"},
-        time={"dt": 0.05, "T": 0.1})
-    assert cli(["run", "--config", str(path)]) == 0
-    assert (tmp_path / "out" / "diagnostics.csv").exists()
+    return minimal_config(
+        tmp_path, map={"kind": "mesh-sequence", "directory": "frames"},
+        time={"dt": 0.1, "T": T})
+
+
+def test_mesh_sequence_config_runs(tmp_path):
+    # to T at the last frame: three steps of 0.1 end at
+    # 0.30000000000000004, past it by roundoff only
+    assert 0.1 + 0.1 + 0.1 > 0.3
+    assert cli(["run", "--config", str(_frames_config(tmp_path, 0.3))]) == 0
+    lines = (tmp_path / "out" / "diagnostics.csv").read_text().split()
+    assert len(lines) == 4
+
+
+def test_mesh_sequence_run_past_the_last_frame_fails(tmp_path, capsys):
+    assert cli(["run", "--config", str(_frames_config(tmp_path, 0.4))]) == 2
+    assert ("error: mesh-sequence map evaluated at t=0.4, outside its "
+            "frames' span [0, 0.3]") in capsys.readouterr().err
 
 
 def test_cli_converge_manufactured_two_levels(tmp_path, capsys):

@@ -195,6 +195,24 @@ def test_vtk_blocks_match_per_value_formatting(tmp_path, monkeypatch,
         [" ".join(f"{v:.16g}" for v in row) for row in rows]
 
 
+def test_vtk_points_of_a_frame_map_are_its_node_positions(tmp_path):
+    from movingflow.maps import MeshSequenceMap
+    mesh = generate_box(2, (4, 3))
+    X = mesh.vertices
+    bump = np.stack([np.sin(3 * X[:, 1]), X[:, 0] * X[:, 1]], axis=1)
+    times = np.array([0.0, 0.1, 0.25])
+    m = MeshSequenceMap(mesh, times, [X + t * (1 + 5 * t) * bump
+                                      for t in times])
+    for t in (0.1, 0.17):                  # a frame time, between frames
+        text = write_vtk(tmp_path / "f.vtk", mesh, m, t).read_text()
+        block = text.split("double\n")[1].split("CELLS")[0]
+        points = np.array(block.split(), dtype=float).reshape(-1, 3)
+        expected = m.node_positions(t)
+        assert np.all(points[:, 2] == 0.0)
+        assert np.abs(points[:, :2] - expected).max() <= \
+            1e-15 * np.abs(expected).max()
+
+
 def test_vtk_q_criterion_rigid_rotation(tmp_path):
     mesh = generate_box(2, (3, 3))
     space = TaylorHoodSpace(mesh)

@@ -252,6 +252,35 @@ def test_mesh_sequence_reproduces_frames_exactly():
     assert np.allclose(mid, mesh.vertices * [1.0125, 0.99375], atol=1e-15)
 
 
+def test_mesh_sequence_positions_and_velocities_share_the_frame_interval():
+    # frames with a different slope per interval: the interval of t is
+    # [t_{j-1}, t_j] with t_{j-1} < t <= t_j, a frame time t_j included
+    mesh = generate_box(2, (3, 3))
+    times = np.array([0.0, 0.05, 0.1, 0.2])
+    frames = np.array([mesh.vertices * [1.0 + t * t, 1.0 - t ** 3]
+                       for t in times])
+    m = MeshSequenceMap(mesh, times, frames)
+    for t, j in ((0.0, 1), (0.05, 1), (0.1, 2), (0.07, 2), (0.15, 3)):
+        slope = (frames[j] - frames[j - 1]) / (times[j] - times[j - 1])
+        assert np.array_equal(m.node_velocities(t), slope)
+        # positions are linear in time with that slope on that interval
+        assert np.allclose(m.node_positions(t),
+                           frames[j - 1] + (t - times[j - 1]) * slope,
+                           rtol=0.0, atol=1e-15)
+
+
+def test_mesh_sequence_outside_its_span_raises():
+    mesh = generate_box(2, (3, 3))
+    m = _affine_sequence(mesh, np.array([0.0, 0.05, 0.1]))
+    # roundoff past either end is inside: a run's accumulated step times
+    for t in (-1e-12, 0.1 + 1e-12):
+        m.node_positions(t), m.node_velocities(t)
+    for t in (-1e-6, 0.1 + 1e-6, 0.3):
+        for evaluate in (m.node_positions, m.node_velocities):
+            with pytest.raises(ValueError, match=r"span \[0, 0.1\]"):
+                evaluate(t)
+
+
 def test_mesh_sequence_gradient_and_velocity():
     mesh = generate_box(2, (3, 3))
     times = np.array([0.0, 0.05, 0.1])

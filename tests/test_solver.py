@@ -9,8 +9,7 @@ from movingflow.maps import (AxisScalingMap, IdentityMap, MeshSequenceMap,
 from movingflow.meshing import NOSLIP, dirichlet, generate_box, generate_tube, neumann
 from movingflow.solver import (BoundaryConditionSet, DirichletBC, FlowProblem,
                                FlowState, NeumannBC, NoslipBC, SolverConfig,
-                               advance, apply_boundary_conditions,
-                               map_velocity_at_nodes, run)
+                               advance, apply_boundary_conditions, run)
 from movingflow.spaces import DiscreteField, TaylorHoodSpace, interpolate
 
 
@@ -66,12 +65,12 @@ def test_poiseuille_residual_and_fixed_point():
     space = prob.space
     cfg = SolverConfig(stress="full-gradient")
     dt = 0.1
-    wall = map_velocity_at_nodes(space, prob.map, dt, dt)
+    wall = sampling.map_samples(space, prob.map).wall(dt)
     w = DiscreteField(space, "velocity", (u0.nodal() - wall).ravel())
     step = assembly.assemble_step(space, prob.map, dt, 0.0, dt, w, u0,
                                   prob.nu, neumann_data={0: None},
                                   stress="full-gradient")
-    system = apply_boundary_conditions(step, prob.bcs, space, prob.map, dt, dt)
+    system = apply_boundary_conditions(step, prob.bcs, space, prob.map, dt)
     x = np.concatenate([u0.coefficients, p0.coefficients])
     # the interpolated exact solution satisfies the discrete step exactly
     residual = system.rhs - system.matrix @ x[system.layout.unknowns]
@@ -138,7 +137,7 @@ def test_symmetric_elimination_preserves_symmetry():
     step = assembly.assemble_step(space, tube, 0.1, 0.05, 0.05, zero, zero,
                                   1.0, stress="symmetric")
     bcs = BoundaryConditionSet({NOSLIP: NoslipBC()})
-    system = apply_boundary_conditions(step, bcs, space, tube, 0.1, 0.05)
+    system = apply_boundary_conditions(step, bcs, space, tube, 0.1)
     # the velocity unknowns, in the dissection order, do not lead
     v = system.layout.unknowns < space.n_velocity_dofs
     assert v.sum() == len(system.layout.free) and not v[:v.sum()].all()
@@ -388,6 +387,69 @@ def test_mesh_sequence_run_matches_analytic_map():
     for s_a, s_m in zip(*runs):
         assert np.abs(s_a.u.coefficients - s_m.u.coefficients).max() < 1e-8
         assert np.abs(s_a.p.coefficients - s_m.p.coefficients).max() < 1e-8
+
+
+def test_frame_map_wall_velocity_is_the_p1_interpolant_of_the_slope():
+    mesh = generate_box(2, (4, 3))
+    space = TaylorHoodSpace(mesh)
+    X = mesh.vertices
+    bump = np.stack([np.sin(3 * X[:, 1]), X[:, 0] * X[:, 1]], axis=1)
+    times = np.array([0.0, 0.1, 0.25])
+    m = MeshSequenceMap(mesh, times, [X + t * (1 + 5 * t) * bump
+                                      for t in times])
+    edges = mesh.edges
+    for t in (0.1, 0.17):                  # a frame time, between frames
+        v = m.node_velocities(t)
+        p1 = np.vstack([v, 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])])
+        wall = sampling.map_samples(space, m).wall(t)
+        assert np.abs(wall - p1).max() <= 1e-15 * np.abs(p1).max()
+
+
+def test_frame_run_converges_to_the_analytic_run_with_the_frame_spacing():
+    """Tube level 1, 5 steps, against frames of its ``TubeShrinkMap`` at
+    the vertices.  The map is linear in space and the frames hold every
+    step time, so positions, F and J at each level are the analytic map's;
+    only the wall velocity differs, the frame-interval slope of s(t) =
+    sqrt(1 - t/4) against s'(t), by about s'' Delta / 2.  The error gap is
+    first order in the frame spacing Delta: 4 times the frames, about a
+    quarter of the gap."""
+    from movingflow.analysis import ErrorAccumulator
+    from movingflow.benchmarks import tube_benchmark
+    case = tube_benchmark()
+    mesh = case.mesh_for_level(1)
+    space = TaylorHoodSpace(mesh)
+    dt = case.base_dt
+
+    def combined_error(map_):
+        prob = FlowProblem(space=space, map=map_, nu=case.nu,
+                           bcs=case.boundary_conditions(),
+                           forcing=case.forcing)
+        exact = lambda fn: lambda X: fn(case.map.position(X, 0.0), 0.0)
+        initial = FlowState(0, 0.0,
+                            interpolate(space, "velocity",
+                                        exact(case.velocity)),
+                            interpolate(space, "pressure",
+                                        exact(case.pressure)))
+        acc = ErrorAccumulator(space, map_, case.velocity,
+                               case.velocity_gradient, dt, case.nu)
+        result = run(initial, prob, SolverConfig(stress=case.stress),
+                     case.T, dt, callbacks=[acc.update])
+        for r in result.diagnostics:      # the energy identity still closes
+            scale = max(abs(r[key]) for key in (
+                "kinetic_rate", "dissipation", "numerical_dissipation",
+                "forcing_power", "reaction_power", "outflow_power"))
+            assert abs(r["energy_defect"]) <= 1e-10 * scale
+        return acc.report().combined
+
+    analytic = combined_error(case.map)
+    gaps = []
+    for n in (11, 41, 161):
+        times = np.linspace(0.0, case.T, n)
+        frames = [case.map.position(mesh.vertices, t) for t in times]
+        gaps.append(combined_error(MeshSequenceMap(mesh, times, frames)) /
+                    analytic - 1.0)
+    assert 0.0 < gaps[2] < 1e-3
+    assert gaps[0] > 3.0 * gaps[1] > 9.0 * gaps[2]
 
 
 def test_solver_config_validation():
@@ -745,7 +807,7 @@ def test_saddle_matrix_keeps_every_structural_entry_of_B():
     zero = DiscreteField(space, "velocity")
     step = assembly.assemble_step(space, tube, 0.1, 0.05, 0.05, zero, zero,
                                   1.0)
-    system = apply_boundary_conditions(step, bcs, space, tube, 0.1, 0.05)
+    system = apply_boundary_conditions(step, bcs, space, tube, 0.1)
     assert system.layout.pin is None
     n_p, n_u = step.B.shape
     index = np.full(n_u + n_p, -1)             # of each dof's unknown
@@ -962,7 +1024,7 @@ def test_solution_history_dropped_when_the_shape_changes(monkeypatch):
                                       zero, zero, 1.0, forcing=lambda X, t:
                                       np.stack([X[:, 1], -X[:, 0]], axis=1))
         return apply_boundary_conditions(step, prob.bcs, prob.space,
-                                         prob.map, 0.1, 0.1)
+                                         prob.map, 0.1)
 
     small, large = system((2, 2)), system((3, 3))
     factors = []
@@ -1047,7 +1109,7 @@ def _first_system(prob, stress="full-gradient", dt=0.02):
         forcing=prob.forcing, neumann_data=prob.bcs.neumann_tractions(),
         stress=stress)
     return step, apply_boundary_conditions(step, prob.bcs, prob.space,
-                                           prob.map, dt, dt)
+                                           prob.map, dt)
 
 
 def _unknown_dofs(space, pin):
