@@ -186,9 +186,10 @@ def _manufactured_fields(nu):
         c = np.cos(t)
         G = np.empty((len(X), 2, 2), dtype=X.dtype)
         G[:, 0, 0] = pi ** 2 * np.cos(pi * x) * np.cos(pi * y) * c
-        G[:, 0, 1] = -pi ** 2 * np.sin(pi * x) * np.sin(pi * y) * c
         G[:, 1, 0] = pi ** 2 * np.sin(pi * x) * np.sin(pi * y) * c
-        G[:, 1, 1] = -pi ** 2 * np.cos(pi * x) * np.cos(pi * y) * c
+        # negation is exact: the same values as the products with -pi**2
+        G[:, 1, 1] = -G[:, 0, 0]
+        G[:, 0, 1] = -G[:, 1, 0]
         return G
 
     def pressure(X, t):

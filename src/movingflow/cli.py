@@ -122,16 +122,18 @@ def _setup(cfg):
 
 def _cmd_run(args):
     from .fileio import write_checkpoint, write_diagnostics_csv, write_vtk
-    from .solver import FlowState, run
+    from .solver import FlowState, run, time_steps
     from .spaces import DiscreteField
 
     cfg = _load(args)
     mesh, map_, space, problem, solver_cfg = _setup(cfg)
+    initial = FlowState(k=0, t=0.0, u=DiscreteField(space, "velocity"),
+                        p=DiscreteField(space, "pressure"))
+    # a span the run cannot march fails before any output is written
+    time_steps(initial, problem, cfg.time["T"], cfg.time["dt"])
     outdir = Path(args.output or cfg.output["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
 
-    initial = FlowState(k=0, t=0.0, u=DiscreteField(space, "velocity"),
-                        p=DiscreteField(space, "pressure"))
     vtk_every = cfg.output["vtk_every"]
     callbacks = []
     if vtk_every:

@@ -156,16 +156,34 @@ class MeshQuality:
     edge_count: int
 
 
-def _key(row):
-    return tuple(int(v) for v in row)
+def _sorted_code(rows, nv):
+    """The code sum_j v_j nv^(k-1-j) of each row of k = 2 or 3 vertex ids
+    (..., k) once sorted ascending, by a min/max network."""
+    a, b = rows[..., 0], rows[..., 1]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if rows.shape[-1] == 2:
+        return lo * nv + hi
+    c = rows[..., 2]
+    lo, mid = np.minimum(lo, c), np.maximum(lo, c)
+    mid, hi = np.minimum(mid, hi), np.maximum(mid, hi)
+    return (lo * nv + mid) * nv + hi
+
+
+def _key(code, nv, k):
+    """The sorted vertex ids of a k-vertex code of ``_sorted_code``."""
+    return tuple(int(code) // nv ** (k - 1 - j) % nv for j in range(k))
 
 
 def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
     """Assemble a validated SimplicialMesh from raw arrays.
 
     Cell orientation is fixed to positive signed volume (swapping the last
-    two vertices where needed), edges are extracted, and the labeled facets
-    are checked against the facet-cell adjacency.
+    two vertices where needed), the sign of the closed-form determinant of
+    the edge vectors e_i = v_i - v_0 (e_00 e_11 - e_01 e_10 in 2D,
+    e_0 . (e_1 x e_2) in 3D); a cell whose |determinant| is at most 1e-14
+    of the largest is rejected.  Edges are extracted, and the labeled
+    facets are checked against the facet-cell adjacency; facet and edge
+    vertex rows are sorted by a min/max network before they are coded.
     """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     cells = np.ascontiguousarray(np.asarray(cells, dtype=np.int64))
@@ -179,8 +197,14 @@ def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
 
     # orientation: positive signed volume
     verts = vertices[cells]
-    edge = verts[:, 1:, :] - verts[:, :1, :]
-    vol = np.linalg.det(edge)
+    e = (verts[:, 1:, :] - verts[:, :1, :]).transpose(1, 2, 0)  # e[i, j]
+    if d == 2:
+        (a0, a1), (b0, b1) = e
+        vol = a0 * b1 - a1 * b0
+    else:                                            # e_0 . (e_1 x e_2)
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = e
+        vol = (a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2)
+               + a2 * (b0 * c1 - b1 * c0))
     tiny = 1e-14 * max(np.abs(vol).max(initial=0.0), 1e-300)
     if np.any(np.abs(vol) <= tiny):
         raise ValueError(f"cell {int(np.argmin(np.abs(vol)))} has zero volume")
@@ -202,24 +226,23 @@ def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
         raise IndexError("boundary facet vertex index out of range")
     nloc = d + 1
     local = [[j for j in range(nloc) if j != i] for i in range(nloc)]
-    faces = np.sort(cells[:, local], axis=2).reshape(-1, d)
-    rows = np.concatenate([faces, np.sort(boundary_facets, axis=1)])
-    codes, first, inverse = np.unique(rows @ nv ** np.arange(d - 1, -1, -1),
-                                      return_index=True, return_inverse=True)
-    keys = rows[first]
-    counts = np.bincount(inverse[:len(faces)], minlength=len(keys))
+    faces = _sorted_code(cells[:, local].reshape(-1, d), nv)
+    codes, first, inverse = np.unique(
+        np.concatenate([faces, _sorted_code(boundary_facets, nv)]),
+        return_index=True, return_inverse=True)
+    counts = np.bincount(inverse[:len(faces)], minlength=len(codes))
     shared = np.flatnonzero(counts > 2)
     if shared.size:
         bad = shared[np.argmin(first[shared])]     # the first one met
-        raise ValueError(f"non-manifold facet {_key(keys[bad])}: shared by "
-                         f"{counts[bad]} cells")
+        raise ValueError(f"non-manifold facet {_key(codes[bad], nv, d)}: "
+                         f"shared by {counts[bad]} cells")
 
     if len(boundary_facets) != len(boundary_labels):
         raise ValueError("one label per boundary facet required")
     slot = inverse[len(faces):]
     wrong = np.flatnonzero(counts[slot] != 1)
     if wrong.size:
-        key = _key(keys[slot[wrong[0]]])
+        key = _key(codes[slot[wrong[0]]], nv, d)
         if counts[slot[wrong[0]]] == 0:
             raise ValueError(f"dangling boundary facet {key}: not a face of "
                              "any cell")
@@ -229,17 +252,17 @@ def build_connectivity(vertices, cells, boundary_facets, boundary_labels):
     missing = counts == 1
     missing[slot] = False
     if missing.any():
+        key = _key(codes[np.argmax(missing)], nv, d)
         raise ValueError(f"{int(missing.sum())} boundary facets carry no "
-                         f"label (e.g. {_key(keys[np.argmax(missing)])})")
+                         f"label (e.g. {key})")
 
     # edges: unique sorted vertex pairs v0 < v1 in lexicographic order, as
     # the sorted codes v0 * nv + v1; facet edges are found in those codes
-    pairs = np.sort(cells[:, LOCAL_EDGES[d]], axis=2)
-    codes, cell_edges = np.unique(pairs[..., 0] * nv + pairs[..., 1],
-                                  return_inverse=True)
+    codes, cell_edges = np.unique(
+        _sorted_code(cells[:, LOCAL_EDGES[d]], nv), return_inverse=True)
     edges = np.stack(divmod(codes, nv), axis=1)
-    pairs = np.sort(boundary_facets[:, LOCAL_EDGES[d - 1]], axis=2)
-    facet_edges = np.searchsorted(codes, pairs[..., 0] * nv + pairs[..., 1])
+    facet_edges = np.searchsorted(
+        codes, _sorted_code(boundary_facets[:, LOCAL_EDGES[d - 1]], nv))
 
     return SimplicialMesh(
         dimension=d, vertices=vertices, cells=cells,

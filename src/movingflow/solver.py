@@ -36,7 +36,8 @@ from .spaces import DIRICHLET_NODE, NOSLIP_NODE, DiscreteField
 __all__ = [
     "FlowState", "FlowProblem", "SolverConfig", "SolverError",
     "NoslipBC", "DirichletBC", "NeumannBC", "BoundaryConditionSet",
-    "ConstrainedSystem", "apply_boundary_conditions", "advance", "run",
+    "ConstrainedSystem", "apply_boundary_conditions", "advance",
+    "time_steps", "run",
     "RunResult", "SaddleSolver",
 ]
 
@@ -559,15 +560,13 @@ class RunResult:
     diagnostics: list
 
 
-def run(initial, problem, config, T, dt, callbacks=()):
-    """March the scheme from ``initial`` to time T in steps of dt.
+def time_steps(initial, problem, T, dt):
+    """The number of steps of dt from ``initial.t`` to T.
 
-    dt must divide T - t0 within roundoff, at least once.  Callbacks are
-    invoked after each accepted step with (state, record); failures abort
-    with the step index.
-    One ``SaddleSolver`` serves every step.  What the run cached on the
-    space (tables, map samples, sparsity patterns) is released when it
-    returns.
+    Raises ValueError when dt does not divide the span at least once, or
+    when the map cannot be evaluated at T (a mesh-sequence map whose frames
+    end before it): the map is evaluated once there, at one velocity node,
+    so a run fails before its first step.
     """
     span = float(T - initial.t)
     if dt <= 0:
@@ -577,6 +576,23 @@ def run(initial, problem, config, T, dt, callbacks=()):
         raise ValueError(f"dt={dt} does not divide the time span {span}")
     if N < 1:
         raise ValueError(f"the time span {span} holds no step of dt={dt}")
+    space = problem.space
+    problem.map.velocity(space.velocity_nodes[:1], float(T),
+                         cells=sampling.node_cells(space)[:1])
+    return N
+
+
+def run(initial, problem, config, T, dt, callbacks=()):
+    """March the scheme from ``initial`` to time T in steps of dt.
+
+    dt must divide T - t0 within roundoff, at least once, and the map must
+    hold at T (see ``time_steps``).  Callbacks are invoked after each
+    accepted step with (state, record); failures abort with the step index.
+    One ``SaddleSolver`` serves every step.  What the run cached on the
+    space (tables, map samples, sparsity patterns) is released when it
+    returns.
+    """
+    N = time_steps(initial, problem, T, dt)
 
     from .analysis import energy_balance_terms, k_norm
 

@@ -370,9 +370,10 @@ def test_cli_mesh_gen(tmp_path):
     assert out.exists()
 
 
-def _frames_config(tmp_path, T):
+def _frames_config(tmp_path, T, **output):
     """A run of T in steps of 0.1 on a 2x2 box whose map is four frames of
-    a linear-in-time axis scaling, at 0, 0.1, 0.2 and 0.3."""
+    a linear-in-time axis scaling, at 0, 0.1, 0.2 and 0.3; ``output``
+    adds to the output block."""
     from movingflow.meshing import generate_box
     base = generate_box(2, (2, 2))
     frames = tmp_path / "frames"
@@ -383,7 +384,8 @@ def _frames_config(tmp_path, T):
         (frames / f"f{k}.txt").write_text("\n".join(lines))
     return minimal_config(
         tmp_path, map={"kind": "mesh-sequence", "directory": "frames"},
-        time={"dt": 0.1, "T": T})
+        time={"dt": 0.1, "T": T},
+        output={"directory": str(tmp_path / "out"), **output})
 
 
 def test_mesh_sequence_config_runs(tmp_path):
@@ -396,9 +398,13 @@ def test_mesh_sequence_config_runs(tmp_path):
 
 
 def test_mesh_sequence_run_past_the_last_frame_fails(tmp_path, capsys):
-    assert cli(["run", "--config", str(_frames_config(tmp_path, 0.4))]) == 2
+    # the map is evaluated at T before the first step: no VTK, CSV or
+    # checkpoint file is written
+    path = _frames_config(tmp_path, 0.4, vtk_every=1, checkpoint=True)
+    assert cli(["run", "--config", str(path)]) == 2
     assert ("error: mesh-sequence map evaluated at t=0.4, outside its "
             "frames' span [0, 0.3]") in capsys.readouterr().err
+    assert list((tmp_path / "out").glob("*")) == []
 
 
 def test_cli_converge_manufactured_two_levels(tmp_path, capsys):

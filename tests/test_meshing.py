@@ -75,9 +75,13 @@ def test_nonmanifold_rejected():
         build_connectivity(vertices, cells, [], [])
 
 
-def test_zero_volume_cell_rejected():
-    with pytest.raises(ValueError, match="zero volume"):
-        build_connectivity([[0, 0], [1, 0], [2, 0]], [(0, 1, 2)], [], [])
+@pytest.mark.parametrize("vertices", [
+    [(0, 0), (1, 0), (2, 0)],                           # collinear
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],       # coplanar
+], ids=["2d", "3d"])
+def test_zero_volume_cell_rejected(vertices):
+    with pytest.raises(ValueError, match="cell 0 has zero volume"):
+        build_connectivity(vertices, [tuple(range(len(vertices)))], [], [])
 
 
 def test_unlabeled_boundary_rejected():
@@ -88,11 +92,17 @@ def test_unlabeled_boundary_rejected():
                            list(mesh.boundary_labels)[:-1])
 
 
-def test_orientation_fix():
-    vertices = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    mesh = build_connectivity(vertices, [(0, 2, 1)],
-                              [(0, 1), (1, 2), (0, 2)], [NOSLIP] * 3)
+@pytest.mark.parametrize("vertices, cell, facets", [
+    ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], (0, 2, 1),
+     [(0, 1), (1, 2), (0, 2)]),
+    ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+     (0, 2, 1, 3), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+], ids=["2d", "3d"])
+def test_orientation_fix(vertices, cell, facets):
+    mesh = build_connectivity(vertices, [cell], facets,
+                              [NOSLIP] * len(facets))
     assert mesh.cell_volumes()[0] > 0
+    assert tuple(mesh.cells[0]) == (*cell[:-2], cell[-1], cell[-2])
 
 
 def test_box_3d_counts():

@@ -303,6 +303,19 @@ def test_run_rejects_non_divisible_dt():
         run(make_state(prob.space), prob, SolverConfig(), T=1.0, dt=0.3)
 
 
+def test_run_past_the_last_frame_fails_before_its_first_step():
+    mesh = generate_box(2, (2, 2))
+    frames = [mesh.vertices * (1.0 + t) for t in (0.0, 0.1, 0.2)]
+    prob = all_noslip_problem(
+        mesh, map_=MeshSequenceMap(mesh, [0.0, 0.1, 0.2], frames))
+    steps = []
+    with pytest.raises(ValueError, match=r"t=0\.3, outside its frames' "
+                                         r"span \[0, 0\.2\]"):
+        run(make_state(prob.space), prob, SolverConfig(), T=0.3, dt=0.1,
+            callbacks=[lambda state, _: steps.append(state.k)])
+    assert steps == []
+
+
 def test_callback_failure_reports_step():
     mesh = generate_box(2, (2, 2))
     prob = all_noslip_problem(mesh)
