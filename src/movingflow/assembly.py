@@ -43,9 +43,16 @@ Mass-type terms are ``(w J) @ (phi_i phi_j)``.  The standalone forms and
 ``assemble_step`` call the same kernels.
 
 Scatter.  The mesh is fixed, so the map from the cells' local blocks to
-the data of A and B is one fixed linear operator, built once per space as
-CSR with one unit entry per local value, each row's in local order.  The
-matvec adds a row's terms in that order from 0.0, as a bincount would.
+the data of A and B is one fixed linear operator, built on the first
+assembly as CSR with one unit entry per local value, each row's in local
+order.  The matvec adds a row's terms in that order from 0.0, as a
+bincount would.  All of it comes from the node pairs of the cell blocks,
+sorted once by two counting-sort transposes, with no comparison sort
+(Davis 2006): a row (i, a) of A or B lists node i's pairs, so the patterns
+are the pair tables expanded by arithmetic, and each local value's entry
+is its pair's place in that run.  An operator is written as its transpose,
+one unit per local value in local order, and one counting-sort transpose
+to CSR lists each row's terms in local order.
 The coupling [c, i, b, j, a] and the divergence [e, c, p, j] sum straight
 into their CSR data.  The cell scalars and the Temam facet term sum per
 node pair; a pair's d diagonal entries then take its sum.  The velocity
@@ -119,21 +126,11 @@ def _frozen(index):
     return index
 
 
-def _scatter(ptr, columns, n_local, group=None, offset=None):
-    """A fixed operator with one unit entry per local value.  Row t sums
-    the values ``columns[ptr[g]:ptr[g + 1]] + offset[t]`` of its group
-    g = group[t] (row g and no offset without ``group``), which ascend.
+def _scatter(indptr, indices, n_local):
+    """A fixed operator with one unit entry per local value: row t sums
+    the local values ``indices[indptr[t]:indptr[t + 1]]``, which ascend.
     CSR's matvec adds a row's terms in stored order from 0.0, as a
     bincount does, so the sums are bitwise those of ``_sum``."""
-    indptr, indices = ptr, columns
-    if group is not None:       # int32 throughout, as in _Pattern.csr
-        count = np.diff(ptr)[group]
-        indptr = np.zeros(len(group) + 1, np.int32)
-        np.cumsum(count, out=indptr[1:])
-        indices = np.repeat(ptr[group] - indptr[:-1], count)
-        indices += np.arange(indptr[-1], dtype=np.int32)
-        indices = columns[indices]
-        indices += np.repeat(offset, count)
     # bool units, a byte each: the product upcasts them to 1.0
     return sp.csr_matrix((np.ones(len(indices), bool), _frozen(indices),
                           _frozen(indptr)), shape=(len(indptr) - 1, n_local))
@@ -154,25 +151,54 @@ class _CSR:
                              shape=self.shape)
 
 
+def _arange(n):
+    return np.arange(n, dtype=np.int32)
+
+
 class _Pattern:
     """The sorted (row, column) node pairs of the cell blocks of the
     ``rows`` and ``cols`` node tables, the operator ``scatter`` that sums
     the block entries' local values per pair, and the CSR patterns of the
-    pairs expanded to d velocity components."""
+    pairs expanded to d velocity components.
+
+    The block entries are sorted once, into the pairs, by two counting
+    passes.  A CSR pattern is the pair tables expanded by arithmetic: row
+    (i, a) lists row node i's run of pairs, with an entry per column
+    component b (only b = a with ``diagonal``).  Its scatter operator is
+    written as its transpose, each local value at the entry its block
+    entry's pair sums into, and a counting-sort transpose lists each
+    entry's local values in local order."""
 
     def __init__(self, rows, cols, n_rows, n_cols, d):
         self.n_rows, self.n_cols, self.d = n_rows, n_cols, d
-        self._cols = cols.shape[1]              # column nodes of a cell block
-        keys = (rows[:, :, None] * n_cols + cols[:, None, :]).ravel()
-        # stable: each pair's entries stay in local (cell block) order
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        keys = keys[first]
-        self.n_pairs = len(keys)
-        self.pair_cols = _frozen(keys % n_cols)
-        self.pair_ptr = _frozen(np.searchsorted(keys // n_cols,
-                                                np.arange(n_rows + 1)))
+        self._rows, self._cols = rows, cols.shape[1]
+        nc, ni = rows.shape
+        # two counting-sort transposes, each keeping the order it is
+        # given: the cells of each column node, then each block entry
+        # (c, i, j) of those cells under its row node, so that a row
+        # node's entries ascend by column node and then in local order
+        by_col = sp.csr_matrix((_arange(cols.size), cols.ravel(),
+                                np.arange(0, cols.size + 1, self._cols,
+                                          dtype=np.int32)),
+                               shape=(nc, n_cols)).tocsc()
+        c = by_col.indices
+        base = by_col.data + c * ((ni - 1) * self._cols)  # flat (c, 0, j)
+        entry = np.empty((len(c), ni), np.int32)          # flat (c, i, j)
+        for i in range(ni):
+            np.add(base, i * self._cols, out=entry[:, i])
+        node = rows[c.astype(np.intp)].astype(np.int32)
+        by_row = sp.csr_matrix((entry.ravel(), node.ravel(),
+                                by_col.indptr * ni),
+                               shape=(n_cols, n_rows)).tocsc()
+        col, order = by_row.indices, by_row.data
+        new = np.empty(len(col), bool)
+        np.not_equal(col[1:], col[:-1], out=new[1:])
+        starts = by_row.indptr[:-1]
+        new[starts[starts < len(col)]] = True    # a row node's first pair
+        first = np.flatnonzero(new)
+        self.n_pairs = len(first)
+        self.pair_cols = _frozen(col[first])
+        self.pair_ptr = _frozen(np.searchsorted(first, by_row.indptr))
         self._order = _frozen(order)
         self._ptr = _frozen(np.append(first, len(order)))
         self._csr = {}
@@ -190,38 +216,70 @@ class _Pattern:
         [b, c, i, j] (r = 1) into its data."""
         key = (r, diagonal)
         if key not in self._csr:
-            # int32 throughout, in place where it can be: this runs with
-            # the first assembly, and its temporaries set the peak memory
-            d = self.d
-            per = 1 if diagonal else d           # entries of a pair a row
-            lengths = np.repeat(np.diff(self.pair_ptr), r) * per
-            indptr = _frozen(np.concatenate([[0], np.cumsum(lengths)]))
-            row = np.repeat(np.arange(self.n_rows * r, dtype=np.int32),
-                            lengths)
-            k = np.arange(indptr[-1], dtype=np.int32)
-            k -= indptr[row]
-            a = row % r
-            pair = self.pair_ptr[row // r]
-            del row
-            pair += k // per
-            b = a if diagonal else k % per
-            del k
-            csr = self._csr[key] = _CSR(indptr, self.pair_cols[pair] * d + b,
-                                        (self.n_rows * r, self.n_cols * d))
-            if diagonal:
-                csr.pair = _frozen(pair)
-                return csr
-            order, ptr = self._order, self._ptr
-            n, nk = len(order), self._cols
-            if r > 1:       # [c, i, b, j, a]; an entry e is (c, i, j)
-                csr.diagonal = _frozen(np.flatnonzero(a == b))
-                csr.pair = _frozen(pair[csr.diagonal])
-                columns = (order // nk * (d * nk) + order % nk) * d
-                offset = b * (nk * d) + a
-            else:           # [b, c, i, j]
-                columns, offset = order, b * n
-            csr.scatter = _scatter(ptr, columns, n * r * d, pair, offset)
+            self._csr[key] = self._build(r, diagonal)
         return self._csr[key]
+
+    def _build(self, r, diagonal):
+        # int32 but for what indexes (numpy indexes fastest with intp):
+        # this runs with the first assembly, and its temporaries set the
+        # peak memory
+        d, ptr, n = self.d, self.pair_ptr, self.n_pairs
+        per = 1 if diagonal else d           # entries of a pair a row
+        count = np.diff(ptr)                 # pairs of a row node
+        # a slot per pair of each row (i, a): row node i's run of pairs,
+        # per entries each, starting at slot r ptr_i + a count_i
+        run = np.repeat(count, r)
+        indptr = np.zeros(self.n_rows * r + 1, np.int32)
+        np.cumsum(run * per, out=indptr[1:])
+        a = _arange(r)
+        shift = (r - 1) * ptr[:-1, None] + count[:, None] * a
+        pair = np.arange(r * n)
+        pair -= np.repeat(shift.ravel(), run)
+        comp = np.repeat(np.tile(a, self.n_rows), run)   # each slot's a
+        columns = self.pair_cols[pair]
+        columns *= d
+        if diagonal:
+            columns += comp
+            indices = columns
+        else:
+            indices = np.empty((r * n, d), np.int32)
+            for b in range(d):
+                np.add(columns, b, out=indices[:, b])
+        csr = _CSR(indptr, indices.ravel(), (self.n_rows * r, self.n_cols * d))
+        if r > 1:
+            csr.pair = _frozen(pair)
+            if diagonal:
+                return csr
+            csr.diagonal = _frozen(d * _arange(r * n) + comp)
+        csr.scatter = self._operator(r, indptr)
+        return csr
+
+    def _operator(self, r, indptr):
+        """The scatter of ``csr(r)``, whose rows start at ``indptr``.  The
+        local value (b, a) of block entry (c, i, j), of pair p of row node
+        i, goes to entry indptr[i r + a] + d (p - pair_ptr[i]) + b, and
+        the transpose lists each entry's values in local order."""
+        d, n = self.d, len(self._order)
+        pair = np.empty(n, np.int32)         # of each block entry (c, i, j)
+        pair[self._order.astype(np.intp)] = np.repeat(_arange(self.n_pairs),
+                                                      np.diff(self._ptr))
+        pair = (d * pair).reshape(*self._rows.shape, self._cols)
+        before = d * self.pair_ptr[self._rows]
+        # in the local layout, [c, i, b, j, a] or [b, c, i, j] (r = 1)
+        entry = np.empty((*pair.shape[:2], d, self._cols, r) if r > 1 else
+                         (d, *pair.shape), np.int32)
+        for a in range(r):
+            start = pair + (indptr[self._rows * r + a] - before)[:, :, None]
+            for b in range(d):
+                np.add(start, b, out=entry[:, :, b, :, a] if r > 1 else
+                       entry[b])
+        units = sp.csc_matrix((np.ones(entry.size, bool), entry.ravel(),
+                               _arange(entry.size + 1)),
+                              shape=(indptr[-1], entry.size))
+        scatter = units.tocsr()
+        _frozen(scatter.indices)
+        _frozen(scatter.indptr)
+        return scatter
 
 
 def _patterns(space):

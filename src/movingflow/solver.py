@@ -206,25 +206,31 @@ def _nested_dissection(space):
         # per axis: each live cell's side of its part's median rank, and the
         # free nodes with cells on both sides
         size = np.bincount(part[live], minlength=len(path))
-        first = np.cumsum(size) - size
+        # each part's cells on one axis, in order: the first right one
+        split = np.cumsum(size) - size + size // 2
         in_live = np.zeros(n_cells, dtype=bool)
         in_live[live] = True
         right = np.zeros((d, n_cells), dtype=bool)
         cut = np.zeros((d, len(free)), dtype=bool)
+        cells_of_free = degree[free]
         for a in range(d):
             s = by_axis[a][in_live[by_axis[a]]]
             s = s[np.argsort(part[s], kind="stable")]
-            p = part[s]
-            right[a, s] = np.arange(len(s)) - first[p] >= size[p] // 2
-            on_left = np.bincount(cells[s[~right[a, s]]].ravel(), minlength=n)
-            cut[a] = (on_left[free] > 0) & (on_left[free] < degree[free])
+            on_right = np.arange(len(s)) >= split[part[s]]
+            right[a, s] = on_right
+            on_left = np.bincount(cells[s[~on_right]].ravel(), minlength=n)
+            on_left = on_left[free]
+            cut[a] = (on_left > 0) & (on_left < cells_of_free)
         axis = np.argmin([np.bincount(node_part[c], minlength=len(path))
                           for c in cut], axis=0)
         sep = cut[axis[node_part], np.arange(len(free))]
         depth[free[sep]], code[free[sep]] = level, path[node_part[sep]]
         p = part[live]
-        child, part[live] = np.unique(2 * p + right[axis[p], live],
-                                      return_inverse=True)
+        side = 2 * p + right[axis[p], live]
+        child = np.zeros(2 * len(path), dtype=bool)
+        child[side] = True
+        part[live] = (np.cumsum(child) - 1)[side]    # children in order
+        child = np.flatnonzero(child)
         path = path[child // 2] * 3 + child % 2
         level += 1
     # separators after both halves: pad each path, then a 2, to one length
@@ -248,6 +254,12 @@ class _SaddleLayout:
     ascending in every column as SuperLU sorts them.  ``gather`` gives, per
     entry, its position in ``[A.data, B.data, -B.data]``: a step fills the
     matrix with it.
+
+    The pattern comes from the rows of A, B and -B^T, whose node-pair
+    patterns are built on the first assembly, by counting passes with no
+    comparison sort (Davis 2006): their columns are numbered as K's, the
+    rows of the unknowns are taken in the dissection order, and one
+    transpose lists every column's rows in that order.
     """
 
     def __init__(self, space, A, B):
@@ -263,24 +275,34 @@ class _SaddleLayout:
         self.unknowns = order[unknown[order]]
         self.free = np.flatnonzero(unknown[:n_u])
         n = len(self.unknowns)
-        index = np.full(n_u + n_p, -1, dtype=np.int32)   # -1: no unknown
+        index = np.full(n_u + n_p, n, dtype=np.int32)   # n: no unknown
         index[self.unknowns] = np.arange(n, dtype=np.int32)
-        # int32 entries: A by rows, then B by rows, then each -B^T column as
-        # one row of B; the COO to CSC conversion sorts each column's rows
-        source = np.arange(A.nnz + B.nnz, dtype=np.int32)
-        a_row = np.repeat(np.arange(n_u, dtype=np.int32), np.diff(A.indptr))
-        a = unknown[a_row] & unknown[A.indices]
-        b_row = np.repeat(np.arange(n_u, n_u + n_p, dtype=np.int32),
-                          np.diff(B.indptr))
-        b = unknown[b_row] & unknown[B.indices]
-        b_row, b_col = index[b_row[b]], index[B.indices[b]]
-        b_source = source[A.nnz:][b]
-        K = sp.coo_matrix((
-            np.concatenate([source[:A.nnz][a], b_source, b_source + B.nnz]),
-            (np.concatenate([index[a_row[a]], b_row, b_col]),
-             np.concatenate([index[A.indices[a]], b_col, b_row]))),
-            shape=(n, n)).tocsc()
-        self.indptr, self.indices, self.gather = K.indptr, K.indices, K.data
+        # rows holding positions in [A.data, B.data, -B.data], columns
+        # numbered as K's: A's rows, B's rows, -B^T's rows (B transposed)
+        # and an empty row
+        at = np.arange(A.nnz + B.nnz, dtype=np.int32)
+        bt = sp.csr_matrix((at[A.nnz:] + B.nnz, B.indices, B.indptr),
+                           shape=(n_p, n_u)).tocsc()
+        rows = sp.csr_matrix((
+            np.concatenate([at, bt.data]),
+            index[np.concatenate([A.indices, B.indices, bt.indices + n_u],
+                                 dtype=np.intp)],
+            np.concatenate([A.indptr, A.nnz + B.indptr[1:],
+                            A.nnz + B.nnz + bt.indptr[1:],
+                            [A.nnz + 2 * B.nnz]])),
+            shape=(2 * n_u + n_p + 1, n + 1))
+        # unknown k takes rows 2 k, its A or B row, and 2 k + 1, its -B^T
+        # row or the empty one; the transpose lists them in that order in
+        # every column, and column n collects the entries of no unknown
+        take = np.empty((n, 2), np.intp)
+        take[:, 0] = self.unknowns
+        take[:, 1] = np.where(self.unknowns < n_u, self.unknowns + n_u + n_p,
+                              2 * n_u + n_p)
+        K = rows[take.ravel()].tocsc()
+        K.indices >>= 1
+        self.indptr = K.indptr[:-1]
+        self.indices = K.indices[:self.indptr[-1]]
+        self.gather = K.data[:self.indptr[-1]]
 
     def matrix(self, A, B):
         data = np.concatenate([A.data, B.data, -B.data])[self.gather]
@@ -302,6 +324,7 @@ class ConstrainedSystem:
     rhs: np.ndarray
     rhs_norm: float
     bc_values: np.ndarray          # full-length velocity vector of BC data
+    bc_divergence: np.ndarray      # B @ bc_values
     gauge_vector: np.ndarray = None
 
     def split(self, x):
@@ -315,17 +338,17 @@ class ConstrainedSystem:
             p -= (self.gauge_vector @ p) / self.gauge_vector.sum()
         return u, p
 
-    def residual(self, u, p):
+    def residual(self, p, Au, Bu):
         """Relative residual of [[A, -B^T], [B, 0]] (u, p) = (rhs_u, 0) at
         the free velocity dofs and every pressure dof, the pin's included,
-        at a split solution (u holds the boundary values)."""
-        A, B = self.step.A, self.step.B
-        f = self.rhs[self.layout.unknowns < len(u)]     # free velocity rows
-        r_u = (self.step.rhs_u - A @ u + B.T @ p)[self.layout.free]
+        at a split solution (u holds the boundary values), from the
+        products Au = A u and Bu = B u that its step makes anyway."""
+        f = self.rhs[self.layout.unknowns < len(Au)]    # free velocity rows
+        r_u = (self.step.rhs_u - Au + self.step.B.T @ p)[self.layout.free]
         scale = math.hypot(np.linalg.norm(f), np.linalg.norm(self.bc_values),
-                           np.linalg.norm(B @ self.bc_values))
+                           np.linalg.norm(self.bc_divergence))
         return math.hypot(np.linalg.norm(r_u),
-                          np.linalg.norm(B @ u)) / max(scale, 1e-300)
+                          np.linalg.norm(Bu)) / max(scale, 1e-300)
 
 
 def apply_boundary_conditions(step, bcs, space, map_, t):
@@ -358,11 +381,12 @@ def apply_boundary_conditions(step, bcs, space, map_, t):
 
     ub = values.ravel().copy()
     ub[layout.free] = 0.0
-    rhs = np.concatenate([step.rhs_u - A @ ub, -(B @ ub)])[layout.unknowns]
+    Bub = B @ ub
+    rhs = np.concatenate([step.rhs_u - A @ ub, -Bub])[layout.unknowns]
     return ConstrainedSystem(
         step=step, layout=layout, matrix=layout.matrix(A, B), rhs=rhs,
         rhs_norm=math.hypot(np.linalg.norm(rhs), np.linalg.norm(ub)),
-        bc_values=ub, gauge_vector=e)
+        bc_values=ub, bc_divergence=Bub, gauge_vector=e)
 
 
 class _SinglePrecisionFactor:
@@ -536,7 +560,8 @@ def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
     ucoef, pcoef = system.split(x)
     # read-only, so the level's evaluations of the state cannot go stale
     ucoef.flags.writeable = pcoef.flags.writeable = False
-    info = dict(info, residual=system.residual(ucoef, pcoef))
+    Au, Bu = step.A @ ucoef, step.B @ ucoef
+    info = dict(info, residual=system.residual(pcoef, Au, Bu))
     if not info["residual"] <= tol:
         log.warning("step %d: the residual %.3g without the pin exceeds "
                     "%g: the gauge does not hold exactly (B^T 1 != 0 on "
@@ -545,11 +570,9 @@ def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
     new = FlowState(k=k, t=t_k,
                     u=DiscreteField(space, "velocity", ucoef),
                     p=DiscreteField(space, "pressure", pcoef))
-    Bu = step.B @ ucoef
     info["divergence_residual"] = float(np.linalg.norm(Bu))
     # u . (A u - B^T p - rhs_u), with u . B^T p as p . B u
-    info["reaction_power"] = float(ucoef @ (step.A @ ucoef - step.rhs_u) -
-                                   pcoef @ Bu)
+    info["reaction_power"] = float(ucoef @ (Au - step.rhs_u) - pcoef @ Bu)
     info["outflow_power"] = assembly.outflow_power(space, step, new.u.nodal())
     return new, info
 

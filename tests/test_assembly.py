@@ -553,6 +553,19 @@ def test_step_blocks_are_bitwise_a_bincount_at_csr_positions(
     sampling.release(space)
 
 
+def test_pattern_rows_no_block_lists_hold_no_pairs():
+    """Row nodes that no cell block lists, the last ones among them, get
+    empty runs of pairs; the others their sorted distinct columns."""
+    rows = np.array([[0, 2], [2, 1]])
+    cols = np.array([[0, 1, 3], [1, 4, 3]])
+    pattern = assembly._Pattern(rows, cols, 5, 5, 2)
+    keys = np.unique(rows[:, :, None] * 5 + cols[:, None, :])
+    assert np.array_equal(pattern.pair_cols, keys % 5)
+    assert np.array_equal(pattern.pair_ptr,
+                          np.searchsorted(keys // 5, np.arange(6)))
+    assert list(np.diff(pattern.pair_ptr)) == [3, 3, 4, 0, 0]
+
+
 # --- eddy viscosity -----------------------------------------------------------
 
 

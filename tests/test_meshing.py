@@ -359,24 +359,28 @@ def test_mesh_and_space_arrays_match_recorded_digests(name):
     assert h.hexdigest() == _ARRAY_DIGESTS[name]
 
 
+def renumbered(mesh, seed=7):
+    """The mesh with its vertices renumbered by a random permutation."""
+    perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    return build_connectivity(vertices, perm[mesh.cells],
+                              perm[mesh.boundary_facets], mesh.boundary_labels)
+
+
 @pytest.mark.parametrize("name", ["tube", "box-2d-dirichlet-patches"])
 def test_facet_edges_under_renumbering(name):
     mesh = _DIGEST_MESHES[name]()
-    perm = np.random.default_rng(7).permutation(mesh.n_vertices)
-    vertices = np.empty_like(mesh.vertices)
-    vertices[perm] = mesh.vertices
-    renumbered = build_connectivity(vertices, perm[mesh.cells],
-                                    perm[mesh.boundary_facets],
-                                    mesh.boundary_labels)
+    shuffled = renumbered(mesh)
     d = mesh.dimension
-    facets, edges = renumbered.boundary_facets, renumbered.edges
-    assert renumbered.facet_edges.shape == (len(facets), len(LOCAL_EDGES[d - 1]))
+    facets, edges = shuffled.boundary_facets, shuffled.edges
+    assert shuffled.facet_edges.shape == (len(facets), len(LOCAL_EDGES[d - 1]))
     for k, (a, b) in enumerate(LOCAL_EDGES[d - 1]):
         joined = np.sort(facets[:, [a, b]], axis=1)
-        assert np.array_equal(edges[renumbered.facet_edges[:, k]], joined)
+        assert np.array_equal(edges[shuffled.facet_edges[:, k]], joined)
     # the same node positions carry the same kinds and patches
     classified = []
-    for m in (mesh, renumbered):
+    for m in (mesh, shuffled):
         space = TaylorHoodSpace(m)
         order = np.lexsort(space.velocity_nodes.T)
         classified.append((space.velocity_nodes[order],

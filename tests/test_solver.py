@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -770,7 +772,7 @@ def test_residual_is_relative_to_the_lifted_data_at_the_free_velocity_rows(
     r = np.concatenate([(step.rhs_u - A @ u + B.T @ p)[free], B @ u])
     scale = np.concatenate([(step.rhs_u - A @ ub)[free], ub, B @ ub])
     want = np.linalg.norm(r) / np.linalg.norm(scale)
-    assert abs(system.residual(u, p) - want) <= 1e-12 * want
+    assert abs(system.residual(p, A @ u, B @ u) - want) <= 1e-12 * want
     sampling.release(prob.space)
 
 
@@ -963,7 +965,8 @@ def test_a_kept_factor_that_stalls_on_its_own_coefficient_is_remade(
     assert info["iterations"] == sum(len(res) - 1 for _, res in runs)
     assert info["iterations"] > len(info["residual_history"]) - 1
     assert info["residual_history"][-1] <= 1e-10
-    assert system.residual(*system.split(x)) <= 1e-10
+    u, p = system.split(x)
+    assert system.residual(p, system.step.A @ u, system.step.B @ u) <= 1e-10
     sampling.release(prob.space)
 
 
@@ -1114,6 +1117,31 @@ def _manufactured_problem():
                        bcs=case.boundary_conditions(), forcing=case.forcing)
 
 
+def _renumbered_problem():
+    """The manufactured case on its level-1 mesh, vertices renumbered."""
+    from movingflow.benchmarks import manufactured_2d
+    from test_meshing import renumbered
+    case = manufactured_2d()
+    space = TaylorHoodSpace(renumbered(case.mesh_for_level(1)))
+    return FlowProblem(space=space, map=case.map, nu=case.nu,
+                       bcs=case.boundary_conditions(), forcing=case.forcing)
+
+
+def _box_3d_problem():
+    """A 3D box with noslip walls, two dirichlet and two neumann patches."""
+    mesh = generate_box(3, (2, 3, 2), labels={
+        "xmin": dirichlet(3), "ymin": dirichlet(1), "ymax": neumann(2),
+        "zmax": neumann(1)})
+    inflow = DirichletBC(lambda X, t: np.outer(X[:, 2] * (1.0 - X[:, 2]),
+                                               [1.0, 0.5, 0.0]))
+    return FlowProblem(
+        space=TaylorHoodSpace(mesh), nu=0.1,
+        map=parse_map_expressions("x1 + 0.1*t*x2; x2; x3 + 0.05*t*x1", 3),
+        bcs=BoundaryConditionSet({
+            NOSLIP: NoslipBC(), dirichlet(3): inflow, dirichlet(1): inflow,
+            neumann(2): NeumannBC(None), neumann(1): NeumannBC(None)}))
+
+
 def _first_system(prob, stress="full-gradient", dt=0.02):
     """The first step's blocks and constrained system from rest."""
     zero = DiscreteField(prob.space, "velocity")
@@ -1255,7 +1283,8 @@ def _lexsort_layout(space, A, B):
 
 
 @pytest.mark.parametrize("stress", ["symmetric", "full-gradient"])
-@pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem])
+@pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem,
+                                     _renumbered_problem, _box_3d_problem])
 def test_saddle_layout_counting_pass_equals_a_lexsort(problem, stress):
     from movingflow.solver import _SaddleLayout
     prob = problem()
@@ -1269,6 +1298,88 @@ def test_saddle_layout_counting_pass_equals_a_lexsort(problem, stress):
                       (layout.gather, gather)):
         assert got.dtype == np.int32 and np.array_equal(got, want)
     sampling.release(prob.space)
+
+
+def _structure_digest(space, step):
+    """sha256 of A's and B's indptr and indices and of every scatter
+    operator the step built: the velocity pairs' sums, the CSR patterns'
+    operators with their slots, and the neumann facets' sums."""
+    h = hashlib.sha256()
+
+    def add(*arrays):
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+
+    add(step.A.indptr, step.A.indices, step.B.indptr, step.B.indices)
+    operators = []
+    for pattern in assembly._patterns(space):
+        if "scatter" in vars(pattern):
+            operators.append(pattern.scatter)
+        for key in sorted(pattern._csr):
+            csr = pattern._csr[key]
+            add(*(a for a in (csr.diagonal, csr.pair) if a is not None))
+            if csr.scatter is not None:
+                operators.append(csr.scatter)
+    if "facet_scatter" in space._cache:
+        operators.append(space._cache["facet_scatter"])
+    for op in operators:
+        assert op.dtype == bool and op.data.all()
+        add(op.shape, op.indptr, op.indices)
+    return h.hexdigest()
+
+
+# recorded from the construction that sorted every block entry and
+# expanded it to the CSR patterns by divisions and repeats
+_STRUCTURE_DIGESTS = {
+    ("_renumbered_problem", "symmetric"):
+        "b817b0891065b3982b6071ec46c3c9db3c4eb1d93f6fb9d21d3f051f753cb91b",
+    ("_renumbered_problem", "full-gradient"):
+        "81c6a5ad70c66c2bec628df2938d7d245fd5d8f580e825317bf39a6924d8aad7",
+    ("_box_3d_problem", "symmetric"):
+        "743f88fb902470c5b7e53e8b9f5c0c97647071ee2635c53f424a4559f39e28ab",
+    ("_box_3d_problem", "full-gradient"):
+        "9f4c5ae3ed193bda365a8b03402fc2649aa3812516395e84388aaf1593ba0cda",
+}
+
+
+@pytest.mark.parametrize("stress", ["symmetric", "full-gradient"])
+@pytest.mark.parametrize("problem", [_renumbered_problem, _box_3d_problem])
+def test_patterns_and_scatter_operators_match_recorded_digests(problem,
+                                                              stress):
+    prob = problem()
+    step, _ = _first_system(prob, stress=stress)
+    assert _structure_digest(prob.space, step) == \
+        _STRUCTURE_DIGESTS[problem.__name__, stress]
+    sampling.release(prob.space)
+
+
+def test_sparse_structure_is_built_by_the_first_step_and_released_by_run():
+    """Set-up (mesh, space, problem and the interpolated initial state)
+    builds none of the sparse structure: the patterns and the saddle
+    layout come with the first step, and run releases them."""
+    from movingflow.benchmarks import manufactured_2d
+    case, prob = manufactured_2d(), _manufactured_problem()
+    space = prob.space
+
+    def at_start(field):
+        return lambda X: field(case.map.position(X, 0.0), 0.0)
+
+    initial = FlowState(
+        0, 0.0, interpolate(space, "velocity", at_start(case.velocity)),
+        interpolate(space, "pressure", at_start(case.pressure)))
+
+    def built():
+        cache = space.__dict__.get("_cache", {})
+        return ("patterns" in cache,
+                any(isinstance(key, tuple) and key[0] == "saddle"
+                    for key in cache))
+
+    config, dt = SolverConfig(stress=case.stress), 0.01
+    assert built() == (False, False)
+    advance(initial, prob, config, dt)
+    assert built() == (True, True)
+    run(initial, prob, config, 2 * dt, dt)
+    assert built() == (False, False)
 
 
 @pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem])
