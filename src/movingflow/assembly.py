@@ -38,29 +38,30 @@ per-point factor by written-out sums on planes and makes one product
 The symmetric-stress coupling keeps the product H^T kappa H of the
 per-cell stacks H = grad phi F^{-1}, (nq, nb d), over blocks of cells;
 H comes from one product per point q of the cells' G with the table of
-d_k phi_i.
+d_k phi_i.  Each block's product is copied, while it is in cache, into
+one plane per component b.
 Mass-type terms are ``(w J) @ (phi_i phi_j)``.  The standalone forms and
 ``assemble_step`` call the same kernels.
 
-Scatter.  The mesh is fixed, so the map from the cells' local blocks to
-the data of A and B is one fixed linear operator, built on the first
-assembly as CSR with one unit entry per local value, each row's in local
-order.  The matvec adds a row's terms in that order from 0.0, as a
-bincount would.  All of it comes from the node pairs of the cell blocks,
-sorted once by two counting-sort transposes, with no comparison sort
-(Davis 2006): a row (i, a) of A or B lists node i's pairs, so the patterns
-are the pair tables expanded by arithmetic, and each local value's entry
-is its pair's place in that run.  An operator is written as its transpose,
-one unit per local value in local order, and one counting-sort transpose
-to CSR lists each row's terms in local order.
-The coupling [c, i, b, j, a] and the divergence [e, c, p, j] sum straight
-into their CSR data.  The cell scalars and the Temam facet term sum per
-node pair; a pair's d diagonal entries then take its sum.  The velocity
-block holds only those diagonal entries when no term couples the velocity
-components (A = S x I_d), and full d x d blocks for the symmetric stress;
-B holds (1, d) blocks.  Entries that sum to exactly zero stay in the
-pattern.  Assembly is single-threaded with a fixed reduction order, so
-results are deterministic.
+Scatter.  The mesh is fixed, so the sparsity of A and B and the sums
+that fill them are fixed too.  Both come from the node pairs of the cell
+blocks, sorted once on the first assembly by two counting-sort
+transposes, with no comparison sort (Davis 2006).  Each pattern keeps one
+operator, CSR with a unit entry per block entry (c, i, j), that lists
+each pair's entries in local order; its matvec adds them in that order
+from 0.0, as a bincount would.  Every form sums through it: the cell
+scalars, each plane b of the symmetric coupling [c, i, b, j, a] as rows
+(c, i, j) of its d values a, and each plane e of the divergence [e, c, p,
+j].  The Temam facet term sums per node pair too.  The velocity block
+holds a pair's d diagonal entries, which take its scalar sum, when no
+term couples the velocity components (A = S x I_d); with the symmetric
+stress it holds full d x d blocks, entry (a, b) the coupling sum plus,
+for a = b, the scalar sum.  B holds (1, d) blocks, and its data are the
+(pair, e) sums in order.  A row (i, a) lists node i's pairs, so the
+patterns are the pair tables expanded by arithmetic, and one fixed gather
+places A's sums.  Entries that sum to exactly zero stay in the pattern.
+Assembly is single-threaded with a fixed reduction order, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -118,10 +119,10 @@ def _sum(index, local, size, width=1):
                        minlength=size * width)
 
 
-def _frozen(index):
-    """An index array as read-only int32; the matrices of a pattern share
-    its arrays."""
-    index = index.astype(np.int32, copy=False)
+def _frozen(index, dtype=np.int32):
+    """An index array as read-only ``dtype``; the matrices of a pattern
+    share its arrays."""
+    index = index.astype(dtype, copy=False)
     index.flags.writeable = False
     return index
 
@@ -137,14 +138,15 @@ def _scatter(indptr, indices, n_local):
 
 
 class _CSR:
-    """A fixed CSR pattern.  ``scatter`` sums local values into its data;
-    ``pair`` is the node pair of its diagonal entries, at ``diagonal`` (all
-    entries where that is None)."""
+    """A fixed CSR pattern filled from node-pair sums.  A row lists one
+    run of entries per node pair, and ``pair`` gives each run's row of the
+    sums (None where the data are the sums in order)."""
 
-    def __init__(self, indptr, indices, shape):
+    def __init__(self, indptr, indices, shape, pair=None):
         self.indptr, self.indices = _frozen(indptr), _frozen(indices)
         self.shape = shape
-        self.scatter = self.diagonal = self.pair = None
+        # intp, which numpy gathers with fastest
+        self.pair = None if pair is None else _frozen(pair, np.intp)
 
     def matrix(self, data):
         return sp.csr_matrix((data, self.indices, self.indptr),
@@ -164,28 +166,25 @@ class _Pattern:
     The block entries are sorted once, into the pairs, by two counting
     passes.  A CSR pattern is the pair tables expanded by arithmetic: row
     (i, a) lists row node i's run of pairs, with an entry per column
-    component b (only b = a with ``diagonal``).  Its scatter operator is
-    written as its transpose, each local value at the entry its block
-    entry's pair sums into, and a counting-sort transpose lists each
-    entry's local values in local order."""
+    component b (only b = a with ``diagonal``), and its ``pair`` places
+    each run in the pair sums."""
 
     def __init__(self, rows, cols, n_rows, n_cols, d):
         self.n_rows, self.n_cols, self.d = n_rows, n_cols, d
-        self._rows, self._cols = rows, cols.shape[1]
-        nc, ni = rows.shape
+        (nc, ni), nj = rows.shape, cols.shape[1]
         # two counting-sort transposes, each keeping the order it is
         # given: the cells of each column node, then each block entry
         # (c, i, j) of those cells under its row node, so that a row
         # node's entries ascend by column node and then in local order
         by_col = sp.csr_matrix((_arange(cols.size), cols.ravel(),
-                                np.arange(0, cols.size + 1, self._cols,
+                                np.arange(0, cols.size + 1, nj,
                                           dtype=np.int32)),
                                shape=(nc, n_cols)).tocsc()
         c = by_col.indices
-        base = by_col.data + c * ((ni - 1) * self._cols)  # flat (c, 0, j)
+        base = by_col.data + c * ((ni - 1) * nj)          # flat (c, 0, j)
         entry = np.empty((len(c), ni), np.int32)          # flat (c, i, j)
         for i in range(ni):
-            np.add(base, i * self._cols, out=entry[:, i])
+            np.add(base, i * nj, out=entry[:, i])
         node = rows[c.astype(np.intp)].astype(np.int32)
         by_row = sp.csr_matrix((entry.ravel(), node.ravel(),
                                 by_col.indptr * ni),
@@ -205,15 +204,17 @@ class _Pattern:
 
     @cached_property
     def scatter(self):
-        """The operator that sums the block entries' local values per pair."""
+        """The operator that sums the block entries' local values per pair,
+        each pair's in local order."""
         return _scatter(self._ptr, self._order, len(self._order))
 
     def csr(self, r, diagonal=False):
         """The CSR pattern with an (r, d) block per pair: rows (i, a) for
         a < r, columns (j, b) for b < d; with ``diagonal`` only the b = a
-        entries of (d, d) blocks, which take their pair's sum.  Otherwise
-        its ``scatter`` sums the local blocks [c, i, b, j, a] (r = d) or
-        [b, c, i, j] (r = 1) into its data."""
+        entries of (d, d) blocks.  The run of pair p in row (i, a) is row
+        p of the sums (n_pairs,) with ``diagonal``, row (p, a) of the sums
+        (n_pairs, d, d) for r = d, and row p of the sums (n_pairs, d) in
+        order for r = 1."""
         key = (r, diagonal)
         if key not in self._csr:
             self._csr[key] = self._build(r, diagonal)
@@ -238,48 +239,15 @@ class _Pattern:
         comp = np.repeat(np.tile(a, self.n_rows), run)   # each slot's a
         columns = self.pair_cols[pair]
         columns *= d
+        shape = (self.n_rows * r, self.n_cols * d)
         if diagonal:
             columns += comp
-            indices = columns
-        else:
-            indices = np.empty((r * n, d), np.int32)
-            for b in range(d):
-                np.add(columns, b, out=indices[:, b])
-        csr = _CSR(indptr, indices.ravel(), (self.n_rows * r, self.n_cols * d))
-        if r > 1:
-            csr.pair = _frozen(pair)
-            if diagonal:
-                return csr
-            csr.diagonal = _frozen(d * _arange(r * n) + comp)
-        csr.scatter = self._operator(r, indptr)
-        return csr
-
-    def _operator(self, r, indptr):
-        """The scatter of ``csr(r)``, whose rows start at ``indptr``.  The
-        local value (b, a) of block entry (c, i, j), of pair p of row node
-        i, goes to entry indptr[i r + a] + d (p - pair_ptr[i]) + b, and
-        the transpose lists each entry's values in local order."""
-        d, n = self.d, len(self._order)
-        pair = np.empty(n, np.int32)         # of each block entry (c, i, j)
-        pair[self._order.astype(np.intp)] = np.repeat(_arange(self.n_pairs),
-                                                      np.diff(self._ptr))
-        pair = (d * pair).reshape(*self._rows.shape, self._cols)
-        before = d * self.pair_ptr[self._rows]
-        # in the local layout, [c, i, b, j, a] or [b, c, i, j] (r = 1)
-        entry = np.empty((*pair.shape[:2], d, self._cols, r) if r > 1 else
-                         (d, *pair.shape), np.int32)
-        for a in range(r):
-            start = pair + (indptr[self._rows * r + a] - before)[:, :, None]
-            for b in range(d):
-                np.add(start, b, out=entry[:, :, b, :, a] if r > 1 else
-                       entry[b])
-        units = sp.csc_matrix((np.ones(entry.size, bool), entry.ravel(),
-                               _arange(entry.size + 1)),
-                              shape=(indptr[-1], entry.size))
-        scatter = units.tocsr()
-        _frozen(scatter.indices)
-        _frozen(scatter.indptr)
-        return scatter
+            return _CSR(indptr, columns, shape, pair)
+        indices = np.empty((r * n, d), np.int32)
+        for b in range(d):
+            np.add(columns, b, out=indices[:, b])
+        return _CSR(indptr, indices.ravel(), shape,
+                    pair * d + comp if r > 1 else None)
 
 
 def _patterns(space):
@@ -294,9 +262,10 @@ def _patterns(space):
 
 def _velocity_matrix(space, scalar, coupling=None, boundary=None):
     """Velocity block: ``scalar`` (nc, nb, nb) on every component alike,
-    plus the component-coupling blocks (nc, nb, d, nb, d) and the pair sums
-    ``boundary`` of facet terms.  Without coupling its pattern holds the d
-    diagonal entries of each node pair, with it full d x d blocks."""
+    plus the component-coupling blocks [c, i, b, j, a], (nc, nb, d, nb, d),
+    and the pair sums ``boundary`` of facet terms.  Without coupling its
+    pattern holds the d diagonal entries of each node pair, with it full
+    d x d blocks."""
     pattern, d = _patterns(space)[0], space.dimension
     sums = pattern.scatter @ scalar.ravel()
     if boundary is not None:
@@ -304,24 +273,32 @@ def _velocity_matrix(space, scalar, coupling=None, boundary=None):
     csr = pattern.csr(d, diagonal=coupling is None)
     if coupling is None:
         return csr.matrix(sums[csr.pair])
-    data = csr.scatter @ coupling.ravel()
-    data[csr.diagonal] += sums[csr.pair]
-    return csr.matrix(data)
+    data = np.empty((len(csr.pair), d))
+    # plane b, [(c, i, j), a], summed per pair gives the entries (p, a, b);
+    # no copy when the plane is contiguous, as the kernel keeps it
+    for b, plane in enumerate(np.moveaxis(coupling, 2, 0)):
+        coupled = pattern.scatter @ plane.reshape(-1, d)
+        coupled[:, b] += sums                # a = b: coupling + scalar
+        data[:, b] = coupled.ravel()[csr.pair]
+    return csr.matrix(data.ravel())
 
 
 def _pressure_matrix(space, local):
     """Pressure-velocity CSR from the local blocks [e, c, p, j] of the
-    divergence kernel, (d, nc, d+1, nb), summed in that order: no
-    transposed copy, and each sum takes its terms in (c, p, j) order."""
-    csr = _patterns(space)[1].csr(1)
-    return csr.matrix(csr.scatter @ local.ravel())
+    divergence kernel, (d, nc, d+1, nb): plane e summed per pair, each sum
+    in (c, p, j) order, gives the entries (pair, e), which are B's data."""
+    pattern = _patterns(space)[1]
+    data = np.empty((pattern.n_pairs, len(local)))
+    for e, plane in enumerate(local):
+        data[:, e] = pattern.scatter @ plane.ravel()
+    return pattern.csr(1).matrix(data.ravel())
 
 
 # ---------------------------------------------------------------------------
 # batched kernels: per-point factors on planes, one product with a table
 # ---------------------------------------------------------------------------
 
-_BLOCK = 256        # cells per block of the symmetric coupling
+_BLOCK = 2 ** 16    # entries of the symmetric coupling per block of cells
 
 
 def _mass_local(data, weight):
@@ -375,7 +352,8 @@ def _viscous_local(data, G, kappa, stress):
     """Viscous blocks with the pointwise coefficient kappa = W J nu and
     g_i = grad phi_i F^{-1}: the scalar sum_q kappa g_i . g_j, (nc, nb,
     nb), and for the symmetric form the coupling [c, i, b, j, a] = sum_q
-    kappa (g_i)_b (g_j)_a, the product's own order."""
+    kappa (g_i)_b (g_j)_a, the product's own values, as a view of the
+    contiguous planes [b][c, i, j, a] that the pair sums read."""
     if stress not in ("symmetric", "full-gradient"):
         raise ValueError(f"unknown stress form {stress!r}")
     d, _, nc, nq = G.shape
@@ -387,16 +365,21 @@ def _viscous_local(data, G, kappa, stress):
             plane_dot(G[k], G[l], factor[p])
         factor *= kappa
         return (_rows(factor) @ data.stiffness).reshape(nc, nb, nb), None
-    # H^T kappa H per cell, over blocks of cells that bound the stacks H
-    X = np.empty((nc, nb * d, nb * d))
-    for i in range(0, nc, _BLOCK):
-        n = min(_BLOCK, nc - i)
+    # H^T kappa H per cell, over blocks of cells that bound the stacks H;
+    # each block goes to the planes [b][c, i, j, a] that the pair sums read
+    cells = max(1, min(_BLOCK // (nb * d) ** 2, nc))
+    X = np.empty((cells, nb * d, nb * d))
+    scalar, planes = np.empty((nc, nb, nb)), np.empty((d, nc, nb, nb, d))
+    for i in range(0, nc, cells):
+        n = min(cells, nc - i)
         Gq = G[:, :, i:i + n].transpose(3, 2, 0, 1).reshape(nq, n, d * d)
         H = np.swapaxes(Gq @ data.gradient_blocks, 0, 1).copy()
         np.matmul(np.swapaxes(H * kappa[i:i + n, :, None], 1, 2), H,
-                  out=X[i:i + n])
-    X = X.reshape(nc, nb, d, nb, d)
-    return np.einsum("cieje->cij", X), X
+                  out=X[:n])
+        block = X[:n].reshape(n, nb, d, nb, d)
+        np.einsum("cieje->cij", block, out=scalar[i:i + n])
+        planes[:, i:i + n] = block.transpose(2, 0, 1, 3, 4)
+    return scalar, planes.transpose(1, 2, 0, 3, 4)
 
 
 def _divergence_local(data, G, wj):

@@ -280,7 +280,7 @@ class _SaddleLayout:
         # rows holding positions in [A.data, B.data, -B.data], columns
         # numbered as K's: A's rows, B's rows, -B^T's rows (B transposed)
         # and an empty row
-        at = np.arange(A.nnz + B.nnz, dtype=np.int32)
+        at = np.arange(A.nnz + B.nnz, dtype=np.intp)  # a step gathers by it
         bt = sp.csr_matrix((at[A.nnz:] + B.nnz, B.indices, B.indptr),
                            shape=(n_p, n_u)).tocsc()
         rows = sp.csr_matrix((
@@ -429,7 +429,8 @@ class SaddleSolver:
     starts from 2 x^{k-1} - x^{k-2} (x^{k-1}, or zero) and aims for
     ``min(1e-2 tolerance, 1e-11)`` relative to the system's ``rhs_norm``.
     ``fresh`` (none kept) and ``refactor`` (kept for another alpha/dt, or
-    stalled) factor the step's matrix;
+    stalled) factor the step's matrix; a refactor after a stall goes on
+    from the stalled run's last iterate when its residual is the lower.
     ``reuse`` keeps the factor, and its coefficient when the start already
     meets the target, so that no LU solve is made.
     """
@@ -461,30 +462,37 @@ class SaddleSolver:
         elif not residuals[0] <= target:
             x = None
             if self.coefficient == coefficient:
-                x, residuals = self._fgmres(K, b, *start, tolerance, target)
+                y, r, residuals = self._fgmres(K, b, *start, target)
                 iterations = len(residuals) - 1
+                if residuals[-1] <= tolerance:
+                    x = y
+                elif residuals[-1] < start[3]:  # the refactor goes on from y
+                    start = (scale, y, r, residuals[-1])
             event = "refactor" if x is None else "reuse"
         if x is None:
             self.preconditioner = None  # two factors alive raise the peak RSS
             self.preconditioner = _SinglePrecisionFactor(K)
             self.coefficient, self.shape = coefficient, K.shape
-            x, residuals = self._fgmres(K, b, *start, tolerance, target)
+            x, _, residuals = self._fgmres(K, b, *start, target)
             iterations += len(residuals) - 1
+            if not residuals[-1] <= tolerance:
+                x = None
         self.history = [*h[-1:], x] if x is not None else h
         return x, {"iterations": iterations, "residual_history": residuals,
                    "solver_event": event, "lu_solves": self.lu_solves - solves}
 
-    def _fgmres(self, M, b, scale, x, r, relative, tol, target):
+    def _fgmres(self, M, b, scale, x, r, relative, target):
         """M x = b from x, with residual r (``relative`` to ``scale``): one
         LU solve per Krylov vector, whose preconditioned vectors are kept as
         in flexible GMRES.  M drifts little from the factored matrix, so the
-        right-preconditioned cycles are short.  The residuals are
-        ``relative``, then one per cycle; cycles aim for ``target`` (< tol),
-        and a stall above ``tol`` gives x = None."""
+        right-preconditioned cycles are short.  Cycles aim for ``target``
+        and stop when one gains less than half; the last iterate, its
+        residual vector and the residuals, ``relative`` and then one per
+        cycle, are returned."""
         residuals = [relative]
         for _ in range(_CYCLES):
             if residuals[-1] <= target:
-                return x, residuals
+                return x, r, residuals
             V, Z = np.empty((_KRYLOV + 1, len(b))), np.empty((_KRYLOV, len(b)))
             H, e1 = np.zeros((_KRYLOV + 1, _KRYLOV)), np.zeros(_KRYLOV + 1)
             e1[0] = beta = float(np.linalg.norm(r))
@@ -509,8 +517,8 @@ class SaddleSolver:
             r = b - M @ x
             residuals.append(float(np.linalg.norm(r)) / scale)
             if len(residuals) >= 3 and residuals[-1] > 0.5 * residuals[-2]:
-                break   # stagnated: accept if already below the tolerance
-        return (x, residuals) if residuals[-1] <= tol else (None, residuals)
+                break   # stagnated
+        return x, r, residuals
 
 
 def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
