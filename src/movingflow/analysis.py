@@ -20,7 +20,7 @@ import numpy as np
 
 from . import sampling
 from .solver import (FlowProblem, FlowState, SolverConfig, run)
-from .spaces import DiscreteField, TaylorHoodSpace, interpolate
+from .spaces import TaylorHoodSpace, interpolate
 
 __all__ = [
     "k_norm", "EnergyErrorReport", "ErrorAccumulator", "EnergyBalance",
@@ -30,27 +30,14 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def k_norm(field, map_, t, space=None):
-    """J-weighted L2 norm at time t of a DiscreteField or of a callable
-    fn(X_ref) -> values (callables need an explicit space)."""
-    if isinstance(field, DiscreteField):
-        space = field.space
-        if field.component == "velocity":
-            vals = sampling.map_samples(space, map_).field(t, field).values
-            sq = np.einsum("dcq,dcq->cq", vals, vals)
-        else:
-            pv = field.coefficients[space.mesh.cells]
-            sq = (pv @ sampling.cell_data(space).pvals.T) ** 2
-    elif space is None:
-        raise ValueError("k_norm of a callable needs the space argument")
-    else:
-        pts = sampling.cell_data(space).points
-        vals = np.asarray(field(pts.reshape(-1, space.dimension)), dtype=float)
-        vals = vals.reshape(pts.shape[0], pts.shape[1], -1)
-        sq = np.einsum("cqd,cqd->cq", vals, vals)
+def k_norm(field, map_, t):
+    """J-weighted L2 norm at time t of a velocity DiscreteField."""
+    space = field.space
+    samples = sampling.map_samples(space, map_)
+    vals = samples.field(t, field).values
+    sq = np.einsum("dcq,dcq->cq", vals, vals)
     wts = sampling.cell_data(space).weights
-    J = sampling.map_samples(space, map_).jacobian(t)
-    return float(np.sqrt(np.sum(wts * J * sq)))
+    return float(np.sqrt(np.sum(wts * samples.jacobian(t) * sq)))
 
 
 @dataclass

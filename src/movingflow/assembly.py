@@ -38,8 +38,9 @@ per-point factor by written-out sums on planes and makes one product
 The symmetric-stress coupling keeps the product H^T kappa H of the
 per-cell stacks H = grad phi F^{-1}, (nq, nb d), over blocks of cells;
 H comes from one product per point q of the cells' G with the table of
-d_k phi_i.  Each block's product is copied, while it is in cache, into
-one plane per component b.
+d_k phi_i.  Each plane b of the coupling is one product per block, the
+rows (i, b) of (kappa H)^T times H, written in place; the scalar is the
+sum of the planes' diagonals.
 Mass-type terms are ``(w J) @ (phi_i phi_j)``.  The standalone forms and
 ``assemble_step`` call the same kernels.
 
@@ -52,7 +53,8 @@ each pair's entries in local order; its matvec adds them in that order
 from 0.0, as a bincount would.  Every form sums through it: the cell
 scalars, each plane b of the symmetric coupling [c, i, b, j, a] as rows
 (c, i, j) of its d values a, and each plane e of the divergence [e, c, p,
-j].  The Temam facet term sums per node pair too.  The velocity block
+j].  The Temam facet term enters through the scalar blocks of its
+facets' cells, added in facet order before the sums.  The velocity block
 holds a pair's d diagonal entries, which take its scalar sum, when no
 term couples the velocity components (A = S x I_d); with the symmetric
 stress it holds full d x d blocks, entry (a, b) the coupling sum plus,
@@ -98,8 +100,6 @@ class AssembledStep:
     A: sp.csr_matrix
     B: sp.csr_matrix
     rhs_u: np.ndarray
-    t: float
-    dt: float
     time_coefficient: float     # alpha/dt: u^k's weight in the time derivative
     outflow: np.ndarray = None
     neumann: np.ndarray = None
@@ -125,16 +125,6 @@ def _frozen(index, dtype=np.int32):
     index = index.astype(dtype, copy=False)
     index.flags.writeable = False
     return index
-
-
-def _scatter(indptr, indices, n_local):
-    """A fixed operator with one unit entry per local value: row t sums
-    the local values ``indices[indptr[t]:indptr[t + 1]]``, which ascend.
-    CSR's matvec adds a row's terms in stored order from 0.0, as a
-    bincount does, so the sums are bitwise those of ``_sum``."""
-    # bool units, a byte each: the product upcasts them to 1.0
-    return sp.csr_matrix((np.ones(len(indices), bool), _frozen(indices),
-                          _frozen(indptr)), shape=(len(indptr) - 1, n_local))
 
 
 class _CSR:
@@ -205,8 +195,14 @@ class _Pattern:
     @cached_property
     def scatter(self):
         """The operator that sums the block entries' local values per pair,
-        each pair's in local order."""
-        return _scatter(self._ptr, self._order, len(self._order))
+        each pair's in local order: row p has a unit entry at each of pair
+        p's local values, ascending, and CSR's matvec adds a row's terms in
+        stored order from 0.0, as a bincount does, so the sums are bitwise
+        those of ``_sum``."""
+        # bool units, a byte each: the product upcasts them to 1.0
+        order = self._order
+        return sp.csr_matrix((np.ones(len(order), bool), order, self._ptr),
+                             shape=(self.n_pairs, len(order)))
 
     def csr(self, r, diagonal=False):
         """The CSR pattern with an (r, d) block per pair: rows (i, a) for
@@ -260,16 +256,13 @@ def _patterns(space):
     return cached(space, "patterns", build)
 
 
-def _velocity_matrix(space, scalar, coupling=None, boundary=None):
+def _velocity_matrix(space, scalar, coupling=None):
     """Velocity block: ``scalar`` (nc, nb, nb) on every component alike,
-    plus the component-coupling blocks [c, i, b, j, a], (nc, nb, d, nb, d),
-    and the pair sums ``boundary`` of facet terms.  Without coupling its
-    pattern holds the d diagonal entries of each node pair, with it full
-    d x d blocks."""
+    plus the component-coupling blocks [c, i, b, j, a], (nc, nb, d, nb, d).
+    Without coupling its pattern holds the d diagonal entries of each node
+    pair, with it full d x d blocks."""
     pattern, d = _patterns(space)[0], space.dimension
     sums = pattern.scatter @ scalar.ravel()
-    if boundary is not None:
-        sums += boundary
     csr = pattern.csr(d, diagonal=coupling is None)
     if coupling is None:
         return csr.matrix(sums[csr.pair])
@@ -352,8 +345,9 @@ def _viscous_local(data, G, kappa, stress):
     """Viscous blocks with the pointwise coefficient kappa = W J nu and
     g_i = grad phi_i F^{-1}: the scalar sum_q kappa g_i . g_j, (nc, nb,
     nb), and for the symmetric form the coupling [c, i, b, j, a] = sum_q
-    kappa (g_i)_b (g_j)_a, the product's own values, as a view of the
-    contiguous planes [b][c, i, j, a] that the pair sums read."""
+    kappa (g_i)_b (g_j)_a, as a view of the contiguous planes [b][c, i, j,
+    a] that the pair sums read, and the scalar as the sum over e of its
+    entries [c, i, e, j, e], in e order."""
     if stress not in ("symmetric", "full-gradient"):
         raise ValueError(f"unknown stress form {stress!r}")
     d, _, nc, nq = G.shape
@@ -365,20 +359,22 @@ def _viscous_local(data, G, kappa, stress):
             plane_dot(G[k], G[l], factor[p])
         factor *= kappa
         return (_rows(factor) @ data.stiffness).reshape(nc, nb, nb), None
-    # H^T kappa H per cell, over blocks of cells that bound the stacks H;
-    # each block goes to the planes [b][c, i, j, a] that the pair sums read
+    # H^T kappa H per cell, over blocks of cells that bound the stacks H:
+    # plane b, [c, i, j, a], is one product per block, the rows (i, b) of
+    # (kappa H)^T times H, written in place
     cells = max(1, min(_BLOCK // (nb * d) ** 2, nc))
-    X = np.empty((cells, nb * d, nb * d))
-    scalar, planes = np.empty((nc, nb, nb)), np.empty((d, nc, nb, nb, d))
+    scalar, planes = np.zeros((nc, nb, nb)), np.empty((d, nc, nb, nb, d))
     for i in range(0, nc, cells):
         n = min(cells, nc - i)
         Gq = G[:, :, i:i + n].transpose(3, 2, 0, 1).reshape(nq, n, d * d)
         H = np.swapaxes(Gq @ data.gradient_blocks, 0, 1).copy()
-        np.matmul(np.swapaxes(H * kappa[i:i + n, :, None], 1, 2), H,
-                  out=X[:n])
-        block = X[:n].reshape(n, nb, d, nb, d)
-        np.einsum("cieje->cij", block, out=scalar[i:i + n])
-        planes[:, i:i + n] = block.transpose(2, 0, 1, 3, 4)
+        Hk = np.swapaxes(H * kappa[i:i + n, :, None], 1, 2).reshape(
+            n, nb, d, nq)                                  # [c, i, b, q]
+        for b in range(d):
+            np.matmul(Hk[:, :, b], H,
+                      out=planes[b, i:i + n].reshape(n, nb, nb * d))
+    for e in range(d):                 # the scalar: the diagonals a = b
+        scalar += planes[e, ..., e]
     return scalar, planes.transpose(1, 2, 0, 3, 4)
 
 
@@ -390,37 +386,38 @@ def _divergence_local(data, G, wj):
     return (factor @ data.divergence).reshape(d, nc, d + 1, -1)
 
 
-def _temam_boundary(space, map_, t, w):
-    """0.5 (z.n) phi_i phi_j over neumann facets: its point weights, and
-    the term as scalar pattern data; (None, None) without neumann facets."""
+def _add_temam(space, map_, t, w, scalar):
+    """Add 0.5 (z.n) phi_i phi_j over the neumann facets to the contiguous
+    scalar cell blocks (nc, nb, nb) of their cells, in facet order; returns
+    the term's point weights, None without neumann facets."""
     sel = _neumann_facets(space)
     if sel.size == 0:
-        return None, None
+        return None
     fd = facet_data(space)
     facets = map_samples(space, map_).facets(t)
-    nodes = fd.nodes[sel]
-    zn = np.einsum("fqd,fqd->fq", fd.vals @ _nodal(w)[nodes],
+    zn = np.einsum("fqd,fqd->fq", fd.vals @ _nodal(w)[fd.nodes[sel]],
                    facets.conormal[sel])
     outflow = 0.5 * fd.weights[sel] * zn
     local = outflow @ np.einsum("qi,qj->qij", fd.vals, fd.vals).reshape(
         len(fd.vals), -1)
-    return outflow, _facet_scatter(space) @ local.ravel()
+    # unbuffered: a block entry on several facets sums them in facet order
+    np.add.at(scalar.reshape(-1), _facet_blocks(space), local)
+    return outflow
 
 
-def _facet_scatter(space):
-    """The operator that sums the neumann facets' local blocks (f, i, j)
-    per velocity node pair, built on first use."""
+def _facet_blocks(space):
+    """The flat place (c, i, j) in the scalar cell blocks of each neumann
+    facet's block entry (f, k, l): c the facet's cell, i and j where its
+    nodes k and l sit among that cell's nodes.  Cached on the space."""
     def build():
-        pattern, n = _patterns(space)[0], space.n_nodes
-        nodes = facet_data(space).nodes[_neumann_facets(space)]
-        keys = np.repeat(np.arange(n),
-                         np.diff(pattern.pair_ptr)) * n + pattern.pair_cols
-        pair = np.searchsorted(keys, (nodes[:, :, None] * n +
-                                      nodes[:, None, :]).ravel())
-        order = np.argsort(pair, kind="stable")
-        ptr = np.searchsorted(pair[order], np.arange(pattern.n_pairs + 1))
-        return _scatter(ptr, order, len(order))
-    return cached(space, "facet_scatter", build)
+        sel, fd = _neumann_facets(space), facet_data(space)
+        cells, nodes = fd.cells[sel], fd.nodes[sel]          # (nf, nfb)
+        at = np.argmax(space.cell_nodes[cells][:, None, :] ==
+                       nodes[:, :, None], axis=2)            # (nf, nfb)
+        nb = space.cell_nodes.shape[1]
+        return _frozen(((cells[:, None, None] * nb + at[:, :, None]) * nb +
+                        at[:, None, :]).reshape(len(sel), -1), np.intp)
+    return cached(space, "facet blocks", build)
 
 
 def _neumann_facets(space, patch=None):
@@ -466,8 +463,8 @@ def convection_matrices(space, map_, t, w):
     C = _convection_local(data, cells.G, data.weights * cells.J,
                           cell_components(space, _nodal(w)))
     T = -0.5 * (C + np.swapaxes(C, 1, 2))
-    return _velocity_matrix(space, C), _velocity_matrix(
-        space, T, boundary=_temam_boundary(space, map_, t, w)[1])
+    _add_temam(space, map_, t, w, T)
+    return _velocity_matrix(space, C), _velocity_matrix(space, T)
 
 
 def viscous_matrix(space, map_, t, nu, stress="symmetric", *,
@@ -574,7 +571,8 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
     """Assemble the sparse blocks of one implicit time step.
 
     ``w`` is the advection field u^{k-1} - I_h(xi_t^k); ``neumann_data`` maps
-    patch ids to traction densities g(x_ref, t, n) -> (n, d), assembled as
+    patch ids to traction densities g(x_ref, t, m) -> (n, d), with m =
+    F^{-T} n the level's pulled-back normal at the points, assembled as
     int J g . psi over the facets of that patch (g may be None for a
     homogeneous outflow condition).
     """
@@ -606,8 +604,8 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
     visc, coupling = _viscous_local(data, G, kappa, stress)
     scalar = _mass_local(data, W * (Jtime * (alpha / dt) + 0.5 * Jdot)) + visc
     scalar += 0.5 * (C - np.swapaxes(C, 1, 2))                   # C + T
-    outflow, temam = _temam_boundary(space, map_, t_k, w)
-    A = _velocity_matrix(space, scalar, coupling, temam)
+    outflow = _add_temam(space, map_, t_k, w, scalar)
+    A = _velocity_matrix(space, scalar, coupling)
     B = _pressure_matrix(space, _divergence_local(data, G, wj))
 
     rhs = _sum(space.cell_nodes, _mass_local(data, W * Jtime) @
@@ -619,8 +617,7 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
         neumann = _neumann_vector(space, map_, t_k, neumann_data)
         rhs += neumann
 
-    return AssembledStep(A=A, B=B, rhs_u=rhs, t=t_k, dt=dt,
-                         time_coefficient=alpha / dt, outflow=outflow,
+    return AssembledStep(A=A, B=B, rhs_u=rhs, time_coefficient=alpha / dt, outflow=outflow,
                          neumann=neumann)
 
 
@@ -637,7 +634,8 @@ def outflow_power(space, step, u):
 
 def _neumann_vector(space, map_, t, neumann_data):
     """int J g . psi over neumann facets, per-patch traction densities; each
-    traction is evaluated once over all quadrature points of its patch."""
+    traction is evaluated once over all quadrature points of its patch,
+    given the pulled-back normal F^{-T} n there."""
     d = space.dimension
     rhs = np.zeros(space.n_velocity_dofs)
     fd = facet_data(space)
@@ -647,8 +645,8 @@ def _neumann_vector(space, map_, t, neumann_data):
             continue
         facets = map_samples(space, map_).facets(t)
         nqf = fd.points.shape[1]
-        normals = np.repeat(fd.normals[sel], nqf, axis=0)
-        gq = np.asarray(g(fd.points[sel].reshape(-1, d), t, normals),
+        gq = np.asarray(g(fd.points[sel].reshape(-1, d), t,
+                          facets.normal[sel].reshape(-1, d)),
                         dtype=float).reshape(len(sel), nqf, d)
         local = fd.vals.T @ ((fd.weights[sel] * facets.J[sel])[..., None] * gq)
         rhs += _sum(fd.nodes[sel], local, space.n_nodes, d)

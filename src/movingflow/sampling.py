@@ -14,13 +14,15 @@ nodes.  Of F the level keeps the map factor G = inv F^{-1} at the cell
 points, where inv maps reference-simplex to reference-mesh gradients: the
 basis gradients grad phi F^{-1} are lgrad G, so every gradient form of
 ``assembly`` is elementwise work on G and one product with a fixed table
-of the space.  G is kept as d x d contiguous planes, (d, d, nc, nq).  Next
-to the map sample the level keeps its forcing at the cell points and its
-solved velocity there (values and grad u F^{-1}, as component planes),
-each evaluated once for every reader.  Lifetime: only the newest level is
-kept whole; J at the cell points is kept for the last three levels, which
-the backward differences of J need, and an older level is sampled for J
-alone.  The arrays are read-only.
+of the space.  G is kept as d x d contiguous planes, (d, d, nc, nq).  At
+the facet points the level keeps J and the pulled-back normal F^{-T} n,
+which outflow tractions are given.  Next to the map sample the level
+keeps its forcing at the cell points and its solved velocity there
+(values and grad u F^{-1}, as component planes), each evaluated once for
+every reader.  Lifetime: only the newest level is kept whole; J at the
+cell points is kept for the last three levels, which the backward
+differences of J need, and an older level is sampled for J alone.  The
+arrays are read-only.
 
 The tables, the map samples and the sparsity patterns of ``assembly`` hang
 on the space in one cache; ``solver.run`` releases it when it returns, so a
@@ -227,10 +229,13 @@ class CellSample:
 
 @dataclass(frozen=True)
 class FacetSample:
-    """Map data at the boundary-facet quadrature points, (nbf, nqf, ...);
-    ``conormal`` is J F^{-T} n."""
+    """Map data at the boundary-facet quadrature points, (nbf, nqf, ...):
+    J, the pulled-back normal ``normal`` m = F^{-T} n of the reference
+    normal n, and ``conormal`` J m, with J m dS_ref = n_phys dS_phys
+    (Nanson)."""
 
     J: np.ndarray
+    normal: np.ndarray
     conormal: np.ndarray
 
 
@@ -350,9 +355,8 @@ class MapSamples:
 
         def build():
             _, _, Finv, J = self._sample(fd.points, fd.cells, t)
-            conormal = J[..., None] * np.einsum("mdfq,fm->fqd", Finv,
-                                                fd.normals)
-            return FacetSample(*_readonly(J, conormal))
+            normal = np.einsum("mdfq,fm->fqd", Finv, fd.normals)
+            return FacetSample(*_readonly(J, normal, J[..., None] * normal))
         return self._get(t, "facets", build)
 
     def wall(self, t):

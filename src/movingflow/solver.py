@@ -79,9 +79,11 @@ class DirichletBC:
 
 @dataclass
 class NeumannBC:
-    """Natural outflow condition; ``traction(X_ref, t, normals) -> (n, d)``
-    integrated as int J g . psi, or None for the homogeneous (do-nothing)
-    condition."""
+    """Natural outflow condition: ``traction(X_ref, t, m) -> (n, d)`` at
+    reference facet points, with m = F^{-T} n the pulled-back normal of the
+    reference normal n there, integrated as int J g . psi over the reference
+    facets; or None for the homogeneous (do-nothing) condition.  A physical
+    stress sigma gives g = sigma m, since J m dS_ref = n_phys dS_phys."""
 
     traction: object = None
 

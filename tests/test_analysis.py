@@ -38,14 +38,6 @@ def test_k_norm_zero_field():
     assert k_norm(DiscreteField(space, "velocity"), IdentityMap(2), 0.0) == 0.0
 
 
-def test_k_norm_of_callable():
-    mesh = generate_box(2, (4, 4))
-    space = TaylorHoodSpace(mesh)
-    val = k_norm(lambda X: np.stack([X[:, 0], 0 * X[:, 0]], axis=1),
-                 IdentityMap(2), 0.0, space=space)
-    assert abs(val - np.sqrt(1.0 / 3.0)) < 1e-12
-
-
 # --- energy error report -------------------------------------------------------
 
 

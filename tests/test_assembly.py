@@ -178,6 +178,29 @@ def test_temam_boundary_term_on_outflow_facets():
     assert abs(quad_form - surface) < 1e-11 * (1 + abs(quad_form))
 
 
+def test_a_traction_is_given_the_pulled_back_normal():
+    """On a moving box, a traction that returns its third argument, the
+    pulled-back normal m = F^{-T} n, loads int J m . psi, the integral of
+    the facet sample's conormal against the trace basis."""
+    space = TaylorHoodSpace(generate_box(2, (3, 3),
+                                         labels={"xmax": neumann(0)}))
+    map_ = parse_map_expressions(
+        "x1 + 0.2*t*x1*x2; x2*(1 + 0.3*t) + 0.1*t*x1*x1", 2)
+    zero = DiscreteField(space, "velocity")
+    step = assembly.assemble_step(space, map_, 0.1, 0.05, 0.05, zero, zero,
+                                  0.3, neumann_data={0: lambda X, t, m: m})
+    fd = sampling.facet_data(space)
+    sel = np.flatnonzero([lbl.kind == "neumann"
+                          for lbl in space.mesh.boundary_labels])
+    conormal = sampling.map_samples(space, map_).facets(0.1).conormal[sel]
+    want = np.zeros((space.n_nodes, 2))
+    np.add.at(want, fd.nodes[sel], np.einsum("qi,fq,fqd->fid", fd.vals,
+                                             fd.weights[sel], conormal))
+    assert np.abs(step.neumann - want.ravel()).max() <= \
+        1e-14 * np.abs(want).max()
+    sampling.release(space)
+
+
 def test_space_rules_are_the_symmetric_tables():
     # cell / boundary-facet points: 12 / 5 in 2D, 14 / 12 in 3D
     for d, counts in ((2, (12, 5)), (3, (14, 12))):
@@ -489,10 +512,12 @@ def _csr_positions(M, rows, cols):
 def test_step_blocks_are_bitwise_a_bincount_at_csr_positions(
         monkeypatch, case, stress):
     """A.data and B.data equal, to the bit, each local value summed at its
-    CSR position in local order by np.bincount: the cell scalars and the
-    neumann facets' Temam term per diagonal entry, their sum added to the
-    symmetric coupling's sum, and B's blocks [e, c, p, j].  Both meshes
-    have neumann facets; each case's own stress is not used."""
+    CSR position in local order by np.bincount: the cell scalars, which
+    hold the neumann facets' Temam blocks, per diagonal entry, their sum
+    added to the symmetric coupling's sum, and B's blocks [e, c, p, j].
+    The Temam term alone equals its facet blocks summed in facet order to
+    roundoff: a vertex pair on three or more facets sums in cell order.
+    Both meshes have neumann facets; each case's own stress is not used."""
     space, map_, _, smagorinsky = _scatter_cases()[case]
     original = assembly._velocity_matrix
     seen = {}               # the local blocks each scatter is given
@@ -507,7 +532,7 @@ def test_step_blocks_are_bitwise_a_bincount_at_csr_positions(
                       rng.standard_normal(space.n_velocity_dofs))
     step = assembly.assemble_step(space, map_, 0.1, 0.05, 0.05, w, w, 0.3,
                                   stress=stress, smagorinsky=smagorinsky)
-    scalar, coupling, boundary = seen["_velocity_matrix"]
+    scalar, coupling = seen["_velocity_matrix"]
     (divergence,) = seen["_pressure_matrix"]
     d, conn = space.dimension, space.cell_nodes
     comps = np.arange(d)[:, None, None, None]
@@ -527,12 +552,14 @@ def test_step_blocks_are_bitwise_a_bincount_at_csr_positions(
         len(fd.vals), -1)
     nbf = fd.nodes.shape[1]
     facet = facet.reshape(len(sel), nbf, nbf)
-    # the Temam term alone too, where no larger sum absorbs its rounding
-    temam = original(space, np.zeros_like(scalar), None, boundary)
-    assert np.array_equal(temam.data,
-                          diagonal_sum(temam, fd.nodes[sel], facet))
+    # the Temam term alone, where no larger sum absorbs its rounding
+    blocks = np.zeros_like(scalar)
+    assert np.array_equal(assembly._add_temam(space, map_, 0.1, w, blocks),
+                          step.outflow)
+    temam = original(space, blocks)
+    want = diagonal_sum(temam, fd.nodes[sel], facet)
+    assert np.abs(temam.data - want).max() <= 1e-15 * np.abs(want).max()
     want = diagonal_sum(A, conn, scalar)
-    want += diagonal_sum(A, fd.nodes[sel], facet)
     if stress == "symmetric":              # [c, i, b, j, a]
         e = np.arange(d)
         pos = _csr_positions(
