@@ -240,7 +240,9 @@ def convergence_study(case, levels, *, progress=None):
 
     The time step scales from the case's base step with the square of the
     nominal mesh ratio, dt = base_dt (h_l / h_1)^2, so the paper's condition
-    h^4 <= c dt for the quadratic velocity holds on every level.
+    h^(2 m_u + 2) <= c dt holds on every level: m_u is the velocity's
+    polynomial degree (the paper's abstract), 2 here, and h^6 / dt shrinks
+    as h^4.
     """
     if levels < 2:
         raise ValueError("a convergence study needs at least 2 levels")

@@ -2,12 +2,12 @@
 
 The triangle and tetrahedron rules are the three the spaces use, symmetric
 tables in ``SYMMETRIC_RULES``, derived and checked by
-``tools/derive_quadrature.py``: cells to degree 6 in 2D (12 points) and 5
-in 3D (14 points), boundary triangles of 3D meshes to degree 7 (12
-points); any other degree raises.  Segments use Gauss-Legendre, exact for
-any requested total degree.  Every rule has positive weights and interior
-points.  Points are stored in barycentric coordinates; weights sum to the
-reference simplex measure 1/d!.
+``tools/derive_quadrature.py``: cells to degree 5 in 2D (7 points, the rule
+of Radon 1948) and in 3D (14 points), boundary triangles of 3D meshes to
+degree 7 (12 points); any other degree raises.  Segments use
+Gauss-Legendre, exact for any requested total degree.  Every rule has
+positive weights and interior points.  Points are stored in barycentric
+coordinates; weights sum to the reference simplex measure 1/d!.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ LOCAL_EDGES = {
 
 
 def default_degree(dimension):
-    """Default quadrature exactness: exact for all products of quadratic
-    basis functions with cellwise-linear gradients on affine cells."""
-    return 6 if dimension == 2 else 5
+    """Cell quadrature exactness, 5 in every dimension: exact on affine
+    cells for the forms of ``assembly``, whose integrands are at most two
+    quadratic basis functions times a cellwise-constant gradient of a third
+    (mass 4, convection and the Temam term 5, viscous and divergence 2)."""
+    return 5
 
 
 class ShapeFunctions:
@@ -119,10 +121,10 @@ def _gauss01(n):
 # (dimension, exactness) -> orbits of (kind, free coordinates, weight of
 # each point); written by tools/derive_quadrature.py, see ``orbit``
 SYMMETRIC_RULES = {
-    (2, 6): (
-        ("s21", (0.06308901449150223,), 0.02542245318510341),
-        ("s21", (0.24928674517091043,), 0.058393137863189684),
-        ("s111", (0.053145049844816945, 0.3103524510337844), 0.041425537809186785),
+    (2, 5): (
+        ("s3", (), 0.11250000000000003),
+        ("s21", (0.10128650732345634,), 0.06296959027241357),
+        ("s21", (0.4701420641051151,), 0.0661970763942531),
     ),
     (2, 7): (
         ("c111", (0.03432430294509715, 0.3047265008681672), 0.028775042784981587),
@@ -140,8 +142,8 @@ SYMMETRIC_RULES = {
 # generator of each orbit kind from its free coordinates; the digits give
 # the multiplicities of its barycentric coordinates
 _GENERATORS = {
+    "s3": lambda: (1.0 / 3.0,) * 3,
     "s21": lambda a: (a, a, 1.0 - 2.0 * a),
-    "s111": lambda a, b: (a, b, 1.0 - a - b),
     "c111": lambda a, b: (a, b, 1.0 - a - b),
     "s31": lambda a: (a, a, a, 1.0 - 3.0 * a),
     "s22": lambda a: (a, a, 0.5 - a, 0.5 - a),

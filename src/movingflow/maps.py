@@ -50,7 +50,8 @@ DEFAULT_THRESHOLDS = (0.1, 100.0, 0.9)
 
 
 class SingularMappingError(RuntimeError):
-    """The mapping gradient is singular (J <= 0) at some point and time."""
+    """The mapping gradient is singular (J <= 0) or has a non-finite
+    inverse at some point and time."""
 
 
 @dataclass(frozen=True)
@@ -123,12 +124,16 @@ class SpaceTimeMap:
         points = _as_points(points, self.dimension)
         F = self.gradient(points, t, cells=cells)
         J, adj = det_adjugate_planes(F)
-        if not np.all(J > 0.0):
-            i = int(np.flatnonzero(~(J > 0.0))[0])
+        valid = (J > 0.0) & (J < np.inf)
+        if valid.all():
+            with np.errstate(over="ignore"):    # a tiny J: checked next
+                adj /= J
+            valid = np.isfinite(adj).all(axis=(0, 1))
+        if not valid.all():
+            i = int(np.flatnonzero(~valid)[0])
             raise SingularMappingError(
-                f"mapping gradient singular (J={J[i]:.3g} <= 0) at point "
-                f"{points[i].tolist()} and time {t:g}")
-        adj /= J
+                f"mapping gradient singular or not finite (J={J[i]:.3g}) at "
+                f"point {points[i].tolist()} and time {t:g}")
         return F, np.moveaxis(adj, -1, 0), J
 
     def jacobian(self, points, t, cells=None):

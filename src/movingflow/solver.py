@@ -528,8 +528,10 @@ def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
 
     ``saddle_solver``, a ``SaddleSolver`` passed between steps, keeps the
     factor and the solution history; a fresh one is made when none is given.
-    A map with J <= 0 at any quadrature point of the step, or a solve that
-    misses ``config.tolerance``, raises a SolverError with the step index.
+    A map with J <= 0 or a non-finite F^{-1} at any quadrature point of the
+    step, non-finite wall data, traction load, forcing load or Dirichlet
+    data, or a solve that misses ``config.tolerance``, raises a SolverError
+    with the step index.
     ``info`` is the solve's, with the ``residual`` of the system without the
     pin (a warning reports it above the tolerance), the divergence residual
     and the step's reaction and outflow powers.
@@ -553,6 +555,13 @@ def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
             t_prev2=state_prev2.t if bdf2 else None)
         system = apply_boundary_conditions(step, problem.bcs, space, map_,
                                            t_k)
+        # the wall first: it enters A and the no-slip values too
+        for part, values in (("wall data", wall),
+                             ("traction load", step.neumann),
+                             ("forcing load", step.rhs_u),
+                             ("Dirichlet data", system.bc_values)):
+            if values is not None and not np.isfinite(values).all():
+                raise SolverError(f"the {part} is not finite")
     except SingularMappingError as exc:
         raise SolverError(f"map validation failed at step {k} "
                           f"(t={t_k:g}): {exc}", step=k) from exc

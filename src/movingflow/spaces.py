@@ -1,9 +1,9 @@
 """Taylor-Hood velocity/pressure spaces on a simplicial mesh.
 
-The pair is the lowest-order one (m = 1): continuous piecewise-quadratic
-velocity (vertex and midedge nodes, d components, interleaved dof order
-``node * d + component``) with continuous piecewise-linear pressure at the
-vertices.
+The pair is the lowest-order one (velocity degree m_u = 2, pressure degree
+1): continuous piecewise-quadratic velocity (vertex and midedge nodes, d
+components, interleaved dof order ``node * d + component``) with continuous
+piecewise-linear pressure at the vertices.
 
 Velocity nodes are classified against the labeled boundary facets with
 precedence noslip > dirichlet > neumann; conflicts are logged.

@@ -2,19 +2,20 @@
 
 Plain loops over cells, quadrature points and basis pairs; used to check the
 vectorized assembly against an independent code path.  The identity-map
-forms take a quadrature degree.  The moving-map forms (``moving_*``) loop
+forms integrate with ``conical_rule`` at a given degree, none of the
+program's tables.  The moving-map forms (``moving_*``) loop
 over the cells and the space's cell points and build each form from F^{-1}
 itself: ``np.linalg.inv`` and ``np.linalg.det`` of the map's gradient at
-the point, no sampling tables, no map factor.  ``quadrature`` adds a
-conical-product Gauss-Jacobi rule at the degrees that have no tabled rule,
-for tests that integrate above the program's rules.
+the point, no sampling tables, no map factor, on the space's cell rule.
+``quadrature`` adds the conical-product rule at the degrees that have no
+tabled rule, for tests that integrate above the program's rules.
 """
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from movingflow import elements
-from movingflow.elements import QuadratureRule, default_degree, shape_functions
+from movingflow import elements, sampling
+from movingflow.elements import QuadratureRule, shape_functions
 
 
 def _jacobi01(n, alpha):
@@ -52,9 +53,8 @@ def quadrature(d, degree):
         return conical_rule(d, degree)
 
 
-def _cell_setup(mesh, degree):
+def _cell_setup(mesh, rule):
     d = mesh.dimension
-    rule = quadrature(d, degree)
     v2 = shape_functions(2, d)
     v1 = shape_functions(1, d)
     vals = v2.values(rule.points)
@@ -73,7 +73,7 @@ def _geometry(mesh, c):
 def mass(space, degree):
     mesh = space.mesh
     d = mesh.dimension
-    rule, vals, grads_loc, _ = _cell_setup(mesh, degree)
+    rule, vals, grads_loc, _ = _cell_setup(mesh, conical_rule(d, degree))
     n = space.n_velocity_dofs
     M = np.zeros((n, n))
     for c in range(mesh.n_cells):
@@ -91,7 +91,7 @@ def mass(space, degree):
 def viscous(space, nu, stress, degree):
     mesh = space.mesh
     d = mesh.dimension
-    rule, vals, grads_loc, _ = _cell_setup(mesh, degree)
+    rule, vals, grads_loc, _ = _cell_setup(mesh, conical_rule(d, degree))
     n = space.n_velocity_dofs
     A = np.zeros((n, n))
     for c in range(mesh.n_cells):
@@ -116,7 +116,7 @@ def viscous(space, nu, stress, degree):
 def divergence(space, degree):
     mesh = space.mesh
     d = mesh.dimension
-    rule, vals, grads_loc, pvals = _cell_setup(mesh, degree)
+    rule, vals, grads_loc, pvals = _cell_setup(mesh, conical_rule(d, degree))
     B = np.zeros((space.n_pressure_dofs, space.n_velocity_dofs))
     for c in range(mesh.n_cells):
         nodes = space.cell_nodes[c]
@@ -136,7 +136,7 @@ def convection(space, w_nodal, degree):
     boundary integral (valid for meshes without outflow facets)."""
     mesh = space.mesh
     d = mesh.dimension
-    rule, vals, grads_loc, _ = _cell_setup(mesh, degree)
+    rule, vals, grads_loc, _ = _cell_setup(mesh, conical_rule(d, degree))
     n = space.n_velocity_dofs
     C = np.zeros((n, n))
     T = np.zeros((n, n))
@@ -167,7 +167,7 @@ def _moving_points(space, map_, t):
     values, grad phi F^{-1} (nb, d), J); the space's cell rule."""
     mesh = space.mesh
     rule, vals, grads_loc, pvals = _cell_setup(
-        mesh, default_degree(mesh.dimension))
+        mesh, sampling.rules(mesh.dimension)[0])
     for c in range(mesh.n_cells):
         verts, det, Ginv = _geometry(mesh, c)
         diam = max(np.linalg.norm(a - b) for a in verts for b in verts)

@@ -323,11 +323,23 @@ def test_cli_info_and_validate(tmp_path, capsys):
     assert cli(["info", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "box (2D)" in out
-    assert ("quadrature: cell 12 points (degree 6), "
-            "facet 5 points (degree 8)") in out
+    assert ("quadrature: cell 7 points (degree 5), "
+            "facet 4 points (degree 7)") in out
     assert cli(["validate-map", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "passed" in out
+
+
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in sqrt:RuntimeWarning")
+def test_cli_run_names_the_step_of_non_finite_data(tmp_path, capsys):
+    # the forcing sqrt(0.15 - t) is NaN from step 2 (t = 0.2) on
+    path = minimal_config(
+        tmp_path, physics={"nu": 1.0, "forcing": ["0", "sqrt(0.15 - t)"]},
+        time={"dt": 0.1, "T": 0.3})
+    assert cli(["run", "--config", str(path)]) == 2
+    assert ("error: step 2: the forcing load is not finite"
+            in capsys.readouterr().err)
 
 
 def test_cli_validate_map_tube(tmp_path, capsys):

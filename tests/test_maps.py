@@ -169,6 +169,19 @@ def test_degenerate_map_raises():
         evaluate_map(m, (0.5, 0.5), 0.0)
 
 
+@pytest.mark.parametrize("f00", [np.inf, 1e-310])
+def test_non_finite_inverse_is_singular(f00):
+    # J = inf, or J > 0 so small that F^{-1} overflows: both raise as J <= 0
+    class Degenerate(IdentityMap):
+        def gradient(self, points, t, cells=None):
+            F = super().gradient(points, t, cells)
+            F[-1, 0, 0] = f00
+            return F
+
+    with pytest.raises(SingularMappingError, match="not finite"):
+        Degenerate(2).sample_fields(np.zeros((3, 2)), 0.0)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_closed_form_inverse_matches_linalg(dim):
     # U diag(s) V^T with singular values in [0.5, 2]: condition <= 4

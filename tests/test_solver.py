@@ -370,6 +370,47 @@ def test_degenerate_boundary_normal_field_raises_with_step(monkeypatch):
     assert info.value.step == 1
 
 
+def _nan_from(t):
+    return np.nan if t > 0.15 else 0.0     # dt 0.1: from step 2 on
+
+
+class _NaNWallMap(IdentityMap):
+    """The identity map with a NaN wall velocity from t = 0.2 on."""
+
+    def velocity(self, points, t, cells=None):
+        return super().velocity(points, t, cells) + _nan_from(t)
+
+
+@pytest.mark.parametrize("part", ["forcing load", "traction load",
+                                  "Dirichlet data", "wall data"])
+def test_non_finite_data_raise_with_step(part):
+    # a NaN that enters a step's data ends the run with a typed error
+    # naming the step and the part, before the solve sees it
+    from movingflow.solver import SolverError
+    mesh = generate_box(2, (4, 2), extents=[(0, 2), (0, 1)],
+                        labels={"xmin": dirichlet(0), "xmax": neumann(0)})
+    space = TaylorHoodSpace(mesh)
+
+    def data(name, value):
+        def f(X, t, *normal):
+            return np.tile(value, (len(X), 1)) + \
+                (_nan_from(t) if part == name else 0.0)
+        return f
+
+    bcs = BoundaryConditionSet({
+        NOSLIP: NoslipBC(),
+        dirichlet(0): DirichletBC(data("Dirichlet data", [1.0, 0.0])),
+        neumann(0): NeumannBC(data("traction load", [-0.5, 0.0]))})
+    prob = FlowProblem(space=space, nu=1.0, bcs=bcs,
+                       map=_NaNWallMap(2) if part == "wall data"
+                       else IdentityMap(2),
+                       forcing=data("forcing load", [0.0, 1.0]))
+    with pytest.raises(SolverError,
+                       match=f"step 2: the {part} is not finite") as info:
+        run(make_state(space), prob, SolverConfig(), 0.3, 0.1)
+    assert info.value.step == 2
+
+
 # --- mesh-sequence equivalence -----------------------------------------------------
 
 

@@ -37,11 +37,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from movingflow.elements import SYMMETRIC_RULES, orbit, orbit_rule  # noqa: E402
 
-# (dimension, exactness) -> orbit kinds: S3 orbits of 3 + 3 + 6 points,
-# C3 orbits of 3 points (a rule without mirror symmetry, Gatermann 1988),
-# S4 orbits of 4 + 4 + 6 points
+# (dimension, exactness) -> orbit kinds: S3 orbits of 1 + 3 + 3 points
+# (the centroid and two orbits on the medians, Radon 1948), C3 orbits of 3
+# points (a rule without mirror symmetry, Gatermann 1988), S4 orbits of
+# 4 + 4 + 6 points
 STRUCTURE = {
-    (2, 6): ("s21", "s21", "s111"),
+    (2, 5): ("s3", "s21", "s21"),
     (2, 7): ("c111", "c111", "c111", "c111"),
     (3, 5): ("s31", "s31", "s22"),
 }
@@ -136,7 +137,7 @@ def canonical(kinds, x):
         for kind, coords, weight in orbits:
             if kind == "s22":
                 coords = (min(coords[0], 0.5 - coords[0]),)
-            elif kind in ("s111", "c111"):
+            elif kind == "c111":
                 coords = min(orbit(kind, coords))[:2]
             out.append((kind, coords, weight))
         return sorted(out, key=lambda o: (kinds.index(o[0]), o[1]))
@@ -151,8 +152,8 @@ def canonical(kinds, x):
 
 # a random generator with every barycentric coordinate positive
 _SAMPLERS = {
+    "s3": lambda rng: [],
     "s21": lambda rng: [rng.uniform(0.0, 1.0 / 2.0)],
-    "s111": lambda rng: list(rng.dirichlet(np.ones(3))[:2]),
     "c111": lambda rng: list(rng.dirichlet(np.ones(3))[:2]),
     "s31": lambda rng: [rng.uniform(0.0, 1.0 / 3.0)],
     "s22": lambda rng: [rng.uniform(0.0, 1.0 / 4.0)],
