@@ -44,6 +44,18 @@ sum of the planes' diagonals.
 Mass-type terms are ``(w J) @ (phi_i phi_j)``.  The standalone forms and
 ``assemble_step`` call the same kernels.
 
+Per-cell kernels.  When the map's F is constant on every reference cell
+(``cellwise_constant_gradient``, the affine case of the tensor
+representation), the divergence and, without eddy viscosity, the viscous
+blocks take G and det J from the level's per-cell sample and contract
+them against tables that ``sampling`` integrated once with the rule
+weights: the divergence factor det J G[:, e] against q_p d_k phi_j, the
+scalar det J nu (G G^T)[k, l] against the symmetrized d_k phi_i d_l phi_j,
+and the symmetric coupling's plane b, in one product, det J nu G[k, b]
+G[l, a] against d_k phi_i d_l phi_j.  They agree with the per-point
+kernels to roundoff.  The map's property alone picks the path.
+Convection, eddy viscosity, mass, forcing and Temam terms stay per point.
+
 Scatter.  The mesh is fixed, so the sparsity of A and B and the sums
 that fill them are fixed too.  Both come from the node pairs of the cell
 blocks, sorted once on the first assembly by two counting-sort
@@ -348,8 +360,6 @@ def _viscous_local(data, G, kappa, stress):
     kappa (g_i)_b (g_j)_a, as a view of the contiguous planes [b][c, i, j,
     a] that the pair sums read, and the scalar as the sum over e of its
     entries [c, i, e, j, e], in e order."""
-    if stress not in ("symmetric", "full-gradient"):
-        raise ValueError(f"unknown stress form {stress!r}")
     d, _, nc, nq = G.shape
     nb = data.vals.shape[1]
     if stress == "full-gradient":
@@ -376,6 +386,65 @@ def _viscous_local(data, G, kappa, stress):
     for e in range(d):                 # the scalar: the diagonals a = b
         scalar += planes[e, ..., e]
     return scalar, planes.transpose(1, 2, 0, 3, 4)
+
+
+def _viscous_cells(data, G, kappa, stress):
+    """The viscous blocks of ``_viscous_local`` for G, (d, d, nc), and the
+    coefficient kappa = det J nu, (nc,), constant on each cell, against
+    the rule-integrated tables: the scalar kappa (G G^T)[k, l] against the
+    symmetrized sums of d_k phi_i d_l phi_j, and for the symmetric form
+    the coupling plane b, [c, (i, j, a)], kappa G[k, b] G[l, a] against
+    the sums of d_k phi_i d_l phi_j, in one product."""
+    d, _, nc = G.shape
+    nb = data.vals.shape[1]
+    factor = np.empty((len(data.pairs), nc))
+    for p, (k, l) in enumerate(data.pairs):
+        plane_dot(G[k], G[l], factor[p])
+    factor *= kappa
+    scalar = (factor.T @ data.cell_stiffness).reshape(nc, nb, nb)
+    if stress == "full-gradient":
+        return scalar, None
+    kG = (G * kappa).transpose(2, 0, 1)[:, None]          # [c, 1, l, a]
+    planes = np.empty((d, nc, nb, nb, d))
+    for b in range(d):
+        outer = G[:, b].T[:, :, None, None] * kG          # [c, k, l, a]
+        np.matmul(outer.reshape(nc, -1), data.cell_coupling,
+                  out=planes[b].reshape(nc, -1))
+    return scalar, planes.transpose(1, 2, 0, 3, 4)
+
+
+def _viscous(space, map_, cells, wc, nu, stress, smagorinsky):
+    """The viscous blocks of the level's map sample ``cells``: per cell
+    when the map's F is constant on each cell and nu has no eddy part,
+    else per point; ``wc`` is the lagged field's cell components."""
+    if stress not in ("symmetric", "full-gradient"):
+        raise ValueError(f"unknown stress form {stress!r}")
+    data = cell_data(space)
+    if smagorinsky is None and map_.cellwise_constant_gradient:
+        G, detJ = _cell_factors(space, cells)
+        return _viscous_cells(data, G, detJ * nu, stress)
+    nuq = _eddy_viscosity(data, cells.G, wc, geometry(space).cell_diam, nu,
+                          smagorinsky)
+    return _viscous_local(data, cells.G, data.weights * cells.J * nuq,
+                          stress)
+
+
+def _divergence(space, map_, cells):
+    """The divergence blocks [e, c, p, j] of the level's map sample
+    ``cells``, per cell when the map's F is constant on each cell."""
+    data = cell_data(space)
+    if not map_.cellwise_constant_gradient:
+        return _divergence_local(data, cells.G, data.weights * cells.J)
+    G, detJ = _cell_factors(space, cells)
+    d, _, nc = G.shape
+    factor = (G * detJ).transpose(1, 2, 0).reshape(d * nc, d)    # [e, c, k]
+    return (factor @ data.cell_divergence).reshape(d, nc, d + 1, -1)
+
+
+def _cell_factors(space, cells):
+    """G, (d, d, nc), and det J, (nc,), of a map sample whose points of a
+    cell share them: the first point's, times the cell's volume factor."""
+    return cells.G[..., 0], geometry(space).det * cells.J[:, 0]
 
 
 def _divergence_local(data, G, wj):
@@ -470,22 +539,17 @@ def convection_matrices(space, map_, t, w):
 def viscous_matrix(space, map_, t, nu, stress="symmetric", *,
                    smagorinsky=None, w=None):
     """Viscous velocity block; see the module docstring for the two forms."""
-    data = cell_data(space)
     cells = map_samples(space, map_).cells(t)
     wc = cell_components(space, _nodal(
         DiscreteField(space, "velocity") if w is None else w))
-    nuq = _eddy_viscosity(data, cells.G, wc, geometry(space).cell_diam, nu,
-                          smagorinsky)
-    return _velocity_matrix(space, *_viscous_local(
-        data, cells.G, data.weights * cells.J * nuq, stress))
+    return _velocity_matrix(space, *_viscous(space, map_, cells, wc, nu,
+                                             stress, smagorinsky))
 
 
 def divergence_matrix(space, map_, t):
     """Pressure-velocity block B[q, (j,c)] = int J q (grad_phys phi_j)_c."""
-    data = cell_data(space)
     cells = map_samples(space, map_).cells(t)
-    return _pressure_matrix(space, _divergence_local(
-        data, cells.G, data.weights * cells.J))
+    return _pressure_matrix(space, _divergence(space, map_, cells))
 
 
 def forcing_vector(space, map_, t, forcing):
@@ -596,17 +660,15 @@ def assemble_step(space, map_, t_k, t_prev, dt, w, u_prev, nu,
         alpha = 1.0
         combo = _nodal(u_prev) / dt
 
-    W, G = data.weights, cells.G
-    wj, wc = W * Jk, cell_components(space, _nodal(w))
-    kappa = wj * _eddy_viscosity(data, G, wc, geometry(space).cell_diam, nu,
-                                 smagorinsky)
-    C = _convection_local(data, G, wj, wc)
-    visc, coupling = _viscous_local(data, G, kappa, stress)
+    W = data.weights
+    wc = cell_components(space, _nodal(w))
+    C = _convection_local(data, cells.G, W * Jk, wc)
+    visc, coupling = _viscous(space, map_, cells, wc, nu, stress, smagorinsky)
     scalar = _mass_local(data, W * (Jtime * (alpha / dt) + 0.5 * Jdot)) + visc
     scalar += 0.5 * (C - np.swapaxes(C, 1, 2))                   # C + T
     outflow = _add_temam(space, map_, t_k, w, scalar)
     A = _velocity_matrix(space, scalar, coupling)
-    B = _pressure_matrix(space, _divergence_local(data, G, wj))
+    B = _pressure_matrix(space, _divergence(space, map_, cells))
 
     rhs = _sum(space.cell_nodes, _mass_local(data, W * Jtime) @
                combo[space.cell_nodes], space.n_nodes, space.dimension)

@@ -206,6 +206,7 @@ def _cmd_mesh_gen(args):
 
 
 def _cmd_info(args):
+    from .config import build_map, build_mesh
     from .sampling import rules
     cfg = _load(args)
     print(f"mesh     : {cfg.mesh['kind']} ({cfg.mesh['dimension']}D)")
@@ -221,6 +222,10 @@ def _cmd_info(args):
     cell, facet = rules(cfg.mesh["dimension"])
     print(f"quadrature: cell {cell.n_points} points (degree {cell.exactness}), "
           f"facet {facet.n_points} points (degree {facet.exactness})")
+    per_cell = build_map(cfg, build_mesh(cfg)).cellwise_constant_gradient
+    print("map sample: " + ("one point per cell and boundary facet (F "
+                            "constant on each cell)" if per_cell else
+                            "every quadrature point"))
     return 0
 
 

@@ -1,12 +1,12 @@
-"""Arithmetic expression trees with exact forward-mode differentiation.
+"""Arithmetic expression trees with exact symbolic differentiation.
 
 Expressions are written in the variables ``x1 .. xd`` and ``t`` using
 ``+ - * / ^``, the functions ``sin, cos, exp, sqrt, log``, the constant
 ``pi`` and numeric literals.  Parsing produces a small AST that can be
 
 * evaluated on scalars or numpy arrays, and
-* differentiated symbolically on the tree (forward mode), which yields
-  machine-exact first and higher derivatives without finite differencing.
+* differentiated symbolically on the tree, which yields a new tree for
+  each first or higher derivative, without finite differencing.
 """
 
 from __future__ import annotations
@@ -407,14 +407,20 @@ class Expression:
         self.source = source
         self.variables = tuple(variables)
 
+    @property
+    def free_variables(self):
+        """The variables the expression uses, a subset of ``variables``."""
+        return frozenset(self._root.variables())
+
     def __call__(self, **env):
-        missing = set(self._root.variables()) - set(env)
+        missing = self.free_variables - set(env)
         if missing:
             raise ExpressionError(f"missing values for {sorted(missing)}")
         return self._root.eval(env)
 
     def derivative(self, var):
-        """Exact partial derivative as a new Expression (forward mode)."""
+        """Exact partial derivative as a new Expression: the parsed tree
+        differentiated symbolically."""
         if var not in self.variables:
             raise ExpressionError(f"cannot differentiate with respect to {var!r}")
         return Expression(self._root.diff(var), f"d({self.source})/d{var}",

@@ -12,7 +12,11 @@ results have leading dimension ``n``.  ``sample_fields`` computes ``J`` and
 ``F^{-1}`` from closed-form 2x2 and cofactor 3x3 formulas and checks
 ``J > 0`` at every point before it divides by ``J``.  The solver does not
 call it point set by point set: ``sampling.map_samples`` samples each time
-level once per point set of a space and shares the result.
+level once per point set of a space and shares the result.  A map whose
+``cellwise_constant_gradient`` is True has F constant on every reference
+cell, at every time: it is sampled at one point per cell or boundary facet,
+and its gradient forms are assembled from per-cell factors.  The claim must
+hold bitwise, since the value at that one point stands for the whole cell.
 
 Memory order is part of the contract: ``sample_fields`` returns ``F^{-1}``
 as an (n, d, d) view over d x d contiguous component planes, each an
@@ -116,6 +120,12 @@ class SpaceTimeMap:
     def velocity(self, points, t, cells=None):
         raise NotImplementedError
 
+    @property
+    def cellwise_constant_gradient(self):
+        """True when ``gradient`` returns the same F, bitwise, at every
+        point of a reference cell (given that cell), at any time."""
+        return False
+
     # -- derived quantities -------------------------------------------------
 
     def sample_fields(self, points, t, cells=None):
@@ -176,6 +186,7 @@ class IdentityMap(SpaceTimeMap):
     """The static map: the physical domain equals the reference domain."""
 
     kind = "identity"
+    cellwise_constant_gradient = property(lambda self: True)
 
     def __init__(self, dimension):
         self.dimension = int(dimension)
@@ -199,6 +210,7 @@ class AxisScalingMap(SpaceTimeMap):
     """
 
     kind = "axis-scaling"
+    cellwise_constant_gradient = property(lambda self: True)
 
     def __init__(self, scales, rates):
         if len(scales) != len(rates):
@@ -233,6 +245,7 @@ class TubeShrinkMap(SpaceTimeMap):
 
     kind = "tube-shrink"
     dimension = 3
+    cellwise_constant_gradient = property(lambda self: True)
 
     @staticmethod
     def scale(t):
@@ -263,8 +276,9 @@ class TubeShrinkMap(SpaceTimeMap):
 class ExpressionMap(SpaceTimeMap):
     """Map defined by one arithmetic expression per coordinate.
 
-    F and xi_t come from exact forward-mode differentiation of the parsed
-    expression trees, not from numerical differencing.
+    F and xi_t are the parsed expression trees differentiated
+    symbolically, not numerical differences.  F is constant on cells when
+    no gradient tree uses a coordinate x1..xd: the map is then affine in x.
     """
 
     kind = "expression"
@@ -277,6 +291,11 @@ class ExpressionMap(SpaceTimeMap):
         self._grad = [e.derivative(f"x{j + 1}") for e in self.expressions
                       for j in range(d)]
         self._rate = [e.derivative("t") for e in self.expressions]
+        self._affine = not any(g.free_variables - {"t"} for g in self._grad)
+
+    @property
+    def cellwise_constant_gradient(self):
+        return self._affine
 
     def position(self, points, t, cells=None):
         return evaluate(self.expressions, _as_points(points, self.dimension), t)
@@ -314,6 +333,7 @@ class MeshSequenceMap(SpaceTimeMap):
     """
 
     kind = "mesh-sequence"
+    cellwise_constant_gradient = property(lambda self: True)
 
     def __init__(self, mesh, times, frames):
         times = np.asarray(times, dtype=float)
@@ -370,11 +390,10 @@ class MeshSequenceMap(SpaceTimeMap):
     def _nodal_field_at(self, nodal, points, cells):
         pts = _as_points(points, self.dimension)
         cells = self._cells(cells)
-        verts = self.mesh.vertices
         conn = self.mesh.cells[cells]
-        rel = pts - verts[conn[:, 0]]
-        edge = verts[conn[:, 1:]] - verts[conn[:, 0]][:, None, :]
-        lam = np.linalg.solve(np.swapaxes(edge, 1, 2), rel[..., None])[..., 0]
+        # barycentrics lambda_v = grad lambda_v . (x - x_0) for v >= 1
+        rel = pts - self.mesh.vertices[conn[:, 0]]
+        lam = np.einsum("pvd,pd->pv", self._lambda_grads[cells, 1:], rel)
         bary = np.concatenate([(1.0 - lam.sum(axis=1))[:, None], lam], axis=1)
         return np.einsum("pv,pvd->pd", bary, nodal[conn])
 

@@ -16,9 +16,15 @@ nodes.  Of F the level keeps the map factor G = inv F^{-1} at the cell
 points, where inv maps reference-simplex to reference-mesh gradients: the
 basis gradients grad phi F^{-1} are lgrad G, so every gradient form of
 ``assembly`` is elementwise work on G and one product with a fixed table
-of the space.  G is kept as d x d contiguous planes, (d, d, nc, nq).  At
+of the space.  G is kept as d x d planes, (d, d, nc, nq), contiguous
+or, as below, broadcast from contiguous per-cell planes.  At
 the facet points the level keeps J and the pulled-back normal F^{-T} n,
-which outflow tractions are given.  Next to the map sample the level
+which outflow tractions are given.  A map whose F is constant on every
+reference cell (``SpaceTimeMap.cellwise_constant_gradient``) is sampled
+at the first point of each cell and of each boundary facet: J, G and the
+facet data are then read-only views broadcast over the cell's or facet's
+points, the same to the bit as a per-point sample, and ``assembly`` takes
+its per-cell factors from them.  Next to the map sample the level
 keeps its forcing at the cell points and its solved velocity there
 (values and grad u F^{-1}, as component planes), each evaluated once for
 every reader.  Lifetime: only the newest level is kept whole; J at the
@@ -111,6 +117,15 @@ class _CellData:
     * ``lgrad_t``    d_k phi_i as [i, (k, q)], (nb, d nq);
     * ``gradient_blocks`` d_k phi_i delta_ef per point, [q, (k, f), (i,
       e)], (nq, d^2, nb d): G at a point times it is grad phi F^{-1}.
+
+    For a map whose F is constant on each cell, the forms of ``assembly``
+    that read the map alone take tables integrated once with the rule
+    weights (summing over q the rows (k, q) of the tables above):
+
+    * ``cell_stiffness``, (d(d+1)/2, nb^2), rows in ``pairs`` order;
+    * ``cell_divergence``, (d, (d+1) nb);
+    * ``cell_coupling`` sum_q d_k phi_i d_l phi_j delta_ae, rows (k, l, e)
+      and columns (i, j, a), (d^3, nb^2 d).
     """
 
     def __init__(self, space):
@@ -138,6 +153,12 @@ class _CellData:
             np.moveaxis(lg, 2, 0).reshape(nb, d * nq))
         self.gradient_blocks = np.einsum(
             "qik,fe->qkfie", self.lgrads, np.eye(d)).reshape(nq, d * d, -1)
+        w = self.rule.weights
+        self.cell_stiffness = w @ self.stiffness.reshape(-1, nq, nb * nb)
+        self.cell_divergence = w @ self.divergence.reshape(d, nq, -1)
+        self.cell_coupling = np.einsum(
+            "q,qik,qjl,ea->kleija", w, self.lgrads, self.lgrads,
+            np.eye(d)).reshape(d ** 3, -1)
         mesh = space.mesh
         verts = mesh.vertices[mesh.cells]                  # (nc, d+1, d)
         self.points = np.einsum("qv,cvd->cqd", self.rule.points, verts)
@@ -304,19 +325,23 @@ class MapSamples:
         return self._newest[key]
 
     def _sample(self, points, cells, t):
-        """The map at the (n, nq, d) points: the flat points and cells,
-        the planes of F^{-1}, (d, d, n, nq), and J, (n, nq)."""
-        d = self.space.dimension
-        shape = points.shape[:2]
-        cells = np.repeat(cells, shape[1])
-        flat = points.reshape(-1, d)
-        _, Finv, J = self.map.sample_fields(flat, t, cells=cells)
-        planes = np.moveaxis(Finv, 0, -1).reshape((d, d) + shape)
-        return flat, cells, planes, J.reshape(shape)
+        """The map at the (n, nq, d) points of the n cells or facets
+        ``cells``: the planes of F^{-1}, (d, d, n, m), and J, (n, m), with
+        m = nq, or m = 1 for a map whose F is constant on each cell, which
+        is sampled at the first point of each."""
+        if self.map.cellwise_constant_gradient:
+            points = points[:, :1]
+        d, (n, m) = self.space.dimension, points.shape[:2]
+        _, Finv, J = self.map.sample_fields(points.reshape(-1, d), t,
+                                            cells=np.repeat(cells, m))
+        return np.moveaxis(Finv, 0, -1).reshape(d, d, n, m), J.reshape(n, m)
 
     def _cell_points(self, t):
-        data = cell_data(self.space)
-        return self._sample(data.points, np.arange(self.space.mesh.n_cells), t)
+        """The planes of F^{-1} as ``_sample`` gives them, and J at every
+        cell point, (nc, nq)."""
+        points = cell_data(self.space).points
+        Finv, J = self._sample(points, np.arange(len(points)), t)
+        return Finv, np.broadcast_to(J, points.shape[:2])
 
     def _keep_jacobian(self, t, J):
         levels = self._jacobians
@@ -327,21 +352,25 @@ class MapSamples:
 
     def _cells(self, t):
         data = cell_data(self.space)
-        flat, cells, Finv, J = self._cell_points(t)
-        position = self.map.position(flat, t, cells=cells)
+        nc, nq, d = data.points.shape
+        Finv, J = self._cell_points(t)
+        position = self.map.position(data.points.reshape(-1, d), t,
+                                     cells=np.repeat(np.arange(nc), nq))
         # G[k, e] = sum_m inv[k, m] F^{-1}[m, e], written out on planes;
         # inv is constant on a cell.  Entries of the coupling block B that
         # vanish in exact arithmetic come out as exact zeros or as roundoff
         # by the order of these sums and of the kernels' products (on tube
-        # level 1, 544 exact zeros among 3459 entries below 1e-15 of the
-        # largest); the saddle layout keeps both as structural entries
+        # level 1, 550-610 exact zeros among 3459 entries below 1e-15 of
+        # the largest, by level); the saddle layout keeps both as
+        # structural entries
         inv = np.moveaxis(geometry(self.space).inv, 0, -1)[..., None]
         G = np.empty(Finv.shape)
         for k in range(len(G)):
             for e in range(len(G)):
                 plane_dot(inv[k], Finv[:, e], G[k, e])
         return CellSample(self._keep_jacobian(t, J), *_readonly(
-            G, position.reshape(data.points.shape)))
+            np.broadcast_to(G, (d, d, nc, nq)),
+            position.reshape(data.points.shape)))
 
     def cells(self, t):
         return self._get(t, "cells", lambda: self._cells(t))
@@ -349,16 +378,19 @@ class MapSamples:
     def jacobian(self, t):
         J = self._jacobians.get(t)
         if J is None:                      # a level sampled for J alone
-            J = self._keep_jacobian(t, self._cell_points(t)[3])
+            J = self._keep_jacobian(t, self._cell_points(t)[1])
         return J
 
     def facets(self, t):
         fd = facet_data(self.space)
 
         def build():
-            _, _, Finv, J = self._sample(fd.points, fd.cells, t)
+            Finv, J = self._sample(fd.points, fd.cells, t)
             normal = np.einsum("mdfq,fm->fqd", Finv, fd.normals)
-            return FacetSample(*_readonly(J, normal, J[..., None] * normal))
+            shape = fd.points.shape
+            return FacetSample(*_readonly(
+                np.broadcast_to(J, shape[:2]), np.broadcast_to(normal, shape),
+                np.broadcast_to(J[..., None] * normal, shape)))
         return self._get(t, "facets", build)
 
     def wall(self, t):

@@ -528,10 +528,10 @@ def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
 
     ``saddle_solver``, a ``SaddleSolver`` passed between steps, keeps the
     factor and the solution history; a fresh one is made when none is given.
-    A map with J <= 0 or a non-finite F^{-1} at any quadrature point of the
-    step, non-finite wall data, traction load, forcing load or Dirichlet
-    data, or a solve that misses ``config.tolerance``, raises a SolverError
-    with the step index.
+    A starting velocity that is not finite, a map with J <= 0 or a
+    non-finite F^{-1} at any quadrature point of the step, non-finite wall
+    data, traction load, forcing load or Dirichlet data, or a solve that
+    misses ``config.tolerance``, raises a SolverError with the step index.
     ``info`` is the solve's, with the ``residual`` of the system without the
     pin (a warning reports it above the tolerance), the divergence residual
     and the step's reaction and outflow powers.
@@ -541,6 +541,9 @@ def advance(state, problem, config, dt, state_prev2=None, saddle_solver=None):
     k = state.k + 1
     bdf2 = config.scheme == "bdf2" and state_prev2 is not None
     try:
+        # first: the state enters A, rhs_u and the advection field
+        if not np.isfinite(state.u.coefficients).all():
+            raise SolverError("the starting velocity is not finite")
         wall = sampling.map_samples(space, map_).wall(t_k)
         w = DiscreteField(space, "velocity",
                           (state.u.nodal() - wall).ravel())

@@ -486,7 +486,9 @@ def test_step_blocks_equal_a_dense_scatter_on_fixed_patterns(case):
     "x1 + 0.1*t*sin(x2*x3); x2 + 0.05*t*x1*x3; x3 + 0.1*t*cos(x1)", 3)])
 def test_map_factor_is_inv_times_the_sampled_inverse_on_planes(map_):
     """The cell sample's G on tube level 1 is inv F^{-1} at every point, as
-    contiguous read-only planes G[k, e], (d, d, nc, nq)."""
+    read-only planes G[k, e], (d, d, nc, nq): contiguous, or for a map
+    whose F is constant on each cell (the tube's), contiguous per-cell
+    planes (d, d, nc) broadcast over the cell's points."""
     from movingflow.benchmarks import tube_benchmark
     space = TaylorHoodSpace(tube_benchmark().mesh_for_level(1))
     data, geo = sampling.cell_data(space), sampling.geometry(space)
@@ -495,7 +497,11 @@ def test_map_factor_is_inv_times_the_sampled_inverse_on_planes(map_):
                                     cells=np.repeat(np.arange(nc), nq))
     want = geo.inv[:, None] @ np.asarray(Finv).reshape(nc, nq, d, d)
     G = sampling.map_samples(space, map_).cells(t).G
-    assert G.shape == (d, d, nc, nq) and G.flags.c_contiguous
+    cellwise = map_.cellwise_constant_gradient
+    assert cellwise == (map_.kind == "tube-shrink")
+    assert G.shape == (d, d, nc, nq)
+    assert (G[..., 0] if cellwise else G).flags.c_contiguous
+    assert (G.strides[-1] == 0) == cellwise
     assert not G.flags.writeable
     got = np.moveaxis(G, (0, 1), (2, 3))
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
@@ -640,3 +646,78 @@ def test_dimension_mismatch_rejected(box2d):
     with pytest.raises(ValueError, match="dimension"):
         assembly.assemble_step(space, TubeShrinkMap(), 0.1, 0.0, 0.1,
                                zero, zero, 1.0)
+
+
+# --- maps whose F is constant on each cell -------------------------------------
+
+
+def _per_point(map_):
+    """The same map, claiming that F varies within cells: sampled and
+    assembled point by point."""
+    kind = type(map_)
+    per_point = type(f"PerPoint{kind.__name__}", (kind,), {
+        "cellwise_constant_gradient": property(lambda self: False)})
+    twin = object.__new__(per_point)
+    twin.__dict__.update(map_.__dict__)
+    return twin
+
+
+def _cellwise_cases():
+    from movingflow.benchmarks import tube_benchmark
+    from movingflow.maps import MeshSequenceMap
+    box = generate_box(2, (4, 3), labels={"xmax": neumann(0)})
+    rng = np.random.default_rng(4)
+    frames = box.vertices + 0.03 * rng.standard_normal(
+        (3,) + box.vertices.shape)
+    frames[0] = box.vertices
+    return {"tube": (tube_benchmark().mesh_for_level(1), TubeShrinkMap()),
+            "frames": (box, MeshSequenceMap(box, [0.0, 0.1, 0.2], frames)),
+            "affine": (box, parse_map_expressions(
+                "x1*(1 + t) + 0.3*t*x2; x2 - 0.2*t*x1", 2))}
+
+
+@pytest.mark.parametrize("case", ["tube", "frames", "affine"])
+def test_cellwise_sample_is_the_per_point_sample_bitwise(case):
+    """Sampled once per cell and facet, a map whose F is constant on each
+    cell gives the per-point sample's J, G and facet data to the bit, as
+    read-only views broadcast over each cell's or facet's points."""
+    mesh, map_ = _cellwise_cases()[case]
+    cellwise, per_point = TaylorHoodSpace(mesh), TaylorHoodSpace(mesh)
+    for t in (0.05, 0.15):
+        a = sampling.map_samples(cellwise, map_)
+        b = sampling.map_samples(per_point, _per_point(map_))
+        pairs = [(a.cells(t).J, b.cells(t).J), (a.cells(t).G, b.cells(t).G),
+                 (a.jacobian(t - 0.05), b.jacobian(t - 0.05))]
+        pairs += [(getattr(a.facets(t), name), getattr(b.facets(t), name))
+                  for name in ("J", "normal", "conormal")]
+        for got, want in pairs:
+            assert np.array_equal(got, want)
+            # the points' axis: last of J and G, middle of the normals
+            assert got.strides[-1 if got.ndim != 3 else 1] == 0
+            assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("case", ["tube", "frames", "affine"])
+@pytest.mark.parametrize("stress", ["symmetric", "full-gradient"])
+def test_cellwise_kernels_match_the_per_point_kernels(case, stress):
+    """A and B from per-cell factors and rule-integrated tables agree
+    with the per-point kernels to 1e-14 of their largest entry; with an
+    eddy viscosity the viscous block stays per point, bitwise."""
+    mesh, map_ = _cellwise_cases()[case]
+    cellwise, per_point = TaylorHoodSpace(mesh), TaylorHoodSpace(mesh)
+    rng = np.random.default_rng(6)
+    w = rng.standard_normal(cellwise.n_velocity_dofs)
+    for smagorinsky in (None, 0.2):
+        steps = [assembly.assemble_step(
+            space, m, 0.15, 0.1, 0.05, DiscreteField(space, "velocity", w),
+            DiscreteField(space, "velocity", w), 0.3, stress=stress,
+            smagorinsky=smagorinsky)
+            for space, m in ((cellwise, map_), (per_point, _per_point(map_)))]
+        for block in ("A", "B"):
+            got, want = (getattr(s, block) for s in steps)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.abs(got.data - want.data).max() <= \
+                1e-14 * np.abs(want.data).max()
+        A, A_points = (s.A for s in steps)
+        assert np.array_equal(A.data, A_points.data) == (
+            smagorinsky is not None)

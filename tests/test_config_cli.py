@@ -325,9 +325,16 @@ def test_cli_info_and_validate(tmp_path, capsys):
     assert "box (2D)" in out
     assert ("quadrature: cell 7 points (degree 5), "
             "facet 4 points (degree 7)") in out
+    assert ("map sample: one point per cell and boundary facet (F constant "
+            "on each cell)") in out
     assert cli(["validate-map", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "passed" in out
+    curved = minimal_config(tmp_path, map={
+        "kind": "expression",
+        "expressions": "x1 + 0.05*t*sin(x1*x2); x2 + 0.05*t*exp(x1*x2/4)"})
+    assert cli(["info", "--config", str(curved)]) == 0
+    assert "map sample: every quadrature point" in capsys.readouterr().out
 
 
 @pytest.mark.filterwarnings(

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movingflow.expressions import ExpressionError
 from movingflow.maps import (AxisScalingMap, IdentityMap, MeshSequenceMap,
@@ -361,3 +363,84 @@ def test_mesh_sequence_rejects_mismatched_reference(tmp_path):
     frames = np.stack([mesh.vertices + 0.5, mesh.vertices + 0.6])
     with pytest.raises(ValueError, match="first frame"):
         MeshSequenceMap(mesh, [0.0, 0.1], frames)
+
+
+# --- maps whose F is constant on each cell ------------------------------------
+
+# an expression map affine in x (its gradient trees use t alone), and the
+# benchmark's command-line map, whose gradient depends on x
+AFFINE_2D = "x1*(1 + 0.5*t) + 0.2*t*x2; x2*(1 - 0.2*sin(t)) + 0.1*t*t*x1"
+AFFINE_3D = ("x1*(1 + 0.3*t) + 0.1*t*x3; x2 - 0.2*sin(t)*x1 + t; "
+             "x3*exp(-t/4) + 0.1*t*x2")
+CLI_MAP = "x1 + 0.05*t*sin(x1*x2); x2 + 0.05*t*exp(x1*x2/4)"
+
+
+def _cellwise_catalog(dim, rng):
+    mesh = generate_box(dim, (3,) * dim)
+    frames = mesh.vertices + 0.02 * rng.standard_normal(
+        (3,) + mesh.vertices.shape)
+    frames[0] = mesh.vertices
+    scales = [lambda t, a=a: 1.0 + 0.2 * a * t for a in range(1, dim + 1)]
+    rates = [lambda t, a=a: 0.2 * a for a in range(1, dim + 1)]
+    maps = [IdentityMap(dim), AxisScalingMap(scales, rates),
+            parse_map_expressions(AFFINE_2D if dim == 2 else AFFINE_3D, dim),
+            MeshSequenceMap(mesh, [0.0, 0.5, 1.0], frames)]
+    if dim == 3:
+        maps.append(TubeShrinkMap())
+    return mesh, maps
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+       t=st.floats(0.0, 1.0))
+def test_cellwise_constant_maps_are_constant_on_each_cell_bitwise(seed, dim,
+                                                                  t):
+    """Every map that claims F constant on cells gives the same F, F^{-1}
+    and J, to the bit, at random points of a cell, sampled alone or among
+    the points of other cells: the map sample keeps one point per cell."""
+    rng = np.random.default_rng(seed)
+    mesh, maps = _cellwise_catalog(dim, rng)
+    k = 5                                    # random points per cell
+    cells = rng.choice(mesh.n_cells, size=4, replace=False)
+    bary = rng.dirichlet(np.ones(dim + 1), size=(len(cells), k))
+    points = np.einsum("ckv,cvd->ckd", bary,
+                       mesh.vertices[mesh.cells[cells]]).reshape(-1, dim)
+    for map_ in maps:
+        assert map_.cellwise_constant_gradient, map_.kind
+        fields = map_.sample_fields(points, t, cells=np.repeat(cells, k))
+        alone = map_.sample_fields(points[::k], t, cells=cells)
+        for got, one in zip(fields, alone):
+            got = np.asarray(got).reshape((len(cells), k) + one.shape[1:])
+            assert np.array_equal(got, np.broadcast_to(
+                one[:, None], got.shape)), map_.kind
+
+
+def test_maps_with_a_varying_gradient_say_so():
+    assert not parse_map_expressions(CLI_MAP, 2).cellwise_constant_gradient
+    assert not parse_map_expressions(CURVED_3D, 3).cellwise_constant_gradient
+    # a gradient tree that reads x is not affine, whatever its value
+    assert not parse_map_expressions("x1*x1; x2", 2).cellwise_constant_gradient
+    with pytest.raises(AttributeError):
+        IdentityMap(2).cellwise_constant_gradient = False
+
+
+def test_mesh_sequence_barycentrics_match_a_solve():
+    """Positions and velocities of a frame map at random points of their
+    cells equal the barycentric interpolants by a per-point solve."""
+    rng = np.random.default_rng(11)
+    mesh, maps = _cellwise_catalog(3, rng)
+    map_ = maps[3]
+    cells = rng.integers(0, mesh.n_cells, 200)
+    bary = rng.dirichlet(np.ones(4), size=200)
+    verts = mesh.vertices[mesh.cells[cells]]
+    points = np.einsum("pv,pvd->pd", bary, verts)
+    edge = np.swapaxes(verts[:, 1:] - verts[:, :1], 1, 2)
+    lam = np.linalg.solve(edge, (points - verts[:, 0])[..., None])[..., 0]
+    solved = np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam], 1)
+    for t in (0.2, 0.7):
+        for nodal, got in ((map_.node_positions(t),
+                            map_.position(points, t, cells=cells)),
+                           (map_.node_velocities(t),
+                            map_.velocity(points, t, cells=cells))):
+            want = np.einsum("pv,pvd->pd", solved, nodal[mesh.cells[cells]])
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -411,6 +411,19 @@ def test_non_finite_data_raise_with_step(part):
     assert info.value.step == 2
 
 
+def test_non_finite_starting_velocity_raises_with_step():
+    # the state enters rhs_u too: it is named before the forcing load
+    from movingflow.solver import SolverError
+    prob = all_noslip_problem(generate_box(2, (2, 2)))
+    u = np.zeros(prob.space.n_velocity_dofs)
+    u[::7] = np.nan
+    initial = make_state(prob.space, DiscreteField(prob.space, "velocity", u))
+    with pytest.raises(SolverError, match="step 1: the starting velocity "
+                                          "is not finite") as info:
+        run(initial, prob, SolverConfig(), 0.2, 0.1)
+    assert info.value.step == 1
+
+
 # --- mesh-sequence equivalence -----------------------------------------------------
 
 
