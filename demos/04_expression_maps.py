@@ -1,6 +1,6 @@
 """Defining domain motions with arithmetic expressions.
 
-Maps parsed from text get exact gradients and velocities by forward-mode
+Maps parsed from text get exact gradients and velocities by symbolic
 differentiation of the expression tree, so no finite-difference noise enters
 the assembled coefficients.  The script validates the regularity bounds of a
 custom map and shows the second-order decay of the finite-difference
