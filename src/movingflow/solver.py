@@ -4,11 +4,12 @@ Each implicit step assembles the linearized system (the advection field is
 the previous velocity minus the interpolated domain velocity), moves the
 boundary data into the right-hand side and solves the sparse saddle-point
 system of the step's unknowns, whose pattern is fixed per space, by a
-float64 flexible GMRES preconditioned with a float32 sparse LU factor.  The
-unknowns are numbered once, in a nested-dissection order of the reference
-cells, so the matrix, the Krylov vectors and the factor share one order and
-the factor needs no permutation.  A ``SaddleSolver`` keeps that factor for
-later steps with the same time-derivative coefficient.
+float64 flexible GMRES preconditioned with a float32 sparse LU factor, made
+with the pressure unknowns scaled by a power of two so that it pivots on its
+diagonal.  The unknowns are numbered once, in a nested-dissection order of
+the reference cells, so the matrix, the Krylov vectors and the factor share
+one order and the factor needs no permutation.  A ``SaddleSolver`` keeps
+that factor for later steps with the same time-derivative coefficient.
 
 Wall data on no-slip boundaries is the map's own xi_t at the velocity
 nodes (for a mesh-sequence map, the P1 interpolant of the frame-interval
@@ -165,7 +166,14 @@ def _boundary_values(bcs, space, map_, t):
     return values
 
 
-_DISSECTION_LEAF = 32    # most unnumbered nodes of a part left unsplit
+# most unnumbered nodes of a part left unsplit, per dimension, from the
+# first-step fill with the pressure scaled (see _SinglePrecisionFactor).
+# 2D: leaves of 4-8 nodes fill within 0.2% of each other and 5-10% below
+# leaves of 10-16 on manufactured L2-L4 and the 32 x 32 and 64 x 64 boxes,
+# and 8 splits the least; L3 and L4 fill 23% and 19% less than at 32.
+# 3D: the tube's fill moves by 1% from 16 to 64 nodes, and at 8 its factor
+# pivots off the diagonal for every pressure scale.
+_DISSECTION_LEAF = {2: 8, 3: 32}
 
 
 def _nested_dissection(space):
@@ -176,15 +184,15 @@ def _nested_dissection(space):
     the axis, of the d axes, whose two halves share the fewest unnumbered
     nodes.  Those shared nodes are its separator, numbered after both
     halves, which are split again until a part has at most
-    ``_DISSECTION_LEAF`` unnumbered nodes (a cell has at most 10, so any
-    part with more has two cells to split).  The parts of one depth are
-    split together.  Each block lists its nodes' velocity dofs, then the
-    pressure dofs of its vertices (a pressure dof couples to the nodes its
-    vertex does).  ``_SaddleLayout`` restricts it to the unknowns and
-    numbers them in it.
+    ``_DISSECTION_LEAF[d]`` unnumbered nodes, 8 in 2D and 32 in 3D (a cell
+    has 6 nodes in 2D and 10 in 3D, so any part with more has two cells to
+    split).  The parts of one depth are split together.  Each block lists
+    its nodes' velocity dofs, then the pressure dofs of its vertices (a
+    pressure dof couples to the nodes its vertex does).  ``_SaddleLayout``
+    restricts it to the unknowns and numbers them in it.
     """
     cells, n, d = space.cell_nodes, space.n_nodes, space.dimension
-    n_cells = len(cells)
+    n_cells, most = len(cells), _DISSECTION_LEAF[d]
     centroid = space.velocity_nodes[space.mesh.cells].mean(axis=1)
     by_axis = np.argsort(centroid, axis=0, kind="stable").T
     degree = np.bincount(cells.ravel(), minlength=n)
@@ -198,7 +206,7 @@ def _nested_dissection(space):
     while True:
         free = np.flatnonzero(depth < 0)
         node_part = part[owner[free]]
-        leaf = np.bincount(node_part, minlength=len(path)) <= _DISSECTION_LEAF
+        leaf = np.bincount(node_part, minlength=len(path)) <= most
         done = leaf[node_part]
         depth[free[done]], code[free[done]] = level, path[node_part[done]]
         live = live[~leaf[part[live]]]
@@ -391,29 +399,71 @@ def apply_boundary_conditions(step, bcs, space, map_, t):
         bc_values=ub, bc_divergence=Bub, gauge_vector=e)
 
 
+def _scale_pressure(K):
+    """The scale of each unknown of the saddle matrix K, 1 at the velocity
+    unknowns and s at the pressure unknowns (see _SinglePrecisionFactor),
+    and a float32 copy of K with its pressure rows and columns times s.
+    Its temporaries end here, before SuperLU's work arrays grow."""
+    size = np.abs(K.data)
+    if not np.all(size <= np.finfo(np.float32).max):
+        raise SolverError("the saddle matrix has an entry outside the "
+                          "float32 range or a non-finite one")
+    counts = np.diff(K.indptr)
+    column = np.repeat(np.arange(K.shape[1]), counts)
+    pressure = np.ones(K.shape[1], dtype=bool)
+    pressure[column[K.indices == column]] = False
+    # B's entries lie in the pressure rows, -B^T's in the columns
+    in_b = np.take(pressure, K.indices)
+    scaled = in_b | np.repeat(pressure, counts)
+    # the power of two nearest max|A| / (4 max|B|), in logarithms as the
+    # quotient can overflow
+    s = np.exp2(np.rint(np.log2(np.where(scaled, 0.0, size).max()) -
+                        np.log2(np.where(in_b, size, 0.0).max()) - 2.0))
+    # s is a power of two, so the scaled copy is exact
+    data = K.data.astype(np.float32)
+    data = np.where(scaled, np.float32(s) * data, data)
+    return (np.where(pressure, s, 1.0),
+            sp.csc_matrix((data, K.indices, K.indptr), shape=K.shape))
+
+
 class _SinglePrecisionFactor:
     """SuperLU factor of a float32 copy of a saddle matrix, whose unknowns
-    its layout numbers in a fill-reducing order.
+    its layout numbers in a fill-reducing order, with the pressure unknowns
+    scaled by a power of two.
 
     ``solve`` takes and returns float64 vectors; the casts to and from
     float32 happen here and nowhere else.  SuperLU keeps the given order
     (``NATURAL``) and, in symmetric mode, prefers diagonal pivots down to
     0.01 of the largest entry of their column, so the zero pressure
     diagonal is pivoted on only after its block's velocity dofs have filled
-    it.  An entry that float32 cannot hold, or a non-finite one, raises a
-    SolverError instead of becoming inf.
+    it.  With the pressure unknowns scaled by s, a filled pressure diagonal
+    (about s^2 |B|^2 / |A|) sits beside entries s |B| in its column, and a
+    velocity diagonal |A| beside entries s |B| in the pressure rows, so
+    both pivot on the diagonal only for s in a window around |A| / |B|.
+    Unscaled, fine 2D meshes, whose B is small against A, fall below it:
+    SuperLU pivots off the diagonal and the fill doubles (manufactured
+    level 4: 868 such pivots, 1.46e7 entries).  So D K D is factored, D
+    being 1 at the velocity unknowns and s at the pressure unknowns (those
+    with no diagonal entry in the pattern), and ``solve`` returns
+    D (D K D)^{-1} D v.  s is the power of two nearest max|A| / (4 max|B|)
+    over the unknowns: the measured windows run from about 1/100 to 5-80
+    times max|A| / max|B| (2D and 3D; viscosities 1/100 to 100 times and
+    time steps 1/64 to 16 times the built-in cases').  A power of two is
+    exact in floating point: where K itself factors on its diagonal, the
+    solve is bitwise that of K's factor.  An entry that float32 cannot
+    hold, or a non-finite one, raises a SolverError instead of becoming
+    inf.
     """
 
     def __init__(self, K):
-        if not np.all(np.abs(K.data) <= np.finfo(np.float32).max):
-            raise SolverError("the saddle matrix has an entry outside the "
-                              "float32 range or a non-finite one")
-        self.lu = spla.splu(K.astype(np.float32), permc_spec="NATURAL",
+        self.scale, scaled = _scale_pressure(K)
+        self.lu = spla.splu(scaled, permc_spec="NATURAL",
                             diag_pivot_thresh=0.01,
                             options={"SymmetricMode": True})
 
     def solve(self, v):
-        return self.lu.solve(v.astype(np.float32)).astype(np.float64)
+        scale = self.scale
+        return self.lu.solve((scale * v).astype(np.float32)) * scale
 
 
 _KRYLOV = 12    # Krylov vectors, so LU solves, in one FGMRES cycle at most

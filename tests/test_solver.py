@@ -1296,7 +1296,9 @@ def test_factor_pattern_equals_the_permuted_matrix(problem):
     """The oracle of the factor made on a matrix in dof order: that
     matrix of the unknowns, its rows and columns permuted by the nested
     dissection and its rows sorted, as SuperLU sorts its input, equals the
-    layout's matrix, and its float32 factor equals ours bit for bit."""
+    layout's matrix, and the float32 factor of that matrix with its
+    pressure rows and columns times s, the power of two nearest
+    max|A| / (4 max|B|) over the unknowns, equals ours bit for bit."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     from movingflow.solver import _nested_dissection, _SinglePrecisionFactor
@@ -1316,7 +1318,15 @@ def test_factor_pattern_equals_the_permuted_matrix(problem):
                       (ours.data, expected.data)):
         assert np.array_equal(got, want)
     factor = _SinglePrecisionFactor(ours)
-    lu = spla.splu(expected.astype(np.float32), permc_spec="NATURAL",
+    free = dofs[dofs < A.shape[0]]
+    ratio = abs(A[free][:, free]).max() / abs(B[dofs[len(free):] - A.shape[0]]
+                                            [:, free]).max()
+    s = 2.0 ** round(np.log2(ratio / 4.0))
+    d = np.where(dofs[order] < A.shape[0], 1.0, s)
+    scaled = expected.astype(np.float32)    # exact zeros stay structural
+    scaled.data = (expected.data * d[expected.indices] * np.repeat(
+        d, np.diff(expected.indptr))).astype(np.float32)
+    lu = spla.splu(scaled, permc_spec="NATURAL",
                    diag_pivot_thresh=0.01, options={"SymmetricMode": True})
     for mine, theirs in ((factor.lu.L, lu.L), (factor.lu.U, lu.U)):
         assert np.array_equal(mine.indptr, theirs.indptr)
@@ -1324,6 +1334,73 @@ def test_factor_pattern_equals_the_permuted_matrix(problem):
         assert np.array_equal(mine.data, theirs.data)
     assert np.array_equal(factor.lu.perm_r, lu.perm_r)
     sampling.release(prob.space)
+
+
+def _first_factor(name, nu_scale=1.0):
+    """A first step's matrix from rest and its factor: a built-in case at a
+    level, at the convergence study's time step, or a 32 x 32 box with
+    no-slip walls and a moving expression map, as in ``perfbench``'s CLI
+    workload; the viscosity times ``nu_scale``."""
+    from movingflow.benchmarks import manufactured_2d, tube_benchmark
+    from movingflow.solver import _SinglePrecisionFactor
+    kind, level = name.rsplit("-", 1)
+    if kind == "box":
+        map_ = parse_map_expressions(
+            "x1 + 0.2*t*sin(x1*x2); x2 + 0.2*t*exp(x1*x2/4)", 2)
+        prob = all_noslip_problem(generate_box(2, (32, 32)),
+                                  nu=0.01 * nu_scale, map_=map_)
+        stress, dt = "full-gradient", 0.05
+    else:
+        case = {"manufactured": manufactured_2d,
+                "tube": tube_benchmark}[kind]()
+        level = int(level)
+        prob = FlowProblem(space=TaylorHoodSpace(case.mesh_for_level(level)),
+                           map=case.map, nu=case.nu * nu_scale,
+                           bcs=case.boundary_conditions(),
+                           forcing=case.forcing)
+        h = case.nominal_h(level) / case.nominal_h(1)
+        stress, dt = case.stress, case.base_dt * h * h
+    _, system = _first_system(prob, stress=stress, dt=dt)
+    sampling.release(prob.space)
+    return system.matrix, _SinglePrecisionFactor(system.matrix)
+
+
+@pytest.mark.parametrize("name, nu_scale", [
+    ("manufactured-2", 1), ("manufactured-3", 1), ("manufactured-4", 1),
+    ("box-32", 1), ("tube-1", 1), ("manufactured-3", 100),
+    ("manufactured-3", 0.01), ("box-32", 100), ("tube-1", 100)])
+def test_first_step_factor_pivots_on_its_diagonal(name, nu_scale):
+    """With the pressure unknowns scaled, SuperLU pivots on the diagonal
+    of every first-step factor.  Unscaled, the 8-node 2D leaf pivots off
+    the diagonal 517 times on manufactured L3, and a 32-node leaf 874
+    times on L4, whose fill then doubles: L4 is held to 7e6 (1.46e7 so),
+    and L3 to 1.25e6 (1.54e6 with the 32-node leaf).  At 100 times the
+    viscosity, manufactured L3 needs s of about 1024 or more (8 at its own
+    viscosity), where s = sqrt(max|A| / max|B|) = 256 made 93 such
+    pivots."""
+    K, factor = _first_factor(name, nu_scale)
+    lu = factor.lu
+    assert np.array_equal(lu.perm_r, np.arange(K.shape[0]))
+    bound = {"manufactured-3": 1.25e6, "manufactured-4": 7e6}.get(name)
+    if bound and nu_scale == 1:
+        assert lu.L.nnz + lu.U.nnz <= bound
+
+
+def test_scaled_factor_solves_bitwise_as_the_unscaled_one():
+    """On tube L1 K factors on its diagonal unscaled too, so with any
+    power of two at the pressure unknowns D (D K D)^{-1} D v is K^{-1} v
+    bit for bit."""
+    import scipy.sparse.linalg as spla
+    K, factor = _first_factor("tube-1")
+    plain = spla.splu(K.astype(np.float32), permc_spec="NATURAL",
+                      diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+    identity = np.arange(K.shape[0])
+    assert np.array_equal(plain.perm_r, identity)
+    assert np.array_equal(factor.lu.perm_r, identity)
+    assert factor.scale.max() > 1.0
+    v = np.random.default_rng(34).standard_normal(K.shape[0])
+    assert np.array_equal(factor.solve(v),
+                          plain.solve(v.astype(np.float32)).astype(np.float64))
 
 
 @pytest.mark.parametrize("problem", [_manufactured_problem, _tube_problem],
