@@ -78,7 +78,7 @@ def cli(argv=None):
     try:
         return _dispatch(args)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -6,10 +6,12 @@ boundary data into the right-hand side and solves the sparse saddle-point
 system of the step's unknowns, whose pattern is fixed per space, by a
 float64 flexible GMRES preconditioned with a float32 sparse LU factor, made
 with the pressure unknowns scaled by a power of two so that it pivots on its
-diagonal.  The unknowns are numbered once, in a nested-dissection order of
-the reference cells, so the matrix, the Krylov vectors and the factor share
-one order and the factor needs no permutation.  A ``SaddleSolver`` keeps
-that factor for later steps with the same time-derivative coefficient.
+diagonal.  The unknowns are numbered once per space, in a nested-dissection
+order of the reference cells, so the matrix, the Krylov vectors and the
+factor share one order and the factor needs no permutation.  The same
+layout marks, once per space, the pressure unknowns and the matrix entries
+of B and -B^T, which the scaling reads.  A ``SaddleSolver`` keeps that
+factor for later steps with the same time-derivative coefficient.
 
 Wall data on no-slip boundaries is the map's own xi_t at the velocity
 nodes (for a mesh-sequence map, the P1 interpolant of the frame-interval
@@ -258,12 +260,13 @@ class _SaddleLayout:
     Without outflow facets the pressure dof of the vertex with the largest
     reference patch volume is the pin, held at zero.  ``unknowns`` gives
     the positions of the unknowns, in that order, in the vector of all
-    velocity and pressure dofs, and ``free`` those of the free velocity
-    dofs.  The entries are A at free rows and columns and every structural
-    entry of B and -B^T at the unknowns (exact zeros included), rows
-    ascending in every column as SuperLU sorts them.  ``gather`` gives, per
-    entry, its position in ``[A.data, B.data, -B.data]``: a step fills the
-    matrix with it.
+    velocity and pressure dofs, ``pressure`` marks the pressure unknowns
+    among them and ``free`` gives the positions of the free velocity dofs.
+    The entries are A at free rows and columns and every structural entry
+    of B and -B^T at the unknowns (exact zeros included), rows ascending in
+    every column as SuperLU sorts them.  ``gather`` gives, per entry, its
+    position in ``[A.data, B.data, -B.data]``: a step fills the matrix with
+    it.  ``in_b`` marks the entries of B and -B^T.
 
     The pattern comes from the rows of A, B and -B^T, whose node-pair
     patterns are built on the first assembly, by counting passes with no
@@ -283,6 +286,7 @@ class _SaddleLayout:
                                   np.arange(n_p) != self.pin])
         order = _nested_dissection(space)
         self.unknowns = order[unknown[order]]
+        self.pressure = self.unknowns >= n_u
         self.free = np.flatnonzero(unknown[:n_u])
         n = len(self.unknowns)
         index = np.full(n_u + n_p, n, dtype=np.int32)   # n: no unknown
@@ -306,13 +310,14 @@ class _SaddleLayout:
         # every column, and column n collects the entries of no unknown
         take = np.empty((n, 2), np.intp)
         take[:, 0] = self.unknowns
-        take[:, 1] = np.where(self.unknowns < n_u, self.unknowns + n_u + n_p,
-                              2 * n_u + n_p)
+        take[:, 1] = np.where(self.pressure, 2 * n_u + n_p,
+                              self.unknowns + n_u + n_p)
         K = rows[take.ravel()].tocsc()
         K.indices >>= 1
         self.indptr = K.indptr[:-1]
         self.indices = K.indices[:self.indptr[-1]]
         self.gather = K.data[:self.indptr[-1]]
+        self.in_b = self.gather >= A.nnz
 
     def matrix(self, A, B):
         data = np.concatenate([A.data, B.data, -B.data])[self.gather]
@@ -353,7 +358,7 @@ class ConstrainedSystem:
         the free velocity dofs and every pressure dof, the pin's included,
         at a split solution (u holds the boundary values), from the
         products Au = A u and Bu = B u that its step makes anyway."""
-        f = self.rhs[self.layout.unknowns < len(Au)]    # free velocity rows
+        f = self.rhs[~self.layout.pressure]    # free velocity rows
         r_u = (self.step.rhs_u - Au + self.step.B.T @ p)[self.layout.free]
         scale = math.hypot(np.linalg.norm(f), np.linalg.norm(self.bc_values),
                            np.linalg.norm(self.bc_divergence))
@@ -399,37 +404,10 @@ def apply_boundary_conditions(step, bcs, space, map_, t):
         bc_values=ub, bc_divergence=Bub, gauge_vector=e)
 
 
-def _scale_pressure(K):
-    """The scale of each unknown of the saddle matrix K, 1 at the velocity
-    unknowns and s at the pressure unknowns (see _SinglePrecisionFactor),
-    and a float32 copy of K with its pressure rows and columns times s.
-    Its temporaries end here, before SuperLU's work arrays grow."""
-    size = np.abs(K.data)
-    if not np.all(size <= np.finfo(np.float32).max):
-        raise SolverError("the saddle matrix has an entry outside the "
-                          "float32 range or a non-finite one")
-    counts = np.diff(K.indptr)
-    column = np.repeat(np.arange(K.shape[1]), counts)
-    pressure = np.ones(K.shape[1], dtype=bool)
-    pressure[column[K.indices == column]] = False
-    # B's entries lie in the pressure rows, -B^T's in the columns
-    in_b = np.take(pressure, K.indices)
-    scaled = in_b | np.repeat(pressure, counts)
-    # the power of two nearest max|A| / (4 max|B|), in logarithms as the
-    # quotient can overflow
-    s = np.exp2(np.rint(np.log2(np.where(scaled, 0.0, size).max()) -
-                        np.log2(np.where(in_b, size, 0.0).max()) - 2.0))
-    # s is a power of two, so the scaled copy is exact
-    data = K.data.astype(np.float32)
-    data = np.where(scaled, np.float32(s) * data, data)
-    return (np.where(pressure, s, 1.0),
-            sp.csc_matrix((data, K.indices, K.indptr), shape=K.shape))
-
-
 class _SinglePrecisionFactor:
-    """SuperLU factor of a float32 copy of a saddle matrix, whose unknowns
-    its layout numbers in a fill-reducing order, with the pressure unknowns
-    scaled by a power of two.
+    """SuperLU factor of a float32 copy of a step's saddle matrix, whose
+    unknowns its layout numbers in a fill-reducing order, with the pressure
+    unknowns scaled by a power of two.
 
     ``solve`` takes and returns float64 vectors; the casts to and from
     float32 happen here and nowhere else.  SuperLU keeps the given order
@@ -443,22 +421,37 @@ class _SinglePrecisionFactor:
     Unscaled, fine 2D meshes, whose B is small against A, fall below it:
     SuperLU pivots off the diagonal and the fill doubles (manufactured
     level 4: 868 such pivots, 1.46e7 entries).  So D K D is factored, D
-    being 1 at the velocity unknowns and s at the pressure unknowns (those
-    with no diagonal entry in the pattern), and ``solve`` returns
-    D (D K D)^{-1} D v.  s is the power of two nearest max|A| / (4 max|B|)
-    over the unknowns: the measured windows run from about 1/100 to 5-80
-    times max|A| / max|B| (2D and 3D; viscosities 1/100 to 100 times and
-    time steps 1/64 to 16 times the built-in cases').  A power of two is
-    exact in floating point: where K itself factors on its diagonal, the
-    solve is bitwise that of K's factor.  An entry that float32 cannot
-    hold, or a non-finite one, raises a SolverError instead of becoming
-    inf.
+    being 1 at the velocity unknowns and s at the pressure unknowns (as the
+    layout marks them), and ``solve`` returns D (D K D)^{-1} D v.  s is the
+    power of two nearest max|A| / (4 max|B|) over the unknowns, the
+    maxima taken over the entries the layout marks as A's and as B's: the
+    measured windows run from about 1/100 to 5-80 times max|A| / max|B|
+    (2D and 3D; viscosities 1/100 to 100 times and time steps 1/64 to 16
+    times the built-in cases').  A power of two is exact in floating
+    point: where K itself factors on its diagonal, the solve is bitwise
+    that of K's factor.  An entry that float32 cannot hold, or a
+    non-finite one, raises a SolverError instead of becoming inf.  The
+    scaling's temporaries end before SuperLU's work arrays grow.
     """
 
-    def __init__(self, K):
-        self.scale, scaled = _scale_pressure(K)
-        self.lu = spla.splu(scaled, permc_spec="NATURAL",
-                            diag_pivot_thresh=0.01,
+    def __init__(self, system):
+        K, in_b = system.matrix, system.layout.in_b
+        size = np.abs(K.data)
+        if not np.all(size <= np.finfo(np.float32).max):
+            raise SolverError("the saddle matrix has an entry outside the "
+                              "float32 range or a non-finite one")
+        # the power of two nearest max|A| / (4 max|B|), in logarithms as the
+        # quotient can overflow
+        s = np.exp2(np.rint(np.log2(np.where(in_b, 0.0, size).max()) -
+                            np.log2(np.where(in_b, size, 0.0).max()) - 2.0))
+        del size
+        # s is a power of two, so the scaled copy is exact
+        data = K.data.astype(np.float32)
+        np.multiply(data, np.float32(s), out=data, where=in_b)
+        self.scale = np.where(system.layout.pressure, s, 1.0)
+        self.lu = spla.splu(sp.csc_matrix((data, K.indices, K.indptr),
+                                          shape=K.shape),
+                            permc_spec="NATURAL", diag_pivot_thresh=0.01,
                             options={"SymmetricMode": True})
 
     def solve(self, v):
@@ -523,7 +516,7 @@ class SaddleSolver:
             event = "refactor" if x is None else "reuse"
         if x is None:
             self.preconditioner = None  # two factors alive raise the peak RSS
-            self.preconditioner = _SinglePrecisionFactor(K)
+            self.preconditioner = _SinglePrecisionFactor(system)
             self.coefficient, self.shape = coefficient, K.shape
             x, _, residuals = self._fgmres(K, b, *start, target)
             iterations += len(residuals) - 1

@@ -349,6 +349,21 @@ def test_cli_run_names_the_step_of_non_finite_data(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "error: MemoryError\n"),
+    (AssertionError(), "error: AssertionError\n")])
+def test_cli_error_without_a_message_names_its_type(exc, message, tmp_path,
+                                                    monkeypatch, capsys):
+    from movingflow import cli as cli_module
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli_module, "_dispatch", fail)
+    assert cli(["run", "--config", str(minimal_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_cli_validate_map_tube(tmp_path, capsys):
     path = minimal_config(
         tmp_path,

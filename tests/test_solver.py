@@ -959,7 +959,7 @@ def test_reuse_cycle_solves_once_per_krylov_vector(drift, monkeypatch):
     M, lu = _CountingMatrix(M), _CountingLU(lu)
     monkeypatch.setattr(solver, "_KRYLOV", 4)
     monkeypatch.setattr(solver, "_SinglePrecisionFactor",
-                        lambda K: _CountingLU(spla.splu(K.M)))
+                        lambda system: _CountingLU(spla.splu(system.matrix.M)))
     saddle, system = _kept(M, lu, b)
     x, info = saddle.solve(system, 1e-10)
     solves = lu.solves + (saddle.preconditioner.solves
@@ -1286,7 +1286,7 @@ def test_dissection_order_cuts_the_tube_factor_fill():
         _, system = _first_system(prob, stress=case.stress)
         K = system.matrix
         default_nnz = spla.splu(K.astype(np.float32)).nnz
-        assert _SinglePrecisionFactor(K).lu.nnz <= \
+        assert _SinglePrecisionFactor(system).lu.nnz <= \
             0.75 * default_nnz
         sampling.release(prob.space)
 
@@ -1317,7 +1317,7 @@ def test_factor_pattern_equals_the_permuted_matrix(problem):
                       (ours.indices, expected.indices),
                       (ours.data, expected.data)):
         assert np.array_equal(got, want)
-    factor = _SinglePrecisionFactor(ours)
+    factor = _SinglePrecisionFactor(system)
     free = dofs[dofs < A.shape[0]]
     ratio = abs(A[free][:, free]).max() / abs(B[dofs[len(free):] - A.shape[0]]
                                             [:, free]).max()
@@ -1362,7 +1362,7 @@ def _first_factor(name, nu_scale=1.0):
         stress, dt = case.stress, case.base_dt * h * h
     _, system = _first_system(prob, stress=stress, dt=dt)
     sampling.release(prob.space)
-    return system.matrix, _SinglePrecisionFactor(system.matrix)
+    return system.matrix, _SinglePrecisionFactor(system)
 
 
 @pytest.mark.parametrize("name, nu_scale", [
@@ -1463,8 +1463,11 @@ def test_saddle_layout_counting_pass_equals_a_lexsort(problem, stress):
     assert (layout.pin is None) == prob.space.mesh.has_neumann_boundary()
     assert layout.pin == pin and np.array_equal(layout.unknowns, unknowns)
     for got, want in ((layout.indptr, indptr), (layout.indices, indices),
-                      (layout.gather, gather)):
+                      (layout.gather, gather),
+                      (layout.in_b, gather >= step.A.nnz),
+                      (layout.pressure, unknowns >= step.B.shape[1])):
         assert np.array_equal(got, want)
+    assert 0 < layout.pressure.sum() < len(unknowns)
     assert layout.indptr.dtype == layout.indices.dtype == np.int32
     assert layout.gather.dtype == np.intp
     sampling.release(prob.space)
